@@ -19,6 +19,11 @@ Because the attaining local field is constant per phase, the bound value is
 the same for every moment exponent p in (1, inf]; p enters the API only for
 interface symmetry with the moment evaluators and is validated when given.
 
+:func:`bound_arrays` evaluates a bound, its attaining microstructure and
+its regime-table branch over whole arrays of loadings in one numpy pass,
+with the same floating-point operations as the scalar functions, so every
+element equals the scalar result bit for bit.
+
 Everything here is a pure function of immutable inputs.
 """
 
@@ -27,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import InvalidExponent
 from .materials import Loading, Ordering, ValidatedComposite
@@ -422,6 +429,112 @@ def classify_branch(
     vanish = D * (1.0 - 1.0 / result.argmin_compliance)
     side = "left" if sigma0 < vanish else "right"
     return result, f"{symbol[0]}-branch-{side}"
+
+
+#: Endpoint tags by their codes in :attr:`BoundArrays.endpoint`.
+ENDPOINT_CODES = (Endpoint.LOWER, Endpoint.UPPER, Endpoint.INTERIOR)
+_LOWER, _UPPER, _INTERIOR = range(3)
+_BRANCH_CODE = {name: i for i, name in enumerate(BRANCH_IDS)}
+
+
+@dataclass(frozen=True)
+class BoundArrays:
+    """A bound over arrays of loadings, as computed by :func:`bound_arrays`.
+
+    Every field has the broadcast shape of the loadings, and element ``i``
+    holds what the scalar functions give at loading ``i``:
+
+    * ``value``, ``argmin``: ``BoundResult.value``/``argmin_compliance``;
+    * ``endpoint``: index into :data:`ENDPOINT_CODES` (``at_endpoint``);
+    * ``phase``: the phase bounded, for the max-field target the winning
+      phase (``max_attaining_phase`` where the endpoint is not INTERIOR);
+    * ``core``: core phase of the attaining coated-sphere assemblage, 0
+      where the microstructure is undetermined;
+    * ``branch``: index into :data:`BRANCH_IDS`, as :func:`classify_branch`.
+    """
+
+    value: np.ndarray
+    argmin: np.ndarray
+    endpoint: np.ndarray
+    phase: np.ndarray
+    core: np.ndarray
+    branch: np.ndarray
+
+
+def _phase_arrays(c: ValidatedComposite, phase: int, sigma0: np.ndarray, D: np.ndarray):
+    """(value, argmin, endpoint, core) of one phase's bound, elementwise.
+
+    The operations and their order are those of :func:`affine_abs_min` and
+    :func:`phase_moment_lower_bound`.  Where ``sigma0 == D``,
+    ``t* = D/(D - sigma0)`` is inf or nan, so it lies in no interval, and the
+    lower endpoint is taken as the scalar path does.
+    """
+    interval = compliance_interval(c, phase)
+    lo, hi = interval.lo, interval.hi
+    t_star = D / (D - sigma0)
+    flat = sigma0 == D
+    inside = (lo <= t_star) & (t_star <= hi)
+    lower = (t_star < lo) | flat
+    t = np.where(lower, lo, hi)
+    interior = inside | (flat & (D == 0.0))
+    value = np.where(interior, 0.0, SQRT3 * np.abs((sigma0 - D) * t + D))
+    argmin = np.where(inside, t_star, t)
+    endpoint = np.where(interior, _INTERIOR, np.where(lower, _LOWER, _UPPER))
+    core = np.where(
+        interior,
+        0,
+        np.where(
+            lower,
+            _microstructure_for(interval.lo_symbol).core_phase,
+            _microstructure_for(interval.hi_symbol).core_phase,
+        ),
+    )
+    return value, argmin, endpoint, core
+
+
+def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArrays:
+    """Evaluate a bound and its branch over broadcast arrays of loadings.
+
+    ``target`` is ``"phase1"``, ``"phase2"`` or ``"max"``.  Element by
+    element the result equals, bit for bit, :func:`phase_moment_lower_bound`
+    or :func:`max_field_lower_bound` together with :func:`classify_branch`
+    at ``Loading(sigma0, deltaT)``, including the max-field tie rule, but
+    each per-phase minimization runs once over the whole array.
+    """
+    sigma0, deltaT = np.broadcast_arrays(
+        np.asarray(sigma0, dtype=float), np.asarray(deltaT, dtype=float)
+    )
+    D = thermal_stress_scale(c, deltaT)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if target == "max":
+            v1, a1, e1, c1 = _phase_arrays(c, 1, sigma0, D)
+            v2, a2, e2, c2 = _phase_arrays(c, 2, sigma0, D)
+            first = (v1 > v2) | ((v1 >= v2) & (np.abs(a1) >= np.abs(a2)))
+            value = np.where(first, v1, v2)
+            argmin = np.where(first, a1, a2)
+            phase = np.where(first, 1, 2)
+            endpoint = np.where(first, e1, e2)
+            zero = (endpoint == _INTERIOR) | (value == 0.0)
+            endpoint = np.where(zero, _INTERIOR, endpoint)
+            core = np.where(zero, 0, np.where(first, c1, c2))
+        elif target in ("phase1", "phase2"):
+            index = int(target[-1])
+            value, argmin, endpoint, core = _phase_arrays(c, index, sigma0, D)
+            phase = np.full(sigma0.shape, index)
+        else:
+            raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+        # an L-family endpoint has the bounded phase as its core
+        family_l = core == phase
+        left = sigma0 < D * (1.0 - 1.0 / argmin)
+    branch = np.where(
+        left,
+        np.where(family_l, _BRANCH_CODE["L-branch-left"], _BRANCH_CODE["M-branch-left"]),
+        np.where(family_l, _BRANCH_CODE["L-branch-right"], _BRANCH_CODE["M-branch-right"]),
+    )
+    branch = np.where(endpoint == _INTERIOR, _BRANCH_CODE["Zero"], branch)
+    return BoundArrays(
+        value=value, argmin=argmin, endpoint=endpoint, phase=phase, core=core, branch=branch
+    )
 
 
 def _representatives(breakpoints: list[float]) -> list[float]:

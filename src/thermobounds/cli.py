@@ -9,7 +9,9 @@ Four subcommands, each reading a JSON config file:
   dual-route effective constants, exact relations, attainment, oracle
   comparison, regime-table agreement) for both coated-sphere orientations.
 * ``sweep``   -- evaluate bounds over a grid of loadings and write them to
-  a file.
+  a file.  The whole grid is evaluated in one numpy pass of
+  :func:`~thermobounds.bounds.bound_arrays`, which gives the same bits as
+  the scalar functions; ``bounds`` uses the same pass with one row.
 
 Config schema::
 
@@ -42,12 +44,16 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
+    BRANCH_IDS,
+    ENDPOINT_CODES,
     Endpoint,
+    MicrostructureKind,
+    bound_arrays,
     characteristic_constants,
-    classify_branch,
-    max_field_lower_bound,
     phase_moment_lower_bound,
     regime_table,
 )
@@ -225,13 +231,14 @@ def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
     )
 
 
-def _to_internal(caller_phase: int | None, relabeled: bool) -> int | None:
-    if caller_phase is None:
+def _swap_phase(phase: int | None, relabeled: bool) -> int | None:
+    """Map a phase number between the caller's and the internal numbering.
+
+    The relabeling map is an involution, so this serves both directions.
+    """
+    if phase is None:
         return None
-    return 3 - caller_phase if relabeled else caller_phase
-
-
-_to_caller = _to_internal  # the relabeling map is an involution
+    return 3 - phase if relabeled else phase
 
 
 def _parse_p(text: str) -> float:
@@ -244,33 +251,70 @@ def _parse_p(text: str) -> float:
     return p
 
 
-def _bound_row(cfg: RunConfig, sigma0: float, deltaT: float, phase_flag: str, p: float) -> dict:
-    comp = cfg.composite
-    loading = Loading(sigma0=sigma0, deltaT=deltaT)
+def _attainment_residual(
+    comp: ValidatedComposite, loading: Loading, value: float, phase: int, core: int
+) -> float:
+    """Relative gap between a bound and the moment of its attaining assemblage."""
+    sphere = CoatedSphereConfig(composite=comp, core_phase=core)
+    moment = phase_moment(sphere, loading, phase, 2.0)
+    scale = max(value, abs(loading.sigma0) + abs(loading.deltaT), 1e-300)
+    return abs(moment - value) / scale
+
+
+def _bound_rows(
+    cfg: RunConfig,
+    sigma_values: list[float],
+    delta_values: list[float],
+    phase_flag: str,
+    p: float,
+    residuals: bool = False,
+) -> list[dict]:
+    """Bound rows over the sigma0 x deltaT grid in sigma0-major order.
+
+    One :func:`bound_arrays` pass evaluates every row.  With ``residuals``
+    each row also gets the attainment residual of its bound (None when the
+    bound is 0 and no assemblage is designated).
+    """
+    comp, relabeled = cfg.composite, cfg.relabeled
+    coated = MicrostructureKind.COATED_SPHERES.value
+    undetermined = MicrostructureKind.UNDETERMINED.value
     if phase_flag == "max":
         target = "max"
-        result = max_field_lower_bound(comp, loading, p=p)
     else:
-        internal = _to_internal(int(phase_flag), cfg.relabeled)
-        target = f"phase{internal}"
-        result = phase_moment_lower_bound(comp, loading, internal, p=p)
-    _, branch = classify_branch(comp, deltaT, target, sigma0)
-    micro = result.microstructure
-    return {
-        "sigma0": sigma0,
-        "deltaT": deltaT,
-        "phase": phase_flag,
-        "p": p,
-        "value": result.value,
-        "argmin": result.argmin_compliance,
-        "at_endpoint": result.at_endpoint.value,
-        "branch": branch,
-        "microstructure": micro.kind.value,
-        "core_phase": _to_caller(micro.core_phase, cfg.relabeled),
-        "coating_phase": _to_caller(micro.coating_phase, cfg.relabeled),
-        "max_attaining_phase": _to_caller(micro.max_attaining_phase, cfg.relabeled),
-        "relabeled": cfg.relabeled,
-    }
+        target = f"phase{_swap_phase(int(phase_flag), relabeled)}"
+    sigma0 = np.repeat(np.asarray(sigma_values, dtype=float), len(delta_values))
+    deltaT = np.tile(np.asarray(delta_values, dtype=float), len(sigma_values))
+    b = bound_arrays(comp, target, sigma0, deltaT)
+    rows = []
+    for s0, dT, value, argmin, endpoint, phase, core, branch in zip(
+        sigma0.tolist(), deltaT.tolist(), b.value.tolist(), b.argmin.tolist(),
+        b.endpoint.tolist(), b.phase.tolist(), b.core.tolist(), b.branch.tolist(),
+    ):
+        row = {
+            "sigma0": s0,
+            "deltaT": dT,
+            "phase": phase_flag,
+            "p": p,
+            "value": value,
+            "argmin": argmin,
+            "at_endpoint": ENDPOINT_CODES[endpoint].value,
+            "branch": BRANCH_IDS[branch],
+            # core 0: the bound is 0 and no assemblage is designated
+            "microstructure": coated if core else undetermined,
+            "core_phase": _swap_phase(core, relabeled) if core else None,
+            "coating_phase": _swap_phase(3 - core, relabeled) if core else None,
+            "max_attaining_phase": (
+                _swap_phase(phase, relabeled) if core and target == "max" else None
+            ),
+            "relabeled": relabeled,
+        }
+        if residuals:
+            row["attainment_residual"] = (
+                _attainment_residual(comp, Loading(s0, dT), value, phase, core)
+                if core else None
+            )
+        rows.append(row)
+    return rows
 
 
 def _scalar_loading(cfg: RunConfig) -> tuple[float, float]:
@@ -283,8 +327,7 @@ def cmd_bounds(args) -> int:
     cfg = load_run_config(args.config)
     sigma0, deltaT = _scalar_loading(cfg)
     p = _parse_p(args.p)
-    row = _bound_row(cfg, sigma0, deltaT, args.phase, p)
-    emit_rows([row], args.format, sys.stdout)
+    emit_rows(_bound_rows(cfg, [sigma0], [deltaT], args.phase, p), args.format, sys.stdout)
     return 0
 
 
@@ -303,7 +346,7 @@ def cmd_table(args) -> int:
     if args.target == "max":
         target = "max"
     else:
-        target = f"phase{_to_internal(int(args.target[-1]), cfg.relabeled)}"
+        target = f"phase{_swap_phase(int(args.target[-1]), cfg.relabeled)}"
     table = regime_table(cfg.composite, deltaT, target)
     rows = []
     for r in table.rows:
@@ -319,9 +362,9 @@ def cmd_table(args) -> int:
                 "endpoint": r.endpoint_value,
                 "formula": _formula_text(r.branch, r.endpoint_value, table.D),
                 "microstructure": micro.kind.value,
-                "core_phase": _to_caller(micro.core_phase, cfg.relabeled),
-                "coating_phase": _to_caller(micro.coating_phase, cfg.relabeled),
-                "max_attaining_phase": _to_caller(micro.max_attaining_phase, cfg.relabeled),
+                "core_phase": _swap_phase(micro.core_phase, cfg.relabeled),
+                "coating_phase": _swap_phase(micro.coating_phase, cfg.relabeled),
+                "max_attaining_phase": _swap_phase(micro.max_attaining_phase, cfg.relabeled),
                 "relabeled": cfg.relabeled,
             }
         )
@@ -440,30 +483,26 @@ def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> l
         result = phase_moment_lower_bound(comp, loading, phase)
         if result.at_endpoint is Endpoint.INTERIOR:
             continue
-        sphere = CoatedSphereConfig(
-            composite=comp, core_phase=result.microstructure.core_phase
+        residual = _attainment_residual(
+            comp, loading, result.value, phase, result.microstructure.core_phase
         )
-        moment = phase_moment(sphere, loading, phase, 2.0)
-        scale = max(result.value, abs(loading.sigma0) + abs(loading.deltaT), 1e-300)
-        add(
-            "bound-attainment",
-            f"phase{phase}",
-            abs(moment - result.value) / scale,
-            TOL_ATTAINMENT,
-        )
+        add("bound-attainment", f"phase{phase}", residual, TOL_ATTAINMENT)
 
     # regime tables agree with the direct minimization
     consts = characteristic_constants(comp, loading.deltaT)
     span = max(1.0, 3.0 * abs(consts.D), abs(loading.sigma0))
+    samples = [
+        -span + (2.0 * span) * (i + 0.5) / TABLE_AGREEMENT_SAMPLES
+        for i in range(TABLE_AGREEMENT_SAMPLES)
+    ]
     for target in ("phase1", "phase2", "max"):
         table = regime_table(comp, loading.deltaT, target)
+        direct = bound_arrays(comp, target, samples, loading.deltaT).value.tolist()
         worst = 0.0
-        for i in range(TABLE_AGREEMENT_SAMPLES):
-            s0 = -span + (2.0 * span) * (i + 0.5) / TABLE_AGREEMENT_SAMPLES
-            direct, _ = classify_branch(comp, loading.deltaT, target, s0)
+        for s0, value in zip(samples, direct):
             via_table = table.bound_at(s0)
-            scale = max(direct.value, abs(via_table), span)
-            worst = max(worst, abs(direct.value - via_table) / scale)
+            scale = max(value, abs(via_table), span)
+            worst = max(worst, abs(value - via_table) / scale)
         add("regime-table-agreement", target, worst, TOL_IDENTITY)
 
     return checks
@@ -488,24 +527,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _attainment_residual(cfg: RunConfig, sigma0: float, deltaT: float, phase_flag: str):
-    """Closed-form attainment residual for a sweep row (None when bound is 0)."""
-    comp = cfg.composite
-    loading = Loading(sigma0, deltaT)
-    if phase_flag == "max":
-        result = max_field_lower_bound(comp, loading)
-        phase = result.microstructure.max_attaining_phase
-    else:
-        phase = _to_internal(int(phase_flag), cfg.relabeled)
-        result = phase_moment_lower_bound(comp, loading, phase)
-    if result.at_endpoint is Endpoint.INTERIOR or phase is None:
-        return None
-    sphere = CoatedSphereConfig(composite=comp, core_phase=result.microstructure.core_phase)
-    moment = phase_moment(sphere, loading, phase, 2.0)
-    scale = max(result.value, abs(sigma0) + abs(deltaT), 1e-300)
-    return abs(moment - result.value) / scale
-
-
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config, allow_sweep=True)
     if not isinstance(cfg.sigma0, SweepRange) and not isinstance(cfg.deltaT, SweepRange):
@@ -517,15 +538,7 @@ def cmd_sweep(args) -> int:
     delta_values = (
         cfg.deltaT.values() if isinstance(cfg.deltaT, SweepRange) else [cfg.deltaT]
     )
-    rows = []
-    for s0 in sigma_values:  # sigma0-major order, then deltaT
-        for dT in delta_values:
-            row = _bound_row(cfg, s0, dT, args.phase, p)
-            if args.residuals:
-                row["attainment_residual"] = _attainment_residual(
-                    cfg, s0, dT, args.phase
-                )
-            rows.append(row)
+    rows = _bound_rows(cfg, sigma_values, delta_values, args.phase, p, args.residuals)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             emit_rows(rows, args.format, fh)

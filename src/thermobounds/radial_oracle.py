@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bounds import SQRT3
 from .coated_sphere import (
@@ -201,6 +200,9 @@ def solve_radial_bvp(
 
     if not np.all(np.isfinite(ab)):
         raise SingularSystem("non-finite coefficients in radial system")
+    # imported here so that importing the package does not load scipy
+    from scipy.linalg import solve_banded
+
     try:
         u_full = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:

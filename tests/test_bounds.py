@@ -34,6 +34,7 @@ from thermobounds import (
     regime_table,
     validate_composite,
 )
+from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_arrays
 
 SQRT3 = math.sqrt(3.0)
 
@@ -529,3 +530,64 @@ class TestBranchContinuityInLoading:
                     hi_val, _ = classify_branch(comp, deltaT, target, bp + eps)
                     scale = max(lo_val.value, hi_val.value, abs(c.D), 1.0)
                     assert abs(lo_val.value - hi_val.value) <= 20 * eps + 1e-10 * scale
+
+
+class TestBoundArrays:
+    """The array kernel against the scalar functions, bit for bit."""
+
+    @staticmethod
+    def scalar(comp, target, sigma0, deltaT):
+        result, branch = classify_branch(comp, deltaT, target, sigma0)
+        micro = result.microstructure
+        return (
+            result.value.hex(), result.argmin_compliance.hex(), result.at_endpoint,
+            branch, micro.core_phase, micro.max_attaining_phase,
+        )
+
+    @staticmethod
+    def kernel(b, target, i):
+        core = int(b.core[i])
+        max_phase = int(b.phase[i]) if target == "max" and core else None
+        return (
+            float(b.value[i]).hex(), float(b.argmin[i]).hex(),
+            ENDPOINT_CODES[b.endpoint[i]], BRANCH_IDS[b.branch[i]], core or None, max_phase,
+        )
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_matches_scalar_path(self, rng, ordering):
+        # random loadings; every regime-table breakpoint and its neighbours
+        # one ulp away, where rounding can give a zero value at an endpoint;
+        # sigma0 == D; deltaT == 0, where D is a signed zero; and subnormal
+        # deltaT, where the max-field bound can be 0 at an endpoint
+        for comp in [CANONICAL] * (ordering is Ordering.WELL_ORDERED) + [
+            random_composite(rng, ordering) for _ in range(8)
+        ]:
+            sigma0 = list(rng.uniform(-10.0, 10.0, 40))
+            deltaT = list(rng.uniform(-3.0, 3.0, 40))
+            for dT in (float(rng.uniform(-3.0, 3.0)), 1.0, 0.0, 2e-323, -6e-323):
+                D = characteristic_constants(comp, dT).D
+                for target in ("phase1", "phase2", "max"):
+                    points = [D, -D, 0.0, 5e-324]
+                    for bp in regime_table(comp, dT, target).breakpoints:
+                        points += [math.nextafter(bp, -math.inf), bp, math.nextafter(bp, math.inf)]
+                    sigma0 += points
+                    deltaT += [dT] * len(points)
+            for target in ("phase1", "phase2", "max"):
+                b = bound_arrays(comp, target, sigma0, deltaT)
+                assert b.value.shape == (len(sigma0),)
+                for i, (s0, dT) in enumerate(zip(sigma0, deltaT)):
+                    assert self.kernel(b, target, i) == self.scalar(
+                        comp, target, float(s0), float(dT)
+                    ), (target, s0, dT)
+
+    def test_broadcasts_loadings(self):
+        b = bound_arrays(CANONICAL, "max", [[-1.0], [0.0], [2.0]], [0.0, 1.0])
+        assert b.branch.shape == (3, 2)
+        for i, s0 in enumerate((-1.0, 0.0, 2.0)):
+            for j, dT in enumerate((0.0, 1.0)):
+                value, _ = classify_branch(CANONICAL, dT, "max", s0)
+                assert b.value[i, j] == value.value
+
+    def test_rejects_unknown_target(self):
+        with pytest.raises(ValueError):
+            bound_arrays(CANONICAL, "phase3", [0.0], [1.0])

@@ -2,9 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thermobounds
+from conftest import random_composite
+from thermobounds import Ordering, characteristic_constants, classify_branch, regime_table
 from thermobounds.cli import main
 
 PSTAR = {
@@ -260,3 +267,46 @@ class TestDeterminism:
             run(capsys, "sweep", cfg, "--out", str(path))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def scalar_table_agreement(comp, sigma0, deltaT, target, samples=200):
+    """verify's regime-table-agreement residual, one classify_branch per sample."""
+    span = max(1.0, 3.0 * abs(characteristic_constants(comp, deltaT).D), abs(sigma0))
+    table = regime_table(comp, deltaT, target)
+    worst = 0.0
+    for i in range(samples):
+        s0 = -span + (2.0 * span) * (i + 0.5) / samples
+        direct, _ = classify_branch(comp, deltaT, target, s0)
+        via_table = table.bound_at(s0)
+        scale = max(direct.value, abs(via_table), span)
+        worst = max(worst, abs(direct.value - via_table) / scale)
+    return worst
+
+
+class TestVerifyTableAgreement:
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_residuals_equal_scalar_loop(self, tmp_path, capsys, rng, ordering):
+        for j in range(3):
+            comp = random_composite(rng, ordering)
+            sigma0, deltaT = float(rng.uniform(-10.0, 10.0)), float(rng.uniform(-3.0, 3.0))
+            doc = {
+                "phase1": vars(comp.phase1),
+                "phase2": vars(comp.phase2),
+                "theta1": comp.theta1,
+                "loading": {"sigma0": sigma0, "deltaT": deltaT},
+            }
+            cfg = write_config(tmp_path, doc, f"c{j}.json")
+            _, out, _ = run(capsys, "verify", cfg, "--grid-n", "64")
+            rows = [r for r in parse_csv(out) if r["check"] == "regime-table-agreement"]
+            assert [r["orientation"] for r in rows] == ["phase1", "phase2", "max"]
+            for row in rows:
+                expected = scalar_table_agreement(comp, sigma0, deltaT, row["orientation"])
+                assert float(row["residual"]) == expected
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(thermobounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, thermobounds.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
