@@ -17,14 +17,9 @@ consistent unit system.
 """
 
 from .bounds import (
-    BoundConstants,
-    BoundResult,
     ComplianceInterval,
     Endpoint,
-    Microstructure,
     MicrostructureKind,
-    RegimeRow,
-    RegimeTable,
     affine_abs_min,
     characteristic_constants,
     classify_branch,
@@ -39,11 +34,7 @@ from .bounds import (
 )
 from .coated_sphere import (
     CoatedSphereConfig,
-    EffectiveProperties,
-    LocalFieldConstants,
-    ShellCoefficients,
     effective_bulk_modulus,
-    effective_bulk_modulus_routes,
     effective_properties,
     effective_thermal_stress,
     effective_thermal_stress_routes,
@@ -71,19 +62,13 @@ from .errors import (
     VolumeFractionOutOfRange,
 )
 from .materials import (
-    CompositeSpec,
     Loading,
     Ordering,
     PhaseProperties,
     ValidatedComposite,
     build_composite,
-    classify_ordering,
-    normalize_phase_labels,
-    validate_composite,
 )
 from .radial_oracle import (
-    RadialGrid,
-    RadialSolution,
     compare_fields,
     interval_scan_min,
     make_radial_grid,

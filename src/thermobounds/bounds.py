@@ -35,8 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidExponent
-from .materials import Loading, Ordering, ValidatedComposite
+from .materials import Loading, Ordering, ValidatedComposite, check_exponent
 
 SQRT3 = math.sqrt(3.0)
 
@@ -324,17 +323,6 @@ def _microstructure_for(symbol: str) -> Microstructure:
     )
 
 
-def _validate_p(p) -> None:
-    if p is None:
-        return
-    try:
-        ok = p > 1.0
-    except TypeError:
-        raise InvalidExponent(f"moment exponent must be a real number, got {p!r}")
-    if not ok or math.isnan(p):
-        raise InvalidExponent(f"moment exponent must lie in (1, inf], got {p}")
-
-
 def phase_moment_lower_bound(
     c: ValidatedComposite, loading: Loading, phase: int, p: float | None = None
 ) -> BoundResult:
@@ -345,7 +333,8 @@ def phase_moment_lower_bound(
     the coated-sphere assemblage attaining the bound, or UNDETERMINED when
     the bound is 0.
     """
-    _validate_p(p)
+    if p is not None:
+        check_exponent(p)
     D = thermal_stress_scale(c, loading.deltaT)
     interval = compliance_interval(c, phase)
     value, argmin, tag = affine_abs_min(interval, loading.sigma0, D)
@@ -369,7 +358,8 @@ def max_field_lower_bound(
     reproduces the asterisk assignments of the closed-form tables at shared
     breakpoints).
     """
-    _validate_p(p)
+    if p is not None:
+        check_exponent(p)
     r1 = phase_moment_lower_bound(c, loading, 1)
     r2 = phase_moment_lower_bound(c, loading, 2)
     if r1.value > r2.value:

@@ -24,6 +24,7 @@ Config schema::
 
 For ``sweep``, ``sigma0`` and/or ``deltaT`` may instead be a range object
 ``{"start": -10, "stop": 10, "count": 81}`` (count >= 2, start < stop).
+Every loading value must be finite.
 
 Phases in the output are reported in the caller's original numbering even
 when the internal shear-ordering convention required relabeling; the
@@ -71,12 +72,11 @@ from .coated_sphere import (
 )
 from .errors import ConsistencyFailure, InputError, InvalidExponent
 from .materials import (
-    CompositeSpec,
     Loading,
     PhaseProperties,
     ValidatedComposite,
-    normalize_phase_labels,
-    validate_composite,
+    build_composite,
+    check_exponent,
 )
 from .radial_oracle import (
     compare_fields,
@@ -104,8 +104,12 @@ class SweepRange:
     stop: float
     count: int
 
+    @property
+    def step(self) -> float:
+        return (self.stop - self.start) / (self.count - 1)
+
     def values(self) -> list[float]:
-        step = (self.stop - self.start) / (self.count - 1)
+        step = self.step
         return [self.start + i * step for i in range(self.count)]
 
 
@@ -186,17 +190,24 @@ def _parse_axis(value, name: str, allow_sweep: bool):
                 stop=float(_require(value, "stop")),
                 count=int(_require(value, "count")),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name!r}: {exc}") from exc
         if rng.count < 2:
             raise ConfigError(f"{name!r}: sweep count must be >= 2, got {rng.count}")
+        if not (math.isfinite(rng.start) and math.isfinite(rng.stop)):
+            raise ConfigError(f"{name!r}: sweep start and stop must be finite")
         if not rng.start < rng.stop:
             raise ConfigError(f"{name!r}: sweep needs start < stop")
+        if not math.isfinite(rng.step):
+            raise ConfigError(f"{name!r}: sweep step overflows")
         return rng
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name!r} must be a number or a range object") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{name!r} must be finite, got {x}")
+    return x
 
 
 def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
@@ -222,10 +233,7 @@ def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
     sigma0 = _parse_axis(_require(loading, "sigma0"), "sigma0", allow_sweep)
     deltaT = _parse_axis(_require(loading, "deltaT"), "deltaT", allow_sweep)
 
-    spec, swapped = normalize_phase_labels(
-        CompositeSpec(phase1=phase1, phase2=phase2, theta1=theta1)
-    )
-    composite = validate_composite(spec)
+    composite, swapped = build_composite(phase1, phase2, theta1)
     return RunConfig(
         composite=composite, relabeled=swapped, sigma0=sigma0, deltaT=deltaT
     )
@@ -246,9 +254,7 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError:
         raise InvalidExponent(f"moment exponent must be a number or 'inf', got {text!r}")
-    if math.isnan(p) or p <= 1.0:
-        raise InvalidExponent(f"moment exponent must lie in (1, inf], got {text}")
-    return p
+    return check_exponent(p)
 
 
 def _attainment_residual(

@@ -1,14 +1,14 @@
 """Exact local fields inside a coated-sphere assemblage.
 
 A coated sphere is a core of one phase (radius ``a``) inside a concentric
-coating of the other phase (outer radius ``b``), with ``(a/b)^3`` equal to
+coating of the other phase (outer radius ``b = 1``), with ``a^3`` equal to
 the core phase's volume fraction.  Filling space with scaled copies of this
 prototype yields an assemblage whose per-phase fields equal those of the
 single prototype, so one sphere suffices for every reported quantity.
 
 The radially symmetric displacement is ``u = g*r`` in the core and
 ``u = A*r + B/r^2`` in the coating.  Two sub-problems are solved on the
-prototype (outer radius normalized to ``b = 1`` unless stated otherwise):
+prototype:
 
 * thermal: eigenstrain ``h_i * I`` per phase at unit temperature change,
   displacement clamped at the outer surface (``u(b) = 0``); the outer
@@ -30,14 +30,13 @@ configurations attain the moment bounds with equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import SQRT3, hs_bulk_moduli
-from .errors import ConsistencyFailure, InvalidExponent, SingularInterfaceSystem
-from .materials import Loading, PhaseProperties, ValidatedComposite
+from .errors import ConsistencyFailure, SingularInterfaceSystem
+from .materials import Loading, PhaseProperties, ValidatedComposite, check_exponent
 
 #: Relative tolerance for the internal dual-computation consistency checks.
 CONSISTENCY_RTOL = 1e-12
@@ -48,8 +47,8 @@ class CoatedSphereConfig:
     """A coated-sphere assemblage built from a validated composite.
 
     ``core_phase`` selects which material fills the core; the coating is the
-    other phase.  The cube of the core/outer radius ratio equals the core
-    phase's volume fraction.
+    other phase.  The outer radius is 1, so the cube of the core radius
+    equals the core phase's volume fraction.
     """
 
     composite: ValidatedComposite
@@ -65,7 +64,7 @@ class CoatedSphereConfig:
 
     @property
     def core_fraction(self) -> float:
-        """Volume fraction of the core phase, equal to (a/b)^3."""
+        """Volume fraction of the core phase, equal to a^3."""
         return self.composite.volume_fraction(self.core_phase)
 
     @property
@@ -76,8 +75,8 @@ class CoatedSphereConfig:
     def coating(self) -> PhaseProperties:
         return self.composite.phase(self.coating_phase)
 
-    def core_radius(self, outer_radius: float = 1.0) -> float:
-        return outer_radius * self.core_fraction ** (1.0 / 3.0)
+    def core_radius(self) -> float:
+        return self.core_fraction ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class ShellCoefficients:
     core_linear: float
     coat_linear: float
     coat_inverse_square: float
-    source: str  # "thermal" | "mechanical" | "superposed"
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,6 @@ def _solve_shell(
     eigen_on: bool,
     outer: str,
     traction: float = 0.0,
-    outer_radius: float = 1.0,
 ) -> tuple[float, float, float]:
     """Solve the 3x3 interface/boundary system for (g, A, B).
 
@@ -137,8 +134,7 @@ def _solve_shell(
     rows.  Raises SingularInterfaceSystem if the system is degenerate, which
     cannot happen for positive moduli and interior volume fractions.
     """
-    b = outer_radius
-    a = config.core_radius(b)
+    a = config.core_radius()
     core, coat = config.core, config.coating
     hc = core.h if eigen_on else 0.0
     ht = coat.h if eigen_on else 0.0
@@ -152,10 +148,10 @@ def _solve_shell(
     )
     rhs = np.array([0.0, 3.0 * core.k * hc - 3.0 * coat.k * ht, 0.0])
     if outer == "clamped":
-        mat[2] = [0.0, b, 1.0 / b**2]
+        mat[2] = [0.0, 1.0, 1.0]  # u(1) = A + B
         rhs[2] = 0.0
     elif outer == "traction":
-        mat[2] = [0.0, 3.0 * coat.k, -4.0 * coat.mu / b**3]
+        mat[2] = [0.0, 3.0 * coat.k, -4.0 * coat.mu]  # sigma_rr(1)
         rhs[2] = traction + 3.0 * coat.k * ht
     else:
         raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
@@ -169,9 +165,7 @@ def _solve_shell(
     return float(g), float(A), float(B)
 
 
-def thermal_coefficients(
-    config: CoatedSphereConfig, outer_radius: float = 1.0
-) -> ShellCoefficients:
+def thermal_coefficients(config: CoatedSphereConfig) -> ShellCoefficients:
     """Shell coefficients of the clamped thermal problem at unit deltaT.
 
     Scale linearly by deltaT for other temperature changes.  The authoritative
@@ -179,41 +173,33 @@ def thermal_coefficients(
     :func:`thermal_coefficients_closed_form` for the equivalent closed form
     used as a cross-check.
     """
-    g, A, B = _solve_shell(config, eigen_on=True, outer="clamped", outer_radius=outer_radius)
-    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B, source="thermal")
+    g, A, B = _solve_shell(config, eigen_on=True, outer="clamped")
+    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B)
 
 
-def thermal_coefficients_closed_form(
-    config: CoatedSphereConfig, outer_radius: float = 1.0
-) -> ShellCoefficients:
+def thermal_coefficients_closed_form(config: CoatedSphereConfig) -> ShellCoefficients:
     """Closed-form solution of the clamped thermal problem at unit deltaT.
 
-    Writing f = (a/b)^3 for the core fraction and (kc, ht, ...) for the
+    Writing f = a^3 for the core fraction and (kc, ht, ...) for the
     core/coating properties:
 
         A = 3 f (kt*ht - kc*hc) / (3 kt f + 4 mut + 3 kc (1 - f))
-        B = -A b^3
+        B = -A
         g = A (f - 1) / f
     """
     core, coat = config.core, config.coating
     f = config.core_fraction
     den = 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * (1.0 - f)
     A = 3.0 * f * (coat.k * coat.h - core.k * core.h) / den
-    B = -A * outer_radius**3
+    B = -A
     g = A * (f - 1.0) / f
-    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B, source="thermal")
+    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B)
 
 
-def mechanical_coefficients(
-    config: CoatedSphereConfig, sigma0: float, outer_radius: float = 1.0
-) -> ShellCoefficients:
+def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellCoefficients:
     """Shell coefficients of the eigenstrain-free problem with outer traction sigma0."""
-    g, A, B = _solve_shell(
-        config, eigen_on=False, outer="traction", traction=sigma0, outer_radius=outer_radius
-    )
-    return ShellCoefficients(
-        core_linear=g, coat_linear=A, coat_inverse_square=B, source="mechanical"
-    )
+    g, A, B = _solve_shell(config, eigen_on=False, outer="traction", traction=sigma0)
+    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B)
 
 
 def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, float]:
@@ -301,7 +287,6 @@ def superposed_shell_coefficients(
         core_linear=th.core_linear * dT + me.core_linear,
         coat_linear=th.coat_linear * dT + me.coat_linear,
         coat_inverse_square=th.coat_inverse_square * dT + me.coat_inverse_square,
-        source="superposed",
     )
 
 
@@ -334,8 +319,7 @@ def phase_moment(
     that constant for every p in (1, inf], including p = inf (the per-phase
     maximum).
     """
-    if not isinstance(p, (int, float)) or math.isnan(p) or p <= 1.0:
-        raise InvalidExponent(f"moment exponent must lie in (1, inf], got {p!r}")
+    check_exponent(p)
     fields = local_field_constants(config, loading)
     if phase == config.core_phase:
         return fields.hydro_norm_core
@@ -426,7 +410,6 @@ def interface_residuals(
     deltaT: float,
     outer: str,
     traction: float = 0.0,
-    outer_radius: float = 1.0,
 ) -> tuple[float, float, float]:
     """Normalized residuals of the three shell conditions for given coefficients.
 
@@ -436,8 +419,7 @@ def interface_residuals(
     ``deltaT`` is the eigenstrain scale the coefficients were solved with
     (1 for unit-temperature thermal coefficients, 0 for mechanical).
     """
-    b = outer_radius
-    a = config.core_radius(b)
+    a = config.core_radius()
     core, coat = config.core, config.coating
     g, A, B = coeffs.core_linear, coeffs.coat_linear, coeffs.coat_inverse_square
 
@@ -459,9 +441,9 @@ def interface_residuals(
     r_t = abs(srr_core - srr_coat) / s_t
 
     if outer == "clamped":
-        r_o = abs(A * b + B / b**2) / s_u
+        r_o = abs(A + B) / s_u
     elif outer == "traction":
-        srr_b = 3.0 * coat.k * (A - coat.h * deltaT) - 4.0 * coat.mu * B / b**3
+        srr_b = 3.0 * coat.k * (A - coat.h * deltaT) - 4.0 * coat.mu * B
         r_o = abs(srr_b - traction) / max(s_t, abs(traction))
     else:
         raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
@@ -472,7 +454,6 @@ def evaluate_fields(
     config: CoatedSphereConfig,
     loading: Loading,
     r: np.ndarray,
-    outer_radius: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic displacement u(r) and stress trace tr sigma(r) at given radii.
 
@@ -481,7 +462,7 @@ def evaluate_fields(
     """
     r = np.asarray(r, dtype=float)
     total = superposed_shell_coefficients(config, loading)
-    a = config.core_radius(outer_radius)
+    a = config.core_radius()
     core, coat = config.core, config.coating
     dT = loading.deltaT
 

@@ -16,7 +16,7 @@ class NonPositiveModulus(InputError):
 
 
 class VolumeFractionOutOfRange(InputError):
-    """Volume fractions must be strictly inside (0, 1) and sum to one."""
+    """A volume fraction is not strictly inside (0, 1)."""
 
 
 class EqualBulkModuli(InputError):

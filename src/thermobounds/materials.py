@@ -1,4 +1,4 @@
-"""Phase properties, composite specification, loading, and validation.
+"""Phase properties, loading, and composite validation.
 
 Each phase is an isotropic linear thermoelastic material described by its
 bulk modulus ``k``, shear modulus ``mu``, and scalar thermal expansion
@@ -11,9 +11,8 @@ The library is unit-agnostic: every stress-dimensioned quantity (``k``,
 and ``h * deltaT`` must come out as dimensionless strain.
 
 Internally, phase labels always satisfy ``mu1 > mu2``.  Inputs ordered the
-other way are relabeled by :func:`normalize_phase_labels`, which reports
-whether a swap happened so callers can translate results back to their own
-numbering.  Given that shear convention, the bulk moduli decide the elastic
+other way are relabeled by :func:`build_composite`, which reports whether a
+swap happened so callers can translate results back to their own numbering.  Given that shear convention, the bulk moduli decide the elastic
 ordering class: ``k1 > k2`` is the well-ordered case (phase 1 stiffer in
 both moduli), ``k2 > k1`` the non-well-ordered case.
 """
@@ -27,6 +26,7 @@ from enum import Enum
 from .errors import (
     EqualBulkModuli,
     EqualShearModuli,
+    InvalidExponent,
     NonPositiveModulus,
     VolumeFractionOutOfRange,
 )
@@ -34,9 +34,6 @@ from .errors import (
 # Two bulk moduli closer than this (relative) are treated as equal and the
 # composite is rejected; beyond the gate, comparisons are strict.
 BULK_EQUALITY_RTOL = 1e-12
-
-# The two volume fractions must sum to one within this tolerance.
-VOLUME_FRACTION_ATOL = 1e-14
 
 
 class Ordering(Enum):
@@ -67,33 +64,6 @@ class PhaseProperties:
 
 
 @dataclass(frozen=True)
-class CompositeSpec:
-    """Two phases plus volume fractions, prior to validation.
-
-    ``theta2`` may be omitted, in which case it is derived as ``1 - theta1``.
-    If both fractions are given they must sum to one within
-    ``VOLUME_FRACTION_ATOL``; ``theta2`` is then re-derived so the stored
-    pair sums to one exactly.
-    """
-
-    phase1: PhaseProperties
-    phase2: PhaseProperties
-    theta1: float
-    theta2: float | None = None
-
-    def __post_init__(self):
-        if self.theta2 is None:
-            object.__setattr__(self, "theta2", 1.0 - self.theta1)
-        elif abs(self.theta1 + self.theta2 - 1.0) > VOLUME_FRACTION_ATOL:
-            raise VolumeFractionOutOfRange(
-                f"volume fractions must sum to 1: theta1={self.theta1}, "
-                f"theta2={self.theta2}"
-            )
-        else:
-            object.__setattr__(self, "theta2", 1.0 - self.theta1)
-
-
-@dataclass(frozen=True)
 class Loading:
     """Imposed macroscopic hydrostatic stress sigma0 and temperature change deltaT.
 
@@ -113,7 +83,7 @@ class Loading:
 
 @dataclass(frozen=True)
 class ValidatedComposite:
-    """A composite that passed :func:`validate_composite`.
+    """A composite that passed :func:`build_composite`.
 
     Carries the ordering classification alongside the raw fields.  All
     downstream operations take a ``ValidatedComposite`` and may assume
@@ -150,92 +120,69 @@ def _check_phase(tag: str, p: PhaseProperties) -> None:
         raise NonPositiveModulus(f"{tag}.h must be finite, got {p.h}")
 
 
-def normalize_phase_labels(raw: CompositeSpec) -> tuple[CompositeSpec, bool]:
-    """Relabel phases if needed so that ``mu1 > mu2``.
+def check_exponent(p, finite: bool = False) -> float:
+    """Return the moment exponent ``p`` if it lies in (1, inf].
 
-    Returns the (possibly swapped) spec together with a flag telling whether
-    a swap occurred, so results computed in the internal convention can be
-    reported in the caller's original numbering.
-
-    Raises
-    ------
-    EqualShearModuli
-        If ``mu1 == mu2``; the labeling convention is strict and the
-        ordering classification would be undefined.
+    With ``finite`` the accepted range is (1, inf).  Raises InvalidExponent
+    for anything else, including NaN and non-numbers.
     """
-    _check_phase("phase1", raw.phase1)
-    _check_phase("phase2", raw.phase2)
-    if raw.phase1.mu == raw.phase2.mu:
-        raise EqualShearModuli(
-            f"shear moduli are equal (mu={raw.phase1.mu}); relabeling undefined"
-        )
-    if raw.phase1.mu > raw.phase2.mu:
-        return raw, False
-    swapped = CompositeSpec(
-        phase1=raw.phase2, phase2=raw.phase1, theta1=raw.theta2, theta2=raw.theta1
-    )
-    return swapped, True
+    try:
+        ok = p > 1.0 and not (finite and math.isinf(p))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        limit = "inf)" if finite else "inf]"
+        raise InvalidExponent(f"moment exponent must lie in (1, {limit}, got {p!r}")
+    return p
 
 
-def validate_composite(spec: CompositeSpec) -> ValidatedComposite:
-    """Check all composite invariants and classify the elastic ordering.
+def build_composite(
+    phase1: PhaseProperties, phase2: PhaseProperties, theta1: float
+) -> tuple[ValidatedComposite, bool]:
+    """Validate two phases and a volume fraction, relabeling so that ``mu1 > mu2``.
+
+    Returns the composite together with a flag telling whether the phases
+    were swapped, so results computed in the internal convention can be
+    reported in the caller's original numbering.  A swapped composite stores
+    ``theta1 = 1 - t`` for the caller's fraction ``t``.
 
     Raises
     ------
     NonPositiveModulus
-        A modulus is not finite and positive.
-    VolumeFractionOutOfRange
-        ``theta1`` is not strictly inside (0, 1).
+        A modulus is not finite and positive, or an ``h`` is not finite.
     EqualShearModuli
-        ``mu1 == mu2``, or the labels are not normalized (``mu1 < mu2``);
-        call :func:`normalize_phase_labels` first in the latter case.
+        ``mu1 == mu2``; the labeling convention is strict and the ordering
+        classification would be undefined.
+    VolumeFractionOutOfRange
+        ``theta1`` (after relabeling) is not strictly inside (0, 1).
     EqualBulkModuli
         ``k1`` and ``k2`` agree within ``BULK_EQUALITY_RTOL`` (relative).
     """
-    _check_phase("phase1", spec.phase1)
-    _check_phase("phase2", spec.phase2)
-    if not (math.isfinite(spec.theta1) and 0.0 < spec.theta1 < 1.0):
-        raise VolumeFractionOutOfRange(
-            f"theta1 must lie strictly inside (0, 1), got {spec.theta1}"
-        )
-    mu1, mu2 = spec.phase1.mu, spec.phase2.mu
-    if mu1 == mu2:
-        raise EqualShearModuli(f"shear moduli are equal (mu={mu1})")
-    if mu1 < mu2:
+    _check_phase("phase1", phase1)
+    _check_phase("phase2", phase2)
+    if phase1.mu == phase2.mu:
         raise EqualShearModuli(
-            "labels violate the mu1 > mu2 convention; "
-            "apply normalize_phase_labels before validating"
+            f"shear moduli are equal (mu={phase1.mu}); relabeling undefined"
         )
-    k1, k2 = spec.phase1.k, spec.phase2.k
+    swapped = phase1.mu < phase2.mu
+    if swapped:
+        phase1, phase2, theta1 = phase2, phase1, 1.0 - theta1
+    if not (math.isfinite(theta1) and 0.0 < theta1 < 1.0):
+        raise VolumeFractionOutOfRange(
+            f"theta1 must lie strictly inside (0, 1), got {theta1}"
+        )
+    k1, k2 = phase1.k, phase2.k
     if abs(k1 - k2) <= BULK_EQUALITY_RTOL * max(abs(k1), abs(k2)):
         raise EqualBulkModuli(
             f"bulk moduli coincide within {BULK_EQUALITY_RTOL:g} relative "
             f"(k1={k1}, k2={k2})"
         )
     ordering = Ordering.WELL_ORDERED if k1 > k2 else Ordering.NON_WELL_ORDERED
-    return ValidatedComposite(
-        phase1=spec.phase1,
-        phase2=spec.phase2,
-        theta1=spec.theta1,
-        theta2=spec.theta2,
+    composite = ValidatedComposite(
+        phase1=phase1,
+        phase2=phase2,
+        theta1=theta1,
+        theta2=1.0 - theta1,
         ordering=ordering,
     )
-
-
-def classify_ordering(composite: ValidatedComposite) -> Ordering:
-    """Return the elastic ordering class of a validated composite."""
-    return composite.ordering
-
-
-def build_composite(
-    phase1: PhaseProperties, phase2: PhaseProperties, theta1: float
-) -> tuple[ValidatedComposite, bool]:
-    """Normalize labels, validate, and classify in one step.
-
-    Convenience wrapper; returns the validated composite plus the swap flag
-    from :func:`normalize_phase_labels`.
-    """
-    spec, swapped = normalize_phase_labels(
-        CompositeSpec(phase1=phase1, phase2=phase2, theta1=theta1)
-    )
-    return validate_composite(spec), swapped
+    return composite, swapped

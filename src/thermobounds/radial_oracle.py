@@ -17,7 +17,6 @@ fields (uniform hydrostatic states) are reproduced exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +27,15 @@ from .coated_sphere import (
     evaluate_fields,
     superposed_shell_coefficients,
 )
-from .errors import InvalidExponent, NonConvergent, SingularSystem
-from .materials import Loading
+from .errors import NonConvergent, SingularSystem
+from .materials import Loading, check_exponent
 
 MIN_NODES = 16
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Radial nodes in (0, outer_radius] with a node exactly at the interface.
+    """Radial nodes in (0, 1] with a node exactly at the interface.
 
     The center r = 0 is a ghost point with the regularity condition u(0) = 0;
     it is not part of ``nodes``.  ``nodes[interface_index]`` equals the core
@@ -45,7 +44,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     interface_index: int
-    outer_radius: float = 1.0
 
     @property
     def n(self) -> int:
@@ -58,15 +56,13 @@ class RadialGrid:
             raise ValueError(f"grid needs at least {MIN_NODES} nodes, got {len(nodes)}")
         if not np.all(np.diff(nodes) > 0.0) or nodes[0] <= 0.0:
             raise ValueError("nodes must be strictly increasing and positive")
-        if not math.isclose(nodes[-1], self.outer_radius, rel_tol=0, abs_tol=0):
-            raise ValueError("last node must equal the outer radius")
+        if nodes[-1] != 1.0:
+            raise ValueError("last node must equal the outer radius 1")
         if not (0 <= self.interface_index < len(nodes) - 1):
             raise ValueError("interface node must be interior")
 
 
-def make_radial_grid(
-    config: CoatedSphereConfig, n: int, outer_radius: float = 1.0
-) -> RadialGrid:
+def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     """Uniform grid with ~n nodes total and a node exactly at the interface.
 
     Node counts in core and coating are allocated proportionally to the
@@ -74,13 +70,13 @@ def make_radial_grid(
     """
     if n < MIN_NODES:
         raise ValueError(f"n must be >= {MIN_NODES}, got {n}")
-    a = config.core_radius(outer_radius)
-    n_core = min(n - 4, max(4, round(n * a / outer_radius)))
+    a = config.core_radius()
+    n_core = min(n - 4, max(4, round(n * a)))
     n_coat = n - n_core
     core_nodes = np.linspace(0.0, a, n_core + 1)[1:]
-    coat_nodes = np.linspace(a, outer_radius, n_coat + 1)[1:]
+    coat_nodes = np.linspace(a, 1.0, n_coat + 1)[1:]
     nodes = np.concatenate([core_nodes, coat_nodes])
-    return RadialGrid(nodes=nodes, interface_index=n_core - 1, outer_radius=outer_radius)
+    return RadialGrid(nodes=nodes, interface_index=n_core - 1)
 
 
 @dataclass(frozen=True)
@@ -181,10 +177,9 @@ def solve_radial_bvp(
     if outer == "clamped":
         lo_n, di_n, ri_n = 0.0, 1.0, 0.0
     else:
-        b_out = grid.outer_radius
         lo_n = a_c[-1] - b_c[-1] + pL[-1] - qL[-1]
         di_n = -a_c[-1] - b_c[-1] - pL[-1] - 3.0 * qL[-1]
-        ri_n = -b_out**2 * loading.sigma0 - f_c[-1] - gL[-1]
+        ri_n = -loading.sigma0 - f_c[-1] - gL[-1]
 
     # banded layout for scipy.linalg.solve_banded with (1, 1);
     # row 0 is the center regularity condition u(0) = 0
@@ -269,7 +264,7 @@ def sample_analytic_fields(
     be compared directly or fed to :func:`sampled_moment`.
     """
     r, h, rm, k, mu, eig, phase = _cell_arrays(config, grid, loading.deltaT)
-    u_nodes, _ = evaluate_fields(config, loading, grid.nodes, grid.outer_radius)
+    u_nodes, _ = evaluate_fields(config, loading, grid.nodes)
     total = superposed_shell_coefficients(config, loading)
 
     is_core = np.arange(len(h)) <= grid.interface_index
@@ -318,8 +313,7 @@ def sampled_moment(solution: RadialSolution, phase: int, p: float) -> float:
     Requires finite p > 1; for constant-per-phase fields the result is
     independent of p up to quadrature roundoff.
     """
-    if not isinstance(p, (int, float)) or math.isnan(p) or math.isinf(p) or p <= 1.0:
-        raise InvalidExponent(f"sampled moments need finite p > 1, got {p!r}")
+    check_exponent(p, finite=True)
     r = np.concatenate([[0.0], solution.grid.nodes])
     w = np.diff(r**3)
     mask = solution.cell_phase == phase

@@ -10,10 +10,9 @@ import time
 
 import numpy as np
 
-from conftest import random_composite, random_loading
+from conftest import build_unswapped, random_composite, random_loading
 from thermobounds import (
     CoatedSphereConfig,
-    CompositeSpec,
     Endpoint,
     Loading,
     MicrostructureKind,
@@ -35,7 +34,6 @@ from thermobounds import (
     sample_analytic_fields,
     sampled_moment,
     solve_radial_bvp,
-    validate_composite,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -75,9 +73,7 @@ def test_criterion_01_ordering_inequalities():
 def test_criterion_02_endpoint_identities():
     rng = np.random.default_rng(SEED + 2)
     # canonical spot values, exact fractions
-    canonical = validate_composite(
-        CompositeSpec(PhaseProperties(2, 1, 0), PhaseProperties(1, 0.5, 1), 0.5)
-    )
+    canonical = build_unswapped(PhaseProperties(2, 1, 0), PhaseProperties(1, 0.5, 1), 0.5)
     Km, Kp = hs_bulk_moduli(canonical)
     spot_ok = (
         abs(Km - 18 / 13) < 1e-15

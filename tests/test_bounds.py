@@ -12,9 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CANONICAL, CANONICAL_LOADING, random_composite, random_loading
+from conftest import (
+    CANONICAL,
+    CANONICAL_LOADING,
+    build_unswapped,
+    random_composite,
+    random_loading,
+)
 from thermobounds import (
-    CompositeSpec,
     Endpoint,
     InvalidExponent,
     Loading,
@@ -32,7 +37,6 @@ from thermobounds import (
     max_field_lower_bound,
     phase_moment_lower_bound,
     regime_table,
-    validate_composite,
 )
 from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_arrays
 
@@ -85,9 +89,7 @@ class TestCharacteristicConstants:
             assert c.D == pytest.approx(float(ex["D"]), rel=1e-12)
 
     def test_zero_mismatch_gives_zero_D(self, rng):
-        comp = validate_composite(
-            CompositeSpec(PhaseProperties(2, 1, 0.7), PhaseProperties(1, 0.5, 0.7), 0.4)
-        )
+        comp = build_unswapped(PhaseProperties(2, 1, 0.7), PhaseProperties(1, 0.5, 0.7), 0.4)
         c = characteristic_constants(comp, 2.5)
         assert c.D == 0.0 and c.F == 0.0
         c = characteristic_constants(CANONICAL, 0.0)
@@ -122,12 +124,10 @@ class TestBulkModuli:
         # roles of (k1, th1) and (k2, th2) at fixed shear pair
         comp = CANONICAL
         Km, Kp = hs_bulk_moduli(comp)
-        mirrored = validate_composite(
-            CompositeSpec(
-                PhaseProperties(comp.phase2.k, comp.phase1.mu, 0.0),
-                PhaseProperties(comp.phase1.k, comp.phase2.mu, 1.0),
-                comp.theta2,
-            )
+        mirrored = build_unswapped(
+            PhaseProperties(comp.phase2.k, comp.phase1.mu, 0.0),
+            PhaseProperties(comp.phase1.k, comp.phase2.mu, 1.0),
+            comp.theta2,
         )
         Km2, Kp2 = hs_bulk_moduli(mirrored)
         assert Kp2 == pytest.approx(Kp, rel=1e-14)
@@ -135,12 +135,10 @@ class TestBulkModuli:
 
     def test_small_contrast_mismatch_is_quadratic(self):
         k1, eps = 1.0, 1e-6
-        comp = validate_composite(
-            CompositeSpec(
-                PhaseProperties(k1 * (1 + eps), 1.0, 0.0),
-                PhaseProperties(k1, 0.5, 1.0),
-                0.5,
-            )
+        comp = build_unswapped(
+            PhaseProperties(k1 * (1 + eps), 1.0, 0.0),
+            PhaseProperties(k1, 0.5, 1.0),
+            0.5,
         )
         Km, Kp = hs_bulk_moduli(comp)
         kbar = 0.5 * k1 * (1 + eps) + 0.5 * k1
@@ -321,12 +319,10 @@ class TestPhaseMomentLowerBound:
             comp = random_composite(rng)
             loading = random_loading(rng)
             s = float(rng.uniform(0.1, 10.0))
-            scaled = validate_composite(
-                CompositeSpec(
-                    PhaseProperties(s * comp.phase1.k, s * comp.phase1.mu, comp.phase1.h),
-                    PhaseProperties(s * comp.phase2.k, s * comp.phase2.mu, comp.phase2.h),
-                    comp.theta1,
-                )
+            scaled = build_unswapped(
+                PhaseProperties(s * comp.phase1.k, s * comp.phase1.mu, comp.phase1.h),
+                PhaseProperties(s * comp.phase2.k, s * comp.phase2.mu, comp.phase2.h),
+                comp.theta1,
             )
             c0 = characteristic_constants(comp, loading.deltaT)
             c1 = characteristic_constants(scaled, loading.deltaT)

@@ -245,6 +245,47 @@ class TestSweep:
             assert float(row["attainment_residual"]) <= 1e-10
 
 
+GOOD_RANGE = {"start": -1.0, "stop": 1.0, "count": 5}
+NON_FINITE_SCALARS = {
+    "sigma0-nan": ({"sigma0": math.nan, "deltaT": 1.0}, "deltaT"),
+    "deltaT-inf": ({"sigma0": 0.0, "deltaT": math.inf}, "sigma0"),
+}
+NON_FINITE_RANGES = {
+    "start-neg-inf": {"start": -math.inf, "stop": 1.0, "count": 5},
+    "stop-nan": {"start": 0.0, "stop": math.nan, "count": 5},
+    "step-overflow": {"start": -1e308, "stop": 1e308, "count": 5},
+    "count-inf": {"start": 0.0, "stop": 1.0, "count": math.inf},
+}
+
+
+@pytest.mark.parametrize(
+    "command, loading",
+    [
+        pytest.param(command, loading, id=f"{command}-{name}")
+        for command in ("bounds", "table", "verify")
+        for name, (loading, _) in NON_FINITE_SCALARS.items()
+    ]
+    + [
+        # sweep needs a range on the other axis to reach the scalar check
+        pytest.param("sweep", {**loading, finite: GOOD_RANGE}, id=f"sweep-{name}")
+        for name, (loading, finite) in NON_FINITE_SCALARS.items()
+    ]
+    + [
+        pytest.param("sweep", {"sigma0": rng, "deltaT": 1.0}, id=f"sweep-{name}")
+        for name, rng in NON_FINITE_RANGES.items()
+    ],
+)
+def test_non_finite_loading_exit_2(tmp_path, capsys, command, loading):
+    # json.dumps writes NaN/Infinity, which Python's JSON parser reads back
+    cfg = write_config(tmp_path, dict(PSTAR, loading=loading))
+    out_path = tmp_path / "rows.csv"
+    extra = ["--out", str(out_path)] if command == "sweep" else []
+    code, out, err = run(capsys, command, cfg, *extra)
+    assert code == 2 and out == ""
+    assert "ConfigError" in err
+    assert not out_path.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)

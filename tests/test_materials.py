@@ -1,49 +1,51 @@
 import pytest
+from conftest import build_unswapped
 from hypothesis import given
 from hypothesis import strategies as st
 
 from thermobounds import (
-    CompositeSpec,
     EqualBulkModuli,
     EqualShearModuli,
     NonPositiveModulus,
     Ordering,
     PhaseProperties,
     VolumeFractionOutOfRange,
-    classify_ordering,
-    normalize_phase_labels,
-    validate_composite,
+    build_composite,
 )
 
 
 def spec(k1=2.0, mu1=1.0, h1=0.0, k2=1.0, mu2=0.5, h2=1.0, theta1=0.5):
-    return CompositeSpec(
-        phase1=PhaseProperties(k=k1, mu=mu1, h=h1),
-        phase2=PhaseProperties(k=k2, mu=mu2, h=h2),
-        theta1=theta1,
+    return (
+        PhaseProperties(k=k1, mu=mu1, h=h1),
+        PhaseProperties(k=k2, mu=mu2, h=h2),
+        theta1,
     )
+
+
+def validated(**kwargs):
+    return build_unswapped(*spec(**kwargs))
 
 
 class TestNormalization:
     def test_swaps_when_mu1_smaller(self):
-        raw = CompositeSpec(
-            phase1=PhaseProperties(k=1.0, mu=0.5, h=1.0),
-            phase2=PhaseProperties(k=2.0, mu=1.0, h=0.0),
-            theta1=0.3,
+        out, swapped = build_composite(
+            PhaseProperties(k=1.0, mu=0.5, h=1.0),
+            PhaseProperties(k=2.0, mu=1.0, h=0.0),
+            0.3,
         )
-        out, swapped = normalize_phase_labels(raw)
         assert swapped
         assert out.phase1.mu == 1.0 and out.phase2.mu == 0.5
         assert out.theta1 == 0.7 and out.theta2 == pytest.approx(0.3)
+        assert out.theta2 == 1.0 - (1.0 - 0.3)
 
     def test_keeps_conforming_spec(self):
-        out, swapped = normalize_phase_labels(spec())
+        out, swapped = build_composite(*spec())
         assert not swapped
         assert out.phase1.mu == 1.0
 
     def test_equal_shear_rejected(self):
         with pytest.raises(EqualShearModuli):
-            normalize_phase_labels(spec(mu1=1.0, mu2=1.0))
+            build_composite(*spec(mu1=1.0, mu2=1.0))
 
     @given(
         mu1=st.floats(0.01, 100.0),
@@ -53,69 +55,51 @@ class TestNormalization:
     def test_involution_on_conforming(self, mu1, mu2, theta1):
         if mu1 == mu2:
             return
-        raw = spec(mu1=mu1, mu2=mu2, theta1=theta1)
-        once, _ = normalize_phase_labels(raw)
-        twice, swapped_again = normalize_phase_labels(once)
+        once, _ = build_composite(*spec(mu1=mu1, mu2=mu2, theta1=theta1))
+        twice, swapped_again = build_composite(once.phase1, once.phase2, once.theta1)
         assert not swapped_again
         assert twice == once
 
 
 class TestValidation:
     def test_well_ordered(self):
-        comp = validate_composite(spec(k1=2.0, k2=1.0))
-        assert classify_ordering(comp) is Ordering.WELL_ORDERED
+        comp = validated(k1=2.0, k2=1.0)
+        assert comp.ordering is Ordering.WELL_ORDERED
 
     def test_non_well_ordered(self):
-        comp = validate_composite(spec(k1=1.0, k2=2.0))
-        assert classify_ordering(comp) is Ordering.NON_WELL_ORDERED
+        comp = validated(k1=1.0, k2=2.0)
+        assert comp.ordering is Ordering.NON_WELL_ORDERED
 
     def test_equal_bulk_rejected(self):
         with pytest.raises(EqualBulkModuli):
-            validate_composite(spec(k1=1.0, k2=1.0))
+            build_composite(*spec(k1=1.0, k2=1.0))
 
     def test_nearly_equal_bulk_rejected(self):
         with pytest.raises(EqualBulkModuli):
-            validate_composite(spec(k1=1.0, k2=1.0 + 1e-13))
+            build_composite(*spec(k1=1.0, k2=1.0 + 1e-13))
 
     def test_strict_comparison_after_gate(self):
-        comp = validate_composite(spec(k1=1.000001, k2=1.0))
+        comp = validated(k1=1.000001, k2=1.0)
         assert comp.ordering is Ordering.WELL_ORDERED
 
     @pytest.mark.parametrize("theta1", [0.0, 1.0, -0.1, 1.1])
     def test_volume_fraction_range(self, theta1):
         with pytest.raises(VolumeFractionOutOfRange):
-            validate_composite(spec(theta1=theta1))
-
-    def test_fraction_sum_checked(self):
-        with pytest.raises(VolumeFractionOutOfRange):
-            CompositeSpec(
-                phase1=PhaseProperties(k=2.0, mu=1.0, h=0.0),
-                phase2=PhaseProperties(k=1.0, mu=0.5, h=1.0),
-                theta1=0.5,
-                theta2=0.6,
-            )
+            build_composite(*spec(theta1=theta1))
 
     def test_fraction_complement_derived(self):
-        s = CompositeSpec(
-            phase1=PhaseProperties(k=2.0, mu=1.0, h=0.0),
-            phase2=PhaseProperties(k=1.0, mu=0.5, h=1.0),
-            theta1=0.3,
-        )
-        assert s.theta1 + s.theta2 == 1.0
+        comp = validated(theta1=0.3)
+        assert comp.theta1 + comp.theta2 == 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_moduli_rejected(self, bad):
         with pytest.raises(NonPositiveModulus):
-            validate_composite(spec(k1=bad))
+            build_composite(*spec(k1=bad))
         with pytest.raises(NonPositiveModulus):
-            validate_composite(spec(mu1=bad))
-
-    def test_unnormalized_labels_rejected(self):
-        with pytest.raises(EqualShearModuli):
-            validate_composite(spec(mu1=0.5, mu2=1.0))
+            build_composite(*spec(mu1=bad))
 
     def test_negative_and_equal_h_allowed(self):
-        comp = validate_composite(spec(h1=-3.0, h2=-3.0))
+        comp = validated(h1=-3.0, h2=-3.0)
         assert comp.phase1.h == -3.0
 
     def test_validated_invariants_hold(self, rng):
