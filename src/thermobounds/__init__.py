@@ -45,7 +45,6 @@ from .coated_sphere import (
     phase_moment,
     superposed_shell_coefficients,
     thermal_coefficients,
-    thermal_coefficients_closed_form,
     verify_average_identity,
     verify_exact_relation,
 )

@@ -229,15 +229,24 @@ def hs_bulk_moduli(c: ValidatedComposite) -> tuple[float, float]:
 
     Every microstructure's effective compliance contraction lies between
     1/K_plus and 1/K_minus; the two coated-sphere assemblages realize the
-    ends (core phase 2 gives K_plus, core phase 1 gives K_minus).
+    ends (core phase 2 gives K_plus, core phase 1 gives K_minus).  Hashin's
+    modulus of a core fraction f of modulus kc in a coating (kt, mut),
+    K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt + 4 mut)), is written here
+    over a common denominator,
+
+        K = (3 k1 k2 + 4 mut kbar) / (3 (k1 th2 + k2 th1) + 4 mut),
+
+    with kbar = th1 k1 + th2 k2 and mut the coating's shear modulus (mu2
+    for K_minus, mu1 for K_plus).  Every term is positive, so nothing
+    cancels at high modulus contrast, and nothing divides by k1 - k2.
     """
     k1, mu1 = c.phase1.k, c.phase1.mu
     k2, mu2 = c.phase2.k, c.phase2.mu
     th1, th2 = c.theta1, c.theta2
     kbar = th1 * k1 + th2 * k2
-    num = th1 * th2 * (k2 - k1) ** 2
-    K_plus = kbar - num / (k1 * th2 + k2 * th1 + 4.0 * mu1 / 3.0)
-    K_minus = kbar - num / (k1 * th2 + k2 * th1 + 4.0 * mu2 / 3.0)
+    kdual = 3.0 * (k1 * th2 + k2 * th1)
+    K_minus = (3.0 * k1 * k2 + 4.0 * mu2 * kbar) / (kdual + 4.0 * mu2)
+    K_plus = (3.0 * k1 * k2 + 4.0 * mu1 * kbar) / (kdual + 4.0 * mu1)
     return K_minus, K_plus
 
 

@@ -26,6 +26,11 @@ total field solves the eigenstrain problem with outer traction ``sigma0``.
 The hydrostatic part of the stress is constant in each phase (the ``B/r^2``
 displacement term is trace-free in strain), which is what lets these
 configurations attain the moment bounds with equality.
+
+Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
+:func:`mechanical_coefficients`).  The 3x3 interface system they solve is
+kept in ``_solve_shell`` as an independent route, which ``thermobounds
+verify`` compares with the closed forms.
 """
 
 from __future__ import annotations
@@ -66,6 +71,15 @@ class CoatedSphereConfig:
     def core_fraction(self) -> float:
         """Volume fraction of the core phase, equal to a^3."""
         return self.composite.volume_fraction(self.core_phase)
+
+    @property
+    def coating_fraction(self) -> float:
+        """Volume fraction of the coating phase, equal to 1 - a^3.
+
+        Read from the composite rather than formed as 1 - a^3, so that the
+        closed forms use the same fractions as :func:`bounds.hs_bulk_moduli`.
+        """
+        return self.composite.volume_fraction(self.coating_phase)
 
     @property
     def core(self) -> PhaseProperties:
@@ -125,27 +139,32 @@ def _solve_shell(
     eigen_on: bool,
     outer: str,
     traction: float = 0.0,
-) -> tuple[float, float, float]:
+) -> ShellCoefficients:
     """Solve the 3x3 interface/boundary system for (g, A, B).
 
-    Rows: displacement continuity at r=a, radial traction continuity at r=a,
-    and the outer condition (clamped displacement or prescribed traction).
-    The eigenstrain (at unit temperature change) enters only the traction
-    rows.  Raises SingularInterfaceSystem if the system is degenerate, which
-    cannot happen for positive moduli and interior volume fractions.
+    This is the independent route to the closed forms of
+    :func:`thermal_coefficients` and :func:`mechanical_coefficients`;
+    only the ``verify`` command uses it.  Rows: displacement continuity at
+    r=a, radial traction continuity at r=a, and the outer condition (clamped
+    displacement or prescribed traction).  The eigenstrain (at unit
+    temperature change) enters only the traction rows.  Raises
+    SingularInterfaceSystem if the system is degenerate or its solution is
+    not finite, which happens only when a core fraction near the smallest
+    float makes 1/a^3 overflow.
     """
-    a = config.core_radius()
+    a = np.float64(config.core_radius())
     core, coat = config.core, config.coating
     hc = core.h if eigen_on else 0.0
     ht = coat.h if eigen_on else 0.0
 
-    mat = np.array(
-        [
-            [a, -a, -1.0 / a**2],
-            [3.0 * core.k, -3.0 * coat.k, 4.0 * coat.mu / a**3],
-            [0.0, 0.0, 0.0],
-        ]
-    )
+    with np.errstate(over="ignore", divide="ignore"):
+        mat = np.array(
+            [
+                [a, -a, -1.0 / a**2],
+                [3.0 * core.k, -3.0 * coat.k, 4.0 * coat.mu / a**3],
+                [0.0, 0.0, 0.0],
+            ]
+        )
     rhs = np.array([0.0, 3.0 * core.k * hc - 3.0 * coat.k * ht, 0.0])
     if outer == "clamped":
         mat[2] = [0.0, 1.0, 1.0]  # u(1) = A + B
@@ -156,50 +175,67 @@ def _solve_shell(
     else:
         raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
 
+    if not np.all(np.isfinite(mat)):
+        raise SingularInterfaceSystem(f"interface system overflows at core radius {float(a)!r}")
     try:
         g, A, B = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded, unreachable
         raise SingularInterfaceSystem(str(exc)) from exc
     if not np.all(np.isfinite([g, A, B])):  # pragma: no cover
         raise SingularInterfaceSystem("non-finite shell coefficients")
-    return float(g), float(A), float(B)
+    return ShellCoefficients(
+        core_linear=float(g), coat_linear=float(A), coat_inverse_square=float(B)
+    )
 
 
 def thermal_coefficients(config: CoatedSphereConfig) -> ShellCoefficients:
     """Shell coefficients of the clamped thermal problem at unit deltaT.
 
-    Scale linearly by deltaT for other temperature changes.  The authoritative
-    values come from the linear interface system; see
-    :func:`thermal_coefficients_closed_form` for the equivalent closed form
-    used as a cross-check.
-    """
-    g, A, B = _solve_shell(config, eigen_on=True, outer="clamped")
-    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B)
+    Scale linearly by deltaT for other temperature changes.  Writing
+    f = a^3 for the core fraction and (kc, ht, ...) for the core/coating
+    properties, the interface system has the closed-form solution
 
-
-def thermal_coefficients_closed_form(config: CoatedSphereConfig) -> ShellCoefficients:
-    """Closed-form solution of the clamped thermal problem at unit deltaT.
-
-    Writing f = a^3 for the core fraction and (kc, ht, ...) for the
-    core/coating properties:
-
-        A = 3 f (kt*ht - kc*hc) / (3 kt f + 4 mut + 3 kc (1 - f))
+        den = 3 kt f + 4 mut + 3 kc (1 - f)
+        A = 3 f (kt*ht - kc*hc) / den
         B = -A
-        g = A (f - 1) / f
+        g = 3 (f - 1) (kt*ht - kc*hc) / den
+
+    ``den`` is a sum of positive terms, and g does not divide by f.  The
+    coating fraction 1 - f is the composite's own (``coating_fraction``).
     """
     core, coat = config.core, config.coating
-    f = config.core_fraction
-    den = 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * (1.0 - f)
-    A = 3.0 * f * (coat.k * coat.h - core.k * core.h) / den
-    B = -A
-    g = A * (f - 1.0) / f
-    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B)
+    f, c = config.core_fraction, config.coating_fraction
+    den = 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * c
+    mismatch = coat.k * coat.h - core.k * core.h
+    A = 3.0 * f * mismatch / den
+    return ShellCoefficients(
+        core_linear=-3.0 * c * mismatch / den, coat_linear=A, coat_inverse_square=-A
+    )
 
 
 def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellCoefficients:
-    """Shell coefficients of the eigenstrain-free problem with outer traction sigma0."""
-    g, A, B = _solve_shell(config, eigen_on=False, outer="traction", traction=sigma0)
-    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=B)
+    """Shell coefficients of the eigenstrain-free problem with outer traction sigma0.
+
+    With s = sigma0, f = a^3 and (kc, kt, mut) the core/coating moduli:
+
+        den = 9 kt kc + 12 mut (kt (1 - f) + kc f)
+        g = s (3 kt + 4 mut) / den
+        A = s (3 kc + 4 mut) / den
+        B = 3 s f (kt - kc) / den
+
+    Every term of ``den`` is positive, so nothing cancels.  The coating
+    fraction 1 - f is the composite's own (``coating_fraction``).
+    """
+    kc = config.core.k
+    coat = config.coating
+    kt, mut = coat.k, coat.mu
+    f, c = config.core_fraction, config.coating_fraction
+    den = 9.0 * kt * kc + 12.0 * mut * (kt * c + kc * f)
+    return ShellCoefficients(
+        core_linear=sigma0 * (3.0 * kt + 4.0 * mut) / den,
+        coat_linear=sigma0 * (3.0 * kc + 4.0 * mut) / den,
+        coat_inverse_square=3.0 * sigma0 * f * (kt - kc) / den,
+    )
 
 
 def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, float]:
@@ -212,12 +248,10 @@ def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, 
     """
     coeff = thermal_coefficients(config)
     core, coat = config.core, config.coating
-    f = config.core_fraction
+    f, c = config.core_fraction, config.coating_fraction
     g, A, B = coeff.core_linear, coeff.coat_linear, coeff.coat_inverse_square
     via_traction = 3.0 * coat.k * (A - coat.h) - 4.0 * coat.mu * B  # b = 1
-    via_average = 3.0 * (
-        f * core.k * (g - core.h) + (1.0 - f) * coat.k * (A - coat.h)
-    )
+    via_average = 3.0 * (f * core.k * (g - core.h) + c * coat.k * (A - coat.h))
     return via_traction, via_average
 
 
@@ -239,18 +273,22 @@ def effective_thermal_stress(config: CoatedSphereConfig) -> float:
     return via_traction
 
 
-def effective_bulk_modulus_routes(config: CoatedSphereConfig) -> tuple[float, float]:
+def effective_bulk_modulus_routes(
+    config: CoatedSphereConfig, unit_mechanical: ShellCoefficients | None = None
+) -> tuple[float, float]:
     """The two independent evaluations of the effective bulk modulus.
 
-    Route one is the closed-form extremal modulus (K_minus for core phase 1,
+    Route one is Hashin's extremal modulus (K_minus for core phase 1,
     K_plus for core phase 2); route two divides the outer traction of the
     mechanical solution by three times its average volumetric strain.
+    ``unit_mechanical`` are the mechanical coefficients at unit outer
+    traction, :func:`mechanical_coefficients` by default.
     """
     K_minus, K_plus = hs_bulk_moduli(config.composite)
     closed = K_minus if config.core_phase == 1 else K_plus
-    m = mechanical_coefficients(config, 1.0)
-    f = config.core_fraction
-    mean_strain = f * m.core_linear + (1.0 - f) * m.coat_linear
+    m = mechanical_coefficients(config, 1.0) if unit_mechanical is None else unit_mechanical
+    f, c = config.core_fraction, config.coating_fraction
+    mean_strain = f * m.core_linear + c * m.coat_linear
     return closed, 1.0 / (3.0 * mean_strain)
 
 
@@ -279,8 +317,8 @@ def superposed_shell_coefficients(
     The mechanical part is solved at outer traction sigma0 - H* deltaT so
     that the superposed field carries average stress sigma0 * I.
     """
-    h_star = effective_thermal_stress(config)
     th = thermal_coefficients(config)
+    h_star = effective_thermal_stress(config)
     me = mechanical_coefficients(config, loading.sigma0 - h_star * loading.deltaT)
     dT = loading.deltaT
     return ShellCoefficients(

@@ -43,13 +43,17 @@ class InvalidExponent(InputError):
 class SingularInterfaceSystem(RuntimeError):
     """The 3x3 shell interface system could not be solved.
 
-    Cannot occur for positive moduli and interior volume fractions; guarded
-    against anyway.
+    For positive moduli this happens only when the core fraction is so
+    small (near the smallest float) that the system's 1/a^3 entry overflows.
     """
 
 
 class SingularSystem(RuntimeError):
-    """The discretized radial boundary-value problem is singular."""
+    """The discretized radial boundary-value problem is singular.
+
+    Also raised for a grid whose cells would have zero volume, when the core
+    fraction is too close to 0 or 1 for the requested node count.
+    """
 
 
 class NonConvergent(RuntimeError):

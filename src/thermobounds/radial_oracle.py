@@ -66,7 +66,11 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     """Uniform grid with ~n nodes total and a node exactly at the interface.
 
     Node counts in core and coating are allocated proportionally to the
-    radii so the spacing is nearly uniform across the interface.
+    radii so the spacing is nearly uniform across the interface.  Raises
+    SingularSystem when the core fraction is so close to 0 or 1 that some
+    cell's volume rounds to zero (the coating nodes collapse once a rounds
+    to 1; the core cells' r^3 underflows for a core fraction near the
+    smallest float).
     """
     if n < MIN_NODES:
         raise ValueError(f"n must be >= {MIN_NODES}, got {n}")
@@ -76,6 +80,8 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     core_nodes = np.linspace(0.0, a, n_core + 1)[1:]
     coat_nodes = np.linspace(a, 1.0, n_coat + 1)[1:]
     nodes = np.concatenate([core_nodes, coat_nodes])
+    if not np.all(np.diff(np.concatenate([[0.0], nodes]) ** 3) > 0.0):
+        raise SingularSystem(f"core radius {a!r} leaves {n}-node grid cells of zero volume")
     return RadialGrid(nodes=nodes, interface_index=n_core - 1)
 
 

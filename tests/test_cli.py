@@ -22,6 +22,23 @@ PSTAR = {
 }
 
 
+CORE_CHECKS = (
+    "thermal-displacement-continuity",
+    "thermal-traction-continuity",
+    "thermal-outer-clamped",
+    "thermal-closed-form-agreement",
+    "mechanical-displacement-continuity",
+    "mechanical-traction-continuity",
+    "mechanical-outer-traction",
+    "effective-thermal-stress-dual-route",
+    "effective-bulk-modulus-dual-route",
+    "exact-thermal-relation",
+    "average-stress-identity",
+    "oracle-field-agreement",
+    "moment-exponent-independence",
+)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -166,6 +183,42 @@ class TestVerify:
         cfg = write_config(tmp_path, PSTAR)
         code, _, err = run(capsys, "verify", cfg, "--grid-n", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("theta1", [5e-324, 1e-300, 1e-16, 1.0 - 2.0**-53])
+    def test_extreme_fraction_fails_as_rows(self, tmp_path, capsys, theta1):
+        # a core fraction that rounds a to 1, or underflows the FV cells or
+        # the 3x3 system, gives failing rows, not an exception
+        cfg = write_config(tmp_path, dict(PSTAR, theta1=theta1))
+        code, out, err = run(capsys, "verify", cfg)
+        assert code == 1 and err.startswith("FAILED ")
+        rows = parse_csv(out)
+        for core in ("core1", "core2"):
+            assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
+        for row in rows:
+            if row["residual"] == "inf":
+                assert row["status"] == "fail" and row["note"]
+        assert run(capsys, "bounds", cfg)[0] == 0
+
+    def test_singular_fv_solve_fails_as_row(self, tmp_path, capsys):
+        # a coating of relative thickness 4e-9 makes the FV matrix singular
+        # for core 2; the oracle row fails instead of raising SingularSystem
+        doc = {
+            "phase1": {"k": 0.0463359381764292, "mu": 159699.71756020925, "h": -1.225354603819703},
+            "phase2": {"k": 1.4544765086278303e-08, "mu": 0.0006001194232230362,
+                       "h": 0.26403267491544513},
+            "theta1": 1.2050190118228602e-08,
+            "loading": {"sigma0": 0.3, "deltaT": 1.0},
+        }
+        code, out, err = run(capsys, "verify", write_config(tmp_path, doc))
+        assert code == 1 and err.startswith("FAILED ")
+        rows = parse_csv(out)
+        for core in ("core1", "core2"):
+            assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
+        (oracle,) = [
+            r for r in rows if r["check"] == "oracle-field-agreement" and r["orientation"] == "core2"
+        ]
+        assert oracle["residual"] == "inf" and oracle["status"] == "fail"
+        assert oracle["note"].startswith("no FV solution: ")
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ the loop against the bound machinery.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
 )
 from thermobounds import (
     CoatedSphereConfig,
+    coated_sphere,
     Endpoint,
     InvalidExponent,
     Loading,
@@ -27,6 +29,7 @@ from thermobounds import (
     ValidatedComposite,
     characteristic_constants,
     effective_bulk_modulus,
+    effective_properties,
     effective_thermal_stress,
     effective_thermal_stress_routes,
     evaluate_fields,
@@ -37,7 +40,6 @@ from thermobounds import (
     phase_moment_lower_bound,
     superposed_shell_coefficients,
     thermal_coefficients,
-    thermal_coefficients_closed_form,
     verify_average_identity,
     verify_exact_relation,
 )
@@ -74,19 +76,26 @@ class TestThermalCoefficients:
         assert c.coat_inverse_square == pytest.approx(3 / 17, rel=1e-13)
 
     def test_matches_closed_form(self, rng):
+        # the 3x3 interface solve against the closed forms, for the thermal
+        # problem and for the mechanical one
         for _ in range(100):
             comp = random_composite(rng)
+            s0 = float(rng.uniform(-5.0, 5.0))
             for core in (1, 2):
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
-                solved = thermal_coefficients(cfg)
-                closed = thermal_coefficients_closed_form(cfg)
-                scale = max(abs(closed.coat_linear), 1e-300)
-                assert abs(solved.core_linear - closed.core_linear) <= 1e-12 * scale
-                assert abs(solved.coat_linear - closed.coat_linear) <= 1e-12 * scale
-                assert (
-                    abs(solved.coat_inverse_square - closed.coat_inverse_square)
-                    <= 1e-12 * scale
-                )
+                for solved, closed in (
+                    (coated_sphere._solve_shell(cfg, eigen_on=True, outer="clamped"),
+                     thermal_coefficients(cfg)),
+                    (coated_sphere._solve_shell(
+                        cfg, eigen_on=False, outer="traction", traction=s0),
+                     mechanical_coefficients(cfg, s0)),
+                ):
+                    scale = max(abs(closed.coat_linear), 1e-300)
+                    for x, y in zip(
+                        (solved.core_linear, solved.coat_linear, solved.coat_inverse_square),
+                        (closed.core_linear, closed.coat_linear, closed.coat_inverse_square),
+                    ):
+                        assert abs(x - y) <= 1e-12 * scale
 
     def test_matches_printed_material_indexed_form_core2(self, rng):
         # for a phase-2 core the closed form reads, in material indices,
@@ -316,6 +325,55 @@ class TestLocalFields:
             u_coat = total.coat_linear * a + total.coat_inverse_square / a**2
             scale = max(abs(u_core), abs(u_coat), 1e-300)
             assert abs(u_core - u_coat) <= 1e-11 * scale
+
+
+class TestClosedFormPath:
+    def test_library_never_solves_the_interface_system(self, monkeypatch):
+        # the 3x3 solve is verify's independent route; the library's field
+        # and effective-constant functions use the closed forms only
+        def refuse(*args, **kwargs):
+            raise AssertionError("library path called the 3x3 interface solve")
+
+        monkeypatch.setattr(coated_sphere, "_solve_shell", refuse)
+        r = np.linspace(0.05, 1.0, 9)
+        for cfg in (CORE1, CORE2):
+            effective_properties(cfg)
+            local_field_constants(cfg, Loading(0.3, 1.0))
+            for phase in (1, 2):
+                phase_moment(cfg, Loading(0.3, 1.0), phase, math.inf)
+            evaluate_fields(cfg, Loading(0.3, 1.0), r)
+
+    def test_high_contrast_bulk_modulus_exact(self):
+        # moduli 1e6 against 1 and 1e-6: kbar - num/den cancelled here and
+        # the bulk-modulus dual-route check raised ConsistencyFailure
+        comp = build_unswapped(
+            PhaseProperties(k=1e6, mu=1e6, h=0.0),
+            PhaseProperties(k=1.0, mu=1e-6, h=1.0),
+            0.5,
+        )
+        for core in (1, 2):
+            cfg = CoatedSphereConfig(composite=comp, core_phase=core)
+            K = effective_properties(cfg).K_effective
+            kc, kt, mut, f = (
+                Fraction(x) for x in (cfg.core.k, cfg.coating.k, cfg.coating.mu, cfg.core_fraction)
+            )
+            exact = kt + f / (1 / (kc - kt) + 3 * (1 - f) / (3 * kt + 4 * mut))
+            assert abs(Fraction(K) - exact) <= Fraction(1e-12) * exact
+
+    def test_tiny_theta1_uses_the_composites_fractions(self):
+        # theta2 = fl(1 - theta1) and 1 - theta2 differ from theta1 by about
+        # 1e-9 relative here; with 1 - a^3 as the coating fraction the
+        # bulk-modulus dual-route check raised ConsistencyFailure on core 2
+        comp = build_unswapped(
+            PhaseProperties(k=0.0463359381764292, mu=159699.71756020925, h=-1.225354603819703),
+            PhaseProperties(k=1.4544765086278303e-08, mu=0.0006001194232230362, h=0.26403267491544513),
+            1.2050190118228602e-08,
+        )
+        cfg = CoatedSphereConfig(composite=comp, core_phase=2)
+        assert cfg.coating_fraction == comp.theta1 != 1.0 - cfg.core_fraction
+        closed, via_mech = coated_sphere.effective_bulk_modulus_routes(cfg)
+        assert abs(closed - via_mech) <= 1e-12 * closed
+        assert effective_bulk_modulus(cfg) == closed
 
 
 class TestPhaseMoment:
