@@ -28,10 +28,15 @@ Every loading value must be finite.
 
 Phases in the output are reported in the caller's original numbering even
 when the internal shear-ordering convention required relabeling; the
-``relabeled`` field records whether that happened.  Numbers are written
-with 17 significant digits (round-trip exact for doubles); infinite table
-breakpoints appear as the strings "-inf"/"inf".  Output is deterministic:
-identical configs produce byte-identical output.
+``relabeled`` field records whether that happened.  CSV writes numbers
+with 17 significant digits; JSON lines write each float as its shortest
+round-trip ``repr``, as :func:`json.dumps` does.  Both are round-trip exact
+for doubles.  Infinite values appear as the strings "-inf"/"inf".  Output is
+deterministic: identical configs produce byte-identical output.
+
+:func:`main` is reentrant: it builds the argument parser on its first call
+and reuses it, and repeated calls in one process write the same bytes and
+return the same exit codes as calls in fresh processes.
 
 Exit codes: 0 success, 1 verification/internal failure, 2 input error.
 """
@@ -40,10 +45,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,6 +129,8 @@ class SweepRange:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config; the loadings are floats unless sweep ranges were allowed."""
+
     composite: ValidatedComposite
     relabeled: bool
     sigma0: float | SweepRange
@@ -143,26 +152,57 @@ def fmt(x) -> str:
     return format(x, ".17g")
 
 
-def _json_value(x):
+def _json_text(x) -> str:
+    """JSON text of one value; infinities as the strings "inf"/"-inf"."""
     if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+        x = "inf" if x > 0 else "-inf"
+    return json.dumps(x)
 
 
-def emit_rows(rows: list[dict], fmt_name: str, stream) -> None:
-    """Write report rows as RFC-4180 CSV (with header) or JSON lines."""
-    if not rows:
-        return
+class Coded(NamedTuple):
+    """A report column whose row ``i`` holds ``values[codes[i]]``.
+
+    Each entry of ``values`` is formatted once, however many rows it fills.
+    Entries are told apart by position, never by value, so ``-0.0`` and
+    ``0.0``, or ``True`` and ``1``, keep their own texts.
+    """
+
+    values: tuple
+    codes: np.ndarray
+
+
+def _column_texts(column, text) -> list[str]:
+    """The text of every row of one column.
+
+    A column is a :class:`Coded`, a float ndarray (CSV formats it with
+    ``'%.17g'``, the text of :func:`fmt`), or a sequence of values of any type.
+    """
+    if isinstance(column, Coded):
+        table = [text(v) for v in column.values]
+        return [table[c] for c in column.codes.tolist()]
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+        if text is fmt:
+            return ["%.17g" % x for x in column]
+    return [text(v) for v in column]
+
+
+def emit_rows(columns: dict, fmt_name: str, stream) -> None:
+    """Write report columns as RFC-4180 CSV (with header) or JSON lines.
+
+    ``columns`` maps each column name, in output order, to its rows (see
+    :func:`_column_texts`); all columns have the same length.  Each column is
+    formatted in one pass, then the rows are written.
+    """
+    text = _json_text if fmt_name == "json" else fmt
+    texts = [_column_texts(column, text) for column in columns.values()]
     if fmt_name == "json":
-        for row in rows:
-            stream.write(json.dumps({k: _json_value(v) for k, v in row.items()}))
-            stream.write("\n")
+        template = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in columns) + "}\n"
+        stream.writelines(template % row for row in zip(*texts))
     else:
         writer = csv.writer(stream, lineterminator="\r\n")
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(row[k]) for k in header])
+        writer.writerow(columns)
+        writer.writerows(zip(*texts))
 
 
 def _require(doc: dict, key: str):
@@ -256,6 +296,11 @@ def _swap_phase(phase: int | None, relabeled: bool) -> int | None:
     return 3 - phase if relabeled else phase
 
 
+def _internal_target(flag: str, relabeled: bool) -> str:
+    """The bound target of a --phase or --target flag, in the internal numbering."""
+    return "max" if flag == "max" else f"phase{_swap_phase(int(flag[-1]), relabeled)}"
+
+
 def _parse_p(text: str) -> float:
     try:
         p = float(text)
@@ -274,73 +319,66 @@ def _attainment_residual(
     return abs(moment - value) / scale
 
 
-def _bound_rows(
-    cfg: RunConfig,
-    sigma_values: list[float],
-    delta_values: list[float],
-    phase_flag: str,
-    p: float,
-    residuals: bool = False,
-) -> list[dict]:
-    """Bound rows over the sigma0 x deltaT grid in sigma0-major order.
+def _axis_values(axis: float | SweepRange) -> list[float]:
+    return axis.values() if isinstance(axis, SweepRange) else [axis]
 
-    One :func:`bound_arrays` pass evaluates every row.  With ``residuals``
-    each row also gets the attainment residual of its bound (None when the
-    bound is 0 and no assemblage is designated).
+
+def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = False) -> dict:
+    """Bound report columns over the sigma0 x deltaT grid in sigma0-major order.
+
+    One :func:`bound_arrays` pass evaluates every row.  The grid axes, the
+    constant columns and the code columns of the :class:`BoundArrays` are
+    :class:`Coded`, so each distinct value is formatted once.  With
+    ``residuals`` each row also gets the attainment residual of its bound
+    (None when the bound is 0 and no assemblage is designated).
     """
     comp, relabeled = cfg.composite, cfg.relabeled
-    coated = MicrostructureKind.COATED_SPHERES.value
-    undetermined = MicrostructureKind.UNDETERMINED.value
-    if phase_flag == "max":
-        target = "max"
-    else:
-        target = f"phase{_swap_phase(int(phase_flag), relabeled)}"
-    sigma0 = np.repeat(np.asarray(sigma_values, dtype=float), len(delta_values))
-    deltaT = np.tile(np.asarray(delta_values, dtype=float), len(sigma_values))
+    target = _internal_target(phase_flag, relabeled)
+    sigma_values, delta_values = _axis_values(cfg.sigma0), _axis_values(cfg.deltaT)
+    ns, nd = len(sigma_values), len(delta_values)
+    sigma_codes = np.repeat(np.arange(ns), nd)
+    delta_codes = np.tile(np.arange(nd), ns)
+    sigma0 = np.asarray(sigma_values, dtype=float)[sigma_codes]
+    deltaT = np.asarray(delta_values, dtype=float)[delta_codes]
     b = bound_arrays(comp, target, sigma0, deltaT)
-    rows = []
-    for s0, dT, value, argmin, endpoint, phase, core, branch in zip(
-        sigma0.tolist(), deltaT.tolist(), b.value.tolist(), b.argmin.tolist(),
-        b.endpoint.tolist(), b.phase.tolist(), b.core.tolist(), b.branch.tolist(),
-    ):
-        row = {
-            "sigma0": s0,
-            "deltaT": dT,
-            "phase": phase_flag,
-            "p": p,
-            "value": value,
-            "argmin": argmin,
-            "at_endpoint": ENDPOINT_CODES[endpoint].value,
-            "branch": BRANCH_IDS[branch],
-            # core 0: the bound is 0 and no assemblage is designated
-            "microstructure": coated if core else undetermined,
-            "core_phase": _swap_phase(core, relabeled) if core else None,
-            "coating_phase": _swap_phase(3 - core, relabeled) if core else None,
-            "max_attaining_phase": (
-                _swap_phase(phase, relabeled) if core and target == "max" else None
-            ),
-            "relabeled": relabeled,
-        }
-        if residuals:
-            row["attainment_residual"] = (
-                _attainment_residual(comp, Loading(s0, dT), value, phase, core)
-                if core else None
+    zeros = np.zeros(ns * nd, dtype=np.intp)  # the codes of a constant column
+    # indexed by core phase; core 0: the bound is 0 and no assemblage is designated
+    phases = (None, _swap_phase(1, relabeled), _swap_phase(2, relabeled))
+    coated = MicrostructureKind.COATED_SPHERES.value
+    columns = {
+        "sigma0": Coded(tuple(sigma_values), sigma_codes),
+        "deltaT": Coded(tuple(delta_values), delta_codes),
+        "phase": Coded((phase_flag,), zeros),
+        "p": Coded((p,), zeros),
+        "value": b.value,
+        "argmin": b.argmin,
+        "at_endpoint": Coded(tuple(e.value for e in ENDPOINT_CODES), b.endpoint),
+        "branch": Coded(BRANCH_IDS, b.branch),
+        "microstructure": Coded((MicrostructureKind.UNDETERMINED.value, coated, coated), b.core),
+        "core_phase": Coded(phases, b.core),
+        "coating_phase": Coded((None, phases[2], phases[1]), b.core),
+        "max_attaining_phase": (
+            Coded(phases, np.where(b.core != 0, b.phase, 0))
+            if target == "max" else Coded((None,), zeros)
+        ),
+        "relabeled": Coded((relabeled,), zeros),
+    }
+    if residuals:
+        columns["attainment_residual"] = [
+            _attainment_residual(comp, Loading(s0, dT), value, phase, core)
+            if core else None
+            for s0, dT, value, phase, core in zip(
+                sigma0.tolist(), deltaT.tolist(), b.value.tolist(),
+                b.phase.tolist(), b.core.tolist(),
             )
-        rows.append(row)
-    return rows
-
-
-def _scalar_loading(cfg: RunConfig) -> tuple[float, float]:
-    if isinstance(cfg.sigma0, SweepRange) or isinstance(cfg.deltaT, SweepRange):
-        raise ConfigError("this command needs scalar sigma0 and deltaT")
-    return cfg.sigma0, cfg.deltaT
+        ]
+    return columns
 
 
 def cmd_bounds(args) -> int:
     cfg = load_run_config(args.config)
-    sigma0, deltaT = _scalar_loading(cfg)
     p = _parse_p(args.p)
-    emit_rows(_bound_rows(cfg, [sigma0], [deltaT], args.phase, p), args.format, sys.stdout)
+    emit_rows(_bound_columns(cfg, args.phase, p), args.format, sys.stdout)
     return 0
 
 
@@ -355,33 +393,28 @@ def _formula_text(branch: str, endpoint: float | None, D: float) -> str:
 
 def cmd_table(args) -> int:
     cfg = load_run_config(args.config)
-    _, deltaT = _scalar_loading(cfg)
-    if args.target == "max":
-        target = "max"
-    else:
-        target = f"phase{_swap_phase(int(args.target[-1]), cfg.relabeled)}"
-    table = regime_table(cfg.composite, deltaT, target)
-    rows = []
-    for r in table.rows:
-        micro = r.microstructure
-        rows.append(
-            {
-                "target": args.target,
-                "deltaT": deltaT,
-                "D": table.D,
-                "sigma0_min": r.sigma_lo,
-                "sigma0_max": r.sigma_hi,
-                "branch": r.branch,
-                "endpoint": r.endpoint_value,
-                "formula": _formula_text(r.branch, r.endpoint_value, table.D),
-                "microstructure": micro.kind.value,
-                "core_phase": _swap_phase(micro.core_phase, cfg.relabeled),
-                "coating_phase": _swap_phase(micro.coating_phase, cfg.relabeled),
-                "max_attaining_phase": _swap_phase(micro.max_attaining_phase, cfg.relabeled),
-                "relabeled": cfg.relabeled,
-            }
-        )
-    emit_rows(rows, args.format, sys.stdout)
+    deltaT = cfg.deltaT
+    table = regime_table(cfg.composite, deltaT, _internal_target(args.target, cfg.relabeled))
+    rows, n = table.rows, len(table.rows)
+    micros = [r.microstructure for r in rows]
+    columns = {
+        "target": [args.target] * n,
+        "deltaT": [deltaT] * n,
+        "D": [table.D] * n,
+        "sigma0_min": [r.sigma_lo for r in rows],
+        "sigma0_max": [r.sigma_hi for r in rows],
+        "branch": [r.branch for r in rows],
+        "endpoint": [r.endpoint_value for r in rows],
+        "formula": [_formula_text(r.branch, r.endpoint_value, table.D) for r in rows],
+        "microstructure": [m.kind.value for m in micros],
+        "core_phase": [_swap_phase(m.core_phase, cfg.relabeled) for m in micros],
+        "coating_phase": [_swap_phase(m.coating_phase, cfg.relabeled) for m in micros],
+        "max_attaining_phase": [
+            _swap_phase(m.max_attaining_phase, cfg.relabeled) for m in micros
+        ],
+        "relabeled": [cfg.relabeled] * n,
+    }
+    emit_rows(columns, args.format, sys.stdout)
     return 0
 
 
@@ -412,21 +445,13 @@ def _oracle_field_error(sphere, loading, grid, analytic, grid_n) -> tuple[float,
     )
 
 
-def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> list[dict]:
-    """All verification checks as report rows (status pass/fail each)."""
-    checks: list[dict] = []
+def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> dict:
+    """All verification checks as report columns (status pass/fail each)."""
+    rows = []
 
     def add(name, orientation, residual, tol, note=""):
-        checks.append(
-            {
-                "check": name,
-                "orientation": orientation,
-                "residual": residual,
-                "tolerance": tol,
-                "status": "pass" if residual <= tol else "fail",
-                "note": note,
-            }
-        )
+        status = "pass" if residual <= tol else "fail"
+        rows.append((name, orientation, residual, tol, status, note))
 
     for core in (1, 2):
         sphere = CoatedSphereConfig(composite=comp, core_phase=core)
@@ -467,24 +492,16 @@ def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> l
         add("mechanical-outer-traction", tag, r_o, TOL_IDENTITY)
 
         h1, h2 = effective_thermal_stress_routes(sphere)
-        add(
-            "effective-thermal-stress-dual-route",
-            tag,
-            abs(h1 - h2) / max(abs(h1), abs(h2), 1e-300),
-            TOL_IDENTITY,
-        )
+        disc = abs(h1 - h2) / max(abs(h1), abs(h2), 1e-300)
+        add("effective-thermal-stress-dual-route", tag, disc, TOL_IDENTITY)
         disc = math.inf
         if solved_unit is not None:
             k1, k2 = effective_bulk_modulus_routes(sphere, solved_unit)
             disc = abs(k1 - k2) / max(abs(k1), abs(k2))
         add("effective-bulk-modulus-dual-route", tag, disc, TOL_IDENTITY, solve_note)
         add("exact-thermal-relation", tag, verify_exact_relation(sphere), TOL_IDENTITY)
-        add(
-            "average-stress-identity",
-            tag,
-            verify_average_identity(sphere, loading),
-            TOL_IDENTITY,
-        )
+        residual = verify_average_identity(sphere, loading)
+        add("average-stress-identity", tag, residual, TOL_IDENTITY)
 
         # independent finite-volume oracle
         try:
@@ -537,22 +554,21 @@ def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> l
             worst = max(worst, abs(value - via_table) / scale)
         add("regime-table-agreement", target, worst, TOL_IDENTITY)
 
-    return checks
+    names = ("check", "orientation", "residual", "tolerance", "status", "note")
+    return dict(zip(names, zip(*rows)))
 
 
 def cmd_verify(args) -> int:
     cfg = load_run_config(args.config)
-    sigma0, deltaT = _scalar_loading(cfg)
     if args.grid_n < 16:
         raise ConfigError(f"--grid-n must be >= 16, got {args.grid_n}")
-    checks = _verify_checks(cfg.composite, Loading(sigma0, deltaT), args.grid_n)
+    checks = _verify_checks(cfg.composite, Loading(cfg.sigma0, cfg.deltaT), args.grid_n)
     emit_rows(checks, args.format, sys.stdout)
-    failed = [c for c in checks if c["status"] != "pass"]
-    if failed:
-        first = failed[0]
+    if "fail" in checks["status"]:
+        i = checks["status"].index("fail")
         print(
-            f"FAILED {first['check']} [{first['orientation']}]: "
-            f"residual {fmt(first['residual'])} > tolerance {fmt(first['tolerance'])}",
+            f"FAILED {checks['check'][i]} [{checks['orientation'][i]}]: "
+            f"residual {fmt(checks['residual'][i])} > tolerance {fmt(checks['tolerance'][i])}",
             file=sys.stderr,
         )
         return 1
@@ -563,20 +579,13 @@ def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config, allow_sweep=True)
     if not isinstance(cfg.sigma0, SweepRange) and not isinstance(cfg.deltaT, SweepRange):
         raise ConfigError("sweep needs at least one of sigma0/deltaT to be a range")
-    p = _parse_p(args.p)
-    sigma_values = (
-        cfg.sigma0.values() if isinstance(cfg.sigma0, SweepRange) else [cfg.sigma0]
-    )
-    delta_values = (
-        cfg.deltaT.values() if isinstance(cfg.deltaT, SweepRange) else [cfg.deltaT]
-    )
-    rows = _bound_rows(cfg, sigma_values, delta_values, args.phase, p, args.residuals)
+    columns = _bound_columns(cfg, args.phase, _parse_p(args.p), args.residuals)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            emit_rows(rows, args.format, fh)
+            emit_rows(columns, args.format, fh)
     except OSError as exc:
         raise ConfigError(f"cannot write output {args.out!r}: {exc}") from exc
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(columns['value'])} rows to {args.out}")
     return 0
 
 
@@ -627,8 +636,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on first use and then shared."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

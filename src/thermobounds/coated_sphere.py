@@ -188,6 +188,13 @@ def _solve_shell(
     )
 
 
+def _thermal_denominator(
+    core: PhaseProperties, coat: PhaseProperties, f: float, c: float
+) -> float:
+    """den = 3 kt f + 4 mut + 3 kc c of :func:`thermal_coefficients`, with c = 1 - f."""
+    return 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * c
+
+
 def thermal_coefficients(config: CoatedSphereConfig) -> ShellCoefficients:
     """Shell coefficients of the clamped thermal problem at unit deltaT.
 
@@ -205,7 +212,7 @@ def thermal_coefficients(config: CoatedSphereConfig) -> ShellCoefficients:
     """
     core, coat = config.core, config.coating
     f, c = config.core_fraction, config.coating_fraction
-    den = 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * c
+    den = _thermal_denominator(core, coat, f, c)
     mismatch = coat.k * coat.h - core.k * core.h
     A = 3.0 * f * mismatch / den
     return ShellCoefficients(
@@ -244,14 +251,20 @@ def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, 
     Route one is the radial traction of the thermal solution at the outer
     surface; route two is the volume average of the stress (the trace-free
     part of the coating strain integrates to zero over the shell, so only
-    the linear coefficients enter).
+    the linear coefficients enter).  The core's strain g - hc is taken in
+    its cancellation-free form (-3 c kt ht - hc (3 kt f + 4 mut)) / den,
+    with c the coating fraction: g is close to hc when the core is much
+    stiffer than the coating, and their difference would cancel.
     """
     coeff = thermal_coefficients(config)
     core, coat = config.core, config.coating
     f, c = config.core_fraction, config.coating_fraction
-    g, A, B = coeff.core_linear, coeff.coat_linear, coeff.coat_inverse_square
+    A, B = coeff.coat_linear, coeff.coat_inverse_square
+    core_strain = (
+        -3.0 * c * coat.k * coat.h - core.h * (3.0 * coat.k * f + 4.0 * coat.mu)
+    ) / _thermal_denominator(core, coat, f, c)
     via_traction = 3.0 * coat.k * (A - coat.h) - 4.0 * coat.mu * B  # b = 1
-    via_average = 3.0 * (f * core.k * (g - core.h) + c * coat.k * (A - coat.h))
+    via_average = 3.0 * (f * core.k * core_strain + c * coat.k * (A - coat.h))
     return via_traction, via_average
 
 

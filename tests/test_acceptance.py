@@ -35,9 +35,11 @@ from thermobounds import (
     sampled_moment,
     solve_radial_bvp,
 )
+from thermobounds.bounds import BRANCH_IDS, bound_arrays
 
 SQRT3 = math.sqrt(3.0)
 SEED = 745_991
+SCALAR_STRIDE = 25
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -216,10 +218,13 @@ def test_criterion_06_average_stress_identity():
 
 
 def test_criterion_07_regime_table_agreement():
+    # the direct side is the batch kernel, checked against the scalar
+    # classify_branch on every SCALAR_STRIDE-th sample
     rng = np.random.default_rng(SEED + 7)
     samples = 10_000
     worst_val = 0.0
     mismatches = 0
+    coated = MicrostructureKind.COATED_SPHERES
     for ordering in (Ordering.WELL_ORDERED, Ordering.NON_WELL_ORDERED):
         for h_sign in (-1, +1):
             for dT_sign in (-1, +1):
@@ -230,21 +235,32 @@ def test_criterion_07_regime_table_agreement():
                 sigmas = rng.uniform(-span, span, samples)
                 for target in ("phase1", "phase2", "max"):
                     table = regime_table(comp, deltaT, target)
-                    for s0 in sigmas:
-                        s0 = float(s0)
-                        direct, branch = classify_branch(comp, deltaT, target, s0)
+                    b = bound_arrays(comp, target, sigmas, deltaT)
+                    direct = list(zip(
+                        sigmas.tolist(), b.value.tolist(), b.branch.tolist(),
+                        b.core.tolist(), b.phase.tolist(),
+                    ))
+                    for s0, value, branch, core, phase in direct[::SCALAR_STRIDE]:
+                        result, scalar_branch = classify_branch(comp, deltaT, target, s0)
+                        m = result.microstructure
+                        assert result.value == value and scalar_branch == BRANCH_IDS[branch]
+                        assert m.core_phase == (core or None)
+                        if target == "max" and core:
+                            assert m.max_attaining_phase == phase
+                    for s0, value, branch, core, phase in direct:
                         row = table.row_for(s0)
                         via = row.bound_at(s0, table.D)
-                        scale = max(direct.value, via, 1e-300)
-                        if direct.value != via:
-                            worst_val = max(worst_val, abs(direct.value - via) / scale)
-                        if row.branch != branch:
+                        scale = max(value, via, 1e-300)
+                        if value != via:
+                            worst_val = max(worst_val, abs(value - via) / scale)
+                        m = row.microstructure
+                        if row.branch != BRANCH_IDS[branch]:
                             mismatches += 1
-                        elif row.branch != "Zero" and row.microstructure != direct.microstructure:
+                        elif row.branch != "Zero" and (
+                            m.kind, m.core_phase, m.coating_phase, m.max_attaining_phase
+                        ) != (coated, core, 3 - core, phase if target == "max" else None):
                             mismatches += 1
-                        elif row.branch == "Zero" and (
-                            direct.microstructure.kind is not MicrostructureKind.UNDETERMINED
-                        ):
+                        elif row.branch == "Zero" and core != 0:
                             mismatches += 1
     report(
         7,

@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermobounds
 from conftest import random_composite
 from thermobounds import Ordering, characteristic_constants, classify_branch, regime_table
-from thermobounds.cli import main
+from thermobounds import cli
+from thermobounds.cli import Coded, emit_rows, main
 
 PSTAR = {
     "phase1": {"k": 2.0, "mu": 1.0, "h": 0.0},
@@ -361,6 +363,94 @@ class TestDeterminism:
             run(capsys, "sweep", cfg, "--out", str(path))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path, capsys):
+        # main() builds its parser once; later calls in the process must
+        # write what a call in a fresh interpreter writes
+        cfg = write_config(tmp_path, PSTAR)
+        grid_loading = {"sigma0": {"start": -2.0, "stop": 2.0, "count": 5}, "deltaT": 1.0}
+        grid = write_config(tmp_path, dict(PSTAR, loading=grid_loading), "grid.json")
+        out_path = tmp_path / "rows.csv"
+        calls = [
+            ["bounds", cfg, "--format", "json"],
+            ["sweep", grid, "--out", str(out_path)],
+            ["verify", cfg, "--grid-n", "8"],
+            ["bounds", cfg],
+        ]
+        src = str(Path(thermobounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def written(argv):
+            return out_path.read_bytes() if argv[0] == "sweep" else None
+
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "thermobounds", *argv],
+                env=env, capture_output=True, timeout=60,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, written(argv)))
+        assert [f[0] for f in fresh] == [0, 0, 2, 0]
+        for _ in range(2):
+            for argv, expected in zip(calls, fresh):
+                code, out, err = run(capsys, *argv)
+                assert (code, out.encode(), err.encode(), written(argv)) == expected
+        assert cli._parser.cache_info().misses == 1
+
+
+def _emit(columns, fmt_name):
+    stream = io.StringIO(newline="")
+    emit_rows(columns, fmt_name, stream)
+    return stream.getvalue()
+
+
+#: values of one column, and the CSV and JSON text of each; these are the
+#: texts of format(x, ".17g") and json.dumps, infinities as "inf"/"-inf"
+EMIT_CASES = {
+    "infinities": ([math.inf, -math.inf, 1.5], ["inf", "-inf", "1.5"], ['"inf"', '"-inf"', "1.5"]),
+    "signed-zeros": ([-0.0, 0.0, -0.0], ["-0", "0", "-0"], ["-0.0", "0.0", "-0.0"]),
+    "none-and-float": ([None, 0.1, None], ["", "0.10000000000000001", ""], ["null", "0.1", "null"]),
+    "bool-and-int": ([True, 1, False, 0], ["true", "1", "false", "0"], ["true", "1", "false", "0"]),
+    "quoting": (
+        ["x, y", 'say "hi"', "two\nlines", "plain"],
+        ['"x, y"', '"say ""hi"""', '"two\nlines"', "plain"],
+        ['"x, y"', '"say \\"hi\\""', '"two\\nlines"', '"plain"'],
+    ),
+}
+
+
+def _column_forms(values):
+    """Every kind of column emit_rows takes, each holding ``values``."""
+    forms = {"list": list(values), "coded": Coded(tuple(values), np.arange(len(values)))}
+    if all(type(v) is float for v in values):
+        forms["ndarray"] = np.array(values)
+    return forms
+
+
+class TestEmitRows:
+    @pytest.mark.parametrize("case", sorted(EMIT_CASES))
+    def test_texts_of_every_column_kind(self, case):
+        values, csv_texts, json_texts = EMIT_CASES[case]
+        index = list(range(len(values)))
+        csv_expected = "i,v\r\n" + "".join(f"{i},{t}\r\n" for i, t in zip(index, csv_texts))
+        json_expected = "".join(f'{{"i": {i}, "v": {t}}}\n' for i, t in zip(index, json_texts))
+        for form in _column_forms(values).values():
+            columns = {"i": index, "v": form}
+            assert _emit(columns, "csv") == csv_expected
+            assert _emit(columns, "json") == json_expected
+
+    def test_coded_values_are_told_apart_by_position(self):
+        # -0.0 == 0.0 and True == 1, but each keeps its own text
+        codes = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+        columns = {"v": Coded((-0.0, 0.0, True, 1), codes), "flag": [True] * 4 + [1] * 4}
+        texts = ["-0", "0", "true", "1"]
+        rows = [f"{texts[c]},{'true' if i < 4 else '1'}" for i, c in enumerate(codes)]
+        assert _emit(columns, "csv") == "v,flag\r\n" + "".join(r + "\r\n" for r in rows)
+        texts = ["-0.0", "0.0", "true", "1"]
+        assert _emit(columns, "json") == "".join(
+            f'{{"v": {texts[c]}, "flag": {"true" if i < 4 else "1"}}}\n'
+            for i, c in enumerate(codes)
+        )
 
 
 def scalar_table_agreement(comp, sigma0, deltaT, target, samples=200):

@@ -22,11 +22,13 @@ from thermobounds import (
     CoatedSphereConfig,
     coated_sphere,
     Endpoint,
+    InputError,
     InvalidExponent,
     Loading,
     Ordering,
     PhaseProperties,
     ValidatedComposite,
+    build_composite,
     characteristic_constants,
     effective_bulk_modulus,
     effective_properties,
@@ -374,6 +376,47 @@ class TestClosedFormPath:
         closed, via_mech = coated_sphere.effective_bulk_modulus_routes(cfg)
         assert abs(closed - via_mech) <= 1e-12 * closed
         assert effective_bulk_modulus(cfg) == closed
+
+    def test_soft_core_thermal_routes_agree(self):
+        # a core 1e10 times stiffer than its coating: g is close to hc, and
+        # the volume-average route formed g - hc by subtraction, so the H*
+        # dual-route check raised ConsistencyFailure
+        comp = build_unswapped(
+            PhaseProperties(k=40570862.99970614, mu=285.80276798368124, h=-0.29402756101936145),
+            PhaseProperties(
+                k=0.0020610642794395015, mu=0.0038451689321523054, h=-0.22172748424880018
+            ),
+            0.00038263871929215414,
+        )
+        cfg = CoatedSphereConfig(composite=comp, core_phase=1)
+        via_traction, via_average = effective_thermal_stress_routes(cfg)
+        assert abs(via_traction - via_average) <= 1e-12 * abs(via_traction)
+        assert effective_thermal_stress(cfg) == via_traction
+
+    def test_wide_domain_probe_raises_no_consistency_failure(self):
+        # moduli over sixteen decades, fractions up to 1e-9 from 0 and 1, and
+        # 30% of the bulk moduli close to the equality gate
+        rng = np.random.default_rng(20261018)
+        made = 0
+        while made < 1000:
+            k1, k2, mu1, mu2 = (float(x) for x in 10.0 ** rng.uniform(-8.0, 8.0, 4))
+            if rng.random() < 0.3:
+                separation = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-11.7, -3.0))
+                k2 = k1 * (1.0 + separation)
+            h1, h2 = (float(x) for x in rng.uniform(-2.0, 2.0, 2))
+            theta1 = float(rng.uniform(1e-9, 1.0 - 1e-9))
+            try:
+                comp, _ = build_composite(
+                    PhaseProperties(k1, mu1, h1), PhaseProperties(k2, mu2, h2), theta1
+                )
+            except InputError:
+                continue
+            made += 1
+            loading = Loading(*(float(x) for x in rng.uniform(-3.0, 3.0, 2)))
+            for core in (1, 2):
+                cfg = CoatedSphereConfig(composite=comp, core_phase=core)
+                effective_properties(cfg)
+                local_field_constants(cfg, loading)
 
 
 class TestPhaseMoment:
