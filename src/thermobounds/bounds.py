@@ -176,8 +176,17 @@ class RegimeTable:
     breakpoints: tuple[float, ...]
     rows: tuple[RegimeRow, ...]
 
-    def bound_at(self, sigma0: float) -> float:
-        return self.row_for(sigma0).bound_at(sigma0, self.D)
+    def bound_at(self, sigma0):
+        """The bound at sigma0, a float or an array of them, row by row."""
+        if np.ndim(sigma0) == 0:
+            return self.row_for(sigma0).bound_at(sigma0, self.D)
+        sigma0 = np.asarray(sigma0, dtype=float)
+        index = self._row_index(sigma0)
+        value = np.zeros(sigma0.shape)
+        for i, row in enumerate(self.rows):
+            mask = index == i
+            value[mask] = row.bound_at(sigma0[mask], self.D)
+        return value
 
     def row_for(self, sigma0: float) -> RegimeRow:
         """Return the row containing sigma0.
@@ -185,10 +194,14 @@ class RegimeTable:
         At a shared breakpoint both adjacent rows contain sigma0 and
         evaluate to the same value; the earlier row is returned.
         """
-        for row in self.rows:
-            if row.sigma_lo <= sigma0 <= row.sigma_hi:
-                return row
-        raise ValueError(f"sigma0={sigma0} not covered by table")  # pragma: no cover
+        return self.rows[int(self._row_index(sigma0))]
+
+    def _row_index(self, sigma0):
+        """Index of the first row whose ``sigma_hi`` is at least sigma0."""
+        index = np.searchsorted([row.sigma_hi for row in self.rows], sigma0, side="left")
+        if np.any(index == len(self.rows)):
+            raise ValueError(f"sigma0={sigma0} not covered by table")
+        return index
 
 
 def _lm_factors(c: ValidatedComposite) -> tuple[float, float, float, float]:

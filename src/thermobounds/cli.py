@@ -540,18 +540,13 @@ def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> d
     # regime tables agree with the direct minimization
     consts = characteristic_constants(comp, loading.deltaT)
     span = max(1.0, 3.0 * abs(consts.D), abs(loading.sigma0))
-    samples = [
-        -span + (2.0 * span) * (i + 0.5) / TABLE_AGREEMENT_SAMPLES
-        for i in range(TABLE_AGREEMENT_SAMPLES)
-    ]
+    n = TABLE_AGREEMENT_SAMPLES
+    samples = -span + (2.0 * span) * (np.arange(n) + 0.5) / n
     for target in ("phase1", "phase2", "max"):
-        table = regime_table(comp, loading.deltaT, target)
-        direct = bound_arrays(comp, target, samples, loading.deltaT).value.tolist()
-        worst = 0.0
-        for s0, value in zip(samples, direct):
-            via_table = table.bound_at(s0)
-            scale = max(value, abs(via_table), span)
-            worst = max(worst, abs(value - via_table) / scale)
+        direct = bound_arrays(comp, target, samples, loading.deltaT).value
+        via_table = regime_table(comp, loading.deltaT, target).bound_at(samples)
+        scale = np.maximum(np.maximum(direct, np.abs(via_table)), span)
+        worst = float(np.max(np.abs(direct - via_table) / scale))
         add("regime-table-agreement", target, worst, TOL_IDENTITY)
 
     names = ("check", "orientation", "residual", "tolerance", "status", "note")

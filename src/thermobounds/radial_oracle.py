@@ -18,15 +18,12 @@ fields (uniform hydrostatic states) are reproduced exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bounds import SQRT3
-from .coated_sphere import (
-    CoatedSphereConfig,
-    evaluate_fields,
-    superposed_shell_coefficients,
-)
+from .coated_sphere import CoatedSphereConfig, evaluate_fields
 from .errors import NonConvergent, SingularSystem
 from .materials import Loading, check_exponent
 
@@ -37,9 +34,9 @@ MIN_NODES = 16
 class RadialGrid:
     """Radial nodes in (0, 1] with a node exactly at the interface.
 
-    The center r = 0 is a ghost point with the regularity condition u(0) = 0;
-    it is not part of ``nodes``.  ``nodes[interface_index]`` equals the core
-    radius a.
+    The center r = 0 carries the regularity condition u(0) = 0; it is not
+    part of ``nodes``.  ``nodes[interface_index]`` equals the core radius a.
+    Cell 0 spans (0, nodes[0]] and cell i > 0 spans (nodes[i-1], nodes[i]].
     """
 
     nodes: np.ndarray
@@ -60,6 +57,16 @@ class RadialGrid:
             raise ValueError("last node must equal the outer radius 1")
         if not (0 <= self.interface_index < len(nodes) - 1):
             raise ValueError("interface node must be interior")
+
+    @cached_property
+    def volume_weights(self) -> np.ndarray:
+        """Differences of r^3 over the cells, proportional to cell volumes."""
+        return np.diff(np.concatenate(([0.0], self.nodes)) ** 3)
+
+    @cached_property
+    def core_cells(self) -> np.ndarray:
+        """True for the cells inside the interface node."""
+        return np.arange(self.n) <= self.interface_index
 
 
 def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
@@ -90,19 +97,16 @@ class RadialSolution:
     """Discrete solution of the layered-sphere problem.
 
     ``u`` holds nodal displacements aligned with ``grid.nodes`` (u(0) = 0 is
-    implicit).  Stress samples live at cell midpoints, where the material is
-    unambiguous; ``cell_phase`` is the material index (1 or 2) of each cell.
-    ``tr_sigma_core``/``tr_sigma_coating`` are volume-weighted means of the
-    stress trace over each region, and ``sigma_rr_jump`` is the one-sided
-    estimate of the radial traction mismatch at the interface (zero up to
-    discretization error).
+    implicit).  ``cell_tr_sigma`` samples the stress trace at cell midpoints,
+    where the material is unambiguous; ``cell_phase`` is the material index
+    (1 or 2) of each cell.  ``tr_sigma_core``/``tr_sigma_coating`` are
+    volume-weighted means of the stress trace over each region, and
+    ``sigma_rr_jump`` is the one-sided estimate of the radial traction
+    mismatch at the interface (zero up to discretization error).
     """
 
     grid: RadialGrid
     u: np.ndarray
-    cell_mid: np.ndarray
-    cell_sigma_rr: np.ndarray
-    cell_sigma_tt: np.ndarray
     cell_tr_sigma: np.ndarray
     cell_phase: np.ndarray
     tr_sigma_core: float
@@ -110,19 +114,53 @@ class RadialSolution:
     sigma_rr_jump: float
 
 
-def _cell_arrays(config: CoatedSphereConfig, grid: RadialGrid, deltaT: float):
-    """Per-cell geometry and material data (cells never straddle the interface)."""
-    r = np.concatenate([[0.0], grid.nodes])
-    h = np.diff(r)
-    rm = 0.5 * (r[:-1] + r[1:])
-    n_core_cells = grid.interface_index + 1
-    is_core = np.arange(len(h)) < n_core_cells
-    core, coat = config.core, config.coating
-    k = np.where(is_core, core.k, coat.k)
-    mu = np.where(is_core, core.mu, coat.mu)
-    eig = np.where(is_core, core.h, coat.h) * deltaT
-    phase = np.where(is_core, config.core_phase, config.coating_phase)
-    return r, h, rm, k, mu, eig, phase
+def _cell_phase(config: CoatedSphereConfig, grid: RadialGrid) -> np.ndarray:
+    return np.where(grid.core_cells, config.core_phase, config.coating_phase)
+
+
+def _solve_tridiagonal(lower, upper, row_sum, rhs) -> np.ndarray:
+    """Solve a tridiagonal system given by its off-diagonals and row sums.
+
+    Row i reads ``lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]``
+    with ``diag = row_sum - lower - upper``; ``lower[0]`` and ``upper[-1]``
+    must be zero.  Odd-even cyclic reduction (Hockney 1965; Buzbee, Golub
+    and Nielson 1970): each level eliminates the even-indexed unknowns from
+    the odd-indexed rows, halving the system whatever its length, and the
+    way back up recovers them.  The row sums are the matrix applied to a
+    vector of ones, so they are reduced like the right-hand side, and the
+    pivots are formed from them.  On rows with positive off-diagonals and
+    negative row sums no step cancels, so the small row sums of a fine
+    discretization keep their accuracy.  There is no pivoting: a zero pivot
+    yields a non-finite solution, without a floating-point warning, for the
+    caller to reject.
+    """
+    levels = []
+    a, c, s, d = lower, upper, row_sum, rhs
+    with np.errstate(all="ignore"):
+        while len(d) > 1:
+            h, k = len(d) // 2, (len(d) - 1) // 2  # rows kept; kept rows with a right neighbour
+            nb = 1.0 / (a[0::2] + c[0::2] - s[0::2])  # minus the inverse pivots
+            al = a[1::2] * nb[:h]
+            ga = c[1 : 2 * k : 2] * nb[1:]
+            levels.append((a, c, d, nb))
+            left, right = slice(0, 2 * h, 2), slice(2, 2 * k + 1, 2)
+            s2 = s[1::2] + al * s[left]
+            d2 = d[1::2] + al * d[left]
+            s2[:k] += ga * s[right]
+            d2[:k] += ga * d[right]
+            c2 = ga * c[right] if k == h else np.append(ga * c[right], 0.0)
+            a, c, s, d = al * a[left], c2, s2, d2
+        x = d / s
+        for a, c, d, nb in reversed(levels):
+            h, k = len(x), (len(d) - 1) // 2
+            e = -d[0::2]
+            e[1:] += a[2::2] * x[:k]
+            e[:h] += c[0 : 2 * h : 2] * x
+            full = np.empty(len(d))
+            full[0::2] = e * nb
+            full[1::2] = x
+            x = full
+    return x
 
 
 def solve_radial_bvp(
@@ -141,120 +179,78 @@ def solve_radial_bvp(
     The finite-volume balance at node i equates the flux difference of
     r^2 sigma_rr across the two adjacent cell midpoints with the integral of
     2 r sigma_tt over the dual cell, evaluated per half-cell so material
-    jumps at the interface node are respected.  The resulting tridiagonal
-    system is solved directly.
+    jumps at the interface node are respected.  With u(0) = 0 known, the
+    ``grid.n`` nodal displacements solve a tridiagonal system by cyclic
+    reduction.
     """
     if outer == "clamped" and loading.sigma0 != 0.0:
         raise ValueError("clamped outer condition requires sigma0 == 0")
     if outer not in ("traction", "clamped"):
         raise ValueError(f"outer must be 'traction' or 'clamped', got {outer!r}")
 
-    r, h, rm, k, mu, eig, phase = _cell_arrays(config, grid, loading.deltaT)
-    ncell = len(h)
-    nun = ncell + 1  # unknowns: ghost node 0 plus all grid nodes
+    r = np.concatenate(([0.0], grid.nodes))
+    h = np.diff(r)
+    rm = 0.5 * (r[:-1] + r[1:])
 
-    # flux coefficients per cell: F = a_c (u_R - u_L) + b_c (u_L + u_R) - f_c
-    a_c = rm**2 * (k + 4.0 * mu / 3.0) / h
-    b_c = rm * (2.0 * k - 4.0 * mu / 3.0) / 2.0
-    f_c = rm**2 * 3.0 * k * eig
+    # per region: P-wave modulus, Lame lambda, 3k and the thermal stress 3k h deltaT
+    def moduli(p):
+        k3 = 3.0 * p.k
+        return [p.k + 4.0 * p.mu / 3.0, p.k - 2.0 * p.mu / 3.0, k3, k3 * p.h * loading.deltaT]
 
-    # half-cell hoop-stress sources; right half of node i lives in cell i,
-    # left half of node i in cell i-1
-    mR = r[:-1] + 0.25 * h
-    mL = r[1:] - 0.25 * h
-    pR = mR * (k - 2.0 * mu / 3.0)
-    qR = h * (2.0 * k + 2.0 * mu / 3.0) / 4.0
-    gR = 3.0 * mR * h * k * eig
-    pL = mL * (k - 2.0 * mu / 3.0)
-    qL = h * (2.0 * k + 2.0 * mu / 3.0) / 4.0
-    gL = 3.0 * mL * h * k * eig
+    core, coat = (np.array(moduli(p))[:, None] for p in (config.core, config.coating))
+    pwave, lam, k3, s3 = np.where(grid.core_cells, core, coat)
 
-    rhs = np.zeros(nun)
-
-    i = np.arange(1, ncell)  # interior nodes; cell i-1 on the left, i on the right
-    li = a_c[i - 1] - b_c[i - 1] + pL[i - 1] - qL[i - 1]
-    di = (
-        -a_c[i] + b_c[i] - a_c[i - 1] - b_c[i - 1]
-        + pR[i] - 3.0 * qR[i] - pL[i - 1] - 3.0 * qL[i - 1]
-    )
-    ui = a_c[i] + b_c[i] - pR[i] - qR[i]
-    ri = f_c[i] - f_c[i - 1] - gR[i] - gL[i - 1]
-
+    # The flux and half-cell hoop terms of a cell [r0, r1] sum in closed
+    # form: they couple its two nodes by M r0 r1 / h and add -h M to each
+    # node's row sum.  Lambda and the eigenstrain enter only where they
+    # jump, at the interface and the outer surface.  Assembling these sums,
+    # not their O(1/h) parts, keeps the rows free of cancellation.
+    off = pwave * r[:-1] * r[1:] / h
+    hm = h * pwave
+    row_sum = -hm
+    row_sum[:-1] -= hm[1:]
+    rhs = np.zeros(grid.n)
+    i = grid.interface_index
+    row_sum[i] += 2.0 * r[i + 1] * (lam[i + 1] - lam[i])
+    rhs[i] = (s3[i + 1] - s3[i]) * r[i + 1] ** 2
+    upper = np.append(off[1:], 0.0)
     if outer == "clamped":
-        lo_n, di_n, ri_n = 0.0, 1.0, 0.0
+        off[-1], row_sum[-1], rhs[-1] = 0.0, 1.0, 0.0
     else:
-        lo_n = a_c[-1] - b_c[-1] + pL[-1] - qL[-1]
-        di_n = -a_c[-1] - b_c[-1] - pL[-1] - 3.0 * qL[-1]
-        ri_n = -loading.sigma0 - f_c[-1] - gL[-1]
+        row_sum[-1] -= 2.0 * lam[-1]
+        rhs[-1] = -s3[-1] - loading.sigma0
 
-    # banded layout for scipy.linalg.solve_banded with (1, 1);
-    # row 0 is the center regularity condition u(0) = 0
-    ab = np.zeros((3, nun))
-    ab[1, 0] = 1.0
-    ab[1, i] = di
-    ab[0, i + 1] = ui
-    ab[2, i - 1] = li
-    ab[1, -1] = di_n
-    ab[2, -2] = lo_n
-    rhs[i] = ri
-    rhs[-1] = ri_n
-
-    if not np.all(np.isfinite(ab)):
+    if not (np.all(np.isfinite(off)) and np.all(np.isfinite(row_sum))):
         raise SingularSystem("non-finite coefficients in radial system")
-    # imported here so that importing the package does not load scipy
-    from scipy.linalg import solve_banded
-
-    try:
-        u_full = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(u_full)):
+    u = _solve_tridiagonal(off, upper, row_sum, rhs)
+    if not np.all(np.isfinite(u)):
         raise NonConvergent("direct solve returned non-finite displacements")
 
-    # cell-midpoint stresses
-    du = np.diff(u_full) / h
-    ubar = 0.5 * (u_full[:-1] + u_full[1:])
-    sig_rr = (k + 4.0 * mu / 3.0) * du + (2.0 * k - 4.0 * mu / 3.0) * ubar / rm - 3.0 * k * eig
-    sig_tt = (k - 2.0 * mu / 3.0) * du + (2.0 * k + 2.0 * mu / 3.0) * ubar / rm - 3.0 * k * eig
-    tr_sig = sig_rr + 2.0 * sig_tt
+    # cell-midpoint stress trace: 3k (du/dr + 2 u/r - 3 eigenstrain)
+    u0 = np.concatenate(([0.0], u))
+    tr_sig = k3 * (np.diff(u0) / h + (u0[:-1] + u0[1:]) / rm) - 3.0 * s3
 
-    w = np.diff(r**3)  # proportional to cell volumes
-    is_core = np.arange(ncell) <= grid.interface_index
-    tr_core = float(np.sum(tr_sig[is_core] * w[is_core]) / np.sum(w[is_core]))
-    tr_coat = float(np.sum(tr_sig[~is_core] * w[~is_core]) / np.sum(w[~is_core]))
+    w = grid.volume_weights
+    nc = grid.interface_index + 1
+    tr_core = float(tr_sig[:nc] @ w[:nc] / np.sum(w[:nc]))
+    tr_coat = float(tr_sig[nc:] @ w[nc:] / np.sum(w[nc:]))
 
     # one-sided (second-order) radial-traction estimates at the interface;
     # node spacing is uniform within each region by construction
-    idx = grid.interface_index
-    a_r = grid.nodes[idx]
-    j = idx + 1  # index of the interface node in u_full
-    core_cell, coat_cell = idx, idx + 1
-    du_minus = (3.0 * u_full[j] - 4.0 * u_full[j - 1] + u_full[j - 2]) / (
-        2.0 * h[core_cell]
-    )
-    du_plus = (-3.0 * u_full[j] + 4.0 * u_full[j + 1] - u_full[j + 2]) / (
-        2.0 * h[coat_cell]
-    )
-    u_a = u_full[j]
-    srr_minus = (
-        (k[core_cell] + 4.0 * mu[core_cell] / 3.0) * du_minus
-        + (2.0 * k[core_cell] - 4.0 * mu[core_cell] / 3.0) * u_a / a_r
-        - 3.0 * k[core_cell] * eig[core_cell]
-    )
-    srr_plus = (
-        (k[coat_cell] + 4.0 * mu[coat_cell] / 3.0) * du_plus
-        + (2.0 * k[coat_cell] - 4.0 * mu[coat_cell] / 3.0) * u_a / a_r
-        - 3.0 * k[coat_cell] * eig[coat_cell]
+    j = nc  # index of the interface node in u0
+    a_r = r[j]
+    du_minus = (3.0 * u0[j] - 4.0 * u0[j - 1] + u0[j - 2]) / (2.0 * h[j - 1])
+    du_plus = (-3.0 * u0[j] + 4.0 * u0[j + 1] - u0[j + 2]) / (2.0 * h[j])
+    srr_minus, srr_plus = (
+        pwave[c] * du + 2.0 * lam[c] * u0[j] / a_r - s3[c]
+        for c, du in ((j - 1, du_minus), (j, du_plus))
     )
 
     return RadialSolution(
         grid=grid,
-        u=u_full[1:],
-        cell_mid=rm,
-        cell_sigma_rr=sig_rr,
-        cell_sigma_tt=sig_tt,
+        u=u,
         cell_tr_sigma=tr_sig,
-        cell_phase=phase,
+        cell_phase=_cell_phase(config, grid),
         tr_sigma_core=tr_core,
         tr_sigma_coating=tr_coat,
         sigma_rr_jump=float(abs(srr_plus - srr_minus)),
@@ -267,32 +263,18 @@ def sample_analytic_fields(
     """Evaluate the closed-form shell solution on a grid's nodes and cells.
 
     Produces the same structure as :func:`solve_radial_bvp` so the two can
-    be compared directly or fed to :func:`sampled_moment`.
+    be compared directly or fed to :func:`sampled_moment`.  The stress trace
+    is constant in each region; cell i takes the value at its outer node,
+    which lies in the same region (the interface node belongs to the core).
     """
-    r, h, rm, k, mu, eig, phase = _cell_arrays(config, grid, loading.deltaT)
-    u_nodes, _ = evaluate_fields(config, loading, grid.nodes)
-    total = superposed_shell_coefficients(config, loading)
-
-    is_core = np.arange(len(h)) <= grid.interface_index
-    lin = np.where(is_core, total.core_linear, total.coat_linear)
-    inv = np.where(is_core, 0.0, total.coat_inverse_square)
-    sig_rr = 3.0 * k * (lin - eig) - 4.0 * mu * inv / rm**3
-    sig_tt = 3.0 * k * (lin - eig) + 2.0 * mu * inv / rm**3
-    tr_sig = sig_rr + 2.0 * sig_tt
-
-    core_const = 9.0 * config.core.k * (total.core_linear - config.core.h * loading.deltaT)
-    coat_const = 9.0 * config.coating.k * (total.coat_linear - config.coating.h * loading.deltaT)
-
+    u, tr = evaluate_fields(config, loading, grid.nodes)
     return RadialSolution(
         grid=grid,
-        u=u_nodes,
-        cell_mid=rm,
-        cell_sigma_rr=sig_rr,
-        cell_sigma_tt=sig_tt,
-        cell_tr_sigma=tr_sig,
-        cell_phase=phase,
-        tr_sigma_core=float(core_const),
-        tr_sigma_coating=float(coat_const),
+        u=u,
+        cell_tr_sigma=tr,
+        cell_phase=_cell_phase(config, grid),
+        tr_sigma_core=float(tr[grid.interface_index]),
+        tr_sigma_coating=float(tr[-1]),
         sigma_rr_jump=0.0,
     )
 
@@ -320,13 +302,12 @@ def sampled_moment(solution: RadialSolution, phase: int, p: float) -> float:
     independent of p up to quadrature roundoff.
     """
     check_exponent(p, finite=True)
-    r = np.concatenate([[0.0], solution.grid.nodes])
-    w = np.diff(r**3)
     mask = solution.cell_phase == phase
     if not np.any(mask):
         raise ValueError(f"no cells of phase {phase} in solution")
+    w = solution.grid.volume_weights[mask]
     vals = np.abs(solution.cell_tr_sigma[mask]) / SQRT3
-    mean_p = np.sum(vals**p * w[mask]) / np.sum(w[mask])
+    mean_p = np.sum(vals**p * w) / np.sum(w)
     return float(mean_p ** (1.0 / p))
 
 
@@ -338,9 +319,7 @@ def compare_fields(analytic: RadialSolution, numeric: RadialSolution) -> float:
     comparison stays meaningful near zeros of u).  Returns 0 for two zero
     fields.
     """
-    if analytic.grid.n != numeric.grid.n or not np.allclose(
-        analytic.grid.nodes, numeric.grid.nodes, rtol=0, atol=0
-    ):
+    if not np.array_equal(analytic.grid.nodes, numeric.grid.nodes):
         raise ValueError("solutions live on different grids")
     err = 0.0
     for x, y in ((analytic.u, numeric.u), (analytic.cell_tr_sigma, numeric.cell_tr_sigma)):

@@ -8,6 +8,7 @@ results are cross-checked against the dense-scan oracle.
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -509,6 +510,26 @@ class TestRegimeTable:
                 assert table.rows[-1].sigma_hi == math.inf
                 for a, b in zip(table.rows, table.rows[1:]):
                     assert a.sigma_hi == b.sigma_lo
+
+    def test_array_bound_at_picks_rows_like_a_linear_scan(self, rng):
+        def first_row_containing(table, s0):
+            return next(r for r in table.rows if r.sigma_lo <= s0 <= r.sigma_hi)
+
+        for _ in range(10):
+            comp = random_composite(rng)
+            deltaT = float(rng.uniform(-3, 3))
+            for target in ("phase1", "phase2", "max"):
+                table = regime_table(comp, deltaT, target)
+                # at a shared breakpoint both rows contain sigma0; the earlier one is picked
+                s0 = [*rng.uniform(-20, 20, 50).tolist(), *table.breakpoints, -math.inf, math.inf]
+                rows = [first_row_containing(table, s) for s in s0]
+                expected = [row.bound_at(s, table.D) for row, s in zip(rows, s0)]
+                assert [table.row_for(s) for s in s0] == rows
+                assert [table.bound_at(s) for s in s0] == expected
+                assert table.bound_at(np.array(s0)).tolist() == expected
+                for bad in (math.nan, np.array([0.0, math.nan])):
+                    with pytest.raises(ValueError):
+                        table.bound_at(bad)
 
 
 class TestBranchContinuityInLoading:

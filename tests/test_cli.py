@@ -13,8 +13,9 @@ import pytest
 import thermobounds
 from conftest import random_composite
 from thermobounds import Ordering, characteristic_constants, classify_branch, regime_table
-from thermobounds import cli
+from thermobounds import cli, radial_oracle
 from thermobounds.cli import Coded, emit_rows, main
+from test_radial_oracle import zero_pivot_solve
 
 PSTAR = {
     "phase1": {"k": 2.0, "mu": 1.0, "h": 0.0},
@@ -201,9 +202,9 @@ class TestVerify:
                 assert row["status"] == "fail" and row["note"]
         assert run(capsys, "bounds", cfg)[0] == 0
 
-    def test_singular_fv_solve_fails_as_row(self, tmp_path, capsys):
-        # a coating of relative thickness 4e-9 makes the FV matrix singular
-        # for core 2; the oracle row fails instead of raising SingularSystem
+    def test_singular_fv_solve_fails_as_row(self, tmp_path, capsys, monkeypatch):
+        # a coating of relative thickness 4e-9 for core 2: its four FV cells
+        # cannot resolve the field, and the finite residual fails the row
         doc = {
             "phase1": {"k": 0.0463359381764292, "mu": 159699.71756020925, "h": -1.225354603819703},
             "phase2": {"k": 1.4544765086278303e-08, "mu": 0.0006001194232230362,
@@ -211,16 +212,25 @@ class TestVerify:
             "theta1": 1.2050190118228602e-08,
             "loading": {"sigma0": 0.3, "deltaT": 1.0},
         }
-        code, out, err = run(capsys, "verify", write_config(tmp_path, doc))
-        assert code == 1 and err.startswith("FAILED ")
-        rows = parse_csv(out)
-        for core in ("core1", "core2"):
-            assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
-        (oracle,) = [
-            r for r in rows if r["check"] == "oracle-field-agreement" and r["orientation"] == "core2"
-        ]
-        assert oracle["residual"] == "inf" and oracle["status"] == "fail"
-        assert oracle["note"].startswith("no FV solution: ")
+        cfg = write_config(tmp_path, doc)
+
+        def oracle_row(expect_note):
+            code, out, err = run(capsys, "verify", cfg)
+            assert code == 1 and err.startswith("FAILED ")
+            rows = parse_csv(out)
+            for core in ("core1", "core2"):
+                assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
+            (oracle,) = [
+                r for r in rows
+                if r["check"] == "oracle-field-agreement" and r["orientation"] == "core2"
+            ]
+            assert oracle["status"] == "fail" and oracle["note"].startswith(expect_note)
+            return float(oracle["residual"])
+
+        assert 1e-3 < oracle_row("") < 1e-2
+        # a zero pivot in the FV solve fails the row instead of raising
+        monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
+        assert oracle_row("no FV solution: ") == math.inf
 
 
 class TestSweep:
@@ -494,3 +504,52 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, thermobounds.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_runs_without_scipy():
+    src = str(Path(thermobounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys\n"
+        "from thermobounds.cli import main\n"
+        "code = main(['verify', sys.argv[1]])\n"
+        "sys.exit(code or 3 * ('scipy' in sys.modules))"
+    )
+    config = str(Path(__file__).resolve().parent / "golden" / "canonical.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, config], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# The oracle-field-agreement residuals (n = 4096) that verify printed on the
+# golden configs at commit 86f95a9, whose FV oracle assembled the flux and
+# hoop terms separately and solved with scipy's banded LU.  Every row of
+# those four runs passed.
+EARLIER_ORACLE_RESIDUALS = {
+    ("canonical", "core1"): 1.0711458919843148e-07,
+    ("canonical", "core2"): 9.694807194075379e-08,
+    ("relabeled", "core1"): 2.6205671143290815e-07,
+    ("relabeled", "core2"): 4.3809387626738736e-08,
+    ("flat", "core1"): 1.737365806775415e-10,
+    ("flat", "core2"): 1.5589840529628418e-10,
+    ("zero-deltaT", "core1"): 1.0666039678142171e-08,
+    ("zero-deltaT", "core2"): 1.3983207379299398e-08,
+}
+# The float64 roundoff of those residuals, measured against a long-double
+# solve of the same scheme, reached 4.6e-10 (the flat config's field is
+# linear in r, so its residual was that roundoff alone).
+EARLIER_ORACLE_ROUNDOFF = 5e-10
+
+
+@pytest.mark.parametrize("config", ["canonical", "relabeled", "flat", "zero-deltaT"])
+def test_verify_agrees_with_earlier_oracle(capsys, config):
+    path = str(Path(__file__).resolve().parent / "golden" / f"{config}.json")
+    code, out, _ = run(capsys, "verify", path)
+    rows = parse_csv(out)
+    assert code == 0 and len(rows) == 31 and all(r["status"] == "pass" for r in rows)
+    for row in rows:
+        if row["check"] == "oracle-field-agreement":
+            earlier = EARLIER_ORACLE_RESIDUALS[(config, row["orientation"])]
+            difference = abs(float(row["residual"]) - earlier)
+            assert difference <= max(0.01 * earlier, EARLIER_ORACLE_ROUNDOFF)

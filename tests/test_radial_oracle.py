@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +9,65 @@ from thermobounds import (
     CoatedSphereConfig,
     InvalidExponent,
     Loading,
+    NonConvergent,
+    PhaseProperties,
     affine_abs_min,
+    build_composite,
     compare_fields,
     interval_scan_min,
     make_radial_grid,
+    radial_oracle,
     sample_analytic_fields,
     sampled_moment,
     solve_radial_bvp,
     thermal_coefficients,
 )
+from thermobounds.radial_oracle import _solve_tridiagonal
 from test_coated_sphere import homogeneous_config
 
 SQRT3 = math.sqrt(3.0)
 
 CORE1 = CoatedSphereConfig(composite=CANONICAL, core_phase=1)
+# high contrast: phase1 k = mu = 1e6, phase2 k = 1, mu = 1e-6
+HIGH_CONTRAST, _ = build_composite(
+    PhaseProperties(k=1e6, mu=1e6, h=0.0), PhaseProperties(k=1.0, mu=1e-6, h=1.0), 0.5
+)
+
+
+def thomas(lower, diag, upper, rhs):
+    """Reference tridiagonal solve: Gaussian elimination one row at a time."""
+    diag, rhs = list(diag), list(rhs)
+    for i in range(1, len(diag)):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    x = [0.0] * len(diag)
+    for i in reversed(range(len(diag))):
+        x[i] = (rhs[i] - (upper[i] * x[i + 1] if i + 1 < len(diag) else 0.0)) / diag[i]
+    return np.array(x)
+
+
+def dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+def zero_pivot_solve(lower, upper, row_sum, rhs):
+    """The cyclic-reduction solve of the same system with a zero diagonal."""
+    return _solve_tridiagonal(lower, upper, lower + upper, rhs)
+
+
+def fv_systems(config, loading, n):
+    """The tridiagonal systems solve_radial_bvp hands to its solver, and its u."""
+    systems = []
+
+    def record(*args):
+        systems.append(args)
+        return _solve_tridiagonal(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial_oracle, "_solve_tridiagonal", record)
+        sol = solve_radial_bvp(config, loading, make_radial_grid(config, n))
+    return systems, sol.u
 
 
 class TestGrid:
@@ -76,6 +122,21 @@ class TestSolver:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
 
+    @pytest.mark.parametrize("composite", [CANONICAL, HIGH_CONTRAST])
+    def test_second_order_convergence_up_to_65536_nodes(self, composite):
+        loading = Loading(0.3, 1.0)
+        for core in (1, 2):
+            config = CoatedSphereConfig(composite=composite, core_phase=core)
+            errs = []
+            for n in (16384, 32768, 65536):
+                grid = make_radial_grid(config, n)
+                errs.append(compare_fields(
+                    sample_analytic_fields(config, loading, grid),
+                    solve_radial_bvp(config, loading, grid),
+                ))
+            assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
+            assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
+
     def test_clamped_thermal_matches_shell_coefficients(self, rng):
         for _ in range(10):
             comp = random_composite(rng)
@@ -112,6 +173,55 @@ class TestSolver:
             sol = solve_radial_bvp(cfg, loading, grid)
             ana = sample_analytic_fields(cfg, loading, grid)
             assert compare_fields(ana, sol) <= 5e-6
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 4096, 4097])
+    def test_random_dominant_systems_match_references(self, rng, n):
+        for _ in range(3):
+            lower, upper, rhs = rng.normal(size=(3, n))
+            lower[0] = upper[-1] = 0.0
+            diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 1.5, n)
+            diag *= rng.choice([-1.0, 1.0], n)
+            x = _solve_tridiagonal(lower, upper, lower + diag + upper, rhs)
+            ref = thomas(lower, diag, upper, rhs)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+            if n <= 17:
+                np.testing.assert_allclose(dense(lower, diag, upper) @ x, rhs, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(
+                    x, np.linalg.solve(dense(lower, diag, upper), rhs), rtol=1e-12, atol=1e-14
+                )
+
+    @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
+    @pytest.mark.parametrize("composite", [CANONICAL, HIGH_CONTRAST])
+    def test_fv_systems_match_references(self, composite, n):
+        for core in (1, 2):
+            config = CoatedSphereConfig(composite=composite, core_phase=core)
+            (system,), u = fv_systems(config, Loading(0.3, 1.0), n)
+            lower, upper, row_sum, rhs = system
+            diag = row_sum - lower - upper
+            # the FV matrix is ill-conditioned (cond ~ n^2), which bounds
+            # how closely two elimination orders can agree
+            ref = thomas(lower, diag, upper, rhs)
+            assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+            if n <= 17:
+                np.testing.assert_allclose(
+                    u, np.linalg.solve(dense(lower, diag, upper), rhs), rtol=1e-10
+                )
+
+    def test_zero_pivot_gives_nonfinite_solution_without_warning(self):
+        lower, upper = np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _solve_tridiagonal(lower, upper, np.array([1.0, 3.0, 4.0]), np.ones(3))
+        assert not np.all(np.isfinite(x))
+
+    def test_zero_pivot_in_fv_solve_raises_nonconvergent(self, monkeypatch):
+        monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent):
+                solve_radial_bvp(CORE1, CANONICAL_LOADING, make_radial_grid(CORE1, 64))
 
 
 class TestScan:
