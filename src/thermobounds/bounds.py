@@ -7,24 +7,28 @@ of the local hydrostatic stress admit optimal lower bounds of the form
     bound_i = min over t in [lo_i, hi_i] of sqrt(3) * |(sigma0 - D) * t + D|
 
 where ``D`` is a thermal-mismatch stress scale and ``[lo_i, hi_i]`` is the
-interval of values the dimensionless compliance parameter of phase ``i``
-can take over all microstructures with the given volume fractions.  The
-interval endpoints are the four contrast factors ``L1, L2, M1, M2``; which
-pair applies, and in which order, depends on the elastic ordering class.
-The minimum is always achieved either at an interval endpoint, in which
-case a coated-sphere assemblage attains the bound exactly, or at an
-interior zero crossing, in which case the bound is 0.
+interval of values the compliance parameter of phase ``i`` can take over
+all microstructures with the given volume fractions.  Its endpoints are two
+of the contrast factors ``L1, L2, M1, M2``, ordered by the elastic ordering.
 
-Because the attaining local field is constant per phase, the bound value is
-the same for every moment exponent p in (1, inf]; p enters the API only for
-interface symmetry with the moment evaluators and is validated when given.
+The Hashin-Shtrikman coated-sphere assemblages attain the bounds, so each
+endpoint line is the constant mean stress ``t sigma0 + e deltaT`` of one
+coated-sphere region.  Everything here reads these four ``(t, e)`` pairs
+from the composite's endpoint table (``ValidatedComposite.endpoints``),
+whose closed form does not cancel near the bulk-modulus gate:
 
-:func:`bound_arrays` evaluates a bound, its attaining microstructure and
-its regime-table branch over whole arrays of loadings in one numpy pass,
-with the same floating-point operations as the scalar functions, so every
-element equals the scalar result bit for bit.
+* a phase's bound is 0 when its two endpoint stresses differ in sign or
+  either is 0, and otherwise sqrt(3) times the smaller magnitude, attained
+  by the sphere whose region that endpoint is;
+* a regime-table breakpoint is where an endpoint stress vanishes,
+  ``sigma0 = -e deltaT / t``, and a branch's side is that stress's sign.
 
-Everything here is a pure function of immutable inputs.
+``D`` stays where the output prints it (the pivot breakpoint, ``F``, the
+``table`` formulas) and gives the argmin of a zero bound.  The attaining
+field is constant per phase, so the bound is the same for every moment
+exponent p in (1, inf]; p is only validated.  :func:`bound_arrays`
+evaluates the bounds over arrays of loadings in one numpy pass with the
+same floating-point operations as the scalar functions, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,13 +46,7 @@ SQRT3 = math.sqrt(3.0)
 #: Branch identifiers used in regime tables.  ``L``/``M`` name the interval
 #: endpoint family the minimizer sits on; ``left``/``right`` say on which
 #: side of that branch's vanishing point sigma0 lies.
-BRANCH_IDS = (
-    "L-branch-left",
-    "M-branch-left",
-    "Zero",
-    "M-branch-right",
-    "L-branch-right",
-)
+BRANCH_IDS = ("L-branch-left", "M-branch-left", "Zero", "M-branch-right", "L-branch-right")
 
 
 class Endpoint(Enum):
@@ -142,9 +140,10 @@ class BoundResult:
 class RegimeRow:
     """One sigma0 interval of a regime table.
 
-    ``endpoint_value`` is the interval endpoint whose branch applies (None
-    for the Zero branch).  ``sigma_lo``/``sigma_hi`` may be ``-inf``/``inf``;
-    consecutive rows share their breakpoint.
+    ``endpoint_value`` is the factor t of the endpoint whose branch applies
+    and ``endpoint_offset`` its thermal stress ``e * deltaT`` at the table's
+    deltaT (both None for the Zero branch).  ``sigma_lo``/``sigma_hi`` may be
+    ``-inf``/``inf``; consecutive rows share their breakpoint.
     """
 
     sigma_lo: float
@@ -152,23 +151,25 @@ class RegimeRow:
     branch: str
     endpoint_value: float | None
     microstructure: Microstructure
+    endpoint_offset: float | None = None
 
-    def bound_at(self, sigma0: float, D: float) -> float:
-        """Evaluate this row's closed-form bound at sigma0."""
+    def bound_at(self, sigma0: float, D: float | None = None) -> float:
+        """This row's bound ``sqrt(3) |t sigma0 + e deltaT|`` at sigma0.
+
+        ``D`` is ignored; it is accepted so that ``row.bound_at(sigma0, table.D)`` works.
+        """
         if self.branch == "Zero":
             return 0.0
-        return SQRT3 * abs((sigma0 - D) * self.endpoint_value + D)
+        return SQRT3 * abs(self.endpoint_value * sigma0 + self.endpoint_offset)
 
 
 @dataclass(frozen=True)
 class RegimeTable:
     """Piecewise classification of a bound as sigma0 ranges over the reals.
 
-    The table is generated from the minimization itself (breakpoints are the
-    zero-crossing stresses ``D * (1 - 1/t)`` at the interval endpoints, plus
-    ``D`` and, for the max-field target, the branch crossover ``F``), so it
-    agrees pointwise with the direct bound evaluation for every sign
-    combination of the inputs.
+    The breakpoints (see :func:`regime_table`) are where the mean stress
+    ``t sigma0 + e deltaT`` of an endpoint-table line vanishes, the pivot
+    ``D`` and, for the max-field target, the branch crossover ``F``.
     """
 
     target: str
@@ -179,13 +180,13 @@ class RegimeTable:
     def bound_at(self, sigma0):
         """The bound at sigma0, a float or an array of them, row by row."""
         if np.ndim(sigma0) == 0:
-            return self.row_for(sigma0).bound_at(sigma0, self.D)
+            return self.row_for(sigma0).bound_at(sigma0)
         sigma0 = np.asarray(sigma0, dtype=float)
         index = self._row_index(sigma0)
         value = np.zeros(sigma0.shape)
         for i, row in enumerate(self.rows):
             mask = index == i
-            value[mask] = row.bound_at(sigma0[mask], self.D)
+            value[mask] = row.bound_at(sigma0[mask])
         return value
 
     def row_for(self, sigma0: float) -> RegimeRow:
@@ -204,26 +205,12 @@ class RegimeTable:
         return index
 
 
-def _lm_factors(c: ValidatedComposite) -> tuple[float, float, float, float]:
-    """The four contrast factors (L1, L2, M1, M2)."""
-    k1, mu1 = c.phase1.k, c.phase1.mu
-    k2, mu2 = c.phase2.k, c.phase2.mu
-    c1 = 4.0 * mu1 / 3.0
-    c2 = 4.0 * mu2 / 3.0
-    kbar = c.theta1 * k1 + c.theta2 * k2
-    kk = k1 * k2
-    L1 = k1 * (k2 + c2) / (kk + kbar * c2)
-    L2 = k2 * (k1 + c1) / (kk + kbar * c1)
-    M1 = k1 * (k2 + c1) / (kk + kbar * c1)
-    M2 = k2 * (k1 + c2) / (kk + kbar * c2)
-    return L1, L2, M1, M2
-
-
 def thermal_stress_scale(c: ValidatedComposite, deltaT: float) -> float:
     """The thermal-mismatch stress scale D = deltaT * 3 k1 k2 (h2-h1)/(k2-k1).
 
     Vanishes when the expansion coefficients match or deltaT is zero; its
-    sign depends on the signs of deltaT, h2-h1, and k2-k1.
+    sign depends on the signs of deltaT, h2-h1, and k2-k1.  The bounds use
+    it only at ``sigma0 == D`` and for the argmin of a zero bound.
     """
     k1, k2 = c.phase1.k, c.phase2.k
     return deltaT * 3.0 * k1 * k2 * (c.phase2.h - c.phase1.h) / (k2 - k1)
@@ -231,36 +218,32 @@ def thermal_stress_scale(c: ValidatedComposite, deltaT: float) -> float:
 
 def characteristic_constants(c: ValidatedComposite, deltaT: float) -> BoundConstants:
     """Compute (L1, L2, M1, M2, D, F) for a composite and temperature change."""
-    L1, L2, M1, M2 = _lm_factors(c)
+    L1, L2, M1, M2 = (line.t for line in c.endpoints)
     D = thermal_stress_scale(c, deltaT)
-    F = D * (1.0 - 2.0 / (L1 + M2))
-    return BoundConstants(L1=L1, L2=L2, M1=M1, M2=M2, D=D, F=F)
+    return BoundConstants(L1=L1, L2=L2, M1=M1, M2=M2, D=D, F=D * (1.0 - 2.0 / (L1 + M2)))
 
 
 def hs_bulk_moduli(c: ValidatedComposite) -> tuple[float, float]:
     """The two extremal effective bulk moduli (K_minus, K_plus).
 
-    Every microstructure's effective compliance contraction lies between
-    1/K_plus and 1/K_minus; the two coated-sphere assemblages realize the
-    ends (core phase 2 gives K_plus, core phase 1 gives K_minus).  Hashin's
-    modulus of a core fraction f of modulus kc in a coating (kt, mut),
-    K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt + 4 mut)), is written here
-    over a common denominator,
+    The coated-sphere assemblages realize them (core phase 1 gives K_minus,
+    core phase 2 K_plus).  Hashin's modulus of a core fraction f of modulus
+    kc in a coating (kt, mut), K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt +
+    4 mut)), is written here over a common denominator,
 
         K = (3 k1 k2 + 4 mut kbar) / (3 (k1 th2 + k2 th1) + 4 mut),
 
     with kbar = th1 k1 + th2 k2 and mut the coating's shear modulus (mu2
     for K_minus, mu1 for K_plus).  Every term is positive, so nothing
-    cancels at high modulus contrast, and nothing divides by k1 - k2.
+    cancels at high modulus contrast, and the moduli are scaled.
     """
-    k1, mu1 = c.phase1.k, c.phase1.mu
-    k2, mu2 = c.phase2.k, c.phase2.mu
+    E, k1, mu1, k2, mu2 = c.scaled_moduli
     th1, th2 = c.theta1, c.theta2
     kbar = th1 * k1 + th2 * k2
     kdual = 3.0 * (k1 * th2 + k2 * th1)
     K_minus = (3.0 * k1 * k2 + 4.0 * mu2 * kbar) / (kdual + 4.0 * mu2)
     K_plus = (3.0 * k1 * k2 + 4.0 * mu1 * kbar) / (kdual + 4.0 * mu1)
-    return K_minus, K_plus
+    return math.ldexp(K_minus, E), math.ldexp(K_plus, E)
 
 
 def compliance_to_X(compliance: float, c: ValidatedComposite) -> float:
@@ -279,6 +262,13 @@ def compliance_to_Y(compliance: float, c: ValidatedComposite) -> float:
     return (1.0 / c.theta1) * (1.0 / k2 - compliance) / (1.0 / k2 - 1.0 / k1)
 
 
+#: The endpoint symbols (lower, upper) of a phase's compliance interval.
+_INTERVAL_SYMBOLS = {
+    (Ordering.WELL_ORDERED, 1): ("L1", "M1"), (Ordering.NON_WELL_ORDERED, 1): ("M1", "L1"),
+    (Ordering.WELL_ORDERED, 2): ("L2", "M2"), (Ordering.NON_WELL_ORDERED, 2): ("M2", "L2"),
+}
+
+
 def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval:
     """The admissible interval of X (phase 2) or Y (phase 1).
 
@@ -286,16 +276,27 @@ def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval
     [M2, L2], Y in [M1, L1].  The endpoints correspond to the two extremal
     effective bulk moduli via :func:`compliance_to_X`/``_Y``.
     """
-    L1, L2, M1, M2 = _lm_factors(c)
-    well = c.ordering is Ordering.WELL_ORDERED
-    if phase == 2:
-        pairs = ((L2, "L2"), (M2, "M2")) if well else ((M2, "M2"), (L2, "L2"))
-    elif phase == 1:
-        pairs = ((L1, "L1"), (M1, "M1")) if well else ((M1, "M1"), (L1, "L1"))
-    else:
+    if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
-    (lo, lo_sym), (hi, hi_sym) = pairs
-    return ComplianceInterval(lo=lo, hi=hi, phase=phase, lo_symbol=lo_sym, hi_symbol=hi_sym)
+    lo, hi = _INTERVAL_SYMBOLS[c.ordering, phase]
+    return ComplianceInterval(getattr(c.endpoints, lo).t, getattr(c.endpoints, hi).t, phase, lo, hi)
+
+
+def _endpoint_min(lo, hi, v_lo, v_hi, sigma0, D):
+    """(value, argmin, tag) of min sqrt(3)|v| over [lo, hi], v affine in t, v_lo/v_hi at the ends.
+
+    0 and INTERIOR when the end values differ in sign or either is 0, with
+    the zero crossing ``D/(D - sigma0)``, held in the interval, as argmin;
+    else the smaller end (LOWER on a tie).  At ``sigma0 == D`` the objective
+    is the constant sqrt(3)|D|: LOWER, or INTERIOR when D is 0.
+    """
+    if sigma0 == D:
+        return SQRT3 * abs(D), lo, Endpoint.INTERIOR if D == 0.0 else Endpoint.LOWER
+    if (v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0):
+        if abs(v_lo) <= abs(v_hi):
+            return SQRT3 * abs(v_lo), lo, Endpoint.LOWER
+        return SQRT3 * abs(v_hi), hi, Endpoint.UPPER
+    return 0.0, min(max(D / (D - sigma0), lo), hi), Endpoint.INTERIOR
 
 
 def affine_abs_min(
@@ -303,46 +304,58 @@ def affine_abs_min(
 ) -> tuple[float, float, Endpoint]:
     """Minimize sqrt(3)*|(sigma0 - D) t + D| over t in [interval.lo, interval.hi].
 
-    Exact closed form, never a scan.  Returns (value, argmin, endpoint tag).
-    If the zero crossing t* = D/(D - sigma0) lies in the closed interval the
-    minimum is 0 with INTERIOR tag and argmin t*.  When sigma0 == D the
-    objective is the constant sqrt(3)|D|; the lower endpoint is reported as
-    the (arbitrary) minimizer, except that for D == 0 the value is 0 and the
-    tag is INTERIOR to preserve "value 0 iff INTERIOR".
+    The paper's form on a bare interval, by the bounds' sign test.  Returns
+    (value, argmin, endpoint tag).  The bounds evaluate the objective as
+    ``t sigma0 + e deltaT`` from the endpoint table instead, which does not
+    cancel near the bulk-modulus gate.
     """
     lo, hi = interval.lo, interval.hi
-    if sigma0 == D:
-        if D == 0.0:
-            return 0.0, lo, Endpoint.INTERIOR
-        return SQRT3 * abs(D), lo, Endpoint.LOWER
-    t_star = D / (D - sigma0)
-    if lo <= t_star <= hi:
-        return 0.0, t_star, Endpoint.INTERIOR
-    if t_star < lo:
-        t, tag = lo, Endpoint.LOWER
-    else:
-        t, tag = hi, Endpoint.UPPER
-    return SQRT3 * abs((sigma0 - D) * t + D), t, tag
+    return _endpoint_min(lo, hi, (sigma0 - D) * lo + D, (sigma0 - D) * hi + D, sigma0, D)
 
 
-def _endpoint_symbol(interval: ComplianceInterval, tag: Endpoint) -> str:
-    return interval.lo_symbol if tag is Endpoint.LOWER else interval.hi_symbol
+#: Attaining assemblage by endpoint and max-field winner (None for a phase
+#: bound): Li is the core of the sphere with a phase-i core, Mi the coating
+#: (phase i) of the opposite-core sphere.
+_ATTAINING = {
+    (symbol, winner): Microstructure(MicrostructureKind.COATED_SPHERES, core, 3 - core, winner)
+    for symbol, core in (("L1", 1), ("M2", 1), ("L2", 2), ("M1", 2))
+    for winner in (None, 1, 2)
+}
 
 
-def _microstructure_for(symbol: str) -> Microstructure:
-    """Attaining assemblage for an endpoint minimizer.
+def _phase_bound(c: ValidatedComposite, phase: int, sigma0: float, deltaT: float, D: float):
+    """One phase's bound from the endpoint table: (value, argmin, tag, symbol, v).
 
-    An L-family minimizer is attained by the fields inside the core of a
-    coated sphere whose core is that phase; an M-family minimizer by the
-    fields inside the coating of the opposite-core assemblage.  Either way
-    the core phase equals the phase index for L and the other phase for M.
+    ``symbol`` names the attaining endpoint (None when INTERIOR), ``v`` its
+    mean stress ``t sigma0 + e deltaT``.
     """
-    phase = int(symbol[1])
-    other = 3 - phase
-    core = phase if symbol[0] == "L" else other
-    return Microstructure(
-        kind=MicrostructureKind.COATED_SPHERES, core_phase=core, coating_phase=3 - core
-    )
+    s_lo, s_hi = _INTERVAL_SYMBOLS[c.ordering, phase]
+    lo, hi = getattr(c.endpoints, s_lo), getattr(c.endpoints, s_hi)
+    v_lo, v_hi = lo.t * sigma0 + lo.e * deltaT, hi.t * sigma0 + hi.e * deltaT
+    value, argmin, tag = _endpoint_min(lo.t, hi.t, v_lo, v_hi, sigma0, D)
+    if tag is Endpoint.LOWER:
+        return value, argmin, tag, s_lo, v_lo
+    if tag is Endpoint.UPPER:
+        return value, argmin, tag, s_hi, v_hi
+    return value, argmin, tag, None, 0.0
+
+
+def _bound(c: ValidatedComposite, target: str, sigma0: float, deltaT: float):
+    """(BoundResult, attaining symbol or None, its mean stress) for a target."""
+    D = thermal_stress_scale(c, deltaT)
+    if target == "max":
+        r1 = _phase_bound(c, 1, sigma0, deltaT, D)
+        r2 = _phase_bound(c, 2, sigma0, deltaT, D)
+        first = r1[0] > r2[0] or (r1[0] >= r2[0] and abs(r1[1]) >= abs(r2[1]))
+        value, argmin, tag, symbol, v = r1 if first else r2
+        winner = 1 if first else 2
+    elif target in ("phase1", "phase2"):
+        value, argmin, tag, symbol, v = _phase_bound(c, int(target[-1]), sigma0, deltaT, D)
+        winner = None
+    else:
+        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+    micro = UNDETERMINED if symbol is None else _ATTAINING[symbol, winner]
+    return BoundResult(value, argmin, tag, micro), symbol, v
 
 
 def phase_moment_lower_bound(
@@ -357,16 +370,7 @@ def phase_moment_lower_bound(
     """
     if p is not None:
         check_exponent(p)
-    D = thermal_stress_scale(c, loading.deltaT)
-    interval = compliance_interval(c, phase)
-    value, argmin, tag = affine_abs_min(interval, loading.sigma0, D)
-    if tag is Endpoint.INTERIOR:
-        micro = UNDETERMINED
-    else:
-        micro = _microstructure_for(_endpoint_symbol(interval, tag))
-    return BoundResult(
-        value=value, argmin_compliance=argmin, at_endpoint=tag, microstructure=micro
-    )
+    return _bound(c, f"phase{phase}", loading.sigma0, loading.deltaT)[0]
 
 
 def max_field_lower_bound(
@@ -382,35 +386,7 @@ def max_field_lower_bound(
     """
     if p is not None:
         check_exponent(p)
-    r1 = phase_moment_lower_bound(c, loading, 1)
-    r2 = phase_moment_lower_bound(c, loading, 2)
-    if r1.value > r2.value:
-        winner, phase = r1, 1
-    elif r2.value > r1.value:
-        winner, phase = r2, 2
-    elif abs(r1.argmin_compliance) >= abs(r2.argmin_compliance):
-        winner, phase = r1, 1
-    else:
-        winner, phase = r2, 2
-    if winner.at_endpoint is Endpoint.INTERIOR or winner.value == 0.0:
-        return BoundResult(
-            value=winner.value,
-            argmin_compliance=winner.argmin_compliance,
-            at_endpoint=Endpoint.INTERIOR,
-            microstructure=UNDETERMINED,
-        )
-    micro = Microstructure(
-        kind=winner.microstructure.kind,
-        core_phase=winner.microstructure.core_phase,
-        coating_phase=winner.microstructure.coating_phase,
-        max_attaining_phase=phase,
-    )
-    return BoundResult(
-        value=winner.value,
-        argmin_compliance=winner.argmin_compliance,
-        at_endpoint=winner.at_endpoint,
-        microstructure=micro,
-    )
+    return _bound(c, "max", loading.sigma0, loading.deltaT)[0]
 
 
 def classify_branch(
@@ -421,26 +397,17 @@ def classify_branch(
     ``target`` is one of ``"phase1"``, ``"phase2"``, ``"max"``.  The branch
     id combines the minimizing endpoint family (L or M, for the winning
     phase when target is "max") with the side of that branch's vanishing
-    stress sigma0 falls on; a zero bound is the "Zero" branch.
+    stress sigma0 falls on: the sign of the endpoint's mean stress, as every
+    t is positive.  A zero bound is the "Zero" branch.
     """
-    loading = Loading(sigma0=sigma0, deltaT=deltaT)
-    D = thermal_stress_scale(c, deltaT)
-    if target == "max":
-        result = max_field_lower_bound(c, loading)
-        if result.at_endpoint is Endpoint.INTERIOR:
-            return result, "Zero"
-        interval = compliance_interval(c, result.microstructure.max_attaining_phase)
-    elif target in ("phase1", "phase2"):
-        result = phase_moment_lower_bound(c, loading, int(target[-1]))
-        if result.at_endpoint is Endpoint.INTERIOR:
-            return result, "Zero"
-        interval = compliance_interval(c, int(target[-1]))
-    else:
-        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
-    symbol = _endpoint_symbol(interval, result.at_endpoint)
-    vanish = D * (1.0 - 1.0 / result.argmin_compliance)
-    side = "left" if sigma0 < vanish else "right"
-    return result, f"{symbol[0]}-branch-{side}"
+    result, symbol, v = _bound(c, target, sigma0, deltaT)
+    return result, _branch_name(symbol, v)
+
+
+def _branch_name(symbol: str | None, v: float) -> str:
+    if symbol is None:
+        return "Zero"
+    return f"{symbol[0]}-branch-{'left' if v < 0.0 else 'right'}"
 
 
 #: Endpoint tags by their codes in :attr:`BoundArrays.endpoint`.
@@ -453,16 +420,12 @@ _BRANCH_CODE = {name: i for i, name in enumerate(BRANCH_IDS)}
 class BoundArrays:
     """A bound over arrays of loadings, as computed by :func:`bound_arrays`.
 
-    Every field has the broadcast shape of the loadings, and element ``i``
-    holds what the scalar functions give at loading ``i``:
-
-    * ``value``, ``argmin``: ``BoundResult.value``/``argmin_compliance``;
-    * ``endpoint``: index into :data:`ENDPOINT_CODES` (``at_endpoint``);
-    * ``phase``: the phase bounded, for the max-field target the winning
-      phase (``max_attaining_phase`` where the endpoint is not INTERIOR);
-    * ``core``: core phase of the attaining coated-sphere assemblage, 0
-      where the microstructure is undetermined;
-    * ``branch``: index into :data:`BRANCH_IDS`, as :func:`classify_branch`.
+    Element ``i`` of each field holds what the scalar functions give at
+    loading ``i``: ``value`` and ``argmin`` (``argmin_compliance``),
+    ``endpoint`` (index into :data:`ENDPOINT_CODES`), ``phase`` (the phase
+    bounded, or for the max-field target the winning phase), ``core`` (core
+    phase of the attaining assemblage, 0 where undetermined) and ``branch``
+    (index into :data:`BRANCH_IDS`).
     """
 
     value: np.ndarray
@@ -473,35 +436,28 @@ class BoundArrays:
     branch: np.ndarray
 
 
-def _phase_arrays(c: ValidatedComposite, phase: int, sigma0: np.ndarray, D: np.ndarray):
-    """(value, argmin, endpoint, core) of one phase's bound, elementwise.
+def _phase_arrays(c: ValidatedComposite, phase: int, sigma0, deltaT, D, crossing, flat):
+    """(value, argmin, interior, lower, v) of one phase's bound, as :func:`_phase_bound`.
 
-    The operations and their order are those of :func:`affine_abs_min` and
-    :func:`phase_moment_lower_bound`.  Where ``sigma0 == D``,
-    ``t* = D/(D - sigma0)`` is inf or nan, so it lies in no interval, and the
-    lower endpoint is taken as the scalar path does.
+    ``lower`` tells which end attains it and ``v`` is that end's mean stress.
+    ``crossing`` is ``D/(D - sigma0)`` and ``flat`` where ``sigma0 == D``.
     """
-    interval = compliance_interval(c, phase)
-    lo, hi = interval.lo, interval.hi
-    t_star = D / (D - sigma0)
-    flat = sigma0 == D
-    inside = (lo <= t_star) & (t_star <= hi)
-    lower = (t_star < lo) | flat
-    t = np.where(lower, lo, hi)
-    interior = inside | (flat & (D == 0.0))
-    value = np.where(interior, 0.0, SQRT3 * np.abs((sigma0 - D) * t + D))
-    argmin = np.where(inside, t_star, t)
-    endpoint = np.where(interior, _INTERIOR, np.where(lower, _LOWER, _UPPER))
-    core = np.where(
-        interior,
-        0,
-        np.where(
-            lower,
-            _microstructure_for(interval.lo_symbol).core_phase,
-            _microstructure_for(interval.hi_symbol).core_phase,
-        ),
+    lo, hi = (getattr(c.endpoints, s) for s in _INTERVAL_SYMBOLS[c.ordering, phase])
+    v_lo = lo.t * sigma0 + lo.e * deltaT
+    v_hi = hi.t * sigma0 + hi.e * deltaT
+    a_lo, a_hi = np.abs(v_lo), np.abs(v_hi)
+    lower = a_lo <= a_hi
+    interior = v_lo * np.sign(v_hi) <= 0.0  # the ends differ in sign, or one is 0
+    value = SQRT3 * np.where(interior, 0.0, np.minimum(a_lo, a_hi))
+    argmin = np.where(
+        interior, np.minimum(np.maximum(crossing, lo.t), hi.t), np.where(lower, lo.t, hi.t)
     )
-    return value, argmin, endpoint, core
+    v = np.where(lower, v_lo, v_hi)
+    if flat.any():
+        lower, v, argmin = lower | flat, np.where(flat, v_lo, v), np.where(flat, lo.t, argmin)
+        interior = np.where(flat, D == 0.0, interior)
+        value = np.where(flat, SQRT3 * np.abs(D), value)
+    return value, argmin, interior, lower, v
 
 
 def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArrays:
@@ -511,91 +467,74 @@ def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArr
     element the result equals, bit for bit, :func:`phase_moment_lower_bound`
     or :func:`max_field_lower_bound` together with :func:`classify_branch`
     at ``Loading(sigma0, deltaT)``, including the max-field tie rule, but
-    each per-phase minimization runs once over the whole array.
+    each per-phase bound runs once over the whole array.
     """
     sigma0, deltaT = np.broadcast_arrays(
         np.asarray(sigma0, dtype=float), np.asarray(deltaT, dtype=float)
     )
     D = thermal_stress_scale(c, deltaT)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if target == "max":
-            v1, a1, e1, c1 = _phase_arrays(c, 1, sigma0, D)
-            v2, a2, e2, c2 = _phase_arrays(c, 2, sigma0, D)
-            first = (v1 > v2) | ((v1 >= v2) & (np.abs(a1) >= np.abs(a2)))
-            value = np.where(first, v1, v2)
-            argmin = np.where(first, a1, a2)
-            phase = np.where(first, 1, 2)
-            endpoint = np.where(first, e1, e2)
-            zero = (endpoint == _INTERIOR) | (value == 0.0)
-            endpoint = np.where(zero, _INTERIOR, endpoint)
-            core = np.where(zero, 0, np.where(first, c1, c2))
-        elif target in ("phase1", "phase2"):
-            index = int(target[-1])
-            value, argmin, endpoint, core = _phase_arrays(c, index, sigma0, D)
-            phase = np.full(sigma0.shape, index)
-        else:
-            raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
-        # an L-family endpoint has the bounded phase as its core
-        family_l = core == phase
-        left = sigma0 < D * (1.0 - 1.0 / argmin)
+        args = (sigma0, deltaT, D, D / (D - sigma0), sigma0 == D)
+    if target == "max":
+        r1 = _phase_arrays(c, 1, *args)
+        r2 = _phase_arrays(c, 2, *args)
+        first = (r1[0] > r2[0]) | ((r1[0] >= r2[0]) & (np.abs(r1[1]) >= np.abs(r2[1])))
+        value, argmin, interior, lower, stress = (np.where(first, *r) for r in zip(r1, r2))
+        phase = np.where(first, 1, 2)
+    elif target in ("phase1", "phase2"):
+        value, argmin, interior, lower, stress = _phase_arrays(c, int(target[-1]), *args)
+        phase = np.full(sigma0.shape, int(target[-1]))
+    else:
+        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+    # the lower end is L-family when well-ordered; an L endpoint's core is the bounded phase
+    family_l = lower if c.ordering is Ordering.WELL_ORDERED else ~lower
+    core = np.where(interior, 0, np.where(family_l, phase, 3 - phase))
     branch = np.where(
-        left,
+        stress < 0.0,
         np.where(family_l, _BRANCH_CODE["L-branch-left"], _BRANCH_CODE["M-branch-left"]),
         np.where(family_l, _BRANCH_CODE["L-branch-right"], _BRANCH_CODE["M-branch-right"]),
     )
-    branch = np.where(endpoint == _INTERIOR, _BRANCH_CODE["Zero"], branch)
     return BoundArrays(
-        value=value, argmin=argmin, endpoint=endpoint, phase=phase, core=core, branch=branch
+        value=value,
+        argmin=argmin,
+        endpoint=np.where(interior, _INTERIOR, np.where(lower, _LOWER, _UPPER)),
+        phase=phase,
+        core=core,
+        branch=np.where(interior, _BRANCH_CODE["Zero"], branch),
     )
 
 
 def _representatives(breakpoints: list[float]) -> list[float]:
     """One generic sigma0 per open region between consecutive breakpoints."""
-    reps = [breakpoints[0] - (1.0 + 0.5 * abs(breakpoints[0]))]
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        reps.append(0.5 * (a + b))
-    reps.append(breakpoints[-1] + (1.0 + 0.5 * abs(breakpoints[-1])))
-    return reps
+    inner = [0.5 * (a + b) for a, b in zip(breakpoints, breakpoints[1:])]
+    first, last = breakpoints[0], breakpoints[-1]
+    return [first - (1.0 + 0.5 * abs(first)), *inner, last + (1.0 + 0.5 * abs(last))]
 
 
 def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTable:
     """Build the sigma0-regime table for a per-phase or max-field bound.
 
-    Breakpoints come from the minimization itself: the vanishing stresses
-    ``D (1 - 1/t)`` of the two interval endpoints plus ``D`` for per-phase
-    targets, and ``{D, F}`` for the max-field target.  With ``D == 0`` the
-    table collapses to two rays meeting at 0.  Each region's branch and
-    microstructure are classified by evaluating the bound at a point inside,
-    so the table agrees with the direct minimization for every sign
-    combination of ordering, ``h2 - h1``, and ``deltaT``.
+    Breakpoints: the vanishing stresses ``-e deltaT / t`` of the two
+    interval endpoints plus the pivot ``D`` for per-phase targets, and
+    ``{D, F}`` for the max-field target; with ``D == 0``, two rays meeting
+    at 0.  Each row is classified by the bound at a point inside it, so the
+    table agrees with the direct bound for every sign combination.
     """
     consts = characteristic_constants(c, deltaT)
     D = consts.D
     if target == "max":
         bps = [0.0] if D == 0.0 else sorted((D, consts.F))
     elif target in ("phase1", "phase2"):
-        interval = compliance_interval(c, int(target[-1]))
-        if D == 0.0:
-            bps = [0.0]
-        else:
-            bps = sorted(
-                (D, D * (1.0 - 1.0 / interval.lo), D * (1.0 - 1.0 / interval.hi))
-            )
+        lines = [getattr(c.endpoints, s) for s in _INTERVAL_SYMBOLS[c.ordering, int(target[-1])]]
+        bps = [0.0] if D == 0.0 else sorted((D, *(-ln.e * deltaT / ln.t for ln in lines)))
     else:
         raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
 
     edges = [-math.inf, *bps, math.inf]
     rows = []
     for rep, lo, hi in zip(_representatives(bps), edges[:-1], edges[1:]):
-        result, branch = classify_branch(c, deltaT, target, rep)
-        endpoint = None if branch == "Zero" else result.argmin_compliance
-        rows.append(
-            RegimeRow(
-                sigma_lo=lo,
-                sigma_hi=hi,
-                branch=branch,
-                endpoint_value=endpoint,
-                microstructure=result.microstructure,
-            )
-        )
+        result, symbol, v = _bound(c, target, rep, deltaT)
+        line = getattr(c.endpoints, symbol) if symbol else None
+        t, offset = (line.t, line.e * deltaT) if line else (None, None)
+        rows.append(RegimeRow(lo, hi, _branch_name(symbol, v), t, result.microstructure, offset))
     return RegimeTable(target=target, D=D, breakpoints=tuple(bps), rows=tuple(rows))

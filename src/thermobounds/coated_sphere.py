@@ -1,47 +1,37 @@
 """Exact local fields inside a coated-sphere assemblage.
 
 A coated sphere is a core of one phase (radius ``a``) inside a concentric
-coating of the other phase (outer radius ``b = 1``), with ``a^3`` equal to
-the core phase's volume fraction.  Filling space with scaled copies of this
-prototype yields an assemblage whose per-phase fields equal those of the
-single prototype, so one sphere suffices for every reported quantity.
+coating of the other phase (outer radius 1), with ``a^3`` the core phase's
+volume fraction; scaled copies of it fill space with the same fields.
 
-The radially symmetric displacement is ``u = g*r`` in the core and
-``u = A*r + B/r^2`` in the coating.  Two sub-problems are solved on the
-prototype:
+The hydrostatic stress is constant in each region, and these constants are
+the bound's endpoints, which is how the assemblages attain the bounds: a
+region's stress trace is ``3 (t sigma0 + e deltaT)`` with its line of the
+composite's endpoint table, L1 (core) and M2 (coating) for a phase-1 core,
+L2 and M1 for a phase-2 core.  :func:`local_field_constants` and
+:func:`phase_moment` read it there.
 
-* thermal: eigenstrain ``h_i * I`` per phase at unit temperature change,
-  displacement clamped at the outer surface (``u(b) = 0``); the outer
-  radial traction of this solution is the effective thermal stress scalar
-  ``H*`` per unit temperature change.
-* mechanical: no eigenstrain, prescribed outer radial traction.
-
-The composite loaded by macroscopic stress ``sigma0 * I`` and temperature
-change ``deltaT`` carries the superposition of the deltaT-scaled thermal
-solution (average stress ``H* deltaT * I``) and the mechanical solution at
-outer traction ``sigma0 - H* deltaT`` (average stress makes up the rest),
-so the total average stress is exactly ``sigma0 * I``.  Equivalently, the
-total field solves the eigenstrain problem with outer traction ``sigma0``.
-
-The hydrostatic part of the stress is constant in each phase (the ``B/r^2``
-displacement term is trace-free in strain), which is what lets these
-configurations attain the moment bounds with equality.
-
-Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
-:func:`mechanical_coefficients`).  The 3x3 interface system they solve is
-kept in ``_solve_shell`` as an independent route, which ``thermobounds
-verify`` compares with the closed forms.
+The displacement, ``u = g r`` in the core and ``u = A r + B/r^2`` in the
+coating, superposes the clamped thermal solution at unit deltaT
+(:func:`thermal_coefficients`; its outer traction is ``H*``) times deltaT
+and the eigenstrain-free one at outer traction ``sigma0 - H* deltaT``
+(:func:`mechanical_coefficients`).  These closed forms give u(r), the
+effective constants and traces independent of the table
+(:func:`superposed_traces`), which ``verify`` and the finite-volume
+comparison check it against.  ``_solve_shell`` is verify's independent
+route to the closed forms: the 3x3 interface system.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import SQRT3, hs_bulk_moduli
 from .errors import ConsistencyFailure, SingularInterfaceSystem
-from .materials import Loading, PhaseProperties, ValidatedComposite, check_exponent
+from .materials import EndpointLine, Loading, PhaseProperties, ValidatedComposite, check_exponent
 
 #: Relative tolerance for the internal dual-computation consistency checks.
 CONSISTENCY_RTOL = 1e-12
@@ -62,32 +52,15 @@ class CoatedSphereConfig:
     def __post_init__(self):
         if self.core_phase not in (1, 2):
             raise ValueError(f"core_phase must be 1 or 2, got {self.core_phase}")
-
-    @property
-    def coating_phase(self) -> int:
-        return 3 - self.core_phase
-
-    @property
-    def core_fraction(self) -> float:
-        """Volume fraction of the core phase, equal to a^3."""
-        return self.composite.volume_fraction(self.core_phase)
-
-    @property
-    def coating_fraction(self) -> float:
-        """Volume fraction of the coating phase, equal to 1 - a^3.
-
-        Read from the composite rather than formed as 1 - a^3, so that the
-        closed forms use the same fractions as :func:`bounds.hs_bulk_moduli`.
-        """
-        return self.composite.volume_fraction(self.coating_phase)
-
-    @property
-    def core(self) -> PhaseProperties:
-        return self.composite.phase(self.core_phase)
-
-    @property
-    def coating(self) -> PhaseProperties:
-        return self.composite.phase(self.coating_phase)
+        # set once, as the closed forms read them often; the coating fraction
+        # is the composite's own, not 1 - a^3, as in bounds.hs_bulk_moduli
+        comp, first = self.composite, self.core_phase == 1
+        set_ = object.__setattr__
+        set_(self, "coating_phase", 2 if first else 1)
+        set_(self, "core", comp.phase1 if first else comp.phase2)
+        set_(self, "coating", comp.phase2 if first else comp.phase1)
+        set_(self, "core_fraction", comp.theta1 if first else comp.theta2)  # a^3
+        set_(self, "coating_fraction", comp.theta2 if first else comp.theta1)
 
     def core_radius(self) -> float:
         return self.core_fraction ** (1.0 / 3.0)
@@ -134,23 +107,13 @@ class EffectiveProperties:
     compliance_contraction: float
 
 
-def _solve_shell(
-    config: CoatedSphereConfig,
-    eigen_on: bool,
-    outer: str,
-    traction: float = 0.0,
-) -> ShellCoefficients:
-    """Solve the 3x3 interface/boundary system for (g, A, B).
+def _shell_system(
+    config: CoatedSphereConfig, eigen_on: bool, outer: str, traction: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of the 3x3 interface/boundary system for (g, A, B).
 
-    This is the independent route to the closed forms of
-    :func:`thermal_coefficients` and :func:`mechanical_coefficients`;
-    only the ``verify`` command uses it.  Rows: displacement continuity at
-    r=a, radial traction continuity at r=a, and the outer condition (clamped
-    displacement or prescribed traction).  The eigenstrain (at unit
-    temperature change) enters only the traction rows.  Raises
-    SingularInterfaceSystem if the system is degenerate or its solution is
-    not finite, which happens only when a core fraction near the smallest
-    float makes 1/a^3 overflow.
+    Rows: displacement and radial traction continuity at r=a, and the outer
+    condition.  The unit-deltaT eigenstrain enters only the traction rows.
     """
     a = np.float64(config.core_radius())
     core, coat = config.core, config.coating
@@ -174,9 +137,27 @@ def _solve_shell(
         rhs[2] = traction + 3.0 * coat.k * ht
     else:
         raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
+    return mat, rhs
 
+
+def _solve_shell(
+    config: CoatedSphereConfig,
+    eigen_on: bool,
+    outer: str,
+    traction: float = 0.0,
+) -> ShellCoefficients:
+    """Solve the 3x3 system of :func:`_shell_system` for (g, A, B).
+
+    The independent route to :func:`thermal_coefficients` and
+    :func:`mechanical_coefficients`, which only ``verify`` uses.  Raises
+    SingularInterfaceSystem if the system is not finite, as when a core
+    fraction near the smallest float makes 1/a^3 overflow.
+    """
+    mat, rhs = _shell_system(config, eigen_on, outer, traction)
     if not np.all(np.isfinite(mat)):
-        raise SingularInterfaceSystem(f"interface system overflows at core radius {float(a)!r}")
+        raise SingularInterfaceSystem(
+            f"interface system overflows at core radius {config.core_radius()!r}"
+        )
     try:
         g, A, B = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded, unreachable
@@ -214,10 +195,8 @@ def thermal_coefficients(config: CoatedSphereConfig) -> ShellCoefficients:
     f, c = config.core_fraction, config.coating_fraction
     den = _thermal_denominator(core, coat, f, c)
     mismatch = coat.k * coat.h - core.k * core.h
-    A = 3.0 * f * mismatch / den
-    return ShellCoefficients(
-        core_linear=-3.0 * c * mismatch / den, coat_linear=A, coat_inverse_square=-A
-    )
+    A, g = 3.0 * f * mismatch / den, -3.0 * c * mismatch / den
+    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=-A)
 
 
 def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellCoefficients:
@@ -230,18 +209,18 @@ def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellC
         A = s (3 kc + 4 mut) / den
         B = 3 s f (kt - kc) / den
 
-    Every term of ``den`` is positive, so nothing cancels.  The coating
-    fraction 1 - f is the composite's own (``coating_fraction``).
+    Every term of ``den`` is positive, and the moduli are scaled
+    (``ValidatedComposite.scaled_moduli``), so it neither cancels nor
+    overflows.  The coating fraction 1 - f is the composite's own.
     """
-    kc = config.core.k
-    coat = config.coating
-    kt, mut = coat.k, coat.mu
+    E, k1, mu1, k2, mu2 = config.composite.scaled_moduli
+    kc, kt, mut = (k1, k2, mu2) if config.core_phase == 1 else (k2, k1, mu1)
     f, c = config.core_fraction, config.coating_fraction
     den = 9.0 * kt * kc + 12.0 * mut * (kt * c + kc * f)
     return ShellCoefficients(
-        core_linear=sigma0 * (3.0 * kt + 4.0 * mut) / den,
-        coat_linear=sigma0 * (3.0 * kc + 4.0 * mut) / den,
-        coat_inverse_square=3.0 * sigma0 * f * (kt - kc) / den,
+        core_linear=math.ldexp(sigma0 * (3.0 * kt + 4.0 * mut) / den, -E),
+        coat_linear=math.ldexp(sigma0 * (3.0 * kc + 4.0 * mut) / den, -E),
+        coat_inverse_square=math.ldexp(3.0 * sigma0 * f * (kt - kc) / den, -E),
     )
 
 
@@ -249,12 +228,10 @@ def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, 
     """The two independent evaluations of H* (per unit temperature change).
 
     Route one is the radial traction of the thermal solution at the outer
-    surface; route two is the volume average of the stress (the trace-free
-    part of the coating strain integrates to zero over the shell, so only
-    the linear coefficients enter).  The core's strain g - hc is taken in
-    its cancellation-free form (-3 c kt ht - hc (3 kt f + 4 mut)) / den,
-    with c the coating fraction: g is close to hc when the core is much
-    stiffer than the coating, and their difference would cancel.
+    surface; route two is the volume average of the stress, in which only the
+    linear coefficients enter.  The core's strain g - hc, which cancels for a
+    core much stiffer than its coating, is taken as
+    (-3 c kt ht - hc (3 kt f + 4 mut)) / den with c the coating fraction.
     """
     coeff = thermal_coefficients(config)
     core, coat = config.core, config.coating
@@ -341,23 +318,39 @@ def superposed_shell_coefficients(
     )
 
 
+def _region_lines(config: CoatedSphereConfig) -> tuple[EndpointLine, EndpointLine]:
+    """The endpoint-table lines of the core and of the coating."""
+    table = config.composite.endpoints
+    return (table.L1, table.M2) if config.core_phase == 1 else (table.L2, table.M1)
+
+
 def local_field_constants(
     config: CoatedSphereConfig, loading: Loading
 ) -> LocalFieldConstants:
     """Per-phase trace of stress and hydrostatic magnitude under loading.
 
-    The trace is constant in each region: tr sigma = 9 k (e - h deltaT)
-    where e is the region's linear displacement coefficient.
+    The trace is constant in each region, ``3 (t sigma0 + e deltaT)`` with
+    the region's line of the endpoint table: L1 in the core and M2 in the
+    coating when phase 1 is the core, L2 and M1 when phase 2 is.
+    """
+    s0, dT = loading.sigma0, loading.deltaT
+    core, coat = _region_lines(config)
+    tr_core = 3.0 * (core.t * s0 + core.e * dT)
+    tr_coat = 3.0 * (coat.t * s0 + coat.e * dT)
+    return LocalFieldConstants(tr_core, tr_coat, abs(tr_core) / SQRT3, abs(tr_coat) / SQRT3)
+
+
+def superposed_traces(config: CoatedSphereConfig, loading: Loading) -> tuple[float, float]:
+    """Stress traces (core, coating) ``9 k (e - h deltaT)`` by the superposition route.
+
+    ``e`` is the linear coefficient of :func:`superposed_shell_coefficients`,
+    so this route is independent of the endpoint table.
     """
     total = superposed_shell_coefficients(config, loading)
     core, coat = config.core, config.coating
-    tr_core = 9.0 * core.k * (total.core_linear - core.h * loading.deltaT)
-    tr_coat = 9.0 * coat.k * (total.coat_linear - coat.h * loading.deltaT)
-    return LocalFieldConstants(
-        tr_sigma_core=tr_core,
-        tr_sigma_coating=tr_coat,
-        hydro_norm_core=abs(tr_core) / SQRT3,
-        hydro_norm_coating=abs(tr_coat) / SQRT3,
+    return (
+        9.0 * core.k * (total.core_linear - core.h * loading.deltaT),
+        9.0 * coat.k * (total.coat_linear - coat.h * loading.deltaT),
     )
 
 
@@ -371,22 +364,16 @@ def phase_moment(
     maximum).
     """
     check_exponent(p)
-    fields = local_field_constants(config, loading)
-    if phase == config.core_phase:
-        return fields.hydro_norm_core
-    if phase == config.coating_phase:
-        return fields.hydro_norm_coating
-    raise ValueError(f"phase must be 1 or 2, got {phase}")
+    if phase not in (1, 2):
+        raise ValueError(f"phase must be 1 or 2, got {phase}")
+    line = _region_lines(config)[phase != config.core_phase]
+    return SQRT3 * abs(line.t * loading.sigma0 + line.e * loading.deltaT)
 
 
 def effective_properties(config: CoatedSphereConfig) -> EffectiveProperties:
     """Bundle of effective constants (bulk modulus, thermal stress, compliance)."""
     K = effective_bulk_modulus(config)
-    return EffectiveProperties(
-        K_effective=K,
-        H_effective_scalar=effective_thermal_stress(config),
-        compliance_contraction=1.0 / K,
-    )
+    return EffectiveProperties(K, effective_thermal_stress(config), 1.0 / K)
 
 
 def verify_exact_relation(config: CoatedSphereConfig) -> float:
@@ -433,23 +420,14 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
     props = effective_properties(config)
     fields = local_field_constants(config, loading)
 
-    tr_phase2 = (
-        fields.tr_sigma_core
-        if config.core_phase == 2
-        else fields.tr_sigma_coating
-    )
+    tr_phase2 = fields.tr_sigma_core if config.core_phase == 2 else fields.tr_sigma_coating
     lhs = comp.theta2 * tr_phase2
 
     s0, dT = loading.sigma0, loading.deltaT
     rh_contraction = props.H_effective_scalar * props.compliance_contraction
     lam = 3.0 * (comp.theta1 * h1 + comp.theta2 * h2)
     prefac = 3.0 * k2 / (k2 - k1)
-    terms = (
-        s0,
-        -k1 * s0 * props.compliance_contraction,
-        k1 * dT * rh_contraction,
-        k1 * dT * lam,
-    )
+    terms = (s0, -k1 * s0 * props.compliance_contraction, k1 * dT * rh_contraction, k1 * dT * lam)
     rhs = prefac * sum(terms)
     scale = max(abs(lhs), abs(rhs), abs(prefac) * sum(abs(t) for t in terms))
     return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
@@ -513,17 +491,10 @@ def evaluate_fields(
     """
     r = np.asarray(r, dtype=float)
     total = superposed_shell_coefficients(config, loading)
-    a = config.core_radius()
-    core, coat = config.core, config.coating
-    dT = loading.deltaT
-
-    in_core = r <= a
+    in_core = r <= config.core_radius()
     u = np.where(
         in_core,
         total.core_linear * r,
         total.coat_linear * r + total.coat_inverse_square / np.where(in_core, 1.0, r) ** 2,
     )
-    tr_core = 9.0 * core.k * (total.core_linear - core.h * dT)
-    tr_coat = 9.0 * coat.k * (total.coat_linear - coat.h * dT)
-    tr = np.where(in_core, tr_core, tr_coat)
-    return u, tr
+    return u, np.where(in_core, *superposed_traces(config, loading))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     EqualBulkModuli,
@@ -81,6 +82,22 @@ class Loading:
             raise ValueError(f"deltaT must be finite, got {self.deltaT}")
 
 
+class EndpointLine(NamedTuple):
+    """A bound endpoint: the mean stress ``t sigma0 + e deltaT`` of a coated-sphere region."""
+
+    t: float
+    e: float
+
+
+class EndpointTable(NamedTuple):
+    """The four endpoint lines, in the closed forms of :func:`_endpoint_table`."""
+
+    L1: EndpointLine
+    L2: EndpointLine
+    M1: EndpointLine
+    M2: EndpointLine
+
+
 @dataclass(frozen=True)
 class ValidatedComposite:
     """A composite that passed :func:`build_composite`.
@@ -88,6 +105,13 @@ class ValidatedComposite:
     Carries the ordering classification alongside the raw fields.  All
     downstream operations take a ``ValidatedComposite`` and may assume
     ``mu1 > mu2``, ``k1 != k2``, and ``0 < theta1 < 1``.
+
+    Construction adds ``endpoints``, the endpoint table that the bounds and
+    the coated-sphere fields read (:func:`_endpoint_table`), and
+    ``scaled_moduli``, ``(E, k1, mu1, k2, mu2)`` with the moduli times
+    ``2**-E``.  Closed forms that multiply moduli take those and scale back
+    with :func:`math.ldexp`: powers of two scale exactly, so ordinary inputs
+    keep every bit, and no product of moduli overflows.
     """
 
     phase1: PhaseProperties
@@ -110,6 +134,52 @@ class ValidatedComposite:
         if index == 2:
             return self.theta2
         raise ValueError(f"phase index must be 1 or 2, got {index}")
+
+    def __post_init__(self):
+        object.__setattr__(self, "scaled_moduli", _scaled_moduli(self.phase1, self.phase2))
+        object.__setattr__(self, "endpoints", _endpoint_table(self))
+
+
+def _scaled_moduli(p1: PhaseProperties, p2: PhaseProperties) -> tuple:
+    """``(E, k1, mu1, k2, mu2)``: the moduli times ``2**-E``, the largest in [1/2, 1)."""
+    k1, mu1, k2, mu2 = p1.k, p1.mu, p2.k, p2.mu
+    E = math.frexp(max(k1, mu1, k2, mu2))[1]
+    return E, math.ldexp(k1, -E), math.ldexp(mu1, -E), math.ldexp(k2, -E), math.ldexp(mu2, -E)
+
+
+def _endpoint_table(c: ValidatedComposite) -> EndpointTable:
+    """The endpoint table, one :class:`EndpointLine` per coated-sphere region.
+
+    L1 is the core and M2 the coating of the coated sphere with a phase-1
+    core; L2 and M1 those of the sphere with a phase-2 core.  With
+    kk = k1 k2, c_i = 4 mu_i/3, kbar = th1 k1 + th2 k2, d_i = kk + kbar c_i
+    and dh = 3 kk (h2 - h1)::
+
+        L1 = k1 (k2 + c2)/d2      e_L1 =  dh c2 th2/d2
+        L2 = k2 (k1 + c1)/d1      e_L2 = -dh c1 th1/d1
+        M1 = k1 (k2 + c1)/d1      e_M1 =  dh c1 th2/d1
+        M2 = k2 (k1 + c2)/d2      e_M2 = -dh c2 th1/d2
+
+    ``e`` is the paper's ``D (1 - t)`` per unit deltaT with its division by
+    k2 - k1 cancelled, so nothing cancels near the bulk-modulus gate.  As
+    ``3 (h2 - h1) (kk/d_i) c th``, no product of three moduli underflows.
+    """
+    E, k1, mu1, k2, mu2 = c.scaled_moduli
+    th1, th2 = c.theta1, c.theta2
+    c1 = 4.0 * mu1 / 3.0
+    c2 = 4.0 * mu2 / 3.0
+    kbar = th1 * k1 + th2 * k2
+    kk = k1 * k2
+    d1 = kk + kbar * c1
+    d2 = kk + kbar * c2
+    dh = 3.0 * (c.phase2.h - c.phase1.h)
+    dh1, dh2 = dh * (kk / d1), dh * (kk / d2)
+    return EndpointTable(
+        L1=EndpointLine(k1 * (k2 + c2) / d2, math.ldexp(dh2 * c2 * th2, E)),
+        L2=EndpointLine(k2 * (k1 + c1) / d1, math.ldexp(-dh1 * c1 * th1, E)),
+        M1=EndpointLine(k1 * (k2 + c1) / d1, math.ldexp(dh1 * c1 * th2, E)),
+        M2=EndpointLine(k2 * (k1 + c2) / d2, math.ldexp(-dh2 * c2 * th1, E)),
+    )
 
 
 def _check_phase(tag: str, p: PhaseProperties) -> None:

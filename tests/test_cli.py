@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 import thermobounds
 from conftest import random_composite
 from thermobounds import Ordering, characteristic_constants, classify_branch, regime_table
+from thermobounds import Loading, PhaseProperties, build_composite
+from thermobounds.materials import EndpointLine
 from thermobounds import cli, radial_oracle
 from thermobounds.cli import Coded, emit_rows, main
 from test_radial_oracle import zero_pivot_solve
@@ -231,6 +234,51 @@ class TestVerify:
         # a zero pivot in the FV solve fails the row instead of raising
         monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
         assert oracle_row("no FV solution: ") == math.inf
+
+
+    def test_huge_moduli_give_a_complete_report(self, tmp_path, capsys):
+        # products of moduli of 1e200 overflowed in the closed forms, and
+        # verify stopped with a ZeroDivisionError traceback
+        cfg = write_config(tmp_path, dict(PSTAR, phase1={"k": 1e200, "mu": 1e200, "h": 0.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", cfg)
+            assert run(capsys, "bounds", cfg)[0] == 0
+        rows = parse_csv(out)
+        for core in ("core1", "core2"):
+            assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
+        attained = [r for r in rows if r["check"] == "bound-attainment"]
+        assert attained and all(r["status"] == "pass" for r in attained)
+        assert [r["orientation"] for r in rows if r["check"] == "regime-table-agreement"] == [
+            "phase1", "phase2", "max"
+        ]
+        failed = [r for r in rows if r["status"] == "fail"]
+        assert all(r["note"] for r in failed)
+        assert code == (1 if failed else 0) and (err.startswith("FAILED ") or not failed)
+
+    def test_bound_attainment_detects_a_wrong_table_entry(self):
+        # the bounds and the library's coated-sphere fields read one table;
+        # verify compares the bound with the superposition route instead
+        comp, _ = build_composite(
+            PhaseProperties(2.0, 1.0, 0.0), PhaseProperties(1.0, 0.5, 1.0), 0.5
+        )
+        loading = Loading(0.0, 1.0)
+
+        def attainment():
+            checks = cli._verify_checks(comp, loading, 256)
+            return {
+                orientation: status
+                for name, orientation, status in zip(
+                    checks["check"], checks["orientation"], checks["status"]
+                )
+                if name == "bound-attainment"
+            }
+
+        assert attainment() == {"phase1": "pass", "phase2": "pass"}
+        line = comp.endpoints.L1  # the attaining endpoint of phase 1 here
+        perturbed = comp.endpoints._replace(L1=EndpointLine(line.t, line.e * (1.0 + 1e-6)))
+        object.__setattr__(comp, "endpoints", perturbed)
+        assert attainment() == {"phase1": "fail", "phase2": "pass"}
 
 
 class TestSweep:

@@ -10,10 +10,17 @@ To rewrite the golden files from the current code, after a change that is
 meant to alter the output::
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+Before it overwrites a file, it prints each column that changed with its
+largest relative change over the numbers in its cells (a formula's numbers
+count one by one), or the count of rows whose text changed otherwise.
 """
 
 import contextlib
+import csv
 import io
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -71,10 +78,63 @@ def test_golden_output(name, tmp_path):
     assert run_case(CASES[name], tmp_path) == (GOLDEN / name).read_bytes()
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def _columns(name: str, data: bytes) -> dict[str, list[str]]:
+    """Cell texts by column of one golden file (JSON values as JSON text)."""
+    text = data.decode("utf-8")
+    if name.endswith(".jsonl"):
+        rows = [json.loads(line) for line in text.splitlines()]
+        return {key: [json.dumps(row.get(key)) for row in rows] for key in (rows[0] if rows else {})}
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    return {key: [row[i] for row in rows] for i, key in enumerate(header)}
+
+
+def _relative_change(old: str, new: str) -> float | None:
+    """Largest relative change over the numbers of two cells, None if their text differs otherwise."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    change = 0.0
+    for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))):
+        if a != b and not (a != a and b != b):
+            scale = max(abs(a), abs(b))
+            change = max(change, abs(a - b) / scale if scale not in (0.0, float("inf")) else 1.0)
+    return change
+
+
+def describe_changes(name: str, old: bytes, new: bytes) -> list[str]:
+    """One line per changed column of a golden file: its largest relative change."""
+    before, after = _columns(name, old), _columns(name, new)
+    if list(before) != list(after) or len(next(iter(before.values()), [])) != len(
+        next(iter(after.values()), [])
+    ):
+        return [f"{name}: columns or row count changed"]
+    lines = []
+    for key in after:
+        pairs = [(a, b) for a, b in zip(before[key], after[key]) if a != b]
+        changes = [_relative_change(a, b) for a, b in pairs]
+        if None in changes:
+            lines.append(f"{name}: {key}: text changed in {changes.count(None)} of {len(after[key])} rows")
+        elif pairs:
+            lines.append(
+                f"{name}: {key}: {len(pairs)} of {len(after[key])} rows, "
+                f"largest relative change {max(changes):.3g}"
+            )
+    return lines
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in CASES.items():
-            (GOLDEN / name).write_bytes(run_case(argv, Path(tmp)))
+        outputs = {name: run_case(argv, Path(tmp)) for name, argv in CASES.items()}
+    for name, data in outputs.items():
+        path = GOLDEN / name
+        if not path.exists():
+            print(f"{name}: new file")
+        elif path.read_bytes() != data:
+            print("\n".join(describe_changes(name, path.read_bytes(), data)))
+    for name, data in outputs.items():
+        (GOLDEN / name).write_bytes(data)
     print(f"wrote {len(CASES)} golden files to {GOLDEN}")
