@@ -7,15 +7,20 @@ of the local hydrostatic stress admit optimal lower bounds of the form
     bound_i = min over t in [lo_i, hi_i] of sqrt(3) * |(sigma0 - D) * t + D|
 
 where ``D`` is a thermal-mismatch stress scale and ``[lo_i, hi_i]`` is the
-interval of values the compliance parameter of phase ``i`` can take over
-all microstructures with the given volume fractions.  Its endpoints are two
-of the contrast factors ``L1, L2, M1, M2``, ordered by the elastic ordering.
+interval of values the dimensionless compliance parameter of phase ``i``
+can take over all microstructures with the given volume fractions.  The
+interval endpoints are the four contrast factors ``L1, L2, M1, M2``; which
+pair applies, and in which order, depends on the elastic ordering class.
+The minimum is always achieved either at an interval endpoint, in which
+case a coated-sphere assemblage attains the bound exactly, or at an
+interior zero crossing, in which case the bound is 0.
 
-The Hashin-Shtrikman coated-sphere assemblages attain the bounds, so each
-endpoint line is the constant mean stress ``t sigma0 + e deltaT`` of one
-coated-sphere region.  Everything here reads these four ``(t, e)`` pairs
-from the composite's endpoint table (``ValidatedComposite.endpoints``),
-whose closed form does not cancel near the bulk-modulus gate:
+Because the assemblages attain the bounds, each endpoint's objective
+``(sigma0 - D) t + D`` is the constant mean stress ``t sigma0 + e deltaT``
+of one coated-sphere region.  Everything here reads these four ``(t, e)``
+pairs from the composite's endpoint table (``ValidatedComposite.endpoints``),
+whose closed form does not cancel near the bulk-modulus gate as
+``D (1 - t)`` does:
 
 * a phase's bound is 0 when its two endpoint stresses differ in sign or
   either is 0, and otherwise sqrt(3) times the smaller magnitude, attained
@@ -24,11 +29,18 @@ whose closed form does not cancel near the bulk-modulus gate:
   ``sigma0 = -e deltaT / t``, and a branch's side is that stress's sign.
 
 ``D`` stays where the output prints it (the pivot breakpoint, ``F``, the
-``table`` formulas) and gives the argmin of a zero bound.  The attaining
-field is constant per phase, so the bound is the same for every moment
-exponent p in (1, inf]; p is only validated.  :func:`bound_arrays`
-evaluates the bounds over arrays of loadings in one numpy pass with the
-same floating-point operations as the scalar functions, bit for bit.
+``table`` formulas) and gives the argmin of a zero bound.
+
+Because the attaining local field is constant per phase, the bound value is
+the same for every moment exponent p in (1, inf]; p enters the API only for
+interface symmetry with the moment evaluators and is validated when given.
+
+:func:`bound_arrays` evaluates a bound, its attaining microstructure and
+its regime-table branch over whole arrays of loadings in one numpy pass,
+with the same floating-point operations as the scalar functions, so every
+element equals the scalar result bit for bit.
+
+Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +58,13 @@ SQRT3 = math.sqrt(3.0)
 #: Branch identifiers used in regime tables.  ``L``/``M`` name the interval
 #: endpoint family the minimizer sits on; ``left``/``right`` say on which
 #: side of that branch's vanishing point sigma0 lies.
-BRANCH_IDS = ("L-branch-left", "M-branch-left", "Zero", "M-branch-right", "L-branch-right")
+BRANCH_IDS = (
+    "L-branch-left",
+    "M-branch-left",
+    "Zero",
+    "M-branch-right",
+    "L-branch-right",
+)
 
 
 class Endpoint(Enum):
@@ -151,12 +169,14 @@ class RegimeRow:
     branch: str
     endpoint_value: float | None
     microstructure: Microstructure
-    endpoint_offset: float | None = None
+    endpoint_offset: float | None
 
     def bound_at(self, sigma0: float, D: float | None = None) -> float:
         """This row's bound ``sqrt(3) |t sigma0 + e deltaT|`` at sigma0.
 
-        ``D`` is ignored; it is accepted so that ``row.bound_at(sigma0, table.D)`` works.
+        ``D`` is deprecated and ignored: the row carries its own offset.  It
+        is accepted only so that existing ``row.bound_at(sigma0, table.D)``
+        calls keep working.
         """
         if self.branch == "Zero":
             return 0.0
@@ -167,9 +187,12 @@ class RegimeRow:
 class RegimeTable:
     """Piecewise classification of a bound as sigma0 ranges over the reals.
 
-    The breakpoints (see :func:`regime_table`) are where the mean stress
-    ``t sigma0 + e deltaT`` of an endpoint-table line vanishes, the pivot
-    ``D`` and, for the max-field target, the branch crossover ``F``.
+    The table is generated from the bound itself: its breakpoints (see
+    :func:`regime_table`) are where the mean stress ``t sigma0 + e deltaT``
+    of an endpoint-table line vanishes, plus the pivot ``D`` and, for the
+    max-field target, the branch crossover ``F``; each row evaluates that
+    line's ``sqrt(3) |t sigma0 + e deltaT|``.  So it agrees pointwise with
+    the direct bound evaluation for every sign combination of the inputs.
     """
 
     target: str
@@ -220,30 +243,35 @@ def characteristic_constants(c: ValidatedComposite, deltaT: float) -> BoundConst
     """Compute (L1, L2, M1, M2, D, F) for a composite and temperature change."""
     L1, L2, M1, M2 = (line.t for line in c.endpoints)
     D = thermal_stress_scale(c, deltaT)
-    return BoundConstants(L1=L1, L2=L2, M1=M1, M2=M2, D=D, F=D * (1.0 - 2.0 / (L1 + M2)))
+    F = D * (1.0 - 2.0 / (L1 + M2))
+    return BoundConstants(L1=L1, L2=L2, M1=M1, M2=M2, D=D, F=F)
 
 
 def hs_bulk_moduli(c: ValidatedComposite) -> tuple[float, float]:
     """The two extremal effective bulk moduli (K_minus, K_plus).
 
-    The coated-sphere assemblages realize them (core phase 1 gives K_minus,
-    core phase 2 K_plus).  Hashin's modulus of a core fraction f of modulus
-    kc in a coating (kt, mut), K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt +
-    4 mut)), is written here over a common denominator,
+    Every microstructure's effective compliance contraction lies between
+    1/K_plus and 1/K_minus; the two coated-sphere assemblages realize the
+    ends (core phase 2 gives K_plus, core phase 1 gives K_minus).  Hashin's
+    modulus of a core fraction f of modulus kc in a coating (kt, mut),
+    K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt + 4 mut)), is written here
+    over a common denominator,
 
         K = (3 k1 k2 + 4 mut kbar) / (3 (k1 th2 + k2 th1) + 4 mut),
 
     with kbar = th1 k1 + th2 k2 and mut the coating's shear modulus (mu2
     for K_minus, mu1 for K_plus).  Every term is positive, so nothing
-    cancels at high modulus contrast, and the moduli are scaled.
+    cancels at high modulus contrast, and nothing divides by k1 - k2.  The
+    moduli are scaled (``ValidatedComposite.scaled_moduli``), so no product
+    overflows.
     """
-    E, k1, mu1, k2, mu2 = c.scaled_moduli
+    s, k1, mu1, k2, mu2 = c.scaled_moduli
     th1, th2 = c.theta1, c.theta2
     kbar = th1 * k1 + th2 * k2
     kdual = 3.0 * (k1 * th2 + k2 * th1)
     K_minus = (3.0 * k1 * k2 + 4.0 * mu2 * kbar) / (kdual + 4.0 * mu2)
     K_plus = (3.0 * k1 * k2 + 4.0 * mu1 * kbar) / (kdual + 4.0 * mu1)
-    return math.ldexp(K_minus, E), math.ldexp(K_plus, E)
+    return K_minus * s, K_plus * s
 
 
 def compliance_to_X(compliance: float, c: ValidatedComposite) -> float:
@@ -279,7 +307,13 @@ def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval
     if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
     lo, hi = _INTERVAL_SYMBOLS[c.ordering, phase]
-    return ComplianceInterval(getattr(c.endpoints, lo).t, getattr(c.endpoints, hi).t, phase, lo, hi)
+    return ComplianceInterval(
+        lo=getattr(c.endpoints, lo).t,
+        hi=getattr(c.endpoints, hi).t,
+        phase=phase,
+        lo_symbol=lo,
+        hi_symbol=hi,
+    )
 
 
 def _endpoint_min(lo, hi, v_lo, v_hi, sigma0, D):
@@ -355,7 +389,10 @@ def _bound(c: ValidatedComposite, target: str, sigma0: float, deltaT: float):
     else:
         raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
     micro = UNDETERMINED if symbol is None else _ATTAINING[symbol, winner]
-    return BoundResult(value, argmin, tag, micro), symbol, v
+    result = BoundResult(
+        value=value, argmin_compliance=argmin, at_endpoint=tag, microstructure=micro
+    )
+    return result, symbol, v
 
 
 def phase_moment_lower_bound(
@@ -420,12 +457,16 @@ _BRANCH_CODE = {name: i for i, name in enumerate(BRANCH_IDS)}
 class BoundArrays:
     """A bound over arrays of loadings, as computed by :func:`bound_arrays`.
 
-    Element ``i`` of each field holds what the scalar functions give at
-    loading ``i``: ``value`` and ``argmin`` (``argmin_compliance``),
-    ``endpoint`` (index into :data:`ENDPOINT_CODES`), ``phase`` (the phase
-    bounded, or for the max-field target the winning phase), ``core`` (core
-    phase of the attaining assemblage, 0 where undetermined) and ``branch``
-    (index into :data:`BRANCH_IDS`).
+    Every field has the broadcast shape of the loadings, and element ``i``
+    holds what the scalar functions give at loading ``i``:
+
+    * ``value``, ``argmin``: ``BoundResult.value``/``argmin_compliance``;
+    * ``endpoint``: index into :data:`ENDPOINT_CODES` (``at_endpoint``);
+    * ``phase``: the phase bounded, for the max-field target the winning
+      phase (``max_attaining_phase`` where the endpoint is not INTERIOR);
+    * ``core``: core phase of the attaining coated-sphere assemblage, 0
+      where the microstructure is undetermined;
+    * ``branch``: index into :data:`BRANCH_IDS`, as :func:`classify_branch`.
     """
 
     value: np.ndarray
@@ -506,27 +547,35 @@ def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArr
 
 def _representatives(breakpoints: list[float]) -> list[float]:
     """One generic sigma0 per open region between consecutive breakpoints."""
-    inner = [0.5 * (a + b) for a, b in zip(breakpoints, breakpoints[1:])]
-    first, last = breakpoints[0], breakpoints[-1]
-    return [first - (1.0 + 0.5 * abs(first)), *inner, last + (1.0 + 0.5 * abs(last))]
+    reps = [breakpoints[0] - (1.0 + 0.5 * abs(breakpoints[0]))]
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        reps.append(0.5 * (a + b))
+    reps.append(breakpoints[-1] + (1.0 + 0.5 * abs(breakpoints[-1])))
+    return reps
 
 
 def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTable:
     """Build the sigma0-regime table for a per-phase or max-field bound.
 
-    Breakpoints: the vanishing stresses ``-e deltaT / t`` of the two
-    interval endpoints plus the pivot ``D`` for per-phase targets, and
-    ``{D, F}`` for the max-field target; with ``D == 0``, two rays meeting
-    at 0.  Each row is classified by the bound at a point inside it, so the
-    table agrees with the direct bound for every sign combination.
+    Breakpoints come from the endpoint table: the vanishing stresses
+    ``-e deltaT / t`` of the two interval endpoints plus the pivot ``D`` for
+    per-phase targets, and ``{D, F}`` for the max-field target.  With
+    ``D == 0`` the table collapses to two rays meeting at 0.  Each region's
+    branch and microstructure are classified by evaluating the bound at a
+    point inside, so the table agrees with the direct bound for every sign
+    combination of ordering, ``h2 - h1``, and ``deltaT``.
     """
     consts = characteristic_constants(c, deltaT)
     D = consts.D
     if target == "max":
         bps = [0.0] if D == 0.0 else sorted((D, consts.F))
     elif target in ("phase1", "phase2"):
-        lines = [getattr(c.endpoints, s) for s in _INTERVAL_SYMBOLS[c.ordering, int(target[-1])]]
-        bps = [0.0] if D == 0.0 else sorted((D, *(-ln.e * deltaT / ln.t for ln in lines)))
+        symbols = _INTERVAL_SYMBOLS[c.ordering, int(target[-1])]
+        lines = [getattr(c.endpoints, symbol) for symbol in symbols]
+        if D == 0.0:
+            bps = [0.0]
+        else:
+            bps = sorted((D, *(-line.e * deltaT / line.t for line in lines)))
     else:
         raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
 
@@ -536,5 +585,14 @@ def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTab
         result, symbol, v = _bound(c, target, rep, deltaT)
         line = getattr(c.endpoints, symbol) if symbol else None
         t, offset = (line.t, line.e * deltaT) if line else (None, None)
-        rows.append(RegimeRow(lo, hi, _branch_name(symbol, v), t, result.microstructure, offset))
+        rows.append(
+            RegimeRow(
+                sigma_lo=lo,
+                sigma_hi=hi,
+                branch=_branch_name(symbol, v),
+                endpoint_value=t,
+                microstructure=result.microstructure,
+                endpoint_offset=offset,
+            )
+        )
     return RegimeTable(target=target, D=D, breakpoints=tuple(bps), rows=tuple(rows))

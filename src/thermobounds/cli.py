@@ -30,9 +30,13 @@ Phases in the output are reported in the caller's original numbering even
 when the internal shear-ordering convention required relabeling; the
 ``relabeled`` field records whether that happened.  CSV writes numbers
 with 17 significant digits; JSON lines write each float as its shortest
-round-trip ``repr``.  Infinite values appear as the strings "-inf"/"inf".
-Output is deterministic, also over repeated :func:`main` calls in one
-process, which share one argument parser.
+round-trip ``repr``, as :func:`json.dumps` does.  Both are round-trip exact
+for doubles.  Infinite values appear as the strings "-inf"/"inf".  Output is
+deterministic: identical configs produce byte-identical output.
+
+:func:`main` is reentrant: it builds the argument parser on its first call
+and reuses it, and repeated calls in one process write the same bytes and
+return the same exit codes as calls in fresh processes.
 
 Exit codes: 0 success, 1 verification/internal failure, 2 input error.
 """

@@ -1,31 +1,50 @@
 """Exact local fields inside a coated-sphere assemblage.
 
 A coated sphere is a core of one phase (radius ``a``) inside a concentric
-coating of the other phase (outer radius 1), with ``a^3`` the core phase's
-volume fraction; scaled copies of it fill space with the same fields.
+coating of the other phase (outer radius ``b = 1``), with ``a^3`` equal to
+the core phase's volume fraction.  Filling space with scaled copies of this
+prototype yields an assemblage whose per-phase fields equal those of the
+single prototype, so one sphere suffices for every reported quantity.
 
-The hydrostatic stress is constant in each region, and these constants are
-the bound's endpoints, which is how the assemblages attain the bounds: a
-region's stress trace is ``3 (t sigma0 + e deltaT)`` with its line of the
-composite's endpoint table, L1 (core) and M2 (coating) for a phase-1 core,
-L2 and M1 for a phase-2 core.  :func:`local_field_constants` and
-:func:`phase_moment` read it there.
+The radially symmetric displacement is ``u = g*r`` in the core and
+``u = A*r + B/r^2`` in the coating.  Two sub-problems are solved on the
+prototype:
 
-The displacement, ``u = g r`` in the core and ``u = A r + B/r^2`` in the
-coating, superposes the clamped thermal solution at unit deltaT
-(:func:`thermal_coefficients`; its outer traction is ``H*``) times deltaT
-and the eigenstrain-free one at outer traction ``sigma0 - H* deltaT``
-(:func:`mechanical_coefficients`).  These closed forms give u(r), the
-effective constants and traces independent of the table
-(:func:`superposed_traces`), which ``verify`` and the finite-volume
-comparison check it against.  ``_solve_shell`` is verify's independent
-route to the closed forms: the 3x3 interface system.
+* thermal: eigenstrain ``h_i * I`` per phase at unit temperature change,
+  displacement clamped at the outer surface (``u(b) = 0``); the outer
+  radial traction of this solution is the effective thermal stress scalar
+  ``H*`` per unit temperature change.
+* mechanical: no eigenstrain, prescribed outer radial traction.
+
+The composite loaded by macroscopic stress ``sigma0 * I`` and temperature
+change ``deltaT`` carries the superposition of the deltaT-scaled thermal
+solution (average stress ``H* deltaT * I``) and the mechanical solution at
+outer traction ``sigma0 - H* deltaT`` (average stress makes up the rest),
+so the total average stress is exactly ``sigma0 * I``.  Equivalently, the
+total field solves the eigenstrain problem with outer traction ``sigma0``.
+
+The hydrostatic part of the stress is constant in each phase (the ``B/r^2``
+displacement term is trace-free in strain), which is what lets these
+configurations attain the moment bounds with equality: each region's
+constant mean stress is one line ``t sigma0 + e deltaT`` of the composite's
+endpoint table (``ValidatedComposite.endpoints``), L1 in the core and M2 in
+the coating of the sphere with a phase-1 core, L2 and M1 in those of the
+sphere with a phase-2 core.  :func:`local_field_constants` and
+:func:`phase_moment` read their traces ``3 (t sigma0 + e deltaT)`` from
+that table, as the bounds do.
+
+Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
+:func:`mechanical_coefficients`).  They give the displacement, the
+effective constants and, through :func:`superposed_traces`, region traces
+that do not read the endpoint table, which ``thermobounds verify`` and the
+finite-volume comparison check the table against.  The 3x3 interface
+system they solve is kept in ``_solve_shell`` as an independent route,
+which ``thermobounds verify`` compares with the closed forms.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,19 +67,27 @@ class CoatedSphereConfig:
 
     composite: ValidatedComposite
     core_phase: int
+    #: Derived on construction, as the closed forms read them often.  The
+    #: fractions are the composite's own: ``core_fraction`` is a^3, and
+    #: ``coating_fraction`` is not formed as 1 - a^3, so that the closed
+    #: forms use the same fractions as :func:`bounds.hs_bulk_moduli`.
+    coating_phase: int = field(init=False, repr=False, compare=False)
+    core: PhaseProperties = field(init=False, repr=False, compare=False)
+    coating: PhaseProperties = field(init=False, repr=False, compare=False)
+    core_fraction: float = field(init=False, repr=False, compare=False)
+    coating_fraction: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.core_phase not in (1, 2):
             raise ValueError(f"core_phase must be 1 or 2, got {self.core_phase}")
-        # set once, as the closed forms read them often; the coating fraction
-        # is the composite's own, not 1 - a^3, as in bounds.hs_bulk_moduli
         comp, first = self.composite, self.core_phase == 1
-        set_ = object.__setattr__
-        set_(self, "coating_phase", 2 if first else 1)
-        set_(self, "core", comp.phase1 if first else comp.phase2)
-        set_(self, "coating", comp.phase2 if first else comp.phase1)
-        set_(self, "core_fraction", comp.theta1 if first else comp.theta2)  # a^3
-        set_(self, "coating_fraction", comp.theta2 if first else comp.theta1)
+        # the instance is frozen, so the derived fields are set past __setattr__
+        set_field = object.__setattr__
+        set_field(self, "coating_phase", 2 if first else 1)
+        set_field(self, "core", comp.phase1 if first else comp.phase2)
+        set_field(self, "coating", comp.phase2 if first else comp.phase1)
+        set_field(self, "core_fraction", comp.theta1 if first else comp.theta2)
+        set_field(self, "coating_fraction", comp.theta2 if first else comp.theta1)
 
     def core_radius(self) -> float:
         return self.core_fraction ** (1.0 / 3.0)
@@ -112,8 +139,10 @@ def _shell_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matrix and right-hand side of the 3x3 interface/boundary system for (g, A, B).
 
-    Rows: displacement and radial traction continuity at r=a, and the outer
-    condition.  The unit-deltaT eigenstrain enters only the traction rows.
+    Rows: displacement continuity at r=a, radial traction continuity at r=a,
+    and the outer condition (clamped displacement or prescribed traction).
+    The eigenstrain (at unit temperature change) enters only the traction
+    rows.
     """
     a = np.float64(config.core_radius())
     core, coat = config.core, config.coating
@@ -148,10 +177,11 @@ def _solve_shell(
 ) -> ShellCoefficients:
     """Solve the 3x3 system of :func:`_shell_system` for (g, A, B).
 
-    The independent route to :func:`thermal_coefficients` and
-    :func:`mechanical_coefficients`, which only ``verify`` uses.  Raises
-    SingularInterfaceSystem if the system is not finite, as when a core
-    fraction near the smallest float makes 1/a^3 overflow.
+    This is the independent route to the closed forms of
+    :func:`thermal_coefficients` and :func:`mechanical_coefficients`;
+    only the ``verify`` command uses it.  Raises SingularInterfaceSystem if
+    the system is degenerate or its solution is not finite, which happens
+    only when a core fraction near the smallest float makes 1/a^3 overflow.
     """
     mat, rhs = _shell_system(config, eigen_on, outer, traction)
     if not np.all(np.isfinite(mat)):
@@ -195,8 +225,10 @@ def thermal_coefficients(config: CoatedSphereConfig) -> ShellCoefficients:
     f, c = config.core_fraction, config.coating_fraction
     den = _thermal_denominator(core, coat, f, c)
     mismatch = coat.k * coat.h - core.k * core.h
-    A, g = 3.0 * f * mismatch / den, -3.0 * c * mismatch / den
-    return ShellCoefficients(core_linear=g, coat_linear=A, coat_inverse_square=-A)
+    A = 3.0 * f * mismatch / den
+    return ShellCoefficients(
+        core_linear=-3.0 * c * mismatch / den, coat_linear=A, coat_inverse_square=-A
+    )
 
 
 def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellCoefficients:
@@ -213,14 +245,14 @@ def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellC
     (``ValidatedComposite.scaled_moduli``), so it neither cancels nor
     overflows.  The coating fraction 1 - f is the composite's own.
     """
-    E, k1, mu1, k2, mu2 = config.composite.scaled_moduli
+    s, k1, mu1, k2, mu2 = config.composite.scaled_moduli
     kc, kt, mut = (k1, k2, mu2) if config.core_phase == 1 else (k2, k1, mu1)
     f, c = config.core_fraction, config.coating_fraction
     den = 9.0 * kt * kc + 12.0 * mut * (kt * c + kc * f)
     return ShellCoefficients(
-        core_linear=math.ldexp(sigma0 * (3.0 * kt + 4.0 * mut) / den, -E),
-        coat_linear=math.ldexp(sigma0 * (3.0 * kc + 4.0 * mut) / den, -E),
-        coat_inverse_square=math.ldexp(3.0 * sigma0 * f * (kt - kc) / den, -E),
+        core_linear=sigma0 * (3.0 * kt + 4.0 * mut) / den / s,
+        coat_linear=sigma0 * (3.0 * kc + 4.0 * mut) / den / s,
+        coat_inverse_square=3.0 * sigma0 * f * (kt - kc) / den / s,
     )
 
 
@@ -228,10 +260,12 @@ def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, 
     """The two independent evaluations of H* (per unit temperature change).
 
     Route one is the radial traction of the thermal solution at the outer
-    surface; route two is the volume average of the stress, in which only the
-    linear coefficients enter.  The core's strain g - hc, which cancels for a
-    core much stiffer than its coating, is taken as
-    (-3 c kt ht - hc (3 kt f + 4 mut)) / den with c the coating fraction.
+    surface; route two is the volume average of the stress (the trace-free
+    part of the coating strain integrates to zero over the shell, so only
+    the linear coefficients enter).  The core's strain g - hc is taken in
+    its cancellation-free form (-3 c kt ht - hc (3 kt f + 4 mut)) / den,
+    with c the coating fraction: g is close to hc when the core is much
+    stiffer than the coating, and their difference would cancel.
     """
     coeff = thermal_coefficients(config)
     core, coat = config.core, config.coating
@@ -337,16 +371,25 @@ def local_field_constants(
     core, coat = _region_lines(config)
     tr_core = 3.0 * (core.t * s0 + core.e * dT)
     tr_coat = 3.0 * (coat.t * s0 + coat.e * dT)
-    return LocalFieldConstants(tr_core, tr_coat, abs(tr_core) / SQRT3, abs(tr_coat) / SQRT3)
+    return LocalFieldConstants(
+        tr_sigma_core=tr_core,
+        tr_sigma_coating=tr_coat,
+        hydro_norm_core=abs(tr_core) / SQRT3,
+        hydro_norm_coating=abs(tr_coat) / SQRT3,
+    )
 
 
-def superposed_traces(config: CoatedSphereConfig, loading: Loading) -> tuple[float, float]:
+def superposed_traces(
+    config: CoatedSphereConfig, loading: Loading, total: ShellCoefficients | None = None
+) -> tuple[float, float]:
     """Stress traces (core, coating) ``9 k (e - h deltaT)`` by the superposition route.
 
     ``e`` is the linear coefficient of :func:`superposed_shell_coefficients`,
-    so this route is independent of the endpoint table.
+    so this route is independent of the endpoint table; ``total`` is those
+    coefficients when the caller has them already.
     """
-    total = superposed_shell_coefficients(config, loading)
+    if total is None:
+        total = superposed_shell_coefficients(config, loading)
     core, coat = config.core, config.coating
     return (
         9.0 * core.k * (total.core_linear - core.h * loading.deltaT),
@@ -373,7 +416,11 @@ def phase_moment(
 def effective_properties(config: CoatedSphereConfig) -> EffectiveProperties:
     """Bundle of effective constants (bulk modulus, thermal stress, compliance)."""
     K = effective_bulk_modulus(config)
-    return EffectiveProperties(K, effective_thermal_stress(config), 1.0 / K)
+    return EffectiveProperties(
+        K_effective=K,
+        H_effective_scalar=effective_thermal_stress(config),
+        compliance_contraction=1.0 / K,
+    )
 
 
 def verify_exact_relation(config: CoatedSphereConfig) -> float:
@@ -420,14 +467,23 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
     props = effective_properties(config)
     fields = local_field_constants(config, loading)
 
-    tr_phase2 = fields.tr_sigma_core if config.core_phase == 2 else fields.tr_sigma_coating
+    tr_phase2 = (
+        fields.tr_sigma_core
+        if config.core_phase == 2
+        else fields.tr_sigma_coating
+    )
     lhs = comp.theta2 * tr_phase2
 
     s0, dT = loading.sigma0, loading.deltaT
     rh_contraction = props.H_effective_scalar * props.compliance_contraction
     lam = 3.0 * (comp.theta1 * h1 + comp.theta2 * h2)
     prefac = 3.0 * k2 / (k2 - k1)
-    terms = (s0, -k1 * s0 * props.compliance_contraction, k1 * dT * rh_contraction, k1 * dT * lam)
+    terms = (
+        s0,
+        -k1 * s0 * props.compliance_contraction,
+        k1 * dT * rh_contraction,
+        k1 * dT * lam,
+    )
     rhs = prefac * sum(terms)
     scale = max(abs(lhs), abs(rhs), abs(prefac) * sum(abs(t) for t in terms))
     return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
@@ -497,4 +553,4 @@ def evaluate_fields(
         total.core_linear * r,
         total.coat_linear * r + total.coat_inverse_square / np.where(in_core, 1.0, r) ** 2,
     )
-    return u, np.where(in_core, *superposed_traces(config, loading))
+    return u, np.where(in_core, *superposed_traces(config, loading, total))

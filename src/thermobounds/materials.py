@@ -20,7 +20,7 @@ both moduli), ``k2 > k1`` the non-well-ordered case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -106,12 +106,14 @@ class ValidatedComposite:
     downstream operations take a ``ValidatedComposite`` and may assume
     ``mu1 > mu2``, ``k1 != k2``, and ``0 < theta1 < 1``.
 
-    Construction adds ``endpoints``, the endpoint table that the bounds and
-    the coated-sphere fields read (:func:`_endpoint_table`), and
-    ``scaled_moduli``, ``(E, k1, mu1, k2, mu2)`` with the moduli times
-    ``2**-E``.  Closed forms that multiply moduli take those and scale back
-    with :func:`math.ldexp`: powers of two scale exactly, so ordinary inputs
-    keep every bit, and no product of moduli overflows.
+    Construction derives two more fields, left out of ``repr`` and ``==``.
+    ``endpoints`` is the endpoint table that the bounds and the
+    coated-sphere fields read (:func:`_endpoint_table`).  ``scaled_moduli``
+    is ``(s, k1/s, mu1/s, k2/s, mu2/s)`` with ``s`` a power of two; closed
+    forms that multiply moduli take the scaled ones and scale back by ``s``.
+    Powers of two scale exactly, so ordinary inputs keep every bit, and a
+    product of two scaled moduli neither overflows nor underflows (see
+    :func:`_scaled_moduli`).
     """
 
     phase1: PhaseProperties
@@ -119,6 +121,8 @@ class ValidatedComposite:
     theta1: float
     theta2: float
     ordering: Ordering
+    scaled_moduli: tuple = field(init=False, repr=False, compare=False)
+    endpoints: EndpointTable = field(init=False, repr=False, compare=False)
 
     def phase(self, index: int) -> PhaseProperties:
         """Return phase properties by material index (1 or 2)."""
@@ -128,23 +132,27 @@ class ValidatedComposite:
             return self.phase2
         raise ValueError(f"phase index must be 1 or 2, got {index}")
 
-    def volume_fraction(self, index: int) -> float:
-        if index == 1:
-            return self.theta1
-        if index == 2:
-            return self.theta2
-        raise ValueError(f"phase index must be 1 or 2, got {index}")
-
     def __post_init__(self):
+        # the instance is frozen, so the derived fields are set past __setattr__
         object.__setattr__(self, "scaled_moduli", _scaled_moduli(self.phase1, self.phase2))
         object.__setattr__(self, "endpoints", _endpoint_table(self))
 
 
 def _scaled_moduli(p1: PhaseProperties, p2: PhaseProperties) -> tuple:
-    """``(E, k1, mu1, k2, mu2)``: the moduli times ``2**-E``, the largest in [1/2, 1)."""
+    """``(s, k1/s, mu1/s, k2/s, mu2/s)`` with ``s`` a power of two.
+
+    ``s = 2**E`` with E the midpoint of the binary exponents of the largest
+    and the smallest modulus (held inside the normal range), so the scaled
+    moduli lie within a factor of about ``sqrt(max/min)`` of 1 and a
+    product of two of them within ``[min/max, max/min]``: no such product
+    overflows or underflows while max/min stays below about 1e300.
+    Multiplying or dividing by ``s`` is exact unless the result overflows or
+    underflows, and then gives inf or 0 as any float product does.
+    """
     k1, mu1, k2, mu2 = p1.k, p1.mu, p2.k, p2.mu
-    E = math.frexp(max(k1, mu1, k2, mu2))[1]
-    return E, math.ldexp(k1, -E), math.ldexp(mu1, -E), math.ldexp(k2, -E), math.ldexp(mu2, -E)
+    E = (math.frexp(max(k1, mu1, k2, mu2))[1] + math.frexp(min(k1, mu1, k2, mu2))[1]) // 2
+    s = math.ldexp(1.0, max(-1021, min(1021, E)))
+    return s, k1 / s, mu1 / s, k2 / s, mu2 / s
 
 
 def _endpoint_table(c: ValidatedComposite) -> EndpointTable:
@@ -164,7 +172,7 @@ def _endpoint_table(c: ValidatedComposite) -> EndpointTable:
     k2 - k1 cancelled, so nothing cancels near the bulk-modulus gate.  As
     ``3 (h2 - h1) (kk/d_i) c th``, no product of three moduli underflows.
     """
-    E, k1, mu1, k2, mu2 = c.scaled_moduli
+    s, k1, mu1, k2, mu2 = c.scaled_moduli
     th1, th2 = c.theta1, c.theta2
     c1 = 4.0 * mu1 / 3.0
     c2 = 4.0 * mu2 / 3.0
@@ -175,10 +183,10 @@ def _endpoint_table(c: ValidatedComposite) -> EndpointTable:
     dh = 3.0 * (c.phase2.h - c.phase1.h)
     dh1, dh2 = dh * (kk / d1), dh * (kk / d2)
     return EndpointTable(
-        L1=EndpointLine(k1 * (k2 + c2) / d2, math.ldexp(dh2 * c2 * th2, E)),
-        L2=EndpointLine(k2 * (k1 + c1) / d1, math.ldexp(-dh1 * c1 * th1, E)),
-        M1=EndpointLine(k1 * (k2 + c1) / d1, math.ldexp(dh1 * c1 * th2, E)),
-        M2=EndpointLine(k2 * (k1 + c2) / d2, math.ldexp(-dh2 * c2 * th1, E)),
+        L1=EndpointLine(k1 * (k2 + c2) / d2, dh2 * c2 * th2 * s),
+        L2=EndpointLine(k2 * (k1 + c1) / d1, -dh1 * c1 * th1 * s),
+        M1=EndpointLine(k1 * (k2 + c1) / d1, dh1 * c1 * th2 * s),
+        M2=EndpointLine(k2 * (k1 + c2) / d2, -dh2 * c2 * th1 * s),
     )
 
 

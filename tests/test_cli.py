@@ -256,6 +256,22 @@ class TestVerify:
         assert all(r["note"] for r in failed)
         assert code == (1 if failed else 0) and (err.startswith("FAILED ") or not failed)
 
+    @pytest.mark.parametrize("mu1", [1e200, 1e160])
+    def test_extreme_shear_contrast_gives_a_complete_report(self, tmp_path, capsys, mu1):
+        # with the moduli scaled by the largest one, bounds stopped with a
+        # ZeroDivisionError traceback at mu1 = 1e200
+        phase1, phase2 = {"k": 1.0, "mu": mu1, "h": 0.0}, {"k": 2.0, "mu": 1.0, "h": 1.0}
+        cfg = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, "bounds", cfg)[0] == 0
+            code, out, err = run(capsys, "verify", cfg)
+        rows = parse_csv(out)
+        for core in ("core1", "core2"):
+            assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
+        passing = [r for r in rows if r["check"] in ("bound-attainment", "regime-table-agreement")]
+        assert len(passing) == 5 and all(r["status"] == "pass" for r in passing)
+
     def test_bound_attainment_detects_a_wrong_table_entry(self):
         # the bounds and the library's coated-sphere fields read one table;
         # verify compares the bound with the superposition route instead

@@ -109,6 +109,67 @@ def test_low_shear_example_is_exact():
     assert max(errors.values()) <= TOL_ATTAINMENT, errors
 
 
+def exact_endpoint_lines(comp):
+    """The endpoint table's (t, e) pairs, exactly, as {name: (Fraction, Fraction)}.
+
+    ``e`` is the paper's ``D (1 - t)`` per unit deltaT.
+    """
+    k1, mu1, h1 = (Fr(x) for x in (comp.phase1.k, comp.phase1.mu, comp.phase1.h))
+    k2, mu2, h2 = (Fr(x) for x in (comp.phase2.k, comp.phase2.mu, comp.phase2.h))
+    th1 = Fr(comp.theta1)
+    c1, c2 = 4 * mu1 / 3, 4 * mu2 / 3
+    kbar, kk = th1 * k1 + (1 - th1) * k2, k1 * k2
+    D = 3 * kk * (h2 - h1) / (k2 - k1)
+    t = {
+        "L1": k1 * (k2 + c2) / (kk + kbar * c2),
+        "L2": k2 * (k1 + c1) / (kk + kbar * c1),
+        "M1": k1 * (k2 + c1) / (kk + kbar * c1),
+        "M2": k2 * (k1 + c2) / (kk + kbar * c2),
+    }
+    return {name: (value, D * (1 - value)) for name, value in t.items()}
+
+
+@pytest.mark.parametrize("mu1", [1e200, 1e160])
+def test_extreme_shear_contrast_is_exact(mu1):
+    # scaled by the largest modulus alone, the products of the other three
+    # moduli underflowed: to 0 at 1e200 (a ZeroDivisionError), to subnormal
+    # numbers with about 11 significant bits at 1e160
+    comp, _ = build_composite(
+        PhaseProperties(1.0, mu1, 0.0), PhaseProperties(2.0, 1.0, 1.0), 0.5
+    )
+    for name, exact in exact_endpoint_lines(comp).items():
+        for got, want in zip(getattr(comp.endpoints, name), exact):
+            assert abs(Fr(got) - want) <= 1e-14 * abs(want), (name, got, float(want))
+    for loading in (Loading(0.3, 1.0), Loading(-2.5, 0.7), Loading(1.7, -3.0)):
+        errors = bound_errors(comp, loading)
+        assert max(errors.values()) <= TOL_ATTAINMENT, (loading, errors)
+
+
+def test_wide_contrast_probe():
+    # moduli over 300 decades: every table entry stays within a few
+    # roundoffs of the exact one, and every bound within the tolerance
+    rng = np.random.default_rng(11)
+    count = 0
+    while count < 150:
+        k1, k2, mu1, mu2 = (float(x) for x in 10.0 ** rng.uniform(-150.0, 150.0, 4))
+        h1, h2 = (float(x) for x in rng.uniform(-2.0, 2.0, 2))
+        theta1 = float(rng.uniform(1e-9, 1.0 - 1e-9))
+        try:
+            comp, _ = build_composite(
+                PhaseProperties(k1, mu1, h1), PhaseProperties(k2, mu2, h2), theta1
+            )
+        except InputError:
+            continue
+        count += 1
+        for name, exact in exact_endpoint_lines(comp).items():
+            for got, want in zip(getattr(comp.endpoints, name), exact):
+                assert abs(Fr(got) - want) <= 1e-14 * abs(want), (comp, name)
+        for loading in [Loading(*(float(x) for x in rng.uniform(-3.0, 3.0, 2))) for _ in range(2)]:
+            assert max(bound_errors(comp, loading).values()) <= TOL_ATTAINMENT, (comp, loading)
+            for core in (1, 2):
+                effective_properties(CoatedSphereConfig(comp, core))
+
+
 def wide_domain_samples(count, seed=8):
     """Valid composites with moduli over sixteen decades and extreme fractions.
 
