@@ -233,10 +233,15 @@ def thermal_stress_scale(c: ValidatedComposite, deltaT: float) -> float:
 
     Vanishes when the expansion coefficients match or deltaT is zero; its
     sign depends on the signs of deltaT, h2-h1, and k2-k1.  The bounds use
-    it only at ``sigma0 == D`` and for the argmin of a zero bound.
+    it only at ``sigma0 == D`` and for the argmin of a zero bound.  With
+    moduli near the top of the float range D overflows to an infinity, and
+    with matching expansion coefficients it is zero even then.
     """
     k1, k2 = c.phase1.k, c.phase2.k
-    return deltaT * 3.0 * k1 * k2 * (c.phase2.h - c.phase1.h) / (k2 - k1)
+    dh = c.phase2.h - c.phase1.h
+    if dh == 0.0:  # the moduli's product could overflow, giving inf * 0 = nan
+        return deltaT * dh / (k2 - k1)
+    return deltaT * 3.0 * k1 * k2 * dh / (k2 - k1)
 
 
 def characteristic_constants(c: ValidatedComposite, deltaT: float) -> BoundConstants:
@@ -513,8 +518,8 @@ def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArr
     sigma0, deltaT = np.broadcast_arrays(
         np.asarray(sigma0, dtype=float), np.asarray(deltaT, dtype=float)
     )
-    D = thermal_stress_scale(c, deltaT)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        D = thermal_stress_scale(c, deltaT)  # inf where the moduli's product overflows
         args = (sigma0, deltaT, D, D / (D - sigma0), sigma0 == D)
     if target == "max":
         r1 = _phase_arrays(c, 1, *args)

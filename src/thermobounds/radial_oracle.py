@@ -302,13 +302,18 @@ def sampled_moment(solution: RadialSolution, phase: int, p: float) -> float:
     independent of p up to quadrature roundoff.
     """
     check_exponent(p, finite=True)
+    return _phase_moments(solution, phase, (p,))[0]
+
+
+def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[float]:
+    """:func:`sampled_moment` at each of ``exponents``, from one pass over the phase's cells."""
     mask = solution.cell_phase == phase
     if not np.any(mask):
         raise ValueError(f"no cells of phase {phase} in solution")
     w = solution.grid.volume_weights[mask]
     vals = np.abs(solution.cell_tr_sigma[mask]) / SQRT3
-    mean_p = np.sum(vals**p * w) / np.sum(w)
-    return float(mean_p ** (1.0 / p))
+    total = np.sum(w)
+    return [float((np.sum(vals**p * w) / total) ** (1.0 / p)) for p in exponents]
 
 
 def compare_fields(analytic: RadialSolution, numeric: RadialSolution) -> float:

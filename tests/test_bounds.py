@@ -39,7 +39,7 @@ from thermobounds import (
     phase_moment_lower_bound,
     regime_table,
 )
-from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_arrays
+from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_arrays, thermal_stress_scale
 
 SQRT3 = math.sqrt(3.0)
 
@@ -95,6 +95,18 @@ class TestCharacteristicConstants:
         assert c.D == 0.0 and c.F == 0.0
         c = characteristic_constants(CANONICAL, 0.0)
         assert c.D == 0.0 and c.F == 0.0
+
+    @pytest.mark.parametrize("k1, k2", [(2.0, 1.0), (1.0, 2.0), (1e300, 5e299), (5e299, 1e300)])
+    def test_zero_mismatch_gives_signed_zero_D_at_any_moduli(self, k1, k2):
+        # 3 k1 k2 overflows at the huge moduli, and inf * (h2 - h1) was nan
+        comp = build_unswapped(PhaseProperties(k1, 1.0, 0.7), PhaseProperties(k2, 0.5, 0.7), 0.4)
+        for deltaT in (2.5, -2.5, 0.0, -0.0):
+            # the sign the unguarded formula gives at ordinary moduli
+            sign = math.copysign(1.0, deltaT * (k2 - k1))
+            D = thermal_stress_scale(comp, deltaT)
+            assert D == 0.0 and math.copysign(1.0, D) == sign
+            D = thermal_stress_scale(comp, np.array([deltaT]))
+            assert D[0] == 0.0 and math.copysign(1.0, D[0]) == sign
 
     def test_F_identity(self, rng):
         for _ in range(50):

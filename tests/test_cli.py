@@ -272,6 +272,30 @@ class TestVerify:
         passing = [r for r in rows if r["check"] in ("bound-attainment", "regime-table-agreement")]
         assert len(passing) == 5 and all(r["status"] == "pass" for r in passing)
 
+    @pytest.mark.parametrize("h2", [1e10, 0.0])
+    def test_overflowing_D_gives_a_complete_report(self, tmp_path, capsys, h2):
+        # 3 k1 k2 (h2 - h1) overflows: D is -inf at h2 = 1e10, where verify
+        # stopped with a ValueError traceback from RegimeTable._row_index, and
+        # 0 at h2 = 0, where it was nan
+        phase1, phase2 = {"k": 1e300, "mu": 1e300, "h": 0.0}, {"k": 5e299, "mu": 5e299, "h": h2}
+        loading = {"sigma0": 0.3, "deltaT": 1.0}
+        cfg = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2, loading=loading))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, "bounds", cfg)[0] == 0
+            code, out, err = run(capsys, "verify", cfg)
+        rows = parse_csv(out)
+        for core in ("core1", "core2"):
+            assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
+        table_rows = [r for r in rows if r["check"] == "regime-table-agreement"]
+        assert [r["orientation"] for r in table_rows] == ["phase1", "phase2", "max"]
+        if h2:
+            assert code == 1 and err.startswith("FAILED ")
+            for r in table_rows:
+                assert r["status"] == "fail" and r["note"].startswith("D = -inf: ")
+        else:
+            assert code == 0 and all(r["status"] == "pass" for r in rows)
+
     def test_bound_attainment_detects_a_wrong_table_entry(self):
         # the bounds and the library's coated-sphere fields read one table;
         # verify compares the bound with the superposition route instead
@@ -501,6 +525,36 @@ def _column_forms(values):
     return forms
 
 
+#: str columns whose CSV text must be that of csv.writer
+STDLIB_CSV_CASES = {
+    "lone-cr": {"i": ["0", "1", "2"], "v": ["\r", "a\rb", "\r\n"]},
+    "empty-string": {"i": ["0", "1"], "v": ["", "x"]},
+    "specials": {"i": list("01234"), "v": ["x, y", 'say "hi"', "two\nlines", '"', " plain "]},
+    "comma-in-name": {"a,b": ["1"], 'say "c"': ["2"], "d": ["3"]},
+    "zero-rows": {"a": [], "b,c": []},
+}
+
+
+def _stdlib_csv(columns):
+    """The text ``csv.writer`` gives ``columns``; emit_rows must give the same."""
+    stream = io.StringIO(newline="")
+    writer = csv.writer(stream, lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
+    return stream.getvalue()
+
+
+class WriteSpy:
+    """A stream that records the text of each ``write`` call and has no other method."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
 class TestEmitRows:
     @pytest.mark.parametrize("case", sorted(EMIT_CASES))
     def test_texts_of_every_column_kind(self, case):
@@ -525,6 +579,36 @@ class TestEmitRows:
             f'{{"v": {texts[c]}, "flag": {"true" if i < 4 else "1"}}}\n'
             for i, c in enumerate(codes)
         )
+
+    @pytest.mark.parametrize("case", sorted(STDLIB_CSV_CASES))
+    def test_csv_matches_stdlib_writer(self, case):
+        columns = STDLIB_CSV_CASES[case]
+        expected = _stdlib_csv(columns)
+        coded = {name: Coded(tuple(v), np.arange(len(v))) for name, v in columns.items()}
+        assert _emit(columns, "csv") == expected
+        assert _emit(coded, "csv") == expected
+
+    def test_coded_entry_is_quoted_once(self, monkeypatch):
+        quoted = []
+        csv_text = cli._csv_text
+        monkeypatch.setattr(cli, "_csv_text", lambda x: quoted.append(x) or csv_text(x))
+        columns = {"v": Coded(("x, y", "plain"), np.array([0, 1, 0, 1, 0])), "w": [1.0] * 5}
+        assert _emit(columns, "csv") == 'v,w\r\n' + '"x, y",1\r\nplain,1\r\n' * 2 + '"x, y",1\r\n'
+        assert quoted.count("x, y") == 1 and quoted.count("plain") == 1
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    @pytest.mark.parametrize("config", ["canonical.json", "canonical-grid.json"])
+    def test_one_write_per_report(self, fmt_name, config):
+        cfg = cli.load_run_config(str(Path(__file__).parent / "golden" / config), allow_sweep=True)
+        reports = [
+            cli._bound_columns(cfg, "max", 2.0, residuals=True),
+            cli._verify_checks(cfg.composite, Loading(0.3, 1.0), 64),
+            {"a": [], "b": []},
+        ]
+        for columns in reports:
+            spy = WriteSpy()
+            emit_rows(columns, fmt_name, spy)
+            assert spy.writes == [_emit(columns, fmt_name)]
 
 
 def scalar_table_agreement(comp, sigma0, deltaT, target, samples=200):
@@ -568,6 +652,23 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, thermobounds.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_sweep_leaves_csv_unloaded(tmp_path):
+    # CSV reports are joined directly; nothing needs the csv module
+    src = str(Path(thermobounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys\n"
+        "from thermobounds.cli import main\n"
+        "code = main(['sweep', sys.argv[1], '--out', sys.argv[2]])\n"
+        "sys.exit(code or 3 * ('csv' in sys.modules))"
+    )
+    config = str(Path(__file__).resolve().parent / "golden" / "canonical-grid.json")
+    argv = [sys.executable, "-c", code, config, str(tmp_path / "rows.csv")]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rows.csv").read_text().startswith("sigma0,deltaT,")
 
 
 def test_verify_runs_without_scipy():
