@@ -56,7 +56,6 @@ from .errors import (
     InvalidExponent,
     NonConvergent,
     NonPositiveModulus,
-    SingularInterfaceSystem,
     SingularSystem,
     VolumeFractionOutOfRange,
 )

@@ -39,17 +39,20 @@ effective constants and, through :func:`superposed_traces`, region traces
 that do not read the endpoint table, which ``thermobounds verify`` and the
 finite-volume comparison check the table against.  The 3x3 interface
 system they solve is kept in ``_solve_shell`` as an independent route,
-which ``thermobounds verify`` compares with the closed forms.
+which ``thermobounds verify`` compares with the closed forms.  It is solved
+exactly over the integers and rounded once per coefficient, so it fails on
+no valid input for lack of precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import SQRT3, hs_bulk_moduli
-from .errors import ConsistencyFailure, SingularInterfaceSystem
+from .errors import ConsistencyFailure
 from .materials import EndpointLine, Loading, PhaseProperties, ValidatedComposite, check_exponent
 
 #: Relative tolerance for the internal dual-computation consistency checks.
@@ -134,39 +137,12 @@ class EffectiveProperties:
     compliance_contraction: float
 
 
-def _shell_system(
-    config: CoatedSphereConfig, eigen_on: bool, outer: str, traction: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and right-hand side of the 3x3 interface/boundary system for (g, A, B).
-
-    Rows: displacement continuity at r=a, radial traction continuity at r=a,
-    and the outer condition (clamped displacement or prescribed traction).
-    The eigenstrain (at unit temperature change) enters only the traction
-    rows.
-    """
-    a = np.float64(config.core_radius())
-    core, coat = config.core, config.coating
-    hc = core.h if eigen_on else 0.0
-    ht = coat.h if eigen_on else 0.0
-
-    with np.errstate(over="ignore", divide="ignore"):
-        mat = np.array(
-            [
-                [a, -a, -1.0 / a**2],
-                [3.0 * core.k, -3.0 * coat.k, 4.0 * coat.mu / a**3],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-    rhs = np.array([0.0, 3.0 * core.k * hc - 3.0 * coat.k * ht, 0.0])
-    if outer == "clamped":
-        mat[2] = [0.0, 1.0, 1.0]  # u(1) = A + B
-        rhs[2] = 0.0
-    elif outer == "traction":
-        mat[2] = [0.0, 3.0 * coat.k, -4.0 * coat.mu]  # sigma_rr(1)
-        rhs[2] = traction + 3.0 * coat.k * ht
-    else:
-        raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
-    return mat, rhs
+def _quotient(num: int, den: int) -> float:
+    """num / den rounded once; an infinity of its sign where that overflows."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
 def _solve_shell(
@@ -175,27 +151,44 @@ def _solve_shell(
     outer: str,
     traction: float = 0.0,
 ) -> ShellCoefficients:
-    """Solve the 3x3 system of :func:`_shell_system` for (g, A, B).
+    """Solve the 3x3 interface/boundary system for (g, A, B) exactly.
+
+    Rows: displacement continuity at r=a times a^2, radial traction
+    continuity at r=a times a^3, and the outer condition (clamped
+    ``u(1) = A + B = 0`` or prescribed traction ``sigma_rr(1)``).  The
+    eigenstrain (at unit temperature change) enters only the traction rows.
+    Each entry is then a sum of products of float inputs, so one power of
+    two ``s`` that makes every input an integer makes every row integer, and
+    Cramer's rule gives each coefficient as one quotient of integers,
+    rounded once; one beyond the float range is an infinity of its sign.
 
     This is the independent route to the closed forms of
     :func:`thermal_coefficients` and :func:`mechanical_coefficients`;
-    only the ``verify`` command uses it.  Raises SingularInterfaceSystem if
-    the system is degenerate or its solution is not finite, which happens
-    only when a core fraction near the smallest float makes 1/a^3 overflow.
+    only the ``verify`` command uses it.
     """
-    mat, rhs = _shell_system(config, eigen_on, outer, traction)
-    if not np.all(np.isfinite(mat)):
-        raise SingularInterfaceSystem(
-            f"interface system overflows at core radius {config.core_radius()!r}"
-        )
-    try:
-        g, A, B = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded, unreachable
-        raise SingularInterfaceSystem(str(exc)) from exc
-    if not np.all(np.isfinite([g, A, B])):  # pragma: no cover
-        raise SingularInterfaceSystem("non-finite shell coefficients")
+    core, coat = config.core, config.coating
+    hc, ht = (core.h, coat.h) if eigen_on else (0.0, 0.0)
+    inputs = (config.core_radius(), core.k, coat.k, coat.mu, hc, ht, traction)
+    ratios = [x.as_integer_ratio() for x in inputs]
+    s = max(d for _, d in ratios)  # every denominator is a power of two
+    a, kc, kt, mut, hc, ht, traction = (n * (s // d) for n, d in ratios)
+    a3 = a**3
+    # row i is (m_i1, m_i2, m_i3 | r_i), each scaled by a power of s; r_1 = m_31 = 0
+    m11, m12, m13 = a3, -a3, -(s**3)
+    m21, m22, m23 = 3 * kc * a3 * s, -3 * kt * a3 * s, 4 * mut * s**4
+    r2 = 3 * a3 * (kc * hc - kt * ht)
+    if outer == "clamped":
+        m32, m33, r3 = 1, 1, 0
+    elif outer == "traction":
+        m32, m33, r3 = 3 * kt * s, -4 * mut * s, traction * s + 3 * kt * ht
+    else:
+        raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
+    minor13 = m12 * m33 - m13 * m32  # rows 1 and 3, columns 2 and 3
+    det = m11 * (m22 * m33 - m23 * m32) - m21 * minor13
     return ShellCoefficients(
-        core_linear=float(g), coat_linear=float(A), coat_inverse_square=float(B)
+        core_linear=_quotient(r3 * (m12 * m23 - m13 * m22) - r2 * minor13, det),
+        coat_linear=_quotient(m11 * (r2 * m33 - m23 * r3) + m21 * m13 * r3, det),
+        coat_inverse_square=_quotient(m11 * (m22 * r3 - r2 * m32) - m21 * m12 * r3, det),
     )
 
 

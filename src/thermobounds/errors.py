@@ -40,14 +40,6 @@ class InvalidExponent(InputError):
     """Moment exponent p outside the supported range (1, inf]."""
 
 
-class SingularInterfaceSystem(RuntimeError):
-    """The 3x3 shell interface system could not be solved.
-
-    For positive moduli this happens only when the core fraction is so
-    small (near the smallest float) that the system's 1/a^3 entry overflows.
-    """
-
-
 class SingularSystem(RuntimeError):
     """The discretized radial boundary-value problem is singular.
 

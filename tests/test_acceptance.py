@@ -247,21 +247,26 @@ def test_criterion_07_regime_table_agreement():
                         assert m.core_phase == (core or None)
                         if target == "max" and core:
                             assert m.max_attaining_phase == phase
-                    for s0, value, branch, core, phase in direct:
-                        row = table.row_for(s0)
-                        via = row.bound_at(s0, table.D)
-                        scale = max(value, via, 1e-300)
-                        if value != via:
-                            worst_val = max(worst_val, abs(value - via) / scale)
+                    via = table.bound_at(sigmas)
+                    scale = np.maximum(np.maximum(b.value, via), 1e-300)
+                    worst_val = max(worst_val, float(np.max(np.abs(b.value - via) / scale)))
+                    # each sample against the table row that contains it
+                    index = table._row_index(sigmas)
+                    for i, row in enumerate(table.rows):
+                        in_row = index == i
+                        core, phase = b.core[in_row], b.phase[in_row]
                         m = row.microstructure
-                        if row.branch != BRANCH_IDS[branch]:
-                            mismatches += 1
-                        elif row.branch != "Zero" and (
-                            m.kind, m.core_phase, m.coating_phase, m.max_attaining_phase
-                        ) != (coated, core, 3 - core, phase if target == "max" else None):
-                            mismatches += 1
-                        elif row.branch == "Zero" and core != 0:
-                            mismatches += 1
+                        agrees = b.branch[in_row] == BRANCH_IDS.index(row.branch)
+                        if row.branch == "Zero":
+                            agrees &= core == 0
+                        else:
+                            agrees &= (m.kind == coated) & (m.core_phase == core)
+                            agrees &= m.coating_phase == 3 - core
+                            agrees &= (
+                                phase == m.max_attaining_phase if target == "max"
+                                else m.max_attaining_phase is None
+                            )
+                        mismatches += int(np.count_nonzero(~agrees))
     report(
         7,
         "regime tables match minimization pointwise (8 sign combos x 3 targets x 1e4)",

@@ -173,6 +173,21 @@ class TestTable:
                 val = eval(expr, {"__builtins__": {}}, {"sigma0": s0})  # noqa: S307
                 assert val == val  # evaluates to a number
 
+    @pytest.mark.parametrize("target", ["phase1", "phase2", "max"])
+    @pytest.mark.parametrize("h2", [1e10, 0.0])
+    def test_non_finite_D(self, tmp_path, capsys, h2, target):
+        # D = -inf at h2 = 1e10: the table printed breakpoints of -inf and nan
+        # and exited 0; at h2 = 0, D = 0 and the table is finite
+        phase1, phase2 = {"k": 1e300, "mu": 1e300, "h": 0.0}, {"k": 5e299, "mu": 5e299, "h": h2}
+        cfg = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2))
+        code, out, err = run(capsys, "table", cfg, "--target", target)
+        if h2:
+            assert (code, out) == (1, "")
+            assert err.startswith("D = -inf: ") and err.count("\n") == 1
+        else:
+            rows = parse_csv(out)
+            assert code == 0 and [r["D"] for r in rows] == ["-0", "-0"]
+
 
 class TestVerify:
     def test_passes_at_coarse_grid(self, tmp_path, capsys):
@@ -293,8 +308,74 @@ class TestVerify:
             assert code == 1 and err.startswith("FAILED ")
             for r in table_rows:
                 assert r["status"] == "fail" and r["note"].startswith("D = -inf: ")
+            # non-finite moments passed with residual 0, and nan residuals had no note
+            moments = [r for r in rows if r["check"] == "moment-exponent-independence"]
+            assert [r["status"] for r in moments] == ["fail", "fail"]
+            assert all(r["note"] for r in rows if r["status"] == "fail")
         else:
             assert code == 0 and all(r["status"] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("phase1, phase2, expected_code", [
+        ({"k": 1e6, "mu": 1e6, "h": 0.0}, {"k": 1.0, "mu": 1e-6, "h": 1.0}, 0),
+        ({"k": 1e200, "mu": 1e200, "h": 0.0}, PSTAR["phase2"], 0),
+        ({"k": 1.0, "mu": 1e200, "h": 0.0}, {"k": 2.0, "mu": 1.0, "h": 1.0}, None),
+    ])
+    def test_3x3_rows_pass_at_high_contrast(
+        self, tmp_path, capsys, phase1, phase2, expected_code
+    ):
+        # the float 3x3 solve missed 1e-12 here: 1.6e-10 at a condition
+        # number of 9e6, and 3.7e183 at moduli of 1e200
+        loading = {"sigma0": 0.3, "deltaT": 1.0}
+        cfg = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2, loading=loading))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "verify", cfg)
+        solved = [
+            r for r in parse_csv(out)
+            if r["check"] in ("thermal-closed-form-agreement", "effective-bulk-modulus-dual-route")
+        ]
+        assert len(solved) == 4 and all(r["status"] == "pass" for r in solved)
+        assert expected_code is None or code == expected_code
+
+    @pytest.mark.parametrize("phase2", [
+        {"k": 5e-324, "mu": 5e-324, "h": 1.0},
+        {"k": 5e-324, "mu": 5e-324, "h": 1e308},
+        {"k": 5e-324, "mu": 5e-324, "h": -1e308},
+        {"k": 1.0, "mu": 0.5, "h": 1e308},
+        {"k": 1.0, "mu": 0.5, "h": -1e308},
+    ])
+    def test_out_of_range_fields_give_no_traceback(self, tmp_path, capsys, phase2):
+        # a coating of moduli 5e-324 takes a unit traction with A beyond the
+        # float range, and h = +-1e308 overflows the thermal fields; verify
+        # exits 1 as before, without a traceback or a warning
+        loading = {"sigma0": 0.3, "deltaT": 1.0}
+        cfg = write_config(tmp_path, dict(PSTAR, phase2=phase2, loading=loading))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", cfg)
+        assert code == 1 and err.count("\n") == 1
+        assert all(r["note"] for r in parse_csv(out) if r["status"] == "fail")
+
+    def test_rows_in_the_callers_numbering(self, tmp_path, capsys):
+        # the relabeled config, and the same composite written in the
+        # internal numbering: each row of one is the other's row with core
+        # or phase number 1 and 2 exchanged, and the rows are in one order
+        golden = Path(__file__).resolve().parent / "golden"
+        doc = json.loads((golden / "relabeled.json").read_text())
+        internal = dict(doc, phase1=doc["phase2"], phase2=doc["phase1"], theta1=1.0 - doc["theta1"])
+        reports = [
+            parse_csv(run(capsys, "verify", write_config(tmp_path, d, f"{i}.json"))[1])
+            for i, d in enumerate((doc, internal))
+        ]
+        exchanged = {"core1": "core2", "core2": "core1", "phase1": "phase2", "phase2": "phase1"}
+        caller, internal_rows = reports
+        by_key = {(r["check"], r["orientation"]): r for r in internal_rows}
+        assert len(caller) == len(internal_rows) == 31
+        for row in caller:
+            o = row["orientation"]
+            assert row == dict(by_key[row["check"], exchanged.get(o, o)], orientation=o)
+        keys = [[(r["check"], r["orientation"]) for r in rows] for rows in reports]
+        assert keys[0] == keys[1]
 
     def test_bound_attainment_detects_a_wrong_table_entry(self):
         # the bounds and the library's coated-sphere fields read one table;
@@ -690,12 +771,14 @@ def test_verify_runs_without_scipy():
 # The oracle-field-agreement residuals (n = 4096) that verify printed on the
 # golden configs at commit 86f95a9, whose FV oracle assembled the flux and
 # hoop terms separately and solved with scipy's banded LU.  Every row of
-# those four runs passed.
+# those four runs passed.  That verify labelled the cores in the internal
+# numbering; the relabeled config's are given here in the caller's, in
+# which they are exchanged.
 EARLIER_ORACLE_RESIDUALS = {
     ("canonical", "core1"): 1.0711458919843148e-07,
     ("canonical", "core2"): 9.694807194075379e-08,
-    ("relabeled", "core1"): 2.6205671143290815e-07,
-    ("relabeled", "core2"): 4.3809387626738736e-08,
+    ("relabeled", "core1"): 4.3809387626738736e-08,
+    ("relabeled", "core2"): 2.6205671143290815e-07,
     ("flat", "core1"): 1.737365806775415e-10,
     ("flat", "core2"): 1.5589840529628418e-10,
     ("zero-deltaT", "core1"): 1.0666039678142171e-08,

@@ -329,6 +329,80 @@ class TestLocalFields:
             assert abs(u_core - u_coat) <= 1e-11 * scale
 
 
+def fraction_shell_solve(cfg, eigen_on, outer, traction=0.0):
+    """(g, A, B) of the interface conditions by Gaussian elimination in Fractions.
+
+    The rows are the unscaled conditions at the float core radius; each
+    coefficient is rounded once, to an infinity of its sign beyond the float range.
+    """
+    a, kc, kt, mut = (Fraction(x) for x in (cfg.core_radius(), cfg.core.k, cfg.coating.k,
+                                            cfg.coating.mu))
+    hc, ht = (Fraction(cfg.core.h), Fraction(cfg.coating.h)) if eigen_on else (0, 0)
+    rows = [
+        [a, -a, -1 / a**2, Fraction(0)],  # u continuous at r = a
+        [3 * kc, -3 * kt, 4 * mut / a**3, 3 * kc * hc - 3 * kt * ht],  # sigma_rr too
+        [Fraction(0), Fraction(1), Fraction(1), Fraction(0)] if outer == "clamped"
+        else [Fraction(0), 3 * kt, -4 * mut, Fraction(traction) + 3 * kt * ht],
+    ]
+    for i in range(3):
+        pivot = next(r for r in range(i, 3) if rows[r][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for r in range(3):
+            if r != i:
+                factor = rows[r][i] / rows[i][i]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[i])]
+
+    def rounded(x):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+
+    return tuple(rounded(row[3] / row[i]) for i, row in enumerate(rows))
+
+
+class TestExactShellSolve:
+    def test_equals_rounded_fraction_solve_over_wide_domain(self):
+        # drawn like test_endpoint_table's wide-contrast probe: moduli over
+        # 300 decades, fractions in (1e-9, 1 - 1e-9)
+        rng = np.random.default_rng(10)
+        count = 0
+        while count < 200:
+            k1, k2, mu1, mu2 = (float(x) for x in 10.0 ** rng.uniform(-150.0, 150.0, 4))
+            h1, h2, s0 = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
+            theta1 = float(rng.uniform(1e-9, 1.0 - 1e-9))
+            try:
+                comp, _ = build_composite(
+                    PhaseProperties(k1, mu1, h1), PhaseProperties(k2, mu2, h2), theta1
+                )
+            except InputError:
+                continue
+            count += 1
+            for core in (1, 2):
+                cfg = CoatedSphereConfig(composite=comp, core_phase=core)
+                for args in ((True, "clamped"), (False, "traction", s0)):
+                    got = coated_sphere._solve_shell(cfg, *args)
+                    assert (
+                        got.core_linear, got.coat_linear, got.coat_inverse_square
+                    ) == fraction_shell_solve(cfg, *args), (comp, core, args)
+
+    def test_out_of_range_coefficient_is_an_infinity(self):
+        # a coating of moduli 5e-324 takes a unit traction with A near 1/k,
+        # beyond the float range
+        comp = build_unswapped(
+            PhaseProperties(k=2.0, mu=1.0, h=0.0), PhaseProperties(k=5e-324, mu=5e-324, h=1.0), 0.5
+        )
+        cfg = CoatedSphereConfig(composite=comp, core_phase=1)
+        got = coated_sphere._solve_shell(cfg, eigen_on=False, outer="traction", traction=1.0)
+        expected = fraction_shell_solve(cfg, False, "traction", 1.0)
+        assert (got.core_linear, got.coat_linear, got.coat_inverse_square) == expected
+        assert expected[1] == math.inf
+
+    def test_outer_condition_is_checked(self):
+        with pytest.raises(ValueError, match="outer must be"):
+            coated_sphere._solve_shell(CORE1, eigen_on=True, outer="free")
+
+
 class TestClosedFormPath:
     def test_library_never_solves_the_interface_system(self, monkeypatch):
         # the 3x3 solve is verify's independent route; the library's field
