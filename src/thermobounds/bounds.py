@@ -38,7 +38,10 @@ interface symmetry with the moment evaluators and is validated when given.
 :func:`bound_arrays` evaluates a bound, its attaining microstructure and
 its regime-table branch over whole arrays of loadings in one numpy pass,
 with the same floating-point operations as the scalar functions, so every
-element equals the scalar result bit for bit.
+element equals the scalar result bit for bit.  numpy is imported inside
+the functions that build arrays (:func:`bound_arrays` and the array branch
+of :meth:`RegimeTable.bound_at`), so the scalar functions, the regime
+tables and their float lookups run without loading it.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -46,10 +49,9 @@ Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .materials import Loading, Ordering, ValidatedComposite, check_exponent
 
@@ -171,13 +173,8 @@ class RegimeRow:
     microstructure: Microstructure
     endpoint_offset: float | None
 
-    def bound_at(self, sigma0: float, D: float | None = None) -> float:
-        """This row's bound ``sqrt(3) |t sigma0 + e deltaT|`` at sigma0.
-
-        ``D`` is deprecated and ignored: the row carries its own offset.  It
-        is accepted only so that existing ``row.bound_at(sigma0, table.D)``
-        calls keep working.
-        """
+    def bound_at(self, sigma0: float) -> float:
+        """This row's bound ``sqrt(3) |t sigma0 + e deltaT|`` at sigma0."""
         if self.branch == "Zero":
             return 0.0
         return SQRT3 * abs(self.endpoint_value * sigma0 + self.endpoint_offset)
@@ -201,7 +198,15 @@ class RegimeTable:
     rows: tuple[RegimeRow, ...]
 
     def bound_at(self, sigma0):
-        """The bound at sigma0, a float or an array of them, row by row."""
+        """The bound at sigma0, a float or an array of them, row by row.
+
+        A float (``np.float64`` included) or an int takes :meth:`row_for`'s
+        lookup; only an array is evaluated with numpy.
+        """
+        if isinstance(sigma0, (float, int)):
+            return self.row_for(sigma0).bound_at(sigma0)
+        import numpy as np
+
         if np.ndim(sigma0) == 0:
             return self.row_for(sigma0).bound_at(sigma0)
         sigma0 = np.asarray(sigma0, dtype=float)
@@ -213,15 +218,20 @@ class RegimeTable:
         return value
 
     def row_for(self, sigma0: float) -> RegimeRow:
-        """Return the row containing sigma0.
+        """Return the row containing sigma0, the first whose ``sigma_hi`` is at least it.
 
         At a shared breakpoint both adjacent rows contain sigma0 and
         evaluate to the same value; the earlier row is returned.
         """
-        return self.rows[int(self._row_index(sigma0))]
+        index = bisect_left([row.sigma_hi for row in self.rows], sigma0)
+        if index == len(self.rows) or sigma0 != sigma0:  # bisect puts a NaN first
+            raise ValueError(f"sigma0={sigma0} not covered by table")
+        return self.rows[index]
 
     def _row_index(self, sigma0):
-        """Index of the first row whose ``sigma_hi`` is at least sigma0."""
+        """:meth:`row_for`'s row index for each element of an array."""
+        import numpy as np
+
         index = np.searchsorted([row.sigma_hi for row in self.rows], sigma0, side="left")
         if np.any(index == len(self.rows)):
             raise ValueError(f"sigma0={sigma0} not covered by table")
@@ -488,6 +498,8 @@ def _phase_arrays(c: ValidatedComposite, phase: int, sigma0, deltaT, D, crossing
     ``lower`` tells which end attains it and ``v`` is that end's mean stress.
     ``crossing`` is ``D/(D - sigma0)`` and ``flat`` where ``sigma0 == D``.
     """
+    import numpy as np
+
     lo, hi = (getattr(c.endpoints, s) for s in _INTERVAL_SYMBOLS[c.ordering, phase])
     v_lo = lo.t * sigma0 + lo.e * deltaT
     v_hi = hi.t * sigma0 + hi.e * deltaT
@@ -515,6 +527,8 @@ def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArr
     at ``Loading(sigma0, deltaT)``, including the max-field tie rule, but
     each per-phase bound runs once over the whole array.
     """
+    import numpy as np
+
     sigma0, deltaT = np.broadcast_arrays(
         np.asarray(sigma0, dtype=float), np.asarray(deltaT, dtype=float)
     )

@@ -11,7 +11,9 @@ Four subcommands, each reading a JSON config file:
 * ``sweep``   -- evaluate bounds over a grid of loadings and write them to
   a file.  The whole grid is evaluated in one numpy pass of
   :func:`~thermobounds.bounds.bound_arrays`, which gives the same bits as
-  the scalar functions; ``bounds`` uses the same pass with one row.
+  the scalar functions; ``bounds`` evaluates its one row with the scalar
+  :func:`~thermobounds.bounds.classify_branch`.  Only ``sweep`` and
+  ``verify`` load numpy.
 
 Config schema::
 
@@ -54,8 +56,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     BRANCH_IDS,
@@ -65,6 +65,7 @@ from .bounds import (
     MicrostructureKind,
     bound_arrays,
     characteristic_constants,
+    classify_branch,
     phase_moment_lower_bound,
     regime_table,
 )
@@ -190,11 +191,12 @@ def _column_texts(column, text) -> list[str]:
 
     A column is a :class:`Coded`, a float ndarray (CSV formats it with
     ``'%.17g'``, the text of :func:`fmt`), or a sequence of values of any type.
+    An ndarray is told by its ``tolist`` method, so that emit needs no numpy.
     """
     if isinstance(column, Coded):
         table = [text(v) for v in column.values]
         return [table[c] for c in column.codes.tolist()]
-    if isinstance(column, np.ndarray):
+    if hasattr(column, "tolist"):
         column = column.tolist()
         if text is _csv_text:
             return ["%.17g" % x for x in column]
@@ -328,6 +330,8 @@ def _superposed_trace_coefficients(comp: ValidatedComposite) -> np.ndarray:
     That route is affine in the loading and independent of the endpoint
     table the bounds read.  Core 0 (no designated assemblage) stays 0.
     """
+    import numpy as np
+
     coefficients = np.zeros((2, 3, 3))
     for core in (1, 2):
         sphere = CoatedSphereConfig(composite=comp, core_phase=core)
@@ -338,6 +342,8 @@ def _superposed_trace_coefficients(comp: ValidatedComposite) -> np.ndarray:
 
 def _attainment_residuals(coefficients, sigma0, deltaT, value, phase, core):
     """Relative gap between bounds and the moments, by ``coefficients``, of their assemblages."""
+    import numpy as np
+
     per_sigma0, per_deltaT = coefficients
     trace = per_sigma0[core, phase] * sigma0 + per_deltaT[core, phase] * deltaT
     scale = np.maximum(np.maximum(value, np.abs(sigma0) + np.abs(deltaT)), 1e-300)
@@ -357,6 +363,8 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
     ``residuals`` each row also gets the attainment residual of its bound
     (None when the bound is 0 and no assemblage is designated).
     """
+    import numpy as np
+
     comp, relabeled = cfg.composite, cfg.relabeled
     target = _internal_target(phase_flag, relabeled)
     sigma_values, delta_values = _axis_values(cfg.sigma0), _axis_values(cfg.deltaT)
@@ -399,9 +407,28 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
 
 
 def cmd_bounds(args) -> int:
+    """The one row of :func:`_bound_columns` at the configured loading, by the scalar kernel."""
     cfg = load_run_config(args.config)
-    p = _parse_p(args.p)
-    emit_rows(_bound_columns(cfg, args.phase, p), args.format, sys.stdout)
+    p, relabeled = _parse_p(args.p), cfg.relabeled
+    target = _internal_target(args.phase, relabeled)
+    result, branch = classify_branch(cfg.composite, cfg.deltaT, target, cfg.sigma0)
+    micro = result.microstructure
+    row = {
+        "sigma0": cfg.sigma0,
+        "deltaT": cfg.deltaT,
+        "phase": args.phase,
+        "p": p,
+        "value": result.value,
+        "argmin": result.argmin_compliance,
+        "at_endpoint": result.at_endpoint.value,
+        "branch": branch,
+        "microstructure": micro.kind.value,
+        "core_phase": _swap_phase(micro.core_phase, relabeled),
+        "coating_phase": _swap_phase(micro.coating_phase, relabeled),
+        "max_attaining_phase": _swap_phase(micro.max_attaining_phase, relabeled),
+        "relabeled": relabeled,
+    }
+    emit_rows({name: [value] for name, value in row.items()}, args.format, sys.stdout)
     return 0
 
 
@@ -477,6 +504,8 @@ def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> d
 
     Cores and phases are numbered as in ``comp``, the internal numbering.
     """
+    import numpy as np
+
     rows = []
 
     def add(name, orientation, residual, tol, note=""):
@@ -488,13 +517,20 @@ def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> d
     for core in (1, 2):
         sphere = CoatedSphereConfig(composite=comp, core_phase=core)
         tag = f"core{core}"
+        # the continuity residuals divide by a^2 and a^3, which carry too few
+        # bits to resolve them when a^3 is subnormal
+        fraction = sphere.core_fraction
+        subnormal = (
+            f"the core fraction a^3 = {fmt(fraction)} is subnormal"
+            if fraction < sys.float_info.min else ""
+        )
 
         # the closed-form coefficients the library uses, against the shell
         # conditions and against the 3x3 interface solve
         th = thermal_coefficients(sphere)
         r_u, r_t, r_o = interface_residuals(sphere, th, deltaT=1.0, outer="clamped")
-        add("thermal-displacement-continuity", tag, r_u, TOL_IDENTITY)
-        add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY)
+        add("thermal-displacement-continuity", tag, r_u, TOL_IDENTITY, subnormal)
+        add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY, subnormal)
         add("thermal-outer-clamped", tag, r_o, TOL_IDENTITY)
 
         solved = _solve_shell(sphere, eigen_on=True, outer="clamped")
@@ -510,8 +546,8 @@ def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> d
         r_u, r_t, r_o = interface_residuals(
             sphere, me, deltaT=0.0, outer="traction", traction=loading.sigma0
         )
-        add("mechanical-displacement-continuity", tag, r_u, TOL_IDENTITY)
-        add("mechanical-traction-continuity", tag, r_t, TOL_IDENTITY)
+        add("mechanical-displacement-continuity", tag, r_u, TOL_IDENTITY, subnormal)
+        add("mechanical-traction-continuity", tag, r_t, TOL_IDENTITY, subnormal)
         add("mechanical-outer-traction", tag, r_o, TOL_IDENTITY)
 
         h1, h2 = effective_thermal_stress_routes(sphere)
@@ -601,6 +637,8 @@ def _exchanged_numbering(checks: dict) -> dict:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
     cfg = load_run_config(args.config)
     if args.grid_n < 16:
         raise ConfigError(f"--grid-n must be >= 16, got {args.grid_n}")

@@ -49,8 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bounds import SQRT3, hs_bulk_moduli
 from .errors import ConsistencyFailure
 from .materials import EndpointLine, Loading, PhaseProperties, ValidatedComposite, check_exponent
@@ -538,6 +536,8 @@ def evaluate_fields(
     Radii at the interface are assigned to the core side (both sides give
     the same displacement there; the stress trace jumps).
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     total = superposed_shell_coefficients(config, loading)
     in_core = r <= config.core_radius()

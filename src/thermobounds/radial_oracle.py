@@ -13,14 +13,15 @@ None of them reuse the closed-form shell solution, so agreement with the
 analytic constructions is a genuine cross-check.  The finite-volume scheme
 is second-order accurate in the grid spacing; linear-in-r displacement
 fields (uniform hydrostatic states) are reproduced exactly.
+
+Every function imports numpy where it builds arrays, so importing this
+module, as ``import thermobounds`` does, does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .bounds import SQRT3
 from .coated_sphere import CoatedSphereConfig, evaluate_fields
@@ -47,6 +48,8 @@ class RadialGrid:
         return len(self.nodes)
 
     def __post_init__(self):
+        import numpy as np
+
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if len(nodes) < MIN_NODES:
@@ -61,11 +64,15 @@ class RadialGrid:
     @cached_property
     def volume_weights(self) -> np.ndarray:
         """Differences of r^3 over the cells, proportional to cell volumes."""
+        import numpy as np
+
         return np.diff(np.concatenate(([0.0], self.nodes)) ** 3)
 
     @cached_property
     def core_cells(self) -> np.ndarray:
         """True for the cells inside the interface node."""
+        import numpy as np
+
         return np.arange(self.n) <= self.interface_index
 
 
@@ -79,6 +86,8 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     to 1; the core cells' r^3 underflows for a core fraction near the
     smallest float).
     """
+    import numpy as np
+
     if n < MIN_NODES:
         raise ValueError(f"n must be >= {MIN_NODES}, got {n}")
     a = config.core_radius()
@@ -115,6 +124,8 @@ class RadialSolution:
 
 
 def _cell_phase(config: CoatedSphereConfig, grid: RadialGrid) -> np.ndarray:
+    import numpy as np
+
     return np.where(grid.core_cells, config.core_phase, config.coating_phase)
 
 
@@ -134,6 +145,8 @@ def _solve_tridiagonal(lower, upper, row_sum, rhs) -> np.ndarray:
     yields a non-finite solution, without a floating-point warning, for the
     caller to reject.
     """
+    import numpy as np
+
     levels = []
     a, c, s, d = lower, upper, row_sum, rhs
     with np.errstate(all="ignore"):
@@ -183,6 +196,8 @@ def solve_radial_bvp(
     ``grid.n`` nodal displacements solve a tridiagonal system by cyclic
     reduction.
     """
+    import numpy as np
+
     if outer == "clamped" and loading.sigma0 != 0.0:
         raise ValueError("clamped outer condition requires sigma0 == 0")
     if outer not in ("traction", "clamped"):
@@ -285,6 +300,8 @@ def interval_scan_min(lo: float, hi: float, sigma0: float, D: float, n: int) -> 
     Evaluates at n equispaced points; the result overestimates the true
     minimum by at most sqrt(3) |sigma0 - D| (hi - lo) / (n - 1).
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if lo > hi:
@@ -307,6 +324,8 @@ def sampled_moment(solution: RadialSolution, phase: int, p: float) -> float:
 
 def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[float]:
     """:func:`sampled_moment` at each of ``exponents``, from one pass over the phase's cells."""
+    import numpy as np
+
     mask = solution.cell_phase == phase
     if not np.any(mask):
         raise ValueError(f"no cells of phase {phase} in solution")
@@ -324,6 +343,8 @@ def compare_fields(analytic: RadialSolution, numeric: RadialSolution) -> float:
     comparison stays meaningful near zeros of u).  Returns 0 for two zero
     fields.
     """
+    import numpy as np
+
     if not np.array_equal(analytic.grid.nodes, numeric.grid.nodes):
         raise ValueError("solutions live on different grids")
     err = 0.0

@@ -491,7 +491,7 @@ class TestRegimeTable:
                     result, branch = classify_branch(comp, deltaT, target, float(s0))
                     row = table.row_for(float(s0))
                     assert row.branch == branch
-                    assert row.bound_at(float(s0), table.D) == pytest.approx(
+                    assert row.bound_at(float(s0)) == pytest.approx(
                         result.value, rel=1e-12, abs=1e-12 * span
                     )
                     if row.branch != "Zero":
@@ -508,8 +508,8 @@ class TestRegimeTable:
                 for left, right in zip(table.rows, table.rows[1:]):
                     s = left.sigma_hi
                     assert right.sigma_lo == s
-                    v_left = left.bound_at(s, table.D)
-                    v_right = right.bound_at(s, table.D)
+                    v_left = left.bound_at(s)
+                    v_right = right.bound_at(s)
                     scale = max(v_left, v_right, 1.0)
                     assert abs(v_left - v_right) <= 1e-10 * scale
 
@@ -535,13 +535,40 @@ class TestRegimeTable:
                 # at a shared breakpoint both rows contain sigma0; the earlier one is picked
                 s0 = [*rng.uniform(-20, 20, 50).tolist(), *table.breakpoints, -math.inf, math.inf]
                 rows = [first_row_containing(table, s) for s in s0]
-                expected = [row.bound_at(s, table.D) for row, s in zip(rows, s0)]
+                expected = [row.bound_at(s) for row, s in zip(rows, s0)]
                 assert [table.row_for(s) for s in s0] == rows
                 assert [table.bound_at(s) for s in s0] == expected
                 assert table.bound_at(np.array(s0)).tolist() == expected
                 for bad in (math.nan, np.array([0.0, math.nan])):
                     with pytest.raises(ValueError):
                         table.bound_at(bad)
+
+    def test_scalar_bound_at_edges(self, rng):
+        # floats, np.float64 and ints take the scalar lookup, which must pick
+        # the rows a linear scan picks
+        def first_row_containing(table, s0):
+            return next(r for r in table.rows if r.sigma_lo <= s0 <= r.sigma_hi)
+
+        for _ in range(10):
+            comp = random_composite(rng)
+            deltaT = float(rng.uniform(-3, 3))
+            for target in ("phase1", "phase2", "max"):
+                table = regime_table(comp, deltaT, target)
+                assert table.row_for(-math.inf) is table.rows[0]
+                assert table.row_for(math.inf) is table.rows[-1]
+                # at every shared breakpoint, the row that ends there
+                for s in table.breakpoints:
+                    assert table.row_for(s).sigma_hi == s
+                for s in (*table.breakpoints, -math.inf, math.inf, -7, 0, 3):
+                    row = first_row_containing(table, s)
+                    expected = row.bound_at(float(s))
+                    for x in (s, float(s), np.float64(s)):
+                        assert table.row_for(x) is row, (target, x)
+                        assert table.bound_at(x) == expected, (target, x)
+                for bad in (math.nan, np.float64(math.nan)):
+                    for lookup in (table.row_for, table.bound_at):
+                        with pytest.raises(ValueError):
+                            lookup(bad)
 
 
 class TestBranchContinuityInLoading:

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import thermobounds
-from conftest import random_composite
+from conftest import random_composite, random_loading
 from thermobounds import Ordering, characteristic_constants, classify_branch, regime_table
+from thermobounds.bounds import thermal_stress_scale
 from thermobounds import Loading, PhaseProperties, build_composite
 from thermobounds.materials import EndpointLine
 from thermobounds import cli, radial_oracle
 from thermobounds.cli import Coded, emit_rows, main
+from test_endpoint_table import wide_domain_samples
 from test_radial_oracle import zero_pivot_solve
 
 PSTAR = {
@@ -133,6 +135,55 @@ class TestBounds:
         assert row_a["core_phase"] == "1" and row_b["core_phase"] == "2"
         assert row_a["coating_phase"] == "2" and row_b["coating_phase"] == "1"
 
+    def test_scalar_row_equals_the_sweep_row(self, tmp_path, capsys):
+        # bounds evaluates its row with the scalar kernel, sweep with
+        # bound_arrays; the reports must be the same bytes
+        docs = list(bounds_cases(np.random.default_rng(4040)))
+        assert len(docs) >= 300
+        cfg = str(tmp_path / "config.json")
+        for i, doc in enumerate(docs):
+            Path(cfg).write_text(json.dumps(doc))
+            parsed = cli.load_run_config(cfg)
+            p = ("2", "inf", "1.5")[i % 3]
+            for flag in ("1", "2", "max"):
+                columns = cli._bound_columns(parsed, flag, float(p))
+                for fmt_name in ("csv", "json"):
+                    argv = ("bounds", cfg, "--phase", flag, "--format", fmt_name, "--p", p)
+                    assert run(capsys, *argv) == (0, _emit(columns, fmt_name), ""), (doc, flag)
+
+
+def _doc(phase1, phase2, theta1, sigma0, deltaT):
+    return {
+        "phase1": vars(phase1),
+        "phase2": vars(phase2),
+        "theta1": theta1,
+        "loading": {"sigma0": sigma0, "deltaT": deltaT},
+    }
+
+
+def bounds_cases(rng):
+    """Configs of 320 composites: ordinary, wide-domain, relabeled, zero bounds and sigma0 == D."""
+    wide = [(comp, loading) for comp, loadings in wide_domain_samples(80, seed=12)
+            for loading in loadings[:1]]
+    ordinary = [(random_composite(rng), random_loading(rng)) for _ in range(80)]
+    for comp, loading in ordinary + wide:
+        yield _doc(comp.phase1, comp.phase2, comp.theta1, loading.sigma0, loading.deltaT)
+    for comp, loading in ordinary[:40] + wide[:40]:
+        # listed with the lower shear modulus first, so the CLI relabels them
+        yield _doc(comp.phase2, comp.phase1, comp.theta2, loading.sigma0, loading.deltaT)
+    for i in range(40):
+        # inside the zero row of a phase-1 table; every fifth at D = sigma0 = 0
+        comp, sigma0, deltaT = random_composite(rng), 0.0, 0.0
+        if i % 5:
+            deltaT = random_loading(rng).deltaT
+            (zero,) = [r for r in regime_table(comp, deltaT, "phase1").rows if r.branch == "Zero"]
+            sigma0 = 0.5 * (zero.sigma_lo + zero.sigma_hi)
+        assert classify_branch(comp, deltaT, "phase1", sigma0)[1] == "Zero"
+        yield _doc(comp.phase1, comp.phase2, comp.theta1, sigma0, deltaT)
+    for comp, loading in ordinary[40:60] + wide[40:60]:
+        D = thermal_stress_scale(comp, loading.deltaT)
+        yield _doc(comp.phase1, comp.phase2, comp.theta1, D, loading.deltaT)
+
 
 class TestTable:
     def test_canonical_phase2_rows(self, tmp_path, capsys):
@@ -219,6 +270,20 @@ class TestVerify:
             if row["residual"] == "inf":
                 assert row["status"] == "fail" and row["note"]
         assert run(capsys, "bounds", cfg)[0] == 0
+
+    def test_subnormal_core_fraction_notes_the_continuity_rows(self, tmp_path, capsys):
+        # a^3 = 5e-324 keeps too few bits for the continuity residuals, which
+        # divide by a^2 and a^3: the rows fail, and each says why
+        doc = dict(PSTAR, theta1=5e-324, loading={"sigma0": 0.3, "deltaT": 1.0})
+        code, out, _ = run(capsys, "verify", write_config(tmp_path, doc))
+        assert code == 1
+        rows = {(r["check"], r["orientation"]): r for r in parse_csv(out)}
+        for kind in ("thermal", "mechanical"):
+            for quantity in ("displacement", "traction"):
+                row = rows[f"{kind}-{quantity}-continuity", "core1"]
+                assert row["status"] == "fail"
+                assert "core fraction a^3 = 4.9406564584124654e-324 is subnormal" in row["note"]
+                assert rows[f"{kind}-{quantity}-continuity", "core2"]["note"] == ""
 
     def test_singular_fv_solve_fails_as_row(self, tmp_path, capsys, monkeypatch):
         # a coating of relative thickness 4e-9 for core 2: its four FV cells
@@ -727,18 +792,76 @@ class TestVerifyTableAgreement:
                 assert float(row["residual"]) == expected
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter with ``args`` as its argv; return the process."""
     src = str(Path(thermobounds.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, env=env, capture_output=True, timeout=60)
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, thermobounds.cli; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: one-shot queries and the scalar library path, none of which builds an array
+SCALAR_PATHS = {
+    "import": "import thermobounds\ncode = 0",
+    "bounds": (
+        "from thermobounds.cli import main\n"
+        "code = 0\n"
+        "for flags in (['--phase', '1'], ['--phase', '2'], ['--phase', 'max'],\n"
+        "              ['--format', 'json']):\n"
+        "    code = code or main(['bounds', sys.argv[1], *flags])"
+    ),
+    "table": (
+        "from thermobounds.cli import main\n"
+        "code = 0\n"
+        "for target in ('phase1', 'phase2', 'max'):\n"
+        "    code = code or main(['table', sys.argv[1], '--target', target])"
+    ),
+    "library": (
+        "import math\n"
+        "import thermobounds as tb\n"
+        "comp, _ = tb.build_composite(\n"
+        "    tb.PhaseProperties(1.0, 0.5, 1.0), tb.PhaseProperties(2.0, 1.0, 0.0), 0.4)\n"
+        "loading = tb.Loading(0.3, 1.0)\n"
+        "bound = tb.max_field_lower_bound(comp, loading)\n"
+        "for core in (1, 2):\n"
+        "    sphere = tb.CoatedSphereConfig(comp, core)\n"
+        "    tb.effective_properties(sphere)\n"
+        "    tb.local_field_constants(sphere, loading)\n"
+        "    tb.phase_moment(sphere, loading, bound.microstructure.max_attaining_phase, math.inf)\n"
+        "table = tb.regime_table(comp, loading.deltaT, 'max')\n"
+        "assert table.bound_at(0.3) == table.row_for(0.3).bound_at(0.3) == bound.value\n"
+        "code = 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCALAR_PATHS))
+def test_scalar_paths_leave_numpy_unloaded(path):
+    config = str(Path(__file__).resolve().parent / "golden" / "canonical.json")
+    code = f"import sys\n{SCALAR_PATHS[path]}\nsys.exit(code or 3 * ('numpy' in sys.modules))"
+    proc = _run_fresh(code, config)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_every_layer_module():
+    # the benchmark's tracer wraps the functions of each of these modules
+    code = (
+        "import sys, thermobounds.cli\n"
+        "layers = ('materials', 'bounds', 'coated_sphere', 'radial_oracle', 'cli')\n"
+        "sys.exit(any(f'thermobounds.{layer}' not in sys.modules for layer in layers))"
+    )
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_sweep_leaves_csv_unloaded(tmp_path):
     # CSV reports are joined directly; nothing needs the csv module
-    src = str(Path(thermobounds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys\n"
         "from thermobounds.cli import main\n"
@@ -746,15 +869,12 @@ def test_cli_sweep_leaves_csv_unloaded(tmp_path):
         "sys.exit(code or 3 * ('csv' in sys.modules))"
     )
     config = str(Path(__file__).resolve().parent / "golden" / "canonical-grid.json")
-    argv = [sys.executable, "-c", code, config, str(tmp_path / "rows.csv")]
-    proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    proc = _run_fresh(code, config, str(tmp_path / "rows.csv"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "rows.csv").read_text().startswith("sigma0,deltaT,")
 
 
 def test_verify_runs_without_scipy():
-    src = str(Path(thermobounds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys\n"
         "from thermobounds.cli import main\n"
@@ -762,9 +882,7 @@ def test_verify_runs_without_scipy():
         "sys.exit(code or 3 * ('scipy' in sys.modules))"
     )
     config = str(Path(__file__).resolve().parent / "golden" / "canonical.json")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, config], env=env, capture_output=True, timeout=60
-    )
+    proc = _run_fresh(code, config)
     assert proc.returncode == 0, proc.stderr
 
 
