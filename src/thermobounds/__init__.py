@@ -37,19 +37,14 @@ from .coated_sphere import (
     effective_bulk_modulus,
     effective_properties,
     effective_thermal_stress,
-    effective_thermal_stress_routes,
     evaluate_fields,
-    interface_residuals,
     local_field_constants,
     mechanical_coefficients,
     phase_moment,
     superposed_shell_coefficients,
     thermal_coefficients,
-    verify_average_identity,
-    verify_exact_relation,
 )
 from .errors import (
-    ConsistencyFailure,
     EqualBulkModuli,
     EqualShearModuli,
     InputError,
@@ -74,5 +69,6 @@ from .radial_oracle import (
     sampled_moment,
     solve_radial_bvp,
 )
+from .verify import verify_average_identity, verify_exact_relation
 
 __version__ = "0.1.0"

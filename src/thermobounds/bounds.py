@@ -578,8 +578,9 @@ def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTab
 
     Breakpoints come from the endpoint table: the vanishing stresses
     ``-e deltaT / t`` of the two interval endpoints plus the pivot ``D`` for
-    per-phase targets, and ``{D, F}`` for the max-field target.  With
-    ``D == 0`` the table collapses to two rays meeting at 0.  Each region's
+    per-phase targets, and ``{D, F}`` for the max-field target; a line whose
+    ``t`` underflowed to 0 gives a nan breakpoint.  With ``D == 0`` the table
+    collapses to two rays meeting at 0.  Each region's
     branch and microstructure are classified by evaluating the bound at a
     point inside, so the table agrees with the direct bound for every sign
     combination of ordering, ``h2 - h1``, and ``deltaT``.
@@ -594,7 +595,7 @@ def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTab
         if D == 0.0:
             bps = [0.0]
         else:
-            bps = sorted((D, *(-line.e * deltaT / line.t for line in lines)))
+            bps = sorted((D, *(-line.e * deltaT / line.t if line.t else math.nan for line in lines)))
     else:
         raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
 

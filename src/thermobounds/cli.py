@@ -5,9 +5,10 @@ Four subcommands, each reading a JSON config file:
 * ``bounds``  -- print the optimal lower bound for one phase (or the
   max-field bound) at the configured loading.
 * ``table``   -- print the sigma0 regime table for a bound target.
-* ``verify``  -- run the full verification suite (interface residuals,
-  dual-route effective constants, exact relations, attainment, oracle
-  comparison, regime-table agreement) for both coated-sphere orientations.
+* ``verify``  -- run the full verification suite of
+  :mod:`thermobounds.verify` (interface residuals, dual-route effective
+  constants, exact relations, attainment, oracle comparison, regime-table
+  agreement) for both coated-sphere orientations.
 * ``sweep``   -- evaluate bounds over a grid of loadings and write them to
   a file.  The whole grid is evaluated in one numpy pass of
   :func:`~thermobounds.bounds.bound_arrays`, which gives the same bits as
@@ -43,7 +44,8 @@ is deterministic: identical configs produce byte-identical output.
 and reuses it, and repeated calls in one process write the same bytes and
 return the same exit codes as calls in fresh processes.
 
-Exit codes: 0 success, 1 verification/internal failure, 2 input error.
+Exit codes: 0 success, 1 a failing verification row (or a ``table``
+whose breakpoints are not finite), 2 input error.
 """
 
 from __future__ import annotations
@@ -60,34 +62,12 @@ from . import __version__
 from .bounds import (
     BRANCH_IDS,
     ENDPOINT_CODES,
-    SQRT3,
-    Endpoint,
     MicrostructureKind,
     bound_arrays,
-    characteristic_constants,
     classify_branch,
-    phase_moment_lower_bound,
     regime_table,
 )
-from .coated_sphere import (
-    CoatedSphereConfig,
-    _solve_shell,
-    effective_bulk_modulus_routes,
-    effective_thermal_stress_routes,
-    interface_residuals,
-    mechanical_coefficients,
-    superposed_traces,
-    thermal_coefficients,
-    verify_average_identity,
-    verify_exact_relation,
-)
-from .errors import (
-    ConsistencyFailure,
-    InputError,
-    InvalidExponent,
-    NonConvergent,
-    SingularSystem,
-)
+from .errors import InputError, InvalidExponent
 from .materials import (
     Loading,
     PhaseProperties,
@@ -95,20 +75,12 @@ from .materials import (
     build_composite,
     check_exponent,
 )
-from .radial_oracle import (
-    _phase_moments,
-    compare_fields,
-    make_radial_grid,
-    sample_analytic_fields,
-    solve_radial_bvp,
+from .verify import (
+    ORACLE_REFERENCE_N,
+    _attainment_residuals,
+    _superposed_trace_coefficients,
+    _verify_checks,
 )
-
-TOL_IDENTITY = 1e-12
-TOL_ATTAINMENT = 1e-10
-TOL_ORACLE = 1e-6       # at the reference grid size below
-ORACLE_REFERENCE_N = 4096
-TOL_P_INDEPENDENCE = 1e-8
-TABLE_AGREEMENT_SAMPLES = 200
 
 
 class ConfigError(InputError):
@@ -324,32 +296,6 @@ def _parse_p(text: str) -> float:
     return check_exponent(p)
 
 
-def _superposed_trace_coefficients(comp: ValidatedComposite) -> np.ndarray:
-    """:func:`superposed_traces` per unit sigma0 and per unit deltaT, by [unit, core, phase].
-
-    That route is affine in the loading and independent of the endpoint
-    table the bounds read.  Core 0 (no designated assemblage) stays 0.
-    """
-    import numpy as np
-
-    coefficients = np.zeros((2, 3, 3))
-    for core in (1, 2):
-        sphere = CoatedSphereConfig(composite=comp, core_phase=core)
-        for unit, per_unit in zip((Loading(1.0, 0.0), Loading(0.0, 1.0)), coefficients):
-            per_unit[core, core], per_unit[core, 3 - core] = superposed_traces(sphere, unit)
-    return coefficients
-
-
-def _attainment_residuals(coefficients, sigma0, deltaT, value, phase, core):
-    """Relative gap between bounds and the moments, by ``coefficients``, of their assemblages."""
-    import numpy as np
-
-    per_sigma0, per_deltaT = coefficients
-    trace = per_sigma0[core, phase] * sigma0 + per_deltaT[core, phase] * deltaT
-    scale = np.maximum(np.maximum(value, np.abs(sigma0) + np.abs(deltaT)), 1e-300)
-    return np.abs(np.abs(trace) / SQRT3 - value) / scale
-
-
 def _axis_values(axis: float | SweepRange) -> list[float]:
     return axis.values() if isinstance(axis, SweepRange) else [axis]
 
@@ -472,170 +418,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _oracle_field_error(sphere, loading, grid, analytic, grid_n) -> tuple[float, str]:
-    """Field error of the finite-volume oracle on ``grid`` (``grid_n`` nodes) and its note.
-
-    Below the reference node count a failing error is extrapolated to
-    ORACLE_REFERENCE_N with the convergence order measured against a grid of
-    half the size.  Raises SingularSystem or NonConvergent from the solves.
-    """
-    err = compare_fields(analytic, solve_radial_bvp(sphere, loading, grid))
-    if grid_n >= ORACLE_REFERENCE_N or err <= TOL_ORACLE:
-        return err, ""
-    half = make_radial_grid(sphere, max(16, grid_n // 2))
-    err_half = compare_fields(
-        sample_analytic_fields(sphere, loading, half),
-        solve_radial_bvp(sphere, loading, half),
-    )
-    if err > 0.0 and err_half > err:
-        order = math.log(err_half / err) / math.log(2.0)
-        extrapolated = err * (grid_n / ORACLE_REFERENCE_N) ** order
-    else:
-        order = float("nan")
-        extrapolated = err
-    return extrapolated, (
-        f"discretization-limited at n={grid_n} (raw {fmt(err)}); "
-        f"order {fmt(order)} extrapolation to n={ORACLE_REFERENCE_N}"
-    )
-
-
-def _verify_checks(comp: ValidatedComposite, loading: Loading, grid_n: int) -> dict:
-    """All verification checks as report columns (status pass/fail each).
-
-    Cores and phases are numbered as in ``comp``, the internal numbering.
-    """
-    import numpy as np
-
-    rows = []
-
-    def add(name, orientation, residual, tol, note=""):
-        status = "pass" if residual <= tol else "fail"
-        if status == "fail" and not note and not math.isfinite(residual):
-            note = "the residual is not finite: a compared value overflowed"
-        rows.append((name, orientation, residual, tol, status, note))
-
-    for core in (1, 2):
-        sphere = CoatedSphereConfig(composite=comp, core_phase=core)
-        tag = f"core{core}"
-        # the continuity residuals divide by a^2 and a^3, which carry too few
-        # bits to resolve them when a^3 is subnormal
-        fraction = sphere.core_fraction
-        subnormal = (
-            f"the core fraction a^3 = {fmt(fraction)} is subnormal"
-            if fraction < sys.float_info.min else ""
-        )
-
-        # the closed-form coefficients the library uses, against the shell
-        # conditions and against the 3x3 interface solve
-        th = thermal_coefficients(sphere)
-        r_u, r_t, r_o = interface_residuals(sphere, th, deltaT=1.0, outer="clamped")
-        add("thermal-displacement-continuity", tag, r_u, TOL_IDENTITY, subnormal)
-        add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY, subnormal)
-        add("thermal-outer-clamped", tag, r_o, TOL_IDENTITY)
-
-        solved = _solve_shell(sphere, eigen_on=True, outer="clamped")
-        scale = max(abs(solved.coat_linear), abs(th.coat_linear), 1e-300)
-        disc = max(
-            abs(solved.core_linear - th.core_linear),
-            abs(solved.coat_linear - th.coat_linear),
-            abs(solved.coat_inverse_square - th.coat_inverse_square),
-        ) / scale
-        add("thermal-closed-form-agreement", tag, disc, TOL_IDENTITY)
-
-        me = mechanical_coefficients(sphere, loading.sigma0)
-        r_u, r_t, r_o = interface_residuals(
-            sphere, me, deltaT=0.0, outer="traction", traction=loading.sigma0
-        )
-        add("mechanical-displacement-continuity", tag, r_u, TOL_IDENTITY, subnormal)
-        add("mechanical-traction-continuity", tag, r_t, TOL_IDENTITY, subnormal)
-        add("mechanical-outer-traction", tag, r_o, TOL_IDENTITY)
-
-        h1, h2 = effective_thermal_stress_routes(sphere)
-        disc = abs(h1 - h2) / max(abs(h1), abs(h2), 1e-300)
-        add("effective-thermal-stress-dual-route", tag, disc, TOL_IDENTITY)
-        solved = _solve_shell(sphere, eigen_on=False, outer="traction", traction=1.0)
-        k1, k2 = effective_bulk_modulus_routes(sphere, solved)
-        disc = abs(k1 - k2) / max(abs(k1), abs(k2))
-        add("effective-bulk-modulus-dual-route", tag, disc, TOL_IDENTITY)
-        add("exact-thermal-relation", tag, verify_exact_relation(sphere), TOL_IDENTITY)
-        residual = verify_average_identity(sphere, loading)
-        add("average-stress-identity", tag, residual, TOL_IDENTITY)
-
-        # independent finite-volume oracle
-        try:
-            grid = make_radial_grid(sphere, grid_n)
-        except SingularSystem as exc:
-            note = f"no FV grid: {exc}"
-            add("oracle-field-agreement", tag, math.inf, TOL_ORACLE, note)
-            add("moment-exponent-independence", tag, math.inf, TOL_P_INDEPENDENCE, note)
-            continue
-        analytic = sample_analytic_fields(sphere, loading, grid)
-        try:
-            err, note = _oracle_field_error(sphere, loading, grid, analytic, grid_n)
-        except (SingularSystem, NonConvergent) as exc:
-            err, note = math.inf, f"no FV solution: {exc}"
-        add("oracle-field-agreement", tag, err, TOL_ORACLE, note)
-
-        # moment exponent independence of the quadrature moments
-        spread = 0.0
-        for phase in (1, 2):
-            vals = _phase_moments(analytic, phase, (2.0, 3.0, 4.0, 8.0))
-            ref = max(abs(v) for v in vals)
-            if not all(map(math.isfinite, vals)):
-                spread = math.inf
-            elif ref > 0.0:
-                spread = max(spread, (max(vals) - min(vals)) / ref)
-        add("moment-exponent-independence", tag, spread, TOL_P_INDEPENDENCE)
-
-    # attainment of the bounds by the designated assemblages, whose fields
-    # come from the superposition route rather than the endpoint table
-    coefficients = _superposed_trace_coefficients(comp)
-    for phase in (1, 2):
-        result = phase_moment_lower_bound(comp, loading, phase)
-        if result.at_endpoint is not Endpoint.INTERIOR:
-            residual = _attainment_residuals(
-                coefficients, loading.sigma0, loading.deltaT, result.value, phase,
-                result.microstructure.core_phase,
-            )
-            add("bound-attainment", f"phase{phase}", float(residual), TOL_ATTAINMENT)
-
-    # regime tables agree with the direct minimization; a D that overflowed
-    # leaves no finite sigma0 range to sample
-    D = characteristic_constants(comp, loading.deltaT).D
-    span = max(1.0, 3.0 * abs(D), abs(loading.sigma0))
-    finite, n = math.isfinite(2.0 * span), TABLE_AGREEMENT_SAMPLES
-    samples = -span + (2.0 * span) * (np.arange(n) + 0.5) / n if finite else None
-    for target in ("phase1", "phase2", "max"):
-        if not finite:
-            note = f"D = {fmt(D)}: the sampled sigma0 range is not finite"
-            add("regime-table-agreement", target, math.inf, TOL_IDENTITY, note)
-            continue
-        direct = bound_arrays(comp, target, samples, loading.deltaT).value
-        via_table = regime_table(comp, loading.deltaT, target).bound_at(samples)
-        scale = np.maximum(np.maximum(direct, np.abs(via_table)), span)
-        worst = float(np.max(np.abs(direct - via_table) / scale))
-        add("regime-table-agreement", target, worst, TOL_IDENTITY)
-
-    names = ("check", "orientation", "residual", "tolerance", "status", "note")
-    return dict(zip(names, zip(*rows)))
-
-
-def _exchanged_numbering(checks: dict) -> dict:
-    """Report columns of :func:`_verify_checks` with core and phase numbers 1 and 2 exchanged.
-
-    The rows are put back in report order: the core rows by core number, then
-    each later check's rows by phase, with ``max`` last.
-    """
-    exchanged = {"core1": "core2", "core2": "core1", "phase1": "phase2", "phase2": "phase1"}
-    rows = [(name, exchanged.get(o, o), *rest) for name, o, *rest in zip(*checks.values())]
-    first = {}  # the report position of each check's first row
-    for i, (name, *_) in enumerate(rows):
-        first.setdefault(name, i)
-    rank = {"core1": 0, "core2": 1, "phase1": 0, "phase2": 1, "max": 2}
-    rows.sort(key=lambda row: (0 if row[1].startswith("core") else first[row[0]], rank[row[1]]))
-    return dict(zip(checks, zip(*rows)))
-
-
 def cmd_verify(args) -> int:
     import numpy as np
 
@@ -644,9 +426,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--grid-n must be >= 16, got {args.grid_n}")
     # a value that overflows fails its rows with a note instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        checks = _verify_checks(cfg.composite, Loading(cfg.sigma0, cfg.deltaT), args.grid_n)
-    if cfg.relabeled:
-        checks = _exchanged_numbering(checks)
+        checks = _verify_checks(
+            cfg.composite, Loading(cfg.sigma0, cfg.deltaT), args.grid_n, cfg.relabeled
+        )
     emit_rows(checks, args.format, sys.stdout)
     if "fail" in checks["status"]:
         i = checks["status"].index("fail")
@@ -733,9 +515,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyFailure as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -34,14 +34,15 @@ sphere with a phase-2 core.  :func:`local_field_constants` and
 that table, as the bounds do.
 
 Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
-:func:`mechanical_coefficients`).  They give the displacement, the
-effective constants and, through :func:`superposed_traces`, region traces
-that do not read the endpoint table, which ``thermobounds verify`` and the
-finite-volume comparison check the table against.  The 3x3 interface
-system they solve is kept in ``_solve_shell`` as an independent route,
-which ``thermobounds verify`` compares with the closed forms.  It is solved
-exactly over the integers and rounded once per coefficient, so it fails on
-no valid input for lack of precision.
+:func:`mechanical_coefficients`).  They give the displacement and, through
+:func:`superposed_traces`, region traces that do not read the endpoint
+table, which ``thermobounds verify`` and the finite-volume comparison check
+the table against.  Each effective constant is evaluated once, by its closed
+form: K* is Hashin's extremal modulus and H* the outer traction of the
+thermal solution.  The 3x3 interface system the closed forms solve is kept
+in ``_solve_shell``, solved exactly over the integers and rounded once per
+coefficient.  Only :mod:`thermobounds.verify`, which holds every other
+independent route and check, calls it.
 """
 
 from __future__ import annotations
@@ -50,11 +51,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bounds import SQRT3, hs_bulk_moduli
-from .errors import ConsistencyFailure
 from .materials import EndpointLine, Loading, PhaseProperties, ValidatedComposite, check_exponent
-
-#: Relative tolerance for the internal dual-computation consistency checks.
-CONSISTENCY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ def _solve_shell(
 
     This is the independent route to the closed forms of
     :func:`thermal_coefficients` and :func:`mechanical_coefficients`;
-    only the ``verify`` command uses it.
+    only :mod:`thermobounds.verify` calls it.
     """
     core, coat = config.core, config.coating
     hc, ht = (core.h, coat.h) if eigen_on else (0.0, 0.0)
@@ -247,81 +244,25 @@ def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellC
     )
 
 
-def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, float]:
-    """The two independent evaluations of H* (per unit temperature change).
-
-    Route one is the radial traction of the thermal solution at the outer
-    surface; route two is the volume average of the stress (the trace-free
-    part of the coating strain integrates to zero over the shell, so only
-    the linear coefficients enter).  The core's strain g - hc is taken in
-    its cancellation-free form (-3 c kt ht - hc (3 kt f + 4 mut)) / den,
-    with c the coating fraction: g is close to hc when the core is much
-    stiffer than the coating, and their difference would cancel.
-    """
-    coeff = thermal_coefficients(config)
-    core, coat = config.core, config.coating
-    f, c = config.core_fraction, config.coating_fraction
-    A, B = coeff.coat_linear, coeff.coat_inverse_square
-    core_strain = (
-        -3.0 * c * coat.k * coat.h - core.h * (3.0 * coat.k * f + 4.0 * coat.mu)
-    ) / _thermal_denominator(core, coat, f, c)
-    via_traction = 3.0 * coat.k * (A - coat.h) - 4.0 * coat.mu * B  # b = 1
-    via_average = 3.0 * (f * core.k * core_strain + c * coat.k * (A - coat.h))
-    return via_traction, via_average
-
-
 def effective_thermal_stress(config: CoatedSphereConfig) -> float:
     """Effective thermal stress scalar H* (per unit temperature change).
 
-    The two routes of :func:`effective_thermal_stress_routes` must agree to
-    CONSISTENCY_RTOL; disagreement signals a coefficient bug and raises
-    ConsistencyFailure.  Returns the traction-route value.
+    The outer radial traction ``3 kt (A - ht) - 4 mut B`` (at b = 1) of the
+    clamped thermal solution of :func:`thermal_coefficients`.
     """
-    via_traction, via_average = effective_thermal_stress_routes(config)
+    coeff = thermal_coefficients(config)
     coat = config.coating
-    scale = max(abs(via_traction), abs(via_average), 3.0 * abs(coat.k * coat.h), 1e-300)
-    if abs(via_traction - via_average) > CONSISTENCY_RTOL * scale:
-        raise ConsistencyFailure(
-            "effective thermal stress mismatch: traction route "
-            f"{via_traction!r} vs volume-average route {via_average!r}"
-        )
-    return via_traction
-
-
-def effective_bulk_modulus_routes(
-    config: CoatedSphereConfig, unit_mechanical: ShellCoefficients | None = None
-) -> tuple[float, float]:
-    """The two independent evaluations of the effective bulk modulus.
-
-    Route one is Hashin's extremal modulus (K_minus for core phase 1,
-    K_plus for core phase 2); route two divides the outer traction of the
-    mechanical solution by three times its average volumetric strain.
-    ``unit_mechanical`` are the mechanical coefficients at unit outer
-    traction, :func:`mechanical_coefficients` by default.
-    """
-    K_minus, K_plus = hs_bulk_moduli(config.composite)
-    closed = K_minus if config.core_phase == 1 else K_plus
-    m = mechanical_coefficients(config, 1.0) if unit_mechanical is None else unit_mechanical
-    f, c = config.core_fraction, config.coating_fraction
-    mean_strain = f * m.core_linear + c * m.coat_linear
-    return closed, 1.0 / (3.0 * mean_strain)
+    return 3.0 * coat.k * (coeff.coat_linear - coat.h) - 4.0 * coat.mu * coeff.coat_inverse_square
 
 
 def effective_bulk_modulus(config: CoatedSphereConfig) -> float:
     """Effective bulk modulus of the assemblage.
 
-    Core phase 1 realizes the lower extremal modulus K_minus, core phase 2
-    the upper one K_plus.  The two routes of
-    :func:`effective_bulk_modulus_routes` must agree to CONSISTENCY_RTOL or
-    ConsistencyFailure is raised; returns the closed-form value.
+    Core phase 1 realizes the lower extremal modulus K_minus of
+    :func:`~thermobounds.bounds.hs_bulk_moduli`, core phase 2 the upper one K_plus.
     """
-    closed, via_mech = effective_bulk_modulus_routes(config)
-    if abs(via_mech - closed) > CONSISTENCY_RTOL * max(abs(via_mech), abs(closed)):
-        raise ConsistencyFailure(
-            f"effective bulk modulus mismatch: closed form {closed!r} "
-            f"vs mechanical solution {via_mech!r}"
-        )
-    return closed
+    K_minus, K_plus = hs_bulk_moduli(config.composite)
+    return K_minus if config.core_phase == 1 else K_plus
 
 
 def superposed_shell_coefficients(
@@ -412,118 +353,6 @@ def effective_properties(config: CoatedSphereConfig) -> EffectiveProperties:
         H_effective_scalar=effective_thermal_stress(config),
         compliance_contraction=1.0 / K,
     )
-
-
-def verify_exact_relation(config: CoatedSphereConfig) -> float:
-    """Residual of the exact effective thermal-stress relation.
-
-    For isotropic two-phase media the contraction (C_eff)^{-1} H_eff : I is
-    pinned by the effective compliance contraction:
-
-        H*/K = [3 (h2-h1)/K + 3 (h1/k2 - h2/k1)] / (1/k1 - 1/k2)
-
-    Returns the residual relative to the magnitude of the terms involved
-    (0 means the relation holds to machine precision).
-    """
-    comp = config.composite
-    k1, h1 = comp.phase1.k, comp.phase1.h
-    k2, h2 = comp.phase2.k, comp.phase2.h
-    props = effective_properties(config)
-    # (C_eff)^{-1}(H* I) = H*/(3K) I, and I : I = 3
-    lhs = props.H_effective_scalar * props.compliance_contraction
-    t1 = 3.0 * (h2 - h1) * props.compliance_contraction
-    t2 = 3.0 * (h1 / k2 - h2 / k1)
-    den = 1.0 / k1 - 1.0 / k2
-    rhs = (t1 + t2) / den
-    scale = max(abs(lhs), abs(rhs), (abs(t1) + abs(t2)) / abs(den), 1e-300)
-    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
-
-
-def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> float:
-    """Residual of the phase-2 average-stress identity.
-
-    The volume integral of the stress trace over phase 2 is determined by
-    the effective constants alone:
-
-        tr<chi2 sigma> = 3 k2/(k2-k1) * (sigma0 - k1 sigma0 / K
-                         + k1 deltaT H*/K + k1 deltaT <lambda>:I)
-
-    with <lambda>:I = 3 (theta1 h1 + theta2 h2).  The left side is evaluated
-    from the local field constants.  Returns the residual relative to the
-    magnitude of the contributing terms.
-    """
-    comp = config.composite
-    k1, h1 = comp.phase1.k, comp.phase1.h
-    k2, h2 = comp.phase2.k, comp.phase2.h
-    props = effective_properties(config)
-    fields = local_field_constants(config, loading)
-
-    tr_phase2 = (
-        fields.tr_sigma_core
-        if config.core_phase == 2
-        else fields.tr_sigma_coating
-    )
-    lhs = comp.theta2 * tr_phase2
-
-    s0, dT = loading.sigma0, loading.deltaT
-    rh_contraction = props.H_effective_scalar * props.compliance_contraction
-    lam = 3.0 * (comp.theta1 * h1 + comp.theta2 * h2)
-    prefac = 3.0 * k2 / (k2 - k1)
-    terms = (
-        s0,
-        -k1 * s0 * props.compliance_contraction,
-        k1 * dT * rh_contraction,
-        k1 * dT * lam,
-    )
-    rhs = prefac * sum(terms)
-    scale = max(abs(lhs), abs(rhs), abs(prefac) * sum(abs(t) for t in terms))
-    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
-
-
-def interface_residuals(
-    config: CoatedSphereConfig,
-    coeffs: ShellCoefficients,
-    deltaT: float,
-    outer: str,
-    traction: float = 0.0,
-) -> tuple[float, float, float]:
-    """Normalized residuals of the three shell conditions for given coefficients.
-
-    Returns (displacement continuity at a, radial-traction continuity at a,
-    outer condition), each scaled by the magnitude of the terms entering the
-    condition so an exact solution gives residuals at roundoff level.
-    ``deltaT`` is the eigenstrain scale the coefficients were solved with
-    (1 for unit-temperature thermal coefficients, 0 for mechanical).
-    """
-    a = config.core_radius()
-    core, coat = config.core, config.coating
-    g, A, B = coeffs.core_linear, coeffs.coat_linear, coeffs.coat_inverse_square
-
-    u_core = g * a
-    u_coat = A * a + B / a**2
-    s_u = max(abs(g) * a, abs(A) * a, abs(B) / a**2, 1e-300)
-    r_u = abs(u_core - u_coat) / s_u
-
-    srr_core = 3.0 * core.k * (g - core.h * deltaT)
-    srr_coat = 3.0 * coat.k * (A - coat.h * deltaT) - 4.0 * coat.mu * B / a**3
-    s_t = max(
-        abs(3.0 * core.k * g),
-        abs(3.0 * core.k * core.h * deltaT),
-        abs(3.0 * coat.k * A),
-        abs(4.0 * coat.mu * B) / a**3,
-        abs(3.0 * coat.k * coat.h * deltaT),
-        1e-300,
-    )
-    r_t = abs(srr_core - srr_coat) / s_t
-
-    if outer == "clamped":
-        r_o = abs(A + B) / s_u
-    elif outer == "traction":
-        srr_b = 3.0 * coat.k * (A - coat.h * deltaT) - 4.0 * coat.mu * B
-        r_o = abs(srr_b - traction) / max(s_t, abs(traction))
-    else:
-        raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
-    return r_u, r_t, r_o
 
 
 def evaluate_fields(

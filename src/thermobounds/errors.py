@@ -1,9 +1,9 @@
-"""Exception types raised by input validation and internal consistency checks.
+"""Exception types raised by input validation and the finite-volume oracle.
 
 Validation errors (subclasses of :class:`InputError`) signal unusable input
-and map to exit code 2 in the command-line tool.  :class:`ConsistencyFailure`
-signals that two independent computations of the same quantity disagree,
-which indicates a bug rather than bad input, and maps to exit code 1.
+and map to exit code 2 in the command-line tool.  Independent computations
+of one quantity are compared by ``thermobounds verify``, which reports a
+disagreement as a failing row rather than raising.
 """
 
 
@@ -50,7 +50,3 @@ class SingularSystem(RuntimeError):
 
 class NonConvergent(RuntimeError):
     """Reserved for direct-solver failure in the radial solver."""
-
-
-class ConsistencyFailure(RuntimeError):
-    """Two independent evaluations of one quantity disagree beyond tolerance."""

@@ -1,0 +1,377 @@
+"""Independent routes and checks behind ``thermobounds verify``.
+
+The library evaluates each quantity once, by its closed form.  This module
+recomputes them by other routes (the 3x3 interface system solved exactly by
+``coated_sphere._solve_shell``, the volume average of the stress, the
+superposition route to the region traces, the finite-volume oracle), and
+:func:`_verify_checks` runs every check on one composite as report rows.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from .bounds import (
+    SQRT3,
+    Endpoint,
+    bound_arrays,
+    characteristic_constants,
+    phase_moment_lower_bound,
+    regime_table,
+)
+from .coated_sphere import (
+    CoatedSphereConfig,
+    ShellCoefficients,
+    _solve_shell,
+    _thermal_denominator,
+    effective_bulk_modulus,
+    effective_properties,
+    effective_thermal_stress,
+    local_field_constants,
+    mechanical_coefficients,
+    superposed_traces,
+    thermal_coefficients,
+)
+from .errors import NonConvergent, SingularSystem
+from .materials import Loading, ValidatedComposite
+from .radial_oracle import (
+    _phase_moments,
+    compare_fields,
+    make_radial_grid,
+    sample_analytic_fields,
+    solve_radial_bvp,
+)
+
+TOL_IDENTITY = 1e-12
+TOL_ATTAINMENT = 1e-10
+TOL_ORACLE = 1e-6       # at the reference grid size below
+ORACLE_REFERENCE_N = 4096
+TOL_P_INDEPENDENCE = 1e-8
+TABLE_AGREEMENT_SAMPLES = 200
+
+
+def interface_residuals(
+    config: CoatedSphereConfig,
+    coeffs: ShellCoefficients,
+    deltaT: float,
+    outer: str,
+    traction: float = 0.0,
+) -> tuple[float, float, float]:
+    """Normalized residuals of the three shell conditions for given coefficients.
+
+    Returns (displacement continuity at a, radial-traction continuity at a,
+    outer condition), each scaled by the magnitude of the terms entering the
+    condition so an exact solution gives residuals at roundoff level.
+    ``deltaT`` is the eigenstrain scale the coefficients were solved with
+    (1 for unit-temperature thermal coefficients, 0 for mechanical).
+    """
+    a = config.core_radius()
+    core, coat = config.core, config.coating
+    g, A, B = coeffs.core_linear, coeffs.coat_linear, coeffs.coat_inverse_square
+
+    u_core = g * a
+    u_coat = A * a + B / a**2
+    s_u = max(abs(g) * a, abs(A) * a, abs(B) / a**2, 1e-300)
+    r_u = abs(u_core - u_coat) / s_u
+
+    srr_core = 3.0 * core.k * (g - core.h * deltaT)
+    srr_coat = 3.0 * coat.k * (A - coat.h * deltaT) - 4.0 * coat.mu * B / a**3
+    s_t = max(
+        abs(3.0 * core.k * g),
+        abs(3.0 * core.k * core.h * deltaT),
+        abs(3.0 * coat.k * A),
+        abs(4.0 * coat.mu * B) / a**3,
+        abs(3.0 * coat.k * coat.h * deltaT),
+        1e-300,
+    )
+    r_t = abs(srr_core - srr_coat) / s_t
+
+    if outer == "clamped":
+        r_o = abs(A + B) / s_u
+    elif outer == "traction":
+        srr_b = 3.0 * coat.k * (A - coat.h * deltaT) - 4.0 * coat.mu * B
+        r_o = abs(srr_b - traction) / max(s_t, abs(traction))
+    else:
+        raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
+    return r_u, r_t, r_o
+
+
+def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, float]:
+    """H* (per unit temperature change) by the library's route and by the volume average.
+
+    Route one is :func:`~thermobounds.coated_sphere.effective_thermal_stress`,
+    the outer radial traction of the thermal solution.  Route two is the
+    volume average of the stress (the trace-free part of the coating strain
+    integrates to zero over the shell, so only the linear coefficients
+    enter).  The core's strain g - hc is taken in its cancellation-free form
+    (-3 c kt ht - hc (3 kt f + 4 mut)) / den, with c the coating fraction: g
+    is close to hc when the core is much stiffer than the coating, and their
+    difference would cancel.
+    """
+    core, coat = config.core, config.coating
+    f, c = config.core_fraction, config.coating_fraction
+    core_strain = (
+        -3.0 * c * coat.k * coat.h - core.h * (3.0 * coat.k * f + 4.0 * coat.mu)
+    ) / _thermal_denominator(core, coat, f, c)
+    A = thermal_coefficients(config).coat_linear
+    via_average = 3.0 * (f * core.k * core_strain + c * coat.k * (A - coat.h))
+    return effective_thermal_stress(config), via_average
+
+
+def verify_exact_relation(config: CoatedSphereConfig) -> float:
+    """Residual of the exact effective thermal-stress relation.
+
+    For isotropic two-phase media the contraction (C_eff)^{-1} H_eff : I is
+    pinned by the effective compliance contraction:
+
+        H*/K = [3 (h2-h1)/K + 3 (h1/k2 - h2/k1)] / (1/k1 - 1/k2)
+
+    Returns the residual relative to the magnitude of the terms involved
+    (0 means the relation holds to machine precision).
+    """
+    comp = config.composite
+    k1, h1 = comp.phase1.k, comp.phase1.h
+    k2, h2 = comp.phase2.k, comp.phase2.h
+    props = effective_properties(config)
+    # (C_eff)^{-1}(H* I) = H*/(3K) I, and I : I = 3
+    lhs = props.H_effective_scalar * props.compliance_contraction
+    t1 = 3.0 * (h2 - h1) * props.compliance_contraction
+    t2 = 3.0 * (h1 / k2 - h2 / k1)
+    den = 1.0 / k1 - 1.0 / k2
+    rhs = (t1 + t2) / den
+    scale = max(abs(lhs), abs(rhs), (abs(t1) + abs(t2)) / abs(den), 1e-300)
+    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+
+
+def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> float:
+    """Residual of the phase-2 average-stress identity.
+
+    The volume integral of the stress trace over phase 2 is determined by
+    the effective constants alone:
+
+        tr<chi2 sigma> = 3 k2/(k2-k1) * (sigma0 - k1 sigma0 / K
+                         + k1 deltaT H*/K + k1 deltaT <lambda>:I)
+
+    with <lambda>:I = 3 (theta1 h1 + theta2 h2).  The left side is evaluated
+    from the local field constants.  Returns the residual relative to the
+    magnitude of the contributing terms.
+    """
+    comp = config.composite
+    k1, h1 = comp.phase1.k, comp.phase1.h
+    k2, h2 = comp.phase2.k, comp.phase2.h
+    props = effective_properties(config)
+    fields = local_field_constants(config, loading)
+
+    tr_phase2 = (
+        fields.tr_sigma_core
+        if config.core_phase == 2
+        else fields.tr_sigma_coating
+    )
+    lhs = comp.theta2 * tr_phase2
+
+    s0, dT = loading.sigma0, loading.deltaT
+    rh_contraction = props.H_effective_scalar * props.compliance_contraction
+    lam = 3.0 * (comp.theta1 * h1 + comp.theta2 * h2)
+    prefac = 3.0 * k2 / (k2 - k1)
+    terms = (
+        s0,
+        -k1 * s0 * props.compliance_contraction,
+        k1 * dT * rh_contraction,
+        k1 * dT * lam,
+    )
+    rhs = prefac * sum(terms)
+    scale = max(abs(lhs), abs(rhs), abs(prefac) * sum(abs(t) for t in terms))
+    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+
+
+def _superposed_trace_coefficients(comp: ValidatedComposite) -> np.ndarray:
+    """:func:`superposed_traces` per unit sigma0 and per unit deltaT, by [unit, core, phase].
+
+    That route is affine in the loading and independent of the endpoint
+    table the bounds read.  Core 0 (no designated assemblage) stays 0.
+    """
+    import numpy as np
+
+    coefficients = np.zeros((2, 3, 3))
+    for core in (1, 2):
+        sphere = CoatedSphereConfig(composite=comp, core_phase=core)
+        for unit, per_unit in zip((Loading(1.0, 0.0), Loading(0.0, 1.0)), coefficients):
+            per_unit[core, core], per_unit[core, 3 - core] = superposed_traces(sphere, unit)
+    return coefficients
+
+
+def _attainment_residuals(coefficients, sigma0, deltaT, value, phase, core):
+    """Relative gap between bounds and the moments, by ``coefficients``, of their assemblages."""
+    import numpy as np
+
+    per_sigma0, per_deltaT = coefficients
+    trace = per_sigma0[core, phase] * sigma0 + per_deltaT[core, phase] * deltaT
+    scale = np.maximum(np.maximum(value, np.abs(sigma0) + np.abs(deltaT)), 1e-300)
+    return np.abs(np.abs(trace) / SQRT3 - value) / scale
+
+
+def _oracle_field_error(sphere, loading, grid, analytic, grid_n) -> tuple[float, str]:
+    """Field error of the finite-volume oracle on ``grid`` (``grid_n`` nodes) and its note.
+
+    Below the reference node count a failing error is extrapolated to
+    ORACLE_REFERENCE_N with the convergence order measured against a grid of
+    half the size.  Raises SingularSystem or NonConvergent from the solves.
+    """
+    err = compare_fields(analytic, solve_radial_bvp(sphere, loading, grid))
+    if grid_n >= ORACLE_REFERENCE_N or err <= TOL_ORACLE:
+        return err, ""
+    half = make_radial_grid(sphere, max(16, grid_n // 2))
+    err_half = compare_fields(
+        sample_analytic_fields(sphere, loading, half),
+        solve_radial_bvp(sphere, loading, half),
+    )
+    if err > 0.0 and err_half > err:
+        order = math.log(err_half / err) / math.log(2.0)
+        extrapolated = err * (grid_n / ORACLE_REFERENCE_N) ** order
+    else:
+        order = float("nan")
+        extrapolated = err
+    return extrapolated, (
+        f"discretization-limited at n={grid_n} (raw {err:.17g}); "
+        f"order {order:.17g} extrapolation to n={ORACLE_REFERENCE_N}"
+    )
+
+
+def _verify_checks(
+    comp: ValidatedComposite, loading: Loading, grid_n: int, relabeled: bool = False
+) -> dict:
+    """All verification checks as report columns (status pass/fail each).
+
+    Cores and phases are labelled, and the rows ordered, in the caller's
+    numbering, whose phase 1 is ``comp``'s phase 2 when ``relabeled``.
+    Notes write numbers with 17 significant digits, as the CLI does.
+    """
+    import numpy as np
+
+    internal = (2, 1) if relabeled else (1, 2)  # of the caller's phases 1 and 2
+    rows = []
+    moduli = {
+        f"{name}{label}": getattr(comp.phase1 if phase == 1 else comp.phase2, name)
+        for label, phase in zip((1, 2), internal) for name in ("k", "mu")
+    }
+    inputs = moduli  # of the rows being added; a failing row names those that are subnormal
+
+    def add(name, orientation, residual, tol, note=""):
+        status = "pass" if residual <= tol else "fail"
+        if status == "fail" and not note:
+            note = "; ".join(
+                f"{n} = {x:.17g} is subnormal" for n, x in inputs.items() if x < sys.float_info.min
+            )
+            if not note and not math.isfinite(residual):
+                note = "the residual is not finite: a compared value overflowed"
+        rows.append((name, orientation, residual, tol, status, note))
+
+    for label, core in zip((1, 2), internal):
+        sphere = CoatedSphereConfig(composite=comp, core_phase=core)
+        tag = f"core{label}"
+        # the continuity residuals divide by a^2 and a^3, which carry too few
+        # bits to resolve them when a^3 is subnormal
+        inputs = {"the core fraction a^3": sphere.core_fraction, **moduli}
+
+        # the closed-form coefficients the library uses, against the shell
+        # conditions and against the 3x3 interface solve
+        th = thermal_coefficients(sphere)
+        r_u, r_t, r_o = interface_residuals(sphere, th, deltaT=1.0, outer="clamped")
+        add("thermal-displacement-continuity", tag, r_u, TOL_IDENTITY)
+        add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY)
+        add("thermal-outer-clamped", tag, r_o, TOL_IDENTITY)
+
+        solved = _solve_shell(sphere, eigen_on=True, outer="clamped")
+        scale = max(abs(solved.coat_linear), abs(th.coat_linear), 1e-300)
+        disc = max(
+            abs(solved.core_linear - th.core_linear),
+            abs(solved.coat_linear - th.coat_linear),
+            abs(solved.coat_inverse_square - th.coat_inverse_square),
+        ) / scale
+        add("thermal-closed-form-agreement", tag, disc, TOL_IDENTITY)
+
+        me = mechanical_coefficients(sphere, loading.sigma0)
+        r_u, r_t, r_o = interface_residuals(
+            sphere, me, deltaT=0.0, outer="traction", traction=loading.sigma0
+        )
+        add("mechanical-displacement-continuity", tag, r_u, TOL_IDENTITY)
+        add("mechanical-traction-continuity", tag, r_t, TOL_IDENTITY)
+        add("mechanical-outer-traction", tag, r_o, TOL_IDENTITY)
+
+        h1, h2 = effective_thermal_stress_routes(sphere)
+        disc = abs(h1 - h2) / max(abs(h1), abs(h2), 1e-300)
+        add("effective-thermal-stress-dual-route", tag, disc, TOL_IDENTITY)
+        # K by the mean strain f g + c A of the exactly solved unit-traction shell
+        m = _solve_shell(sphere, eigen_on=False, outer="traction", traction=1.0)
+        mean_strain = sphere.core_fraction * m.core_linear + sphere.coating_fraction * m.coat_linear
+        k1, k2 = effective_bulk_modulus(sphere), 1.0 / (3.0 * mean_strain)
+        disc = abs(k1 - k2) / max(abs(k1), abs(k2))
+        add("effective-bulk-modulus-dual-route", tag, disc, TOL_IDENTITY)
+        add("exact-thermal-relation", tag, verify_exact_relation(sphere), TOL_IDENTITY)
+        residual = verify_average_identity(sphere, loading)
+        add("average-stress-identity", tag, residual, TOL_IDENTITY)
+
+        # independent finite-volume oracle
+        try:
+            grid = make_radial_grid(sphere, grid_n)
+        except SingularSystem as exc:
+            note = f"no FV grid: {exc}"
+            add("oracle-field-agreement", tag, math.inf, TOL_ORACLE, note)
+            add("moment-exponent-independence", tag, math.inf, TOL_P_INDEPENDENCE, note)
+            continue
+        analytic = sample_analytic_fields(sphere, loading, grid)
+        try:
+            err, note = _oracle_field_error(sphere, loading, grid, analytic, grid_n)
+        except (SingularSystem, NonConvergent) as exc:
+            err, note = math.inf, f"no FV solution: {exc}"
+        add("oracle-field-agreement", tag, err, TOL_ORACLE, note)
+
+        # moment exponent independence of the quadrature moments
+        spread = 0.0
+        for phase in (1, 2):
+            vals = _phase_moments(analytic, phase, (2.0, 3.0, 4.0, 8.0))
+            ref = max(abs(v) for v in vals)
+            if not all(map(math.isfinite, vals)):
+                spread = math.inf
+            elif ref > 0.0:
+                spread = max(spread, (max(vals) - min(vals)) / ref)
+        add("moment-exponent-independence", tag, spread, TOL_P_INDEPENDENCE)
+    inputs = moduli
+
+    # attainment of the bounds by the designated assemblages, whose fields
+    # come from the superposition route rather than the endpoint table
+    coefficients = _superposed_trace_coefficients(comp)
+    for label, phase in zip((1, 2), internal):
+        result = phase_moment_lower_bound(comp, loading, phase)
+        if result.at_endpoint is not Endpoint.INTERIOR:
+            residual = _attainment_residuals(
+                coefficients, loading.sigma0, loading.deltaT, result.value, phase,
+                result.microstructure.core_phase,
+            )
+            add("bound-attainment", f"phase{label}", float(residual), TOL_ATTAINMENT)
+
+    # regime tables agree with the direct minimization; a D that overflowed
+    # leaves no finite sigma0 range to sample, and a table whose breakpoint is
+    # not finite (a line with t = 0) none to compare
+    D = characteristic_constants(comp, loading.deltaT).D
+    span = max(1.0, 3.0 * abs(D), abs(loading.sigma0))
+    finite, n = math.isfinite(2.0 * span), TABLE_AGREEMENT_SAMPLES
+    samples = -span + (2.0 * span) * (np.arange(n) + 0.5) / n if finite else None
+    targets = (*(f"phase{phase}" for phase in internal), "max")
+    for label, target in zip(("phase1", "phase2", "max"), targets):
+        table = regime_table(comp, loading.deltaT, target)
+        bad = [bp for bp in table.breakpoints if not math.isfinite(bp)]
+        if not finite or bad:
+            note = (f"the regime table's breakpoint {bad[0]:.17g} is not finite" if finite
+                    else f"D = {D:.17g}: the sampled sigma0 range is not finite")
+            add("regime-table-agreement", label, math.inf, TOL_IDENTITY, note)
+            continue
+        direct = bound_arrays(comp, target, samples, loading.deltaT).value
+        via_table = table.bound_at(samples)
+        scale = np.maximum(np.maximum(direct, np.abs(via_table)), span)
+        worst = float(np.max(np.abs(direct - via_table) / scale))
+        add("regime-table-agreement", label, worst, TOL_IDENTITY)
+
+    names = ("check", "orientation", "residual", "tolerance", "status", "note")
+    return dict(zip(names, zip(*rows)))

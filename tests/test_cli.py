@@ -17,7 +17,7 @@ from thermobounds import Ordering, characteristic_constants, classify_branch, re
 from thermobounds.bounds import thermal_stress_scale
 from thermobounds import Loading, PhaseProperties, build_composite
 from thermobounds.materials import EndpointLine
-from thermobounds import cli, radial_oracle
+from thermobounds import cli, radial_oracle, verify
 from thermobounds.cli import Coded, emit_rows, main
 from test_endpoint_table import wide_domain_samples
 from test_radial_oracle import zero_pivot_solve
@@ -185,6 +185,9 @@ def bounds_cases(rng):
         yield _doc(comp.phase1, comp.phase2, comp.theta1, D, loading.deltaT)
 
 
+HUGE_PHASE = {"k": 1e300, "mu": 1e300, "h": 0.0}
+
+
 class TestTable:
     def test_canonical_phase2_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
@@ -225,19 +228,28 @@ class TestTable:
                 assert val == val  # evaluates to a number
 
     @pytest.mark.parametrize("target", ["phase1", "phase2", "max"])
-    @pytest.mark.parametrize("h2", [1e10, 0.0])
-    def test_non_finite_D(self, tmp_path, capsys, h2, target):
+    @pytest.mark.parametrize("phase1, phase2", [
+        pytest.param(HUGE_PHASE, {"k": 5e299, "mu": 5e299, "h": 1e10}, id="10000000000.0"),
+        pytest.param(HUGE_PHASE, {"k": 5e299, "mu": 5e299, "h": 0.0}, id="0.0"),
+        pytest.param(PSTAR["phase1"], {"k": 5e-324, "mu": 5e-324, "h": 1.0}, id="5e-324"),
+    ])
+    def test_non_finite_D(self, tmp_path, capsys, phase1, phase2, target):
         # D = -inf at h2 = 1e10: the table printed breakpoints of -inf and nan
-        # and exited 0; at h2 = 0, D = 0 and the table is finite
-        phase1, phase2 = {"k": 1e300, "mu": 1e300, "h": 0.0}, {"k": 5e299, "mu": 5e299, "h": h2}
+        # and exited 0; at h2 = 0, D = 0 and the table is finite.  At moduli of
+        # 5e-324 the L2 line's t is 0, and a per-phase table raised ZeroDivisionError
         cfg = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2))
         code, out, err = run(capsys, "table", cfg, "--target", target)
-        if h2:
+        if phase2["h"] == 1e10:
             assert (code, out) == (1, "")
             assert err.startswith("D = -inf: ") and err.count("\n") == 1
-        else:
+        elif phase2["h"] == 0.0:
             rows = parse_csv(out)
             assert code == 0 and [r["D"] for r in rows] == ["-0", "-0"]
+        elif target == "max":
+            assert code == 0 and all(math.isfinite(float(r["D"])) for r in parse_csv(out))
+        else:
+            assert (code, out) == (1, "")
+            assert err.endswith("breakpoints are not finite\n") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -421,6 +433,28 @@ class TestVerify:
         assert code == 1 and err.count("\n") == 1
         assert all(r["note"] for r in parse_csv(out) if r["status"] == "fail")
 
+    def test_subnormal_moduli_give_a_complete_report(self, tmp_path, capsys):
+        # the library raised on the bulk-modulus mismatch and verify printed
+        # no report; now each failing row names the subnormal moduli, or the
+        # regime table's breakpoint that a line with t = 0 leaves undefined
+        phase2 = {"k": 5e-324, "mu": 5e-324, "h": 1.0}
+        doc = dict(PSTAR, phase2=phase2, loading={"sigma0": 0.3, "deltaT": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", write_config(tmp_path, doc))
+        assert code == 1 and err.startswith("FAILED ") and err.count("\n") == 1
+        rows = {(r["check"], r["orientation"]): r for r in parse_csv(out)}
+        for core in ("core1", "core2"):
+            assert [check for check, o in rows if o == core] == list(CORE_CHECKS)
+        subnormal = "k2 = 4.9406564584124654e-324 is subnormal; mu2 = 4.9406564584124654e-324 is subnormal"
+        for key in (("effective-bulk-modulus-dual-route", "core1"),
+                    ("mechanical-outer-traction", "core2"), ("average-stress-identity", "core2")):
+            assert (rows[key]["residual"], rows[key]["status"], rows[key]["note"]) == ("1", "fail", subnormal)
+        for target in ("phase1", "phase2"):
+            row = rows["regime-table-agreement", target]
+            assert row["note"] == "the regime table's breakpoint nan is not finite"
+        assert all(r["note"] for r in rows.values() if r["status"] == "fail")
+
     def test_rows_in_the_callers_numbering(self, tmp_path, capsys):
         # the relabeled config, and the same composite written in the
         # internal numbering: each row of one is the other's row with core
@@ -451,7 +485,7 @@ class TestVerify:
         loading = Loading(0.0, 1.0)
 
         def attainment():
-            checks = cli._verify_checks(comp, loading, 256)
+            checks = verify._verify_checks(comp, loading, 256)
             return {
                 orientation: status
                 for name, orientation, status in zip(
@@ -748,7 +782,7 @@ class TestEmitRows:
         cfg = cli.load_run_config(str(Path(__file__).parent / "golden" / config), allow_sweep=True)
         reports = [
             cli._bound_columns(cfg, "max", 2.0, residuals=True),
-            cli._verify_checks(cfg.composite, Loading(0.3, 1.0), 64),
+            verify._verify_checks(cfg.composite, Loading(0.3, 1.0), 64),
             {"a": [], "b": []},
         ]
         for columns in reports:
@@ -850,13 +884,18 @@ def test_scalar_paths_leave_numpy_unloaded(path):
 
 
 def test_cli_import_loads_every_layer_module():
-    # the benchmark's tracer wraps the functions of each of these modules
+    # the benchmark's tracer wraps the functions of each of these modules,
+    # and the names it reads besides them must be where it looks
     code = (
         "import sys, thermobounds.cli\n"
         "layers = ('materials', 'bounds', 'coated_sphere', 'radial_oracle', 'cli')\n"
-        "sys.exit(any(f'thermobounds.{layer}' not in sys.modules for layer in layers))"
+        "missing = any(f'thermobounds.{layer}' not in sys.modules for layer in layers)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracer import Tracer\n"
+        "Tracer().install()\n"
+        "sys.exit(missing)"
     )
-    proc = _run_fresh(code)
+    proc = _run_fresh(code, str(Path(__file__).resolve().parents[1] / "bench"))
     assert proc.returncode == 0, proc.stderr
 
 
