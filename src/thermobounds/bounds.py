@@ -35,13 +35,15 @@ Because the attaining local field is constant per phase, the bound value is
 the same for every moment exponent p in (1, inf]; p enters the API only for
 interface symmetry with the moment evaluators and is validated when given.
 
-:func:`bound_arrays` evaluates a bound, its attaining microstructure and
-its regime-table branch over whole arrays of loadings in one numpy pass,
-with the same floating-point operations as the scalar functions, so every
-element equals the scalar result bit for bit.  numpy is imported inside
-the functions that build arrays (:func:`bound_arrays` and the array branch
-of :meth:`RegimeTable.bound_at`), so the scalar functions, the regime
-tables and their float lookups run without loading it.
+:func:`bound_grid` evaluates a bound, its attaining microstructure and its
+regime-table branch row by row over a grid of loadings, with the scalar
+kernel; the CLI's ``bounds`` and ``sweep`` rows come from it.
+:func:`bound_arrays` does so in one numpy pass with the same floating-point
+operations, so its elements equal the scalar results bit for bit, except
+where an endpoint line's t or mean stress is nan; ``verify`` samples its
+regime tables with it.  numpy is imported only inside the functions that
+build arrays (:func:`bound_arrays` and the array branch of
+:meth:`RegimeTable.bound_at`).
 
 Everything here is a pure function of immutable inputs.
 """
@@ -331,21 +333,27 @@ def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval
     )
 
 
+#: Endpoint tags by their codes, which the kernels and BoundArrays.endpoint hold.
+ENDPOINT_CODES = (Endpoint.LOWER, Endpoint.UPPER, Endpoint.INTERIOR)
+_LOWER, _UPPER, _INTERIOR = range(3)
+
+
 def _endpoint_min(lo, hi, v_lo, v_hi, sigma0, D):
-    """(value, argmin, tag) of min sqrt(3)|v| over [lo, hi], v affine in t, v_lo/v_hi at the ends.
+    """(value, argmin, code) of min sqrt(3)|v| over [lo, hi], v affine in t, v_lo/v_hi at the ends.
 
     0 and INTERIOR when the end values differ in sign or either is 0, with
     the zero crossing ``D/(D - sigma0)``, held in the interval, as argmin;
     else the smaller end (LOWER on a tie).  At ``sigma0 == D`` the objective
-    is the constant sqrt(3)|D|: LOWER, or INTERIOR when D is 0.
+    is the constant sqrt(3)|D|: LOWER, or INTERIOR when D is 0.  ``code``
+    indexes :data:`ENDPOINT_CODES`.
     """
     if sigma0 == D:
-        return SQRT3 * abs(D), lo, Endpoint.INTERIOR if D == 0.0 else Endpoint.LOWER
+        return SQRT3 * abs(D), lo, _INTERIOR if D == 0.0 else _LOWER
     if (v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0):
         if abs(v_lo) <= abs(v_hi):
-            return SQRT3 * abs(v_lo), lo, Endpoint.LOWER
-        return SQRT3 * abs(v_hi), hi, Endpoint.UPPER
-    return 0.0, min(max(D / (D - sigma0), lo), hi), Endpoint.INTERIOR
+            return SQRT3 * abs(v_lo), lo, _LOWER
+        return SQRT3 * abs(v_hi), hi, _UPPER
+    return 0.0, min(max(D / (D - sigma0), lo), hi), _INTERIOR
 
 
 def affine_abs_min(
@@ -359,55 +367,68 @@ def affine_abs_min(
     cancel near the bulk-modulus gate.
     """
     lo, hi = interval.lo, interval.hi
-    return _endpoint_min(lo, hi, (sigma0 - D) * lo + D, (sigma0 - D) * hi + D, sigma0, D)
+    value, argmin, code = _endpoint_min(
+        lo, hi, (sigma0 - D) * lo + D, (sigma0 - D) * hi + D, sigma0, D
+    )
+    return value, argmin, ENDPOINT_CODES[code]
 
 
 #: Attaining assemblage by endpoint and max-field winner (None for a phase
 #: bound): Li is the core of the sphere with a phase-i core, Mi the coating
 #: (phase i) of the opposite-core sphere.
+_CORES = {"L1": 1, "M2": 1, "L2": 2, "M1": 2}
 _ATTAINING = {
     (symbol, winner): Microstructure(MicrostructureKind.COATED_SPHERES, core, 3 - core, winner)
-    for symbol, core in (("L1", 1), ("M2", 1), ("L2", 2), ("M1", 2))
+    for symbol, core in _CORES.items()
     for winner in (None, 1, 2)
 }
+#: By attaining endpoint (None for a zero bound): its sphere's core phase (0
+#: for none), and its branch's index in BRANCH_IDS right and left of where v = 0.
+_ROW_CODES = {None: (0, 2, 2)} | {
+    symbol: (core, *(BRANCH_IDS.index(f"{symbol[0]}-branch-{side}") for side in ("right", "left")))
+    for symbol, core in _CORES.items()
+}
+_TARGET_PHASES = {"phase1": (1,), "phase2": (2,), "max": (1, 2)}
 
 
-def _phase_bound(c: ValidatedComposite, phase: int, sigma0: float, deltaT: float, D: float):
-    """One phase's bound from the endpoint table: (value, argmin, tag, symbol, v).
+def _bounded_phases(c: ValidatedComposite, target: str, deltaT) -> list:
+    """Per bounded phase: (phase, t, e deltaT, symbol of the lower end, then of the upper end)."""
+    if target not in _TARGET_PHASES:
+        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+    bounded = []
+    for phase in _TARGET_PHASES[target]:
+        s_lo, s_hi = _INTERVAL_SYMBOLS[c.ordering, phase]
+        lo, hi = getattr(c.endpoints, s_lo), getattr(c.endpoints, s_hi)
+        bounded.append((phase, lo.t, lo.e * deltaT, s_lo, hi.t, hi.e * deltaT, s_hi))
+    return bounded
+
+
+def _bound_at(bounded: list, sigma0: float, D: float):
+    """(value, argmin, code, symbol, v, phase) of the bound over :func:`_bounded_phases` at sigma0.
 
     ``symbol`` names the attaining endpoint (None when INTERIOR), ``v`` its
-    mean stress ``t sigma0 + e deltaT``.
+    mean stress ``t sigma0 + e deltaT``.  Of two phases the larger bound
+    wins; on a tie, the one whose argmin has the larger magnitude, else phase 1.
     """
-    s_lo, s_hi = _INTERVAL_SYMBOLS[c.ordering, phase]
-    lo, hi = getattr(c.endpoints, s_lo), getattr(c.endpoints, s_hi)
-    v_lo, v_hi = lo.t * sigma0 + lo.e * deltaT, hi.t * sigma0 + hi.e * deltaT
-    value, argmin, tag = _endpoint_min(lo.t, hi.t, v_lo, v_hi, sigma0, D)
-    if tag is Endpoint.LOWER:
-        return value, argmin, tag, s_lo, v_lo
-    if tag is Endpoint.UPPER:
-        return value, argmin, tag, s_hi, v_hi
-    return value, argmin, tag, None, 0.0
+    best = None
+    for phase, t_lo, e_lo, s_lo, t_hi, e_hi, s_hi in bounded:
+        v_lo = t_lo * sigma0 + e_lo
+        v_hi = t_hi * sigma0 + e_hi
+        value, argmin, code = _endpoint_min(t_lo, t_hi, v_lo, v_hi, sigma0, D)
+        if best is None or not (
+            best[0] > value or (best[0] >= value and abs(best[1]) >= abs(argmin))
+        ):
+            best = value, argmin, code, (s_lo, s_hi, None)[code], (v_lo, v_hi, 0.0)[code], phase
+    return best
 
 
 def _bound(c: ValidatedComposite, target: str, sigma0: float, deltaT: float):
     """(BoundResult, attaining symbol or None, its mean stress) for a target."""
     D = thermal_stress_scale(c, deltaT)
-    if target == "max":
-        r1 = _phase_bound(c, 1, sigma0, deltaT, D)
-        r2 = _phase_bound(c, 2, sigma0, deltaT, D)
-        first = r1[0] > r2[0] or (r1[0] >= r2[0] and abs(r1[1]) >= abs(r2[1]))
-        value, argmin, tag, symbol, v = r1 if first else r2
-        winner = 1 if first else 2
-    elif target in ("phase1", "phase2"):
-        value, argmin, tag, symbol, v = _phase_bound(c, int(target[-1]), sigma0, deltaT, D)
-        winner = None
-    else:
-        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+    value, argmin, code, symbol, v, phase = _bound_at(_bounded_phases(c, target, deltaT), sigma0, D)
+    winner = phase if target == "max" else None
     micro = UNDETERMINED if symbol is None else _ATTAINING[symbol, winner]
-    result = BoundResult(
-        value=value, argmin_compliance=argmin, at_endpoint=tag, microstructure=micro
-    )
-    return result, symbol, v
+    return BoundResult(value, argmin, ENDPOINT_CODES[code], micro), symbol, v
 
 
 def phase_moment_lower_bound(
@@ -457,14 +478,10 @@ def classify_branch(
 
 
 def _branch_name(symbol: str | None, v: float) -> str:
-    if symbol is None:
-        return "Zero"
-    return f"{symbol[0]}-branch-{'left' if v < 0.0 else 'right'}"
+    _, right, left = _ROW_CODES[symbol]
+    return BRANCH_IDS[left if v < 0.0 else right]
 
 
-#: Endpoint tags by their codes in :attr:`BoundArrays.endpoint`.
-ENDPOINT_CODES = (Endpoint.LOWER, Endpoint.UPPER, Endpoint.INTERIOR)
-_LOWER, _UPPER, _INTERIOR = range(3)
 _BRANCH_CODE = {name: i for i, name in enumerate(BRANCH_IDS)}
 
 
@@ -472,7 +489,8 @@ _BRANCH_CODE = {name: i for i, name in enumerate(BRANCH_IDS)}
 class BoundArrays:
     """A bound over arrays of loadings, as computed by :func:`bound_arrays`.
 
-    Every field has the broadcast shape of the loadings, and element ``i``
+    Every field has the broadcast shape of the loadings (from
+    :func:`bound_grid`, a list over the grid's rows), and element ``i``
     holds what the scalar functions give at loading ``i``:
 
     * ``value``, ``argmin``: ``BoundResult.value``/``argmin_compliance``;
@@ -492,27 +510,28 @@ class BoundArrays:
     branch: np.ndarray
 
 
-def _phase_arrays(c: ValidatedComposite, phase: int, sigma0, deltaT, D, crossing, flat):
-    """(value, argmin, interior, lower, v) of one phase's bound, as :func:`_phase_bound`.
+def _phase_arrays(ends: tuple, sigma0, D, crossing, flat):
+    """(value, argmin, interior, lower, v) of one phase's bound, as :func:`_bound_at`.
 
-    ``lower`` tells which end attains it and ``v`` is that end's mean stress.
+    ``ends`` is the phase's tuple from :func:`_bounded_phases`.  ``lower``
+    tells which end attains the bound and ``v`` is that end's mean stress.
     ``crossing`` is ``D/(D - sigma0)`` and ``flat`` where ``sigma0 == D``.
     """
     import numpy as np
 
-    lo, hi = (getattr(c.endpoints, s) for s in _INTERVAL_SYMBOLS[c.ordering, phase])
-    v_lo = lo.t * sigma0 + lo.e * deltaT
-    v_hi = hi.t * sigma0 + hi.e * deltaT
+    _, t_lo, e_lo, _, t_hi, e_hi, _ = ends
+    v_lo = t_lo * sigma0 + e_lo
+    v_hi = t_hi * sigma0 + e_hi
     a_lo, a_hi = np.abs(v_lo), np.abs(v_hi)
     lower = a_lo <= a_hi
     interior = v_lo * np.sign(v_hi) <= 0.0  # the ends differ in sign, or one is 0
     value = SQRT3 * np.where(interior, 0.0, np.minimum(a_lo, a_hi))
     argmin = np.where(
-        interior, np.minimum(np.maximum(crossing, lo.t), hi.t), np.where(lower, lo.t, hi.t)
+        interior, np.minimum(np.maximum(crossing, t_lo), t_hi), np.where(lower, t_lo, t_hi)
     )
     v = np.where(lower, v_lo, v_hi)
     if flat.any():
-        lower, v, argmin = lower | flat, np.where(flat, v_lo, v), np.where(flat, lo.t, argmin)
+        lower, v, argmin = lower | flat, np.where(flat, v_lo, v), np.where(flat, t_lo, argmin)
         interior = np.where(flat, D == 0.0, interior)
         value = np.where(flat, SQRT3 * np.abs(D), value)
     return value, argmin, interior, lower, v
@@ -534,18 +553,17 @@ def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArr
     )
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         D = thermal_stress_scale(c, deltaT)  # inf where the moduli's product overflows
-        args = (sigma0, deltaT, D, D / (D - sigma0), sigma0 == D)
-    if target == "max":
-        r1 = _phase_arrays(c, 1, *args)
-        r2 = _phase_arrays(c, 2, *args)
+        crossing = D / (D - sigma0)
+        bounded = _bounded_phases(c, target, deltaT)
+    r = [_phase_arrays(ends, sigma0, D, crossing, sigma0 == D) for ends in bounded]
+    if len(r) == 2:
+        r1, r2 = r
         first = (r1[0] > r2[0]) | ((r1[0] >= r2[0]) & (np.abs(r1[1]) >= np.abs(r2[1])))
         value, argmin, interior, lower, stress = (np.where(first, *r) for r in zip(r1, r2))
         phase = np.where(first, 1, 2)
-    elif target in ("phase1", "phase2"):
-        value, argmin, interior, lower, stress = _phase_arrays(c, int(target[-1]), *args)
-        phase = np.full(sigma0.shape, int(target[-1]))
     else:
-        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+        value, argmin, interior, lower, stress = r[0]
+        phase = np.full(sigma0.shape, bounded[0][0])
     # the lower end is L-family when well-ordered; an L endpoint's core is the bounded phase
     family_l = lower if c.ordering is Ordering.WELL_ORDERED else ~lower
     core = np.where(interior, 0, np.where(family_l, phase, 3 - phase))
@@ -562,6 +580,22 @@ def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArr
         core=core,
         branch=np.where(interior, _BRANCH_CODE["Zero"], branch),
     )
+
+
+def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values) -> BoundArrays:
+    """:func:`bound_arrays` over the sigma0 x deltaT grid, sigma0-major, as lists.
+
+    Each row runs :func:`classify_branch`'s kernel, with D and every ``e
+    deltaT`` hoisted per deltaT value, so it holds the scalar functions' bits.
+    """
+    columns = [(thermal_stress_scale(c, d), _bounded_phases(c, target, d)) for d in deltaT_values]
+    rows = []
+    for sigma0 in sigma0_values:
+        for D, bounded in columns:
+            value, argmin, code, symbol, v, phase = _bound_at(bounded, sigma0, D)
+            core, right, left = _ROW_CODES[symbol]
+            rows.append((value, argmin, code, phase, core, left if v < 0.0 else right))
+    return BoundArrays(*map(list, zip(*rows)))
 
 
 def _representatives(breakpoints: list[float]) -> list[float]:
@@ -587,17 +621,13 @@ def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTab
     """
     consts = characteristic_constants(c, deltaT)
     D = consts.D
-    if target == "max":
-        bps = [0.0] if D == 0.0 else sorted((D, consts.F))
-    elif target in ("phase1", "phase2"):
-        symbols = _INTERVAL_SYMBOLS[c.ordering, int(target[-1])]
-        lines = [getattr(c.endpoints, symbol) for symbol in symbols]
-        if D == 0.0:
-            bps = [0.0]
-        else:
-            bps = sorted((D, *(-line.e * deltaT / line.t if line.t else math.nan for line in lines)))
+    _, t_lo, e_lo, _, t_hi, e_hi, _ = _bounded_phases(c, target, deltaT)[0]
+    if D == 0.0:
+        bps = [0.0]
+    elif target == "max":
+        bps = sorted((D, consts.F))
     else:
-        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+        bps = sorted((D, *(-e / t if t else math.nan for t, e in ((t_lo, e_lo), (t_hi, e_hi)))))
 
     edges = [-math.inf, *bps, math.inf]
     rows = []

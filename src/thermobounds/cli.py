@@ -10,11 +10,10 @@ Four subcommands, each reading a JSON config file:
   constants, exact relations, attainment, oracle comparison, regime-table
   agreement) for both coated-sphere orientations.
 * ``sweep``   -- evaluate bounds over a grid of loadings and write them to
-  a file.  The whole grid is evaluated in one numpy pass of
-  :func:`~thermobounds.bounds.bound_arrays`, which gives the same bits as
-  the scalar functions; ``bounds`` evaluates its one row with the scalar
-  :func:`~thermobounds.bounds.classify_branch`.  Only ``sweep`` and
-  ``verify`` load numpy.
+  a file.  ``bounds`` and ``sweep`` build their rows with one call of
+  :func:`~thermobounds.bounds.bound_grid` (a 1 x 1 grid for ``bounds``),
+  the scalar kernel of :func:`~thermobounds.bounds.classify_branch`.  Only
+  ``verify`` loads numpy.
 
 Config schema::
 
@@ -55,6 +54,7 @@ import functools
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,8 +63,7 @@ from .bounds import (
     BRANCH_IDS,
     ENDPOINT_CODES,
     MicrostructureKind,
-    bound_arrays,
-    classify_branch,
+    bound_grid,
     regime_table,
 )
 from .errors import InputError, InvalidExponent
@@ -77,7 +76,7 @@ from .materials import (
 )
 from .verify import (
     ORACLE_REFERENCE_N,
-    _attainment_residuals,
+    _attainment_residual,
     _superposed_trace_coefficients,
     _verify_checks,
 )
@@ -137,15 +136,23 @@ def _json_text(x) -> str:
 
 
 class Coded(NamedTuple):
-    """A report column whose row ``i`` holds ``values[codes[i]]``.
+    """A report column whose row ``i`` holds ``values[codes[i]]``, codes a list or an int array.
 
     Each entry of ``values`` is formatted once, however many rows it fills.
     Entries are told apart by position, never by value, so ``-0.0`` and
-    ``0.0``, or ``True`` and ``1``, keep their own texts.
+    ``0.0``, or ``True`` and ``1``, keep their own texts.  Under a tuple of
+    names it spans those adjacent columns, each entry a tuple of their values.
     """
 
     values: tuple
-    codes: np.ndarray
+    codes: list
+
+
+def _coded(column: list, keys: list) -> Coded:
+    """``column`` as a :class:`Coded`; rows with equal ``keys`` hold the same entry and share it."""
+    entries = dict(zip(keys, column))
+    position = dict(zip(entries, range(len(entries))))
+    return Coded(tuple(entries.values()), list(map(position.__getitem__, keys)))
 
 
 def _csv_text(x) -> str:
@@ -158,16 +165,26 @@ def _csv_text(x) -> str:
     return fmt(x)
 
 
+def _spanning(names: tuple, text):
+    """``text`` for a row of the columns ``names``: their texts joined as in a report row."""
+    seps = ["," if text is _csv_text else f", {json.dumps(name)}: " for name in names[1:]]
+
+    def joined(values) -> str:
+        return text(values[0]) + "".join([sep + text(v) for sep, v in zip(seps, values[1:])])
+
+    return joined
+
+
 def _column_texts(column, text) -> list[str]:
     """The text of every row of one column.
 
-    A column is a :class:`Coded`, a float ndarray (CSV formats it with
+    A column is a :class:`Coded`, a float array (CSV formats it with
     ``'%.17g'``, the text of :func:`fmt`), or a sequence of values of any type.
-    An ndarray is told by its ``tolist`` method, so that emit needs no numpy.
+    An array (numpy's or ``array.array``) is told by its ``tolist`` method, so
+    that emit needs no numpy.
     """
     if isinstance(column, Coded):
-        table = [text(v) for v in column.values]
-        return [table[c] for c in column.codes.tolist()]
+        return list(map([text(v) for v in column.values].__getitem__, column.codes))
     if hasattr(column, "tolist"):
         column = column.tolist()
         if text is _csv_text:
@@ -179,17 +196,22 @@ def emit_rows(columns: dict, fmt_name: str, stream) -> None:
     """Write report columns as RFC-4180 CSV (with header) or JSON lines.
 
     ``columns`` maps each column name, in output order, to its rows (see
-    :func:`_column_texts`); all columns have the same length.  Each column is
-    formatted in one pass; then the report is joined into one string for one ``write``.
+    :func:`_column_texts`), a tuple of names spanning adjacent columns; all have
+    the same length.  Each column is formatted in one pass; then the report is
+    joined into one string for one ``write``.
     """
     text = _json_text if fmt_name == "json" else _csv_text
-    texts = [_column_texts(column, text) for column in columns.values()]
+    spans = [key if isinstance(key, tuple) else (key,) for key in columns]
+    texts = [
+        _column_texts(column, _spanning(names, text) if len(names) > 1 else text)
+        for names, column in zip(spans, columns.values())
+    ]
     if fmt_name == "json":
-        template = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in columns) + "}\n"
+        template = "{" + ", ".join(f"{json.dumps(names[0])}: %s" for names in spans) + "}\n"
         stream.write("".join([template % row for row in zip(*texts)]))
     else:
-        lines = [",".join(map(_csv_text, columns)), *map(",".join, zip(*texts)), ""]
-        stream.write("\r\n".join(lines))
+        header = ",".join([_csv_text(name) for names in spans for name in names])
+        stream.write("\r\n".join([header, *map(",".join, zip(*texts)), ""]))
 
 
 def _require(doc: dict, key: str):
@@ -226,6 +248,8 @@ def _parse_axis(value, name: str, allow_sweep: bool):
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name!r}: {exc}") from exc
+        if isinstance(value["count"], float) and value["count"] != rng.count:
+            raise ConfigError(f"{name!r}: sweep count {value['count']!r} is not a whole number")
         if rng.count < 2:
             raise ConfigError(f"{name!r}: sweep count must be >= 2, got {rng.count}")
         if not (math.isfinite(rng.start) and math.isfinite(rng.stop)):
@@ -303,78 +327,55 @@ def _axis_values(axis: float | SweepRange) -> list[float]:
 def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = False) -> dict:
     """Bound report columns over the sigma0 x deltaT grid in sigma0-major order.
 
-    One :func:`bound_arrays` pass evaluates every row.  The grid axes, the
-    constant columns and the code columns of the :class:`BoundArrays` are
-    :class:`Coded`, so each distinct value is formatted once.  With
-    ``residuals`` each row also gets the attainment residual of its bound
-    (None when the bound is 0 and no assemblage is designated).
+    One :func:`bound_grid` call evaluates every row.  A row is five segments,
+    each formatted once per distinct value: sigma0; (deltaT, phase, p);
+    value; argmin; at_endpoint to relabeled.  With ``residuals`` each row also
+    gets the attainment residual of its bound (None where the bound is 0).
     """
-    import numpy as np
-
     comp, relabeled = cfg.composite, cfg.relabeled
     target = _internal_target(phase_flag, relabeled)
     sigma_values, delta_values = _axis_values(cfg.sigma0), _axis_values(cfg.deltaT)
     ns, nd = len(sigma_values), len(delta_values)
-    sigma_codes = np.repeat(np.arange(ns), nd)
-    delta_codes = np.tile(np.arange(nd), ns)
-    sigma0 = np.asarray(sigma_values, dtype=float)[sigma_codes]
-    deltaT = np.asarray(delta_values, dtype=float)[delta_codes]
-    b = bound_arrays(comp, target, sigma0, deltaT)
-    zeros = np.zeros(ns * nd, dtype=np.intp)  # the codes of a constant column
+    b = bound_grid(comp, target, sigma_values, delta_values)
     # indexed by core phase; core 0: the bound is 0 and no assemblage is designated
     phases = (None, _swap_phase(1, relabeled), _swap_phase(2, relabeled))
-    coated = MicrostructureKind.COATED_SPHERES.value
+
+    def attainment(key) -> tuple:
+        """The columns from at_endpoint to relabeled of a row with these codes."""
+        endpoint, branch, core, phase = key
+        kind = MicrostructureKind.COATED_SPHERES if core else MicrostructureKind.UNDETERMINED
+        winner = phases[phase] if core and target == "max" else None
+        return (ENDPOINT_CODES[endpoint].value, BRANCH_IDS[branch], kind.value,
+                phases[core], phases[3 - core] if core else None, winner, relabeled)
+
+    keys = list(zip(b.endpoint, b.branch, b.core, b.phase))
+    attaining = _coded(keys, keys)
     columns = {
-        "sigma0": Coded(tuple(sigma_values), sigma_codes),
-        "deltaT": Coded(tuple(delta_values), delta_codes),
-        "phase": Coded((phase_flag,), zeros),
-        "p": Coded((p,), zeros),
-        "value": b.value,
-        "argmin": b.argmin,
-        "at_endpoint": Coded(tuple(e.value for e in ENDPOINT_CODES), b.endpoint),
-        "branch": Coded(BRANCH_IDS, b.branch),
-        "microstructure": Coded((MicrostructureKind.UNDETERMINED.value, coated, coated), b.core),
-        "core_phase": Coded(phases, b.core),
-        "coating_phase": Coded((None, phases[2], phases[1]), b.core),
-        "max_attaining_phase": (
-            Coded(phases, np.where(b.core != 0, b.phase, 0))
-            if target == "max" else Coded((None,), zeros)
+        "sigma0": Coded(tuple(sigma_values), [i for i in range(ns) for _ in range(nd)]),
+        ("deltaT", "phase", "p"): Coded(
+            tuple((d, phase_flag, p) for d in delta_values), [*range(nd)] * ns
         ),
-        "relabeled": Coded((relabeled,), zeros),
+        "value": array("d", b.value),
+        # an endpoint row's argmin is the endpoint's t, the same object in every such row
+        "argmin": _coded(b.argmin, [*map(id, b.argmin)]),
+        ("at_endpoint", "branch", "microstructure", "core_phase", "coating_phase",
+         "max_attaining_phase", "relabeled"): Coded(
+            tuple(map(attainment, attaining.values)), attaining.codes
+        ),
     }
     if residuals:
-        residual = _attainment_residuals(
-            _superposed_trace_coefficients(comp), sigma0, deltaT, b.value, b.phase, b.core
-        )
+        coefficients = _superposed_trace_coefficients(comp)
+        loadings = [(s, d) for s in sigma_values for d in delta_values]
         columns["attainment_residual"] = [
-            r if core else None for r, core in zip(residual.tolist(), b.core.tolist())
+            _attainment_residual(coefficients, s, d, value, phase, core) if core else None
+            for (s, d), value, phase, core in zip(loadings, b.value, b.phase, b.core)
         ]
     return columns
 
 
 def cmd_bounds(args) -> int:
-    """The one row of :func:`_bound_columns` at the configured loading, by the scalar kernel."""
     cfg = load_run_config(args.config)
-    p, relabeled = _parse_p(args.p), cfg.relabeled
-    target = _internal_target(args.phase, relabeled)
-    result, branch = classify_branch(cfg.composite, cfg.deltaT, target, cfg.sigma0)
-    micro = result.microstructure
-    row = {
-        "sigma0": cfg.sigma0,
-        "deltaT": cfg.deltaT,
-        "phase": args.phase,
-        "p": p,
-        "value": result.value,
-        "argmin": result.argmin_compliance,
-        "at_endpoint": result.at_endpoint.value,
-        "branch": branch,
-        "microstructure": micro.kind.value,
-        "core_phase": _swap_phase(micro.core_phase, relabeled),
-        "coating_phase": _swap_phase(micro.coating_phase, relabeled),
-        "max_attaining_phase": _swap_phase(micro.max_attaining_phase, relabeled),
-        "relabeled": relabeled,
-    }
-    emit_rows({name: [value] for name, value in row.items()}, args.format, sys.stdout)
+    emit_rows(_bound_columns(cfg, args.phase, _parse_p(args.p)), args.format, sys.stdout)
     return 0
 
 

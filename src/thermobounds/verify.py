@@ -185,30 +185,26 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
     return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
 
 
-def _superposed_trace_coefficients(comp: ValidatedComposite) -> np.ndarray:
-    """:func:`superposed_traces` per unit sigma0 and per unit deltaT, by [unit, core, phase].
+def _superposed_trace_coefficients(comp: ValidatedComposite) -> list:
+    """:func:`superposed_traces` per unit sigma0 and per unit deltaT, by [unit][core][phase].
 
     That route is affine in the loading and independent of the endpoint
     table the bounds read.  Core 0 (no designated assemblage) stays 0.
     """
-    import numpy as np
-
-    coefficients = np.zeros((2, 3, 3))
+    coefficients = [[[0.0] * 3 for _ in range(3)] for _ in range(2)]
     for core in (1, 2):
         sphere = CoatedSphereConfig(composite=comp, core_phase=core)
         for unit, per_unit in zip((Loading(1.0, 0.0), Loading(0.0, 1.0)), coefficients):
-            per_unit[core, core], per_unit[core, 3 - core] = superposed_traces(sphere, unit)
+            per_unit[core][core], per_unit[core][3 - core] = superposed_traces(sphere, unit)
     return coefficients
 
 
-def _attainment_residuals(coefficients, sigma0, deltaT, value, phase, core):
-    """Relative gap between bounds and the moments, by ``coefficients``, of their assemblages."""
-    import numpy as np
-
+def _attainment_residual(coefficients, sigma0, deltaT, value, phase, core) -> float:
+    """Relative gap between a bound and the moment, by ``coefficients``, of its assemblage."""
     per_sigma0, per_deltaT = coefficients
-    trace = per_sigma0[core, phase] * sigma0 + per_deltaT[core, phase] * deltaT
-    scale = np.maximum(np.maximum(value, np.abs(sigma0) + np.abs(deltaT)), 1e-300)
-    return np.abs(np.abs(trace) / SQRT3 - value) / scale
+    trace = per_sigma0[core][phase] * sigma0 + per_deltaT[core][phase] * deltaT
+    scale = max(value, abs(sigma0) + abs(deltaT), 1e-300)
+    return abs(abs(trace) / SQRT3 - value) / scale
 
 
 def _oracle_field_error(sphere, loading, grid, analytic, grid_n) -> tuple[float, str]:
@@ -345,11 +341,11 @@ def _verify_checks(
     for label, phase in zip((1, 2), internal):
         result = phase_moment_lower_bound(comp, loading, phase)
         if result.at_endpoint is not Endpoint.INTERIOR:
-            residual = _attainment_residuals(
+            residual = _attainment_residual(
                 coefficients, loading.sigma0, loading.deltaT, result.value, phase,
                 result.microstructure.core_phase,
             )
-            add("bound-attainment", f"phase{label}", float(residual), TOL_ATTAINMENT)
+            add("bound-attainment", f"phase{label}", residual, TOL_ATTAINMENT)
 
     # regime tables agree with the direct minimization; a D that overflowed
     # leaves no finite sigma0 range to sample, and a table whose breakpoint is

@@ -14,7 +14,14 @@ import pytest
 import thermobounds
 from conftest import random_composite, random_loading
 from thermobounds import Ordering, characteristic_constants, classify_branch, regime_table
-from thermobounds.bounds import thermal_stress_scale
+from thermobounds.bounds import (
+    BRANCH_IDS,
+    ENDPOINT_CODES,
+    SQRT3,
+    MicrostructureKind,
+    bound_arrays,
+    thermal_stress_scale,
+)
 from thermobounds import Loading, PhaseProperties, build_composite
 from thermobounds.materials import EndpointLine
 from thermobounds import cli, radial_oracle, verify
@@ -136,20 +143,102 @@ class TestBounds:
         assert row_a["coating_phase"] == "2" and row_b["coating_phase"] == "1"
 
     def test_scalar_row_equals_the_sweep_row(self, tmp_path, capsys):
-        # bounds evaluates its row with the scalar kernel, sweep with
-        # bound_arrays; the reports must be the same bytes
+        # bounds and sweep build their rows with the scalar kernel; their
+        # reports must be the bytes of the bound_arrays reference
         docs = list(bounds_cases(np.random.default_rng(4040)))
         assert len(docs) >= 300
-        cfg = str(tmp_path / "config.json")
+        cfg, out = str(tmp_path / "config.json"), tmp_path / "rows.out"
         for i, doc in enumerate(docs):
             Path(cfg).write_text(json.dumps(doc))
             parsed = cli.load_run_config(cfg)
             p = ("2", "inf", "1.5")[i % 3]
             for flag in ("1", "2", "max"):
-                columns = cli._bound_columns(parsed, flag, float(p))
+                columns = reference_bound_columns(parsed, flag, float(p))
                 for fmt_name in ("csv", "json"):
                     argv = ("bounds", cfg, "--phase", flag, "--format", fmt_name, "--p", p)
                     assert run(capsys, *argv) == (0, _emit(columns, fmt_name), ""), (doc, flag)
+            for j, grid in enumerate(sweep_grids(doc["loading"], with_zero_deltaT=i % 4 == 0)):
+                Path(cfg).write_text(json.dumps(dict(doc, loading=grid)))
+                parsed = cli.load_run_config(cfg, allow_sweep=True)
+                # each of the 12 flag and format combinations every 12 configs
+                flag = ("1", "2", "max")[(i + j) % 3]
+                fmt_name, residuals = SWEEP_FORMATS[(i + j) // 3 % len(SWEEP_FORMATS)]
+                columns = reference_bound_columns(parsed, flag, float(p), residuals)
+                argv = ["sweep", cfg, "--out", str(out), "--phase", flag, "--p", p,
+                        "--format", fmt_name, *["--residuals"] * residuals]
+                rows = len(columns["value"])
+                assert run(capsys, *argv) == (0, f"wrote {rows} rows to {out}\n", "")
+                assert out.read_bytes().decode() == _emit(columns, fmt_name), (doc, grid, flag)
+
+
+def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
+    """The columns of a ``bounds`` or ``sweep`` report by one :func:`bound_arrays` pass.
+
+    The reference the CLI's scalar-kernel reports must match byte for byte.
+    """
+    comp, relabeled = cfg.composite, cfg.relabeled
+    target = cli._internal_target(phase_flag, relabeled)
+    sigma_values, delta_values = cli._axis_values(cfg.sigma0), cli._axis_values(cfg.deltaT)
+    ns, nd = len(sigma_values), len(delta_values)
+    sigma_codes = np.repeat(np.arange(ns), nd)
+    delta_codes = np.tile(np.arange(nd), ns)
+    sigma0 = np.asarray(sigma_values, dtype=float)[sigma_codes]
+    deltaT = np.asarray(delta_values, dtype=float)[delta_codes]
+    b = bound_arrays(comp, target, sigma0, deltaT)
+    zeros = np.zeros(ns * nd, dtype=np.intp)  # the codes of a constant column
+    # indexed by core phase; core 0: the bound is 0 and no assemblage is designated
+    phases = (None, cli._swap_phase(1, relabeled), cli._swap_phase(2, relabeled))
+    coated = MicrostructureKind.COATED_SPHERES.value
+    columns = {
+        "sigma0": Coded(tuple(sigma_values), sigma_codes),
+        "deltaT": Coded(tuple(delta_values), delta_codes),
+        "phase": Coded((phase_flag,), zeros),
+        "p": Coded((p,), zeros),
+        "value": b.value,
+        "argmin": b.argmin,
+        "at_endpoint": Coded(tuple(e.value for e in ENDPOINT_CODES), b.endpoint),
+        "branch": Coded(BRANCH_IDS, b.branch),
+        "microstructure": Coded((MicrostructureKind.UNDETERMINED.value, coated, coated), b.core),
+        "core_phase": Coded(phases, b.core),
+        "coating_phase": Coded((None, phases[2], phases[1]), b.core),
+        "max_attaining_phase": (
+            Coded(phases, np.where(b.core != 0, b.phase, 0))
+            if target == "max" else Coded((None,), zeros)
+        ),
+        "relabeled": Coded((relabeled,), zeros),
+    }
+    if residuals:
+        per_sigma0, per_deltaT = np.asarray(verify._superposed_trace_coefficients(comp))
+        trace = per_sigma0[b.core, b.phase] * sigma0 + per_deltaT[b.core, b.phase] * deltaT
+        scale = np.maximum(np.maximum(b.value, np.abs(sigma0) + np.abs(deltaT)), 1e-300)
+        residual = np.abs(np.abs(trace) / SQRT3 - b.value) / scale
+        columns["attainment_residual"] = [
+            r if core else None for r, core in zip(residual.tolist(), b.core.tolist())
+        ]
+    return columns
+
+
+#: the (--format, --residuals) of the sweeps of test_scalar_row_equals_the_sweep_row
+SWEEP_FORMATS = [(fmt_name, residuals) for fmt_name in ("csv", "json") for residuals in (False, True)]
+
+
+def sweep_grids(loading, with_zero_deltaT=False):
+    """Sweep loadings whose first row is ``loading``, and one with a row at deltaT == 0.
+
+    A first row at sigma0 == D stays there.  The second grid's rows at
+    deltaT == 0 include sigma0 == 0 == D.
+    """
+    sigma0, deltaT = loading["sigma0"], loading["deltaT"]
+    yield {
+        "sigma0": {"start": sigma0, "stop": sigma0 + max(1.0, abs(sigma0)), "count": 3},
+        "deltaT": {"start": deltaT, "stop": deltaT + 1.0, "count": 2},
+    }
+    if with_zero_deltaT:
+        # steps of exactly 1: the rows land on -1, 0 and 1, and on -2 .. 2
+        yield {
+            "sigma0": {"start": -2.0, "stop": 2.0, "count": 5},
+            "deltaT": {"start": -1.0, "stop": 1.0, "count": 3},
+        }
 
 
 def _doc(phase1, phase2, theta1, sigma0, deltaT):
@@ -549,6 +638,51 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", cfg, "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("count", [2.9, 3.5])
+    def test_fractional_count_rejected(self, tmp_path, capsys, count):
+        doc = dict(
+            PSTAR,
+            loading={"sigma0": {"start": -1.0, "stop": 1.0, "count": count}, "deltaT": 1.0},
+        )
+        cfg = write_config(tmp_path, doc)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", cfg, "--out", str(out_path))
+        assert code == 2 and out == "" and "ConfigError" in err and "not a whole number" in err
+        assert not out_path.exists()
+
+    def test_whole_float_count_accepted(self, tmp_path, capsys):
+        doc = dict(
+            PSTAR,
+            loading={"sigma0": {"start": -1.0, "stop": 1.0, "count": 3.0}, "deltaT": 1.0},
+        )
+        cfg = write_config(tmp_path, doc)
+        out_path = tmp_path / "x.csv"
+        assert run(capsys, "sweep", cfg, "--out", str(out_path))[0] == 0
+        assert len(parse_csv(out_path.read_text())) == 3
+
+    @pytest.mark.parametrize("phase2", [
+        {"k": 5e299, "mu": 5e299, "h": 1e10},  # D overflows; e deltaT is inf * 0 at deltaT 0
+        {"k": 5e-324, "mu": 5e-324, "h": 1.0},  # the M1 line's t is nan
+        {"k": 5e-324, "mu": 5e-324, "h": -1e308},
+    ], ids=["D-overflow", "subnormal", "subnormal-huge-h"])
+    def test_rows_are_the_bounds_rows_where_a_line_is_nan(self, tmp_path, capsys, phase2):
+        phase1 = {"k": 1e300, "mu": 1e300, "h": 0.0} if phase2["k"] > 1.0 else PSTAR["phase1"]
+        grid = {"sigma0": {"start": -1.0, "stop": 1.0, "count": 3},
+                "deltaT": {"start": -1.5, "stop": 1.5, "count": 3}}
+        cfg = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2, loading=grid))
+        out_path = tmp_path / "rows.csv"
+        for flag in ("1", "2", "max"):
+            assert run(capsys, "sweep", cfg, "--out", str(out_path), "--phase", flag)[0] == 0
+            header, *rows = out_path.read_text().splitlines()
+            assert len(rows) == 9
+            for row in rows:
+                sigma0, deltaT = map(float, row.split(",")[:2])
+                loading = {"sigma0": sigma0, "deltaT": deltaT}
+                one = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2,
+                                                  loading=loading), "one.json")
+                code, out, _ = run(capsys, "bounds", one, "--phase", flag)
+                assert (code, out.splitlines()) == (0, [header, row])
+
     def test_scalar_only_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
         code, _, _ = run(capsys, "sweep", cfg, "--out", str(tmp_path / "x.csv"))
@@ -699,7 +833,12 @@ EMIT_CASES = {
 
 def _column_forms(values):
     """Every kind of column emit_rows takes, each holding ``values``."""
-    forms = {"list": list(values), "coded": Coded(tuple(values), np.arange(len(values)))}
+    forms = {
+        "list": list(values),
+        "coded": Coded(tuple(values), np.arange(len(values))),
+        # list codes, each entry given once, in reverse order
+        "coded-list": Coded(tuple(values[::-1]), list(range(len(values)))[::-1]),
+    }
     if all(type(v) is float for v in values):
         forms["ndarray"] = np.array(values)
     return forms
@@ -722,6 +861,22 @@ def _stdlib_csv(columns):
     writer.writerow(columns)
     writer.writerows(zip(*columns.values()))
     return stream.getvalue()
+
+
+def _spanned(columns, names):
+    """``columns`` with the adjacent ``names`` as one :class:`Coded` span with list codes.
+
+    Its entries are the rows' tuples, each given once, in reverse order.
+    """
+    rows = list(zip(*(columns[name] for name in names)))
+    span = Coded(tuple(rows[::-1]), list(range(len(rows)))[::-1])
+    spanned = {}
+    for name, column in columns.items():
+        if name == names[0]:
+            spanned[tuple(names)] = span
+        elif name not in names:
+            spanned[name] = column
+    return spanned
 
 
 class WriteSpy:
@@ -775,6 +930,35 @@ class TestEmitRows:
         columns = {"v": Coded(("x, y", "plain"), np.array([0, 1, 0, 1, 0])), "w": [1.0] * 5}
         assert _emit(columns, "csv") == 'v,w\r\n' + '"x, y",1\r\nplain,1\r\n' * 2 + '"x, y",1\r\n'
         assert quoted.count("x, y") == 1 and quoted.count("plain") == 1
+
+    @pytest.mark.parametrize("case", sorted(STDLIB_CSV_CASES))
+    def test_spanning_coded_equals_its_columns(self, case):
+        columns = STDLIB_CSV_CASES[case]
+        expected = {fmt_name: _emit(columns, fmt_name) for fmt_name in ("csv", "json")}
+        assert expected["csv"] == _stdlib_csv(columns)
+        names = list(columns)
+        for start in range(len(names) - 1):
+            for stop in range(start + 2, len(names) + 1):
+                spanned = _spanned(columns, names[start:stop])
+                assert len(spanned) == len(names) - (stop - start) + 1
+                for fmt_name in ("csv", "json"):
+                    assert _emit(spanned, fmt_name) == expected[fmt_name], (start, stop)
+
+    def test_spanning_entries_are_told_apart_by_position(self):
+        codes = [0, 1, 1, 0, 2]
+        entries = ((-0.0, True), (0.0, 1), ("x, y", None))
+        columns = {"i": list(range(5)), ("v", "w"): Coded(entries, codes)}
+        texts = ["-0,true", "0,1", '"x, y",']
+        assert _emit(columns, "csv") == "i,v,w\r\n" + "".join(
+            f"{i},{texts[c]}\r\n" for i, c in enumerate(codes))
+        texts = ['-0.0, "w": true', '0.0, "w": 1', '"x, y", "w": null']
+        assert _emit(columns, "json") == "".join(
+            f'{{"i": {i}, "v": {texts[c]}}}\n' for i, c in enumerate(codes))
+
+    def test_spanning_columns_keep_the_header_order(self):
+        columns = {"a": [1], ("b", "c"): Coded(((2, 3),), [0]), "d": [4], ("e", "f"): [(5, 6)]}
+        assert _emit(columns, "csv") == "a,b,c,d,e,f\r\n1,2,3,4,5,6\r\n"
+        assert _emit(columns, "json") == '{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5, "f": 6}\n'
 
     @pytest.mark.parametrize("fmt_name", ["csv", "json"])
     @pytest.mark.parametrize("config", ["canonical.json", "canonical-grid.json"])
@@ -840,7 +1024,8 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-#: one-shot queries and the scalar library path, none of which builds an array
+#: one-shot queries, sweeps and the scalar library path, none of which builds
+#: an array; each runs with the argv (config, grid config, sweep output path)
 SCALAR_PATHS = {
     "import": "import thermobounds\ncode = 0",
     "bounds": (
@@ -855,6 +1040,15 @@ SCALAR_PATHS = {
         "code = 0\n"
         "for target in ('phase1', 'phase2', 'max'):\n"
         "    code = code or main(['table', sys.argv[1], '--target', target])"
+    ),
+    "sweep": (
+        "from thermobounds.cli import main\n"
+        "code = 0\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    for phase in ('1', '2', 'max'):\n"
+        "        for extra in ([], ['--residuals']):\n"
+        "            argv = ['sweep', sys.argv[2], '--out', sys.argv[3], '--format', fmt]\n"
+        "            code = code or main([*argv, '--phase', phase, *extra])"
     ),
     "library": (
         "import math\n"
@@ -876,10 +1070,11 @@ SCALAR_PATHS = {
 
 
 @pytest.mark.parametrize("path", sorted(SCALAR_PATHS))
-def test_scalar_paths_leave_numpy_unloaded(path):
-    config = str(Path(__file__).resolve().parent / "golden" / "canonical.json")
+def test_scalar_paths_leave_numpy_unloaded(path, tmp_path):
+    golden = Path(__file__).resolve().parent / "golden"
+    configs = [str(golden / "canonical.json"), str(golden / "canonical-grid.json")]
     code = f"import sys\n{SCALAR_PATHS[path]}\nsys.exit(code or 3 * ('numpy' in sys.modules))"
-    proc = _run_fresh(code, config)
+    proc = _run_fresh(code, *configs, str(tmp_path / "rows.out"))
     assert proc.returncode == 0, proc.stderr
 
 
