@@ -39,11 +39,10 @@ interface symmetry with the moment evaluators and is validated when given.
 regime-table branch row by row over a grid of loadings, with the scalar
 kernel; the CLI's ``bounds`` and ``sweep`` rows come from it.
 :func:`bound_arrays` does so in one numpy pass with the same floating-point
-operations, so its elements equal the scalar results bit for bit, except
-where an endpoint line's t or mean stress is nan; ``verify`` samples its
-regime tables with it.  numpy is imported only inside the functions that
-build arrays (:func:`bound_arrays` and the array branch of
-:meth:`RegimeTable.bound_at`).
+operations and comparisons, so its elements equal the scalar results bit
+for bit, nan included; ``verify`` samples its regime tables with it.  numpy
+is imported only inside the functions that build arrays (:func:`bound_arrays`
+and the array branch of :meth:`RegimeTable.bound_at`).
 
 Everything here is a pure function of immutable inputs.
 """
@@ -524,11 +523,12 @@ def _phase_arrays(ends: tuple, sigma0, D, crossing, flat):
     v_hi = t_hi * sigma0 + e_hi
     a_lo, a_hi = np.abs(v_lo), np.abs(v_hi)
     lower = a_lo <= a_hi
-    interior = v_lo * np.sign(v_hi) <= 0.0  # the ends differ in sign, or one is 0
+    # the ends differ in sign, or one is 0 or nan
+    interior = ~((v_lo > 0.0) & (v_hi > 0.0) | (v_lo < 0.0) & (v_hi < 0.0))
     value = SQRT3 * np.where(interior, 0.0, np.minimum(a_lo, a_hi))
-    argmin = np.where(
-        interior, np.minimum(np.maximum(crossing, t_lo), t_hi), np.where(lower, t_lo, t_hi)
-    )
+    clamped = np.where(t_lo > crossing, t_lo, crossing)  # Python's max and min, nan included
+    clamped = np.where(t_hi < clamped, t_hi, clamped)
+    argmin = np.where(interior, clamped, np.where(lower, t_lo, t_hi))
     v = np.where(lower, v_lo, v_hi)
     if flat.any():
         lower, v, argmin = lower | flat, np.where(flat, v_lo, v), np.where(flat, t_lo, argmin)

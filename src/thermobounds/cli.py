@@ -77,7 +77,7 @@ from .materials import (
 from .verify import (
     ORACLE_REFERENCE_N,
     _attainment_residual,
-    _superposed_trace_coefficients,
+    _shell_trace_coefficients,
     _verify_checks,
 )
 
@@ -364,7 +364,7 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
         ),
     }
     if residuals:
-        coefficients = _superposed_trace_coefficients(comp)
+        coefficients = _shell_trace_coefficients(comp)
         loadings = [(s, d) for s in sigma_values for d in delta_values]
         columns["attainment_residual"] = [
             _attainment_residual(coefficients, s, d, value, phase, core) if core else None

@@ -31,23 +31,23 @@ endpoint table (``ValidatedComposite.endpoints``), L1 in the core and M2 in
 the coating of the sphere with a phase-1 core, L2 and M1 in those of the
 sphere with a phase-2 core.  :func:`local_field_constants` and
 :func:`phase_moment` read their traces ``3 (t sigma0 + e deltaT)`` from
-that table, as the bounds do.
+that table, as the bounds do, and so does :func:`evaluate_fields`.
 
 Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
-:func:`mechanical_coefficients`).  They give the displacement and, through
-:func:`superposed_traces`, region traces that do not read the endpoint
-table, which ``thermobounds verify`` and the finite-volume comparison check
-the table against.  Each effective constant is evaluated once, by its closed
-form: K* is Hashin's extremal modulus and H* the outer traction of the
-thermal solution.  The 3x3 interface system the closed forms solve is kept
-in ``_solve_shell``, solved exactly over the integers and rounded once per
-coefficient.  Only :mod:`thermobounds.verify`, which holds every other
+:func:`mechanical_coefficients`), which give the displacement.  Each
+effective constant is evaluated once, by its closed form: K* is Hashin's
+extremal modulus and H* the outer traction of the thermal solution.  The
+3x3 interface system the closed forms solve is kept in ``_solve_shell``,
+solved exactly over the integers and rounded once per coefficient and per
+region trace: the route to the region stresses that does not read the
+table.  Only :mod:`thermobounds.verify`, which holds every other
 independent route and check, calls it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .bounds import SQRT3, hs_bulk_moduli
@@ -140,12 +140,18 @@ def _quotient(num: int, den: int) -> float:
         return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
+#: :func:`_solve_shell`'s :class:`ShellCoefficients` and the core's and coating's stress traces
+_ShellSolution = namedtuple(
+    "_ShellSolution", "core_linear coat_linear coat_inverse_square tr_core tr_coating"
+)
+
+
 def _solve_shell(
     config: CoatedSphereConfig,
     eigen_on: bool,
     outer: str,
     traction: float = 0.0,
-) -> ShellCoefficients:
+) -> _ShellSolution:
     """Solve the 3x3 interface/boundary system for (g, A, B) exactly.
 
     Rows: displacement continuity at r=a times a^2, radial traction
@@ -154,12 +160,13 @@ def _solve_shell(
     eigenstrain (at unit temperature change) enters only the traction rows.
     Each entry is then a sum of products of float inputs, so one power of
     two ``s`` that makes every input an integer makes every row integer, and
-    Cramer's rule gives each coefficient as one quotient of integers,
+    Cramer's rule gives each coefficient, and the region stress traces
+    ``9 kc (g - hc)`` and ``9 kt (A - ht)``, as one quotient of integers,
     rounded once; one beyond the float range is an infinity of its sign.
 
     This is the independent route to the closed forms of
-    :func:`thermal_coefficients` and :func:`mechanical_coefficients`;
-    only :mod:`thermobounds.verify` calls it.
+    :func:`thermal_coefficients` and :func:`mechanical_coefficients` and to
+    the endpoint table's region stresses; only :mod:`thermobounds.verify` calls it.
     """
     core, coat = config.core, config.coating
     hc, ht = (core.h, coat.h) if eigen_on else (0.0, 0.0)
@@ -180,10 +187,13 @@ def _solve_shell(
         raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
     minor13 = m12 * m33 - m13 * m32  # rows 1 and 3, columns 2 and 3
     det = m11 * (m22 * m33 - m23 * m32) - m21 * minor13
-    return ShellCoefficients(
-        core_linear=_quotient(r3 * (m12 * m23 - m13 * m22) - r2 * minor13, det),
-        coat_linear=_quotient(m11 * (r2 * m33 - m23 * r3) + m21 * m13 * r3, det),
-        coat_inverse_square=_quotient(m11 * (m22 * r3 - r2 * m32) - m21 * m12 * r3, det),
+    g = r3 * (m12 * m23 - m13 * m22) - r2 * minor13  # g, A and B times det
+    A = m11 * (r2 * m33 - m23 * r3) + m21 * m13 * r3
+    B = m11 * (m22 * r3 - r2 * m32) - m21 * m12 * r3
+    # 9 k (g - h) times s^2 det, as k and h are s times theirs
+    traces = 9 * kc * (g * s - hc * det), 9 * kt * (A * s - ht * det)
+    return _ShellSolution(
+        *(_quotient(x, det) for x in (g, A, B)), *(_quotient(x, s * s * det) for x in traces)
     )
 
 
@@ -311,24 +321,6 @@ def local_field_constants(
     )
 
 
-def superposed_traces(
-    config: CoatedSphereConfig, loading: Loading, total: ShellCoefficients | None = None
-) -> tuple[float, float]:
-    """Stress traces (core, coating) ``9 k (e - h deltaT)`` by the superposition route.
-
-    ``e`` is the linear coefficient of :func:`superposed_shell_coefficients`,
-    so this route is independent of the endpoint table; ``total`` is those
-    coefficients when the caller has them already.
-    """
-    if total is None:
-        total = superposed_shell_coefficients(config, loading)
-    core, coat = config.core, config.coating
-    return (
-        9.0 * core.k * (total.core_linear - core.h * loading.deltaT),
-        9.0 * coat.k * (total.coat_linear - coat.h * loading.deltaT),
-    )
-
-
 def phase_moment(
     config: CoatedSphereConfig, loading: Loading, phase: int, p: float
 ) -> float:
@@ -362,8 +354,9 @@ def evaluate_fields(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic displacement u(r) and stress trace tr sigma(r) at given radii.
 
-    Radii at the interface are assigned to the core side (both sides give
-    the same displacement there; the stress trace jumps).
+    The trace is that of :func:`local_field_constants`.  Radii at the
+    interface are assigned to the core side (both sides give the same
+    displacement there; the stress trace jumps).
     """
     import numpy as np
 
@@ -375,4 +368,5 @@ def evaluate_fields(
         total.core_linear * r,
         total.coat_linear * r + total.coat_inverse_square / np.where(in_core, 1.0, r) ** 2,
     )
-    return u, np.where(in_core, *superposed_traces(config, loading, total))
+    fields = local_field_constants(config, loading)
+    return u, np.where(in_core, fields.tr_sigma_core, fields.tr_sigma_coating)

@@ -2,9 +2,9 @@
 
 The library evaluates each quantity once, by its closed form.  This module
 recomputes them by other routes (the 3x3 interface system solved exactly by
-``coated_sphere._solve_shell``, the volume average of the stress, the
-superposition route to the region traces, the finite-volume oracle), and
-:func:`_verify_checks` runs every check on one composite as report rows.
+``coated_sphere._solve_shell``, also for the region stresses; the volume
+average of the stress; the finite-volume oracle), and :func:`_verify_checks`
+runs every check on one composite as report rows.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .coated_sphere import (
     effective_thermal_stress,
     local_field_constants,
     mechanical_coefficients,
-    superposed_traces,
     thermal_coefficients,
 )
 from .errors import NonConvergent, SingularSystem
@@ -185,17 +184,20 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
     return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
 
 
-def _superposed_trace_coefficients(comp: ValidatedComposite) -> list:
-    """:func:`superposed_traces` per unit sigma0 and per unit deltaT, by [unit][core][phase].
+def _shell_trace_coefficients(comp: ValidatedComposite) -> list:
+    """Region stress traces per unit sigma0 and per unit deltaT, by [unit][core][phase].
 
-    That route is affine in the loading and independent of the endpoint
-    table the bounds read.  Core 0 (no designated assemblage) stays 0.
+    ``_solve_shell`` gives them exactly, rounded once, and independent of
+    the endpoint table the bounds read.  Core 0 (no designated assemblage)
+    stays 0.
     """
     coefficients = [[[0.0] * 3 for _ in range(3)] for _ in range(2)]
     for core in (1, 2):
         sphere = CoatedSphereConfig(composite=comp, core_phase=core)
-        for unit, per_unit in zip((Loading(1.0, 0.0), Loading(0.0, 1.0)), coefficients):
-            per_unit[core][core], per_unit[core][3 - core] = superposed_traces(sphere, unit)
+        # unit outer traction, then unit deltaT at a traction-free surface
+        for (eigen_on, traction), per_unit in zip(((False, 1.0), (True, 0.0)), coefficients):
+            solved = _solve_shell(sphere, eigen_on, "traction", traction)
+            per_unit[core][core], per_unit[core][3 - core] = solved.tr_core, solved.tr_coating
     return coefficients
 
 
@@ -336,8 +338,8 @@ def _verify_checks(
     inputs = moduli
 
     # attainment of the bounds by the designated assemblages, whose fields
-    # come from the superposition route rather than the endpoint table
-    coefficients = _superposed_trace_coefficients(comp)
+    # come from the exact shell solve rather than the endpoint table
+    coefficients = _shell_trace_coefficients(comp)
     for label, phase in zip((1, 2), internal):
         result = phase_moment_lower_bound(comp, loading, phase)
         if result.at_endpoint is not Endpoint.INTERIOR:

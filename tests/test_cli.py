@@ -18,8 +18,10 @@ from thermobounds.bounds import (
     BRANCH_IDS,
     ENDPOINT_CODES,
     SQRT3,
+    BoundArrays,
     MicrostructureKind,
     bound_arrays,
+    bound_grid,
     thermal_stress_scale,
 )
 from thermobounds import Loading, PhaseProperties, build_composite
@@ -208,7 +210,7 @@ def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
         "relabeled": Coded((relabeled,), zeros),
     }
     if residuals:
-        per_sigma0, per_deltaT = np.asarray(verify._superposed_trace_coefficients(comp))
+        per_sigma0, per_deltaT = np.asarray(verify._shell_trace_coefficients(comp))
         trace = per_sigma0[b.core, b.phase] * sigma0 + per_deltaT[b.core, b.phase] * deltaT
         scale = np.maximum(np.maximum(b.value, np.abs(sigma0) + np.abs(deltaT)), 1e-300)
         residual = np.abs(np.abs(trace) / SQRT3 - b.value) / scale
@@ -522,6 +524,35 @@ class TestVerify:
         assert code == 1 and err.count("\n") == 1
         assert all(r["note"] for r in parse_csv(out) if r["status"] == "fail")
 
+    def test_low_shear_example_attains_its_bounds(self, tmp_path, capsys):
+        # c mu << k: the superposition route verify compared the bounds with
+        # cancelled, and both rows failed at 5.6e-9 and 2.05e-10
+        doc = {
+            "phase1": {"k": 6547231.655060104, "mu": 0.00022172697430455283,
+                       "h": 1.5123422653205516},
+            "phase2": {"k": 6484458.1098774355, "mu": 3.766701954033052e-05,
+                       "h": 0.08203938560305257},
+            "theta1": 0.8440774195461498,
+            "loading": {"sigma0": 1.4408472842902018, "deltaT": -1.2475408320967802},
+        }
+        _, out, _ = run(capsys, "verify", write_config(tmp_path, doc), "--grid-n", "256")
+        rows = [r for r in parse_csv(out) if r["check"] == "bound-attainment"]
+        assert [(r["orientation"], r["status"]) for r in rows] == [
+            ("phase1", "pass"), ("phase2", "pass")
+        ]
+
+    def test_max_table_agrees_where_a_line_is_nan(self, tmp_path, capsys):
+        # the M1 line's t and the L2 line's e are nan: bound_arrays counted a
+        # nan end as not interior, and the row failed with residual nan
+        phase2 = {"k": 5e-324, "mu": 5e-324, "h": 1e308}
+        doc = dict(PSTAR, phase2=phase2, loading={"sigma0": 0.3, "deltaT": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, out, _ = run(capsys, "verify", write_config(tmp_path, doc), "--grid-n", "256")
+        (row,) = [r for r in parse_csv(out)
+                  if (r["check"], r["orientation"]) == ("regime-table-agreement", "max")]
+        assert (row["residual"], row["status"]) == ("0", "pass")
+
     def test_subnormal_moduli_give_a_complete_report(self, tmp_path, capsys):
         # the library raised on the bulk-modulus mismatch and verify printed
         # no report; now each failing row names the subnormal moduli, or the
@@ -567,7 +598,7 @@ class TestVerify:
 
     def test_bound_attainment_detects_a_wrong_table_entry(self):
         # the bounds and the library's coated-sphere fields read one table;
-        # verify compares the bound with the superposition route instead
+        # verify compares the bound with the exact shell solve's traces instead
         comp, _ = build_composite(
             PhaseProperties(2.0, 1.0, 0.0), PhaseProperties(1.0, 0.5, 1.0), 0.5
         )
@@ -682,6 +713,24 @@ class TestSweep:
                                                   loading=loading), "one.json")
                 code, out, _ = run(capsys, "bounds", one, "--phase", flag)
                 assert (code, out.splitlines()) == (0, [header, row])
+        # bound_arrays, which verify samples the regime tables with, holds
+        # the same bits, nan included
+        comp, _ = build_composite(
+            PhaseProperties(**phase1), PhaseProperties(**phase2), PSTAR["theta1"]
+        )
+        sigma0_values, deltaT_values = [-1.0, 0.0, 1.0], [-1.5, 0.0, 1.5]
+        sigma0, deltaT = np.repeat(sigma0_values, 3), np.tile(deltaT_values, 3)
+
+        def bits(column):
+            return [float(x).hex() for x in column]
+
+        for target in ("phase1", "phase2", "max"):
+            rows = bound_grid(comp, target, sigma0_values, deltaT_values)
+            arrays = bound_arrays(comp, target, sigma0, deltaT)
+            for name in BoundArrays.__dataclass_fields__:
+                assert bits(getattr(arrays, name).tolist()) == bits(getattr(rows, name)), (
+                    target, name
+                )
 
     def test_scalar_only_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)

@@ -43,12 +43,38 @@ from thermobounds import (
     verify_average_identity,
     verify_exact_relation,
 )
+from thermobounds import verify
 from thermobounds.verify import effective_thermal_stress_routes, interface_residuals
 
 SQRT3 = math.sqrt(3.0)
 
 CORE1 = CoatedSphereConfig(composite=CANONICAL, core_phase=1)
 CORE2 = CoatedSphereConfig(composite=CANONICAL, core_phase=2)
+
+
+def wide_domain_probe(count):
+    """``count`` seeded (composite, loading) pairs over a wide domain.
+
+    Moduli over sixteen decades, fractions up to 1e-9 from 0 and 1, 30% of
+    the bulk moduli close to the equality gate, and loadings in (-3, 3).
+    """
+    rng = np.random.default_rng(20261018)
+    made = 0
+    while made < count:
+        k1, k2, mu1, mu2 = (float(x) for x in 10.0 ** rng.uniform(-8.0, 8.0, 4))
+        if rng.random() < 0.3:
+            separation = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-11.7, -3.0))
+            k2 = k1 * (1.0 + separation)
+        h1, h2 = (float(x) for x in rng.uniform(-2.0, 2.0, 2))
+        theta1 = float(rng.uniform(1e-9, 1.0 - 1e-9))
+        try:
+            comp, _ = build_composite(
+                PhaseProperties(k1, mu1, h1), PhaseProperties(k2, mu2, h2), theta1
+            )
+        except InputError:
+            continue
+        made += 1
+        yield comp, Loading(*(float(x) for x in rng.uniform(-3.0, 3.0, 2)))
 
 
 def closed_form_bulk_modulus_routes(cfg):
@@ -336,10 +362,11 @@ class TestLocalFields:
 
 
 def fraction_shell_solve(cfg, eigen_on, outer, traction=0.0):
-    """(g, A, B) of the interface conditions by Gaussian elimination in Fractions.
+    """(g, A, B, core trace, coating trace) of the interface conditions in Fractions.
 
-    The rows are the unscaled conditions at the float core radius; each
-    coefficient is rounded once, to an infinity of its sign beyond the float range.
+    The rows are the unscaled conditions at the float core radius, solved by
+    Gaussian elimination; the traces are ``9 kc (g - hc)`` and ``9 kt (A - ht)``.
+    Each value is rounded once, to an infinity of its sign beyond the float range.
     """
     a, kc, kt, mut = (Fraction(x) for x in (cfg.core_radius(), cfg.core.k, cfg.coating.k,
                                             cfg.coating.mu))
@@ -364,13 +391,20 @@ def fraction_shell_solve(cfg, eigen_on, outer, traction=0.0):
         except OverflowError:
             return math.inf if x > 0 else -math.inf
 
-    return tuple(rounded(row[3] / row[i]) for i, row in enumerate(rows))
+    g, A, B = (row[3] / row[i] for i, row in enumerate(rows))
+    return tuple(map(rounded, (g, A, B, 9 * kc * (g - hc), 9 * kt * (A - ht))))
+
+
+#: (eigen_on, outer, traction) of the clamped thermal, unit-traction and
+#: traction-free thermal solves verify makes
+VERIFY_SOLVES = ((True, "clamped"), (False, "traction", 1.0), (True, "traction", 0.0))
 
 
 class TestExactShellSolve:
     def test_equals_rounded_fraction_solve_over_wide_domain(self):
         # drawn like test_endpoint_table's wide-contrast probe: moduli over
-        # 300 decades, fractions in (1e-9, 1 - 1e-9)
+        # 300 decades, fractions in (1e-9, 1 - 1e-9); coefficients and
+        # region traces alike
         rng = np.random.default_rng(10)
         count = 0
         while count < 200:
@@ -386,11 +420,20 @@ class TestExactShellSolve:
             count += 1
             for core in (1, 2):
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
-                for args in ((True, "clamped"), (False, "traction", s0)):
+                for args in (*VERIFY_SOLVES, (False, "traction", s0)):
                     got = coated_sphere._solve_shell(cfg, *args)
-                    assert (
-                        got.core_linear, got.coat_linear, got.coat_inverse_square
-                    ) == fraction_shell_solve(cfg, *args), (comp, core, args)
+                    assert tuple(got) == fraction_shell_solve(cfg, *args), (comp, core, args)
+
+    def test_traces_equal_rounded_fraction_solve(self, rng):
+        # verify's three solves on ordinary composites and the wide-domain probe
+        composites = [random_composite(rng) for _ in range(100)]
+        composites += [comp for comp, _ in wide_domain_probe(200)]
+        for comp in composites:
+            for core in (1, 2):
+                cfg = CoatedSphereConfig(composite=comp, core_phase=core)
+                for args in VERIFY_SOLVES:
+                    got = coated_sphere._solve_shell(cfg, *args)
+                    assert tuple(got) == fraction_shell_solve(cfg, *args), (comp, core, args)
 
     def test_out_of_range_coefficient_is_an_infinity(self):
         # a coating of moduli 5e-324 takes a unit traction with A near 1/k,
@@ -401,7 +444,7 @@ class TestExactShellSolve:
         cfg = CoatedSphereConfig(composite=comp, core_phase=1)
         got = coated_sphere._solve_shell(cfg, eigen_on=False, outer="traction", traction=1.0)
         expected = fraction_shell_solve(cfg, False, "traction", 1.0)
-        assert (got.core_linear, got.coat_linear, got.coat_inverse_square) == expected
+        assert tuple(got) == expected
         assert expected[1] == math.inf
 
     def test_outer_condition_is_checked(self):
@@ -474,26 +517,9 @@ class TestClosedFormPath:
         assert effective_thermal_stress(cfg) == via_traction
 
     def test_wide_domain_probe_effective_constants_agree_with_their_second_routes(self):
-        # moduli over sixteen decades, fractions up to 1e-9 from 0 and 1, and
-        # 30% of the bulk moduli close to the equality gate; H* and K against
-        # the second routes the library once compared them with, at 1e-12
-        rng = np.random.default_rng(20261018)
-        made = 0
-        while made < 1000:
-            k1, k2, mu1, mu2 = (float(x) for x in 10.0 ** rng.uniform(-8.0, 8.0, 4))
-            if rng.random() < 0.3:
-                separation = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-11.7, -3.0))
-                k2 = k1 * (1.0 + separation)
-            h1, h2 = (float(x) for x in rng.uniform(-2.0, 2.0, 2))
-            theta1 = float(rng.uniform(1e-9, 1.0 - 1e-9))
-            try:
-                comp, _ = build_composite(
-                    PhaseProperties(k1, mu1, h1), PhaseProperties(k2, mu2, h2), theta1
-                )
-            except InputError:
-                continue
-            made += 1
-            loading = Loading(*(float(x) for x in rng.uniform(-3.0, 3.0, 2)))
+        # H* and K against the second routes the library once compared them
+        # with, at 1e-12
+        for comp, loading in wide_domain_probe(1000):
             for core in (1, 2):
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
                 props = effective_properties(cfg)
@@ -547,6 +573,21 @@ class TestAttainment:
                     moment = phase_moment(cfg, loading, phase, p)
                     assert moment == pytest.approx(result.value, rel=1e-10)
                 count += 1
+
+    def test_exact_route_attains_every_endpoint_bound_over_wide_domain(self):
+        # verify's attainment residual, by the exact shell solve's traces; the
+        # superposition route it replaced cancelled on 192 of these phases
+        for comp, loading in wide_domain_probe(1000):
+            coefficients = verify._shell_trace_coefficients(comp)
+            for phase in (1, 2):
+                result = phase_moment_lower_bound(comp, loading, phase)
+                if result.at_endpoint is Endpoint.INTERIOR:
+                    continue
+                residual = verify._attainment_residual(
+                    coefficients, loading.sigma0, loading.deltaT, result.value, phase,
+                    result.microstructure.core_phase,
+                )
+                assert residual <= 1e-10, (comp, loading, phase)
 
     def test_jensen_equality_case(self, rng):
         # for constant per-phase fields the p-moment equals the magnitude of
