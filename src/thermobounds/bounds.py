@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .materials import Loading, Ordering, ValidatedComposite, check_exponent
 
@@ -83,30 +83,33 @@ class MicrostructureKind(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Microstructure:
+class _MicrostructureFields(NamedTuple):
+    kind: MicrostructureKind
+    core_phase: int | None
+    coating_phase: int | None
+    max_attaining_phase: int | None
+
+
+class Microstructure(_MicrostructureFields):
     """Descriptor of the microstructure attaining a bound.
 
     ``max_attaining_phase`` is filled only for max-field bounds: the phase
-    whose per-phase bound realizes the maximum (the asterisk phase).
+    whose per-phase bound realizes the maximum (the asterisk phase).  A
+    coated-sphere descriptor's core and coating phases must differ.
     """
 
-    kind: MicrostructureKind
-    core_phase: int | None = None
-    coating_phase: int | None = None
-    max_attaining_phase: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is MicrostructureKind.COATED_SPHERES:
-            if self.core_phase == self.coating_phase:
-                raise ValueError("core and coating phases must differ")
+    def __new__(cls, kind, core_phase=None, coating_phase=None, max_attaining_phase=None):
+        if kind is MicrostructureKind.COATED_SPHERES and core_phase == coating_phase:
+            raise ValueError("core and coating phases must differ")
+        return tuple.__new__(cls, (kind, core_phase, coating_phase, max_attaining_phase))
 
 
 UNDETERMINED = Microstructure(kind=MicrostructureKind.UNDETERMINED)
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Characteristic combinations of moduli, fractions, and thermal data.
 
     ``L1, L2, M1, M2`` are dimensionless contrast factors (the compliance
@@ -124,8 +127,7 @@ class BoundConstants:
     F: float
 
 
-@dataclass(frozen=True)
-class ComplianceInterval:
+class ComplianceInterval(NamedTuple):
     """Admissible range of one phase's dimensionless compliance parameter.
 
     ``lo_symbol``/``hi_symbol`` name which contrast factor each endpoint is
@@ -140,8 +142,7 @@ class ComplianceInterval:
     hi_symbol: str
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """A lower bound value plus where/how it is attained.
 
     ``value >= 0`` always.  ``at_endpoint`` is INTERIOR exactly when the
@@ -157,8 +158,7 @@ class BoundResult:
     microstructure: Microstructure
 
 
-@dataclass(frozen=True)
-class RegimeRow:
+class RegimeRow(NamedTuple):
     """One sigma0 interval of a regime table.
 
     ``endpoint_value`` is the factor t of the endpoint whose branch applies
@@ -181,8 +181,7 @@ class RegimeRow:
         return SQRT3 * abs(self.endpoint_value * sigma0 + self.endpoint_offset)
 
 
-@dataclass(frozen=True)
-class RegimeTable:
+class RegimeTable(NamedTuple):
     """Piecewise classification of a bound as sigma0 ranges over the reals.
 
     The table is generated from the bound itself: its breakpoints (see
@@ -484,8 +483,7 @@ def _branch_name(symbol: str | None, v: float) -> str:
 _BRANCH_CODE = {name: i for i, name in enumerate(BRANCH_IDS)}
 
 
-@dataclass(frozen=True)
-class BoundArrays:
+class BoundArrays(NamedTuple):
     """A bound over arrays of loadings, as computed by :func:`bound_arrays`.
 
     Every field has the broadcast shape of the loadings (from

@@ -55,7 +55,6 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
@@ -86,8 +85,7 @@ class ConfigError(InputError):
     """Malformed or incomplete run configuration."""
 
 
-@dataclass(frozen=True)
-class SweepRange:
+class SweepRange(NamedTuple):
     start: float
     stop: float
     count: int
@@ -101,8 +99,7 @@ class SweepRange:
         return [self.start + i * step for i in range(self.count)]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A parsed config; the loadings are floats unless sweep ranges were allowed."""
 
     composite: ValidatedComposite

@@ -48,51 +48,52 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bounds import SQRT3, hs_bulk_moduli
 from .materials import EndpointLine, Loading, PhaseProperties, ValidatedComposite, check_exponent
 
 
-@dataclass(frozen=True)
-class CoatedSphereConfig:
-    """A coated-sphere assemblage built from a validated composite.
-
-    ``core_phase`` selects which material fills the core; the coating is the
-    other phase.  The outer radius is 1, so the cube of the core radius
-    equals the core phase's volume fraction.
-    """
-
+class _SphereFields(NamedTuple):
     composite: ValidatedComposite
     core_phase: int
     #: Derived on construction, as the closed forms read them often.  The
     #: fractions are the composite's own: ``core_fraction`` is a^3, and
     #: ``coating_fraction`` is not formed as 1 - a^3, so that the closed
     #: forms use the same fractions as :func:`bounds.hs_bulk_moduli`.
-    coating_phase: int = field(init=False, repr=False, compare=False)
-    core: PhaseProperties = field(init=False, repr=False, compare=False)
-    coating: PhaseProperties = field(init=False, repr=False, compare=False)
-    core_fraction: float = field(init=False, repr=False, compare=False)
-    coating_fraction: float = field(init=False, repr=False, compare=False)
+    coating_phase: int
+    core: PhaseProperties
+    coating: PhaseProperties
+    core_fraction: float
+    coating_fraction: float
 
-    def __post_init__(self):
-        if self.core_phase not in (1, 2):
-            raise ValueError(f"core_phase must be 1 or 2, got {self.core_phase}")
-        comp, first = self.composite, self.core_phase == 1
-        # the instance is frozen, so the derived fields are set past __setattr__
-        set_field = object.__setattr__
-        set_field(self, "coating_phase", 2 if first else 1)
-        set_field(self, "core", comp.phase1 if first else comp.phase2)
-        set_field(self, "coating", comp.phase2 if first else comp.phase1)
-        set_field(self, "core_fraction", comp.theta1 if first else comp.theta2)
-        set_field(self, "coating_fraction", comp.theta2 if first else comp.theta1)
+
+class CoatedSphereConfig(_SphereFields):
+    """A coated-sphere assemblage built from a validated composite.
+
+    ``core_phase`` selects which material fills the core; the coating is the
+    other phase.  The outer radius is 1, so the cube of the core radius
+    equals the core phase's volume fraction.  The constructor takes
+    ``composite`` and ``core_phase`` and derives the other fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, composite, core_phase):
+        if core_phase not in (1, 2):
+            raise ValueError(f"core_phase must be 1 or 2, got {core_phase}")
+        p1, p2, th1, th2 = composite[:4]
+        derived = (2, p1, p2, th1, th2) if core_phase == 1 else (1, p2, p1, th2, th1)
+        return tuple.__new__(cls, (composite, core_phase, *derived))
+
+    def __getnewargs__(self):
+        return self[:2]
 
     def core_radius(self) -> float:
         return self.core_fraction ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class ShellCoefficients:
+class ShellCoefficients(NamedTuple):
     """Displacement coefficients of one shell solution.
 
     ``u = core_linear * r`` in the core and
@@ -104,8 +105,7 @@ class ShellCoefficients:
     coat_inverse_square: float
 
 
-@dataclass(frozen=True)
-class LocalFieldConstants:
+class LocalFieldConstants(NamedTuple):
     """Per-phase constants of the local stress field.
 
     ``tr_sigma_*`` is the (constant) trace of the stress in each region;
@@ -118,8 +118,7 @@ class LocalFieldConstants:
     hydro_norm_coating: float
 
 
-@dataclass(frozen=True)
-class EffectiveProperties:
+class EffectiveProperties(NamedTuple):
     """Effective constants of the assemblage.
 
     ``H_effective_scalar`` multiplies the identity in the macroscopic law's
@@ -260,7 +259,11 @@ def effective_thermal_stress(config: CoatedSphereConfig) -> float:
     The outer radial traction ``3 kt (A - ht) - 4 mut B`` (at b = 1) of the
     clamped thermal solution of :func:`thermal_coefficients`.
     """
-    coeff = thermal_coefficients(config)
+    return _outer_thermal_traction(config, thermal_coefficients(config))
+
+
+def _outer_thermal_traction(config: CoatedSphereConfig, coeff: ShellCoefficients) -> float:
+    """H* from the clamped thermal solution's coefficients ``coeff``."""
     coat = config.coating
     return 3.0 * coat.k * (coeff.coat_linear - coat.h) - 4.0 * coat.mu * coeff.coat_inverse_square
 
@@ -284,7 +287,7 @@ def superposed_shell_coefficients(
     that the superposed field carries average stress sigma0 * I.
     """
     th = thermal_coefficients(config)
-    h_star = effective_thermal_stress(config)
+    h_star = _outer_thermal_traction(config, th)
     me = mechanical_coefficients(config, loading.sigma0 - h_star * loading.deltaT)
     dT = loading.deltaT
     return ShellCoefficients(
@@ -313,12 +316,7 @@ def local_field_constants(
     core, coat = _region_lines(config)
     tr_core = 3.0 * (core.t * s0 + core.e * dT)
     tr_coat = 3.0 * (coat.t * s0 + coat.e * dT)
-    return LocalFieldConstants(
-        tr_sigma_core=tr_core,
-        tr_sigma_coating=tr_coat,
-        hydro_norm_core=abs(tr_core) / SQRT3,
-        hydro_norm_coating=abs(tr_coat) / SQRT3,
-    )
+    return LocalFieldConstants(tr_core, tr_coat, abs(tr_core) / SQRT3, abs(tr_coat) / SQRT3)
 
 
 def phase_moment(
@@ -340,11 +338,7 @@ def phase_moment(
 def effective_properties(config: CoatedSphereConfig) -> EffectiveProperties:
     """Bundle of effective constants (bulk modulus, thermal stress, compliance)."""
     K = effective_bulk_modulus(config)
-    return EffectiveProperties(
-        K_effective=K,
-        H_effective_scalar=effective_thermal_stress(config),
-        compliance_contraction=1.0 / K,
-    )
+    return EffectiveProperties(K, effective_thermal_stress(config), 1.0 / K)
 
 
 def evaluate_fields(

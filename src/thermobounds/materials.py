@@ -20,7 +20,6 @@ both moduli), ``k2 > k1`` the non-well-ordered case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ class Ordering(Enum):
     NON_WELL_ORDERED = "non-well-ordered"  # k2 > k1
 
 
-@dataclass(frozen=True)
-class PhaseProperties:
+class PhaseProperties(NamedTuple):
     """One isotropic thermoelastic phase.
 
     Parameters
@@ -64,22 +62,26 @@ class PhaseProperties:
     h: float
 
 
-@dataclass(frozen=True)
-class Loading:
-    """Imposed macroscopic hydrostatic stress sigma0 and temperature change deltaT.
-
-    The macroscopic stress tensor is ``sigma0 * I``; both entries may be any
-    finite real number.
-    """
-
+class _LoadingFields(NamedTuple):
     sigma0: float
     deltaT: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.sigma0):
-            raise ValueError(f"sigma0 must be finite, got {self.sigma0}")
-        if not math.isfinite(self.deltaT):
-            raise ValueError(f"deltaT must be finite, got {self.deltaT}")
+
+class Loading(_LoadingFields):
+    """Imposed macroscopic hydrostatic stress sigma0 and temperature change deltaT.
+
+    The macroscopic stress tensor is ``sigma0 * I``; both entries may be any
+    finite real number, which construction checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sigma0, deltaT):
+        if not math.isfinite(sigma0):
+            raise ValueError(f"sigma0 must be finite, got {sigma0}")
+        if not math.isfinite(deltaT):
+            raise ValueError(f"deltaT must be finite, got {deltaT}")
+        return tuple.__new__(cls, (sigma0, deltaT))
 
 
 class EndpointLine(NamedTuple):
@@ -98,15 +100,24 @@ class EndpointTable(NamedTuple):
     M2: EndpointLine
 
 
-@dataclass(frozen=True)
-class ValidatedComposite:
+class _CompositeFields(NamedTuple):
+    phase1: PhaseProperties
+    phase2: PhaseProperties
+    theta1: float
+    theta2: float
+    ordering: Ordering
+    scaled_moduli: tuple
+    endpoints: EndpointTable
+
+
+class ValidatedComposite(_CompositeFields):
     """A composite that passed :func:`build_composite`.
 
     Carries the ordering classification alongside the raw fields.  All
     downstream operations take a ``ValidatedComposite`` and may assume
     ``mu1 > mu2``, ``k1 != k2``, and ``0 < theta1 < 1``.
 
-    Construction derives two more fields, left out of ``repr`` and ``==``.
+    The constructor takes the first five fields and derives the last two.
     ``endpoints`` is the endpoint table that the bounds and the
     coated-sphere fields read (:func:`_endpoint_table`).  ``scaled_moduli``
     is ``(s, k1/s, mu1/s, k2/s, mu2/s)`` with ``s`` a power of two; closed
@@ -116,13 +127,15 @@ class ValidatedComposite:
     :func:`_scaled_moduli`).
     """
 
-    phase1: PhaseProperties
-    phase2: PhaseProperties
-    theta1: float
-    theta2: float
-    ordering: Ordering
-    scaled_moduli: tuple = field(init=False, repr=False, compare=False)
-    endpoints: EndpointTable = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+
+    def __new__(cls, phase1, phase2, theta1, theta2, ordering):
+        scaled = _scaled_moduli(phase1, phase2)
+        endpoints = _endpoint_table(scaled, theta1, theta2, phase2.h - phase1.h)
+        return tuple.__new__(cls, (phase1, phase2, theta1, theta2, ordering, scaled, endpoints))
+
+    def __getnewargs__(self):
+        return self[:5]
 
     def phase(self, index: int) -> PhaseProperties:
         """Return phase properties by material index (1 or 2)."""
@@ -131,11 +144,6 @@ class ValidatedComposite:
         if index == 2:
             return self.phase2
         raise ValueError(f"phase index must be 1 or 2, got {index}")
-
-    def __post_init__(self):
-        # the instance is frozen, so the derived fields are set past __setattr__
-        object.__setattr__(self, "scaled_moduli", _scaled_moduli(self.phase1, self.phase2))
-        object.__setattr__(self, "endpoints", _endpoint_table(self))
 
 
 def _scaled_moduli(p1: PhaseProperties, p2: PhaseProperties) -> tuple:
@@ -155,13 +163,14 @@ def _scaled_moduli(p1: PhaseProperties, p2: PhaseProperties) -> tuple:
     return s, k1 / s, mu1 / s, k2 / s, mu2 / s
 
 
-def _endpoint_table(c: ValidatedComposite) -> EndpointTable:
+def _endpoint_table(scaled_moduli: tuple, th1: float, th2: float, h_jump: float) -> EndpointTable:
     """The endpoint table, one :class:`EndpointLine` per coated-sphere region.
 
+    From :func:`_scaled_moduli`'s tuple, the fractions and ``h_jump = h2 - h1``:
     L1 is the core and M2 the coating of the coated sphere with a phase-1
-    core; L2 and M1 those of the sphere with a phase-2 core.  With
-    kk = k1 k2, c_i = 4 mu_i/3, kbar = th1 k1 + th2 k2, d_i = kk + kbar c_i
-    and dh = 3 kk (h2 - h1)::
+    core; L2 and M1 those of the sphere with a phase-2 core.  With kk = k1 k2,
+    c_i = 4 mu_i/3, kbar = th1 k1 + th2 k2, d_i = kk + kbar c_i and
+    dh = 3 kk (h2 - h1)::
 
         L1 = k1 (k2 + c2)/d2      e_L1 =  dh c2 th2/d2
         L2 = k2 (k1 + c1)/d1      e_L2 = -dh c1 th1/d1
@@ -172,15 +181,14 @@ def _endpoint_table(c: ValidatedComposite) -> EndpointTable:
     k2 - k1 cancelled, so nothing cancels near the bulk-modulus gate.  As
     ``3 (h2 - h1) (kk/d_i) c th``, no product of three moduli underflows.
     """
-    s, k1, mu1, k2, mu2 = c.scaled_moduli
-    th1, th2 = c.theta1, c.theta2
+    s, k1, mu1, k2, mu2 = scaled_moduli
     c1 = 4.0 * mu1 / 3.0
     c2 = 4.0 * mu2 / 3.0
     kbar = th1 * k1 + th2 * k2
     kk = k1 * k2
     d1 = kk + kbar * c1
     d2 = kk + kbar * c2
-    dh = 3.0 * (c.phase2.h - c.phase1.h)
+    dh = 3.0 * h_jump
     dh1, dh2 = dh * (kk / d1), dh * (kk / d2)
     return EndpointTable(
         L1=EndpointLine(k1 * (k2 + c2) / d2, dh2 * c2 * th2 * s),
@@ -256,11 +264,4 @@ def build_composite(
             f"(k1={k1}, k2={k2})"
         )
     ordering = Ordering.WELL_ORDERED if k1 > k2 else Ordering.NON_WELL_ORDERED
-    composite = ValidatedComposite(
-        phase1=phase1,
-        phase2=phase2,
-        theta1=theta1,
-        theta2=1.0 - theta1,
-        ordering=ordering,
-    )
-    return composite, swapped
+    return ValidatedComposite(phase1, phase2, theta1, 1.0 - theta1, ordering), swapped

@@ -20,8 +20,8 @@ module, as ``import thermobounds`` does, does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .bounds import SQRT3
 from .coated_sphere import CoatedSphereConfig, evaluate_fields
@@ -31,35 +31,37 @@ from .materials import Loading, check_exponent
 MIN_NODES = 16
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class _GridFields(NamedTuple):
+    nodes: np.ndarray
+    interface_index: int
+
+
+class RadialGrid(_GridFields):
     """Radial nodes in (0, 1] with a node exactly at the interface.
 
     The center r = 0 carries the regularity condition u(0) = 0; it is not
     part of ``nodes``.  ``nodes[interface_index]`` equals the core radius a.
     Cell 0 spans (0, nodes[0]] and cell i > 0 spans (nodes[i-1], nodes[i]].
+    Construction checks both fields.  Instances keep a dict for the cached properties.
     """
 
-    nodes: np.ndarray
-    interface_index: int
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    def __post_init__(self):
+    def __new__(cls, nodes, interface_index):
         import numpy as np
 
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
+        nodes = np.asarray(nodes, dtype=float)
         if len(nodes) < MIN_NODES:
             raise ValueError(f"grid needs at least {MIN_NODES} nodes, got {len(nodes)}")
         if not np.all(np.diff(nodes) > 0.0) or nodes[0] <= 0.0:
             raise ValueError("nodes must be strictly increasing and positive")
         if nodes[-1] != 1.0:
             raise ValueError("last node must equal the outer radius 1")
-        if not (0 <= self.interface_index < len(nodes) - 1):
+        if not (0 <= interface_index < len(nodes) - 1):
             raise ValueError("interface node must be interior")
+        return tuple.__new__(cls, (nodes, interface_index))
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
 
     @cached_property
     def volume_weights(self) -> np.ndarray:
@@ -101,8 +103,7 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     return RadialGrid(nodes=nodes, interface_index=n_core - 1)
 
 
-@dataclass(frozen=True)
-class RadialSolution:
+class RadialSolution(NamedTuple):
     """Discrete solution of the layered-sphere problem.
 
     ``u`` holds nodal displacements aligned with ``grid.nodes`` (u(0) = 0 is

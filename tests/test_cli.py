@@ -245,8 +245,8 @@ def sweep_grids(loading, with_zero_deltaT=False):
 
 def _doc(phase1, phase2, theta1, sigma0, deltaT):
     return {
-        "phase1": vars(phase1),
-        "phase2": vars(phase2),
+        "phase1": phase1._asdict(),
+        "phase2": phase2._asdict(),
         "theta1": theta1,
         "loading": {"sigma0": sigma0, "deltaT": deltaT},
     }
@@ -617,7 +617,7 @@ class TestVerify:
         assert attainment() == {"phase1": "pass", "phase2": "pass"}
         line = comp.endpoints.L1  # the attaining endpoint of phase 1 here
         perturbed = comp.endpoints._replace(L1=EndpointLine(line.t, line.e * (1.0 + 1e-6)))
-        object.__setattr__(comp, "endpoints", perturbed)
+        comp = comp._replace(endpoints=perturbed)
         assert attainment() == {"phase1": "fail", "phase2": "pass"}
 
 
@@ -727,7 +727,7 @@ class TestSweep:
         for target in ("phase1", "phase2", "max"):
             rows = bound_grid(comp, target, sigma0_values, deltaT_values)
             arrays = bound_arrays(comp, target, sigma0, deltaT)
-            for name in BoundArrays.__dataclass_fields__:
+            for name in BoundArrays._fields:
                 assert bits(getattr(arrays, name).tolist()) == bits(getattr(rows, name)), (
                     target, name
                 )
@@ -1045,8 +1045,8 @@ class TestVerifyTableAgreement:
             comp = random_composite(rng, ordering)
             sigma0, deltaT = float(rng.uniform(-10.0, 10.0)), float(rng.uniform(-3.0, 3.0))
             doc = {
-                "phase1": vars(comp.phase1),
-                "phase2": vars(comp.phase2),
+                "phase1": comp.phase1._asdict(),
+                "phase2": comp.phase2._asdict(),
                 "theta1": comp.theta1,
                 "loading": {"sigma0": sigma0, "deltaT": deltaT},
             }
@@ -1124,6 +1124,13 @@ def test_scalar_paths_leave_numpy_unloaded(path, tmp_path):
     configs = [str(golden / "canonical.json"), str(golden / "canonical-grid.json")]
     code = f"import sys\n{SCALAR_PATHS[path]}\nsys.exit(code or 3 * ('numpy' in sys.modules))"
     proc = _run_fresh(code, *configs, str(tmp_path / "rows.out"))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the records are NamedTuples, so importing generates no dataclass code
+    code = "import sys, thermobounds.cli; sys.exit('dataclasses' in sys.modules)"
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 

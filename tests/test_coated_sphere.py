@@ -360,6 +360,31 @@ class TestLocalFields:
             scale = max(abs(u_core), abs(u_coat), 1e-300)
             assert abs(u_core - u_coat) <= 1e-11 * scale
 
+    def test_superposed_coefficients_make_one_thermal_solve(self, rng, monkeypatch):
+        # H* is formed from the thermal coefficients already solved for
+        cases = [(CANONICAL, CANONICAL_LOADING)]
+        cases += [(random_composite(rng), random_loading(rng)) for _ in range(20)]
+        spheres = [(CoatedSphereConfig(comp, core), loading)
+                   for comp, loading in cases for core in (1, 2)]
+        # the bits of thermal + mechanical at outer traction sigma0 - H* deltaT
+        expected = []
+        for cfg, loading in spheres:
+            th = thermal_coefficients(cfg)
+            me = mechanical_coefficients(
+                cfg, loading.sigma0 - effective_thermal_stress(cfg) * loading.deltaT
+            )
+            expected.append([x * loading.deltaT + y for x, y in zip(th, me)])
+        solves = []
+        solve = coated_sphere.thermal_coefficients
+        monkeypatch.setattr(
+            coated_sphere, "thermal_coefficients", lambda cfg: solves.append(cfg) or solve(cfg)
+        )
+        for (cfg, loading), bits in zip(spheres, expected):
+            solves.clear()
+            total = superposed_shell_coefficients(cfg, loading)
+            assert solves == [cfg]
+            assert [x.hex() for x in total] == [x.hex() for x in bits]
+
 
 def fraction_shell_solve(cfg, eigen_on, outer, traction=0.0):
     """(g, A, B, core trace, coating trace) of the interface conditions in Fractions.
