@@ -36,13 +36,9 @@ the same for every moment exponent p in (1, inf]; p enters the API only for
 interface symmetry with the moment evaluators and is validated when given.
 
 :func:`bound_grid` evaluates a bound, its attaining microstructure and its
-regime-table branch row by row over a grid of loadings, with the scalar
-kernel; the CLI's ``bounds`` and ``sweep`` rows come from it.
-:func:`bound_arrays` does so in one numpy pass with the same floating-point
-operations and comparisons, so its elements equal the scalar results bit
-for bit, nan included; ``verify`` samples its regime tables with it.  numpy
-is imported only inside the functions that build arrays (:func:`bound_arrays`
-and the array branch of :meth:`RegimeTable.bound_at`).
+regime-table branch row by row over a grid of loadings; the CLI's
+``bounds`` and ``sweep`` rows and ``verify``'s regime-table samples all run
+its one scalar kernel, and this module builds no arrays.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -52,6 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .materials import Loading, Ordering, ValidatedComposite, check_exponent
@@ -181,6 +178,9 @@ class RegimeRow(NamedTuple):
         return SQRT3 * abs(self.endpoint_value * sigma0 + self.endpoint_offset)
 
 
+_SIGMA_HI = attrgetter("sigma_hi")
+
+
 class RegimeTable(NamedTuple):
     """Piecewise classification of a bound as sigma0 ranges over the reals.
 
@@ -197,25 +197,9 @@ class RegimeTable(NamedTuple):
     breakpoints: tuple[float, ...]
     rows: tuple[RegimeRow, ...]
 
-    def bound_at(self, sigma0):
-        """The bound at sigma0, a float or an array of them, row by row.
-
-        A float (``np.float64`` included) or an int takes :meth:`row_for`'s
-        lookup; only an array is evaluated with numpy.
-        """
-        if isinstance(sigma0, (float, int)):
-            return self.row_for(sigma0).bound_at(sigma0)
-        import numpy as np
-
-        if np.ndim(sigma0) == 0:
-            return self.row_for(sigma0).bound_at(sigma0)
-        sigma0 = np.asarray(sigma0, dtype=float)
-        index = self._row_index(sigma0)
-        value = np.zeros(sigma0.shape)
-        for i, row in enumerate(self.rows):
-            mask = index == i
-            value[mask] = row.bound_at(sigma0[mask])
-        return value
+    def bound_at(self, sigma0: float) -> float:
+        """The bound at sigma0, by the row :meth:`row_for` picks."""
+        return self.row_for(sigma0).bound_at(sigma0)
 
     def row_for(self, sigma0: float) -> RegimeRow:
         """Return the row containing sigma0, the first whose ``sigma_hi`` is at least it.
@@ -223,19 +207,10 @@ class RegimeTable(NamedTuple):
         At a shared breakpoint both adjacent rows contain sigma0 and
         evaluate to the same value; the earlier row is returned.
         """
-        index = bisect_left([row.sigma_hi for row in self.rows], sigma0)
+        index = bisect_left(self.rows, sigma0, key=_SIGMA_HI)
         if index == len(self.rows) or sigma0 != sigma0:  # bisect puts a NaN first
             raise ValueError(f"sigma0={sigma0} not covered by table")
         return self.rows[index]
-
-    def _row_index(self, sigma0):
-        """:meth:`row_for`'s row index for each element of an array."""
-        import numpy as np
-
-        index = np.searchsorted([row.sigma_hi for row in self.rows], sigma0, side="left")
-        if np.any(index == len(self.rows)):
-            raise ValueError(f"sigma0={sigma0} not covered by table")
-        return index
 
 
 def thermal_stress_scale(c: ValidatedComposite, deltaT: float) -> float:
@@ -331,7 +306,7 @@ def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval
     )
 
 
-#: Endpoint tags by their codes, which the kernels and BoundArrays.endpoint hold.
+#: Endpoint tags by their codes, which the kernel and BoundArrays.endpoint hold.
 ENDPOINT_CODES = (Endpoint.LOWER, Endpoint.UPPER, Endpoint.INTERIOR)
 _LOWER, _UPPER, _INTERIOR = range(3)
 
@@ -480,15 +455,11 @@ def _branch_name(symbol: str | None, v: float) -> str:
     return BRANCH_IDS[left if v < 0.0 else right]
 
 
-_BRANCH_CODE = {name: i for i, name in enumerate(BRANCH_IDS)}
-
-
 class BoundArrays(NamedTuple):
-    """A bound over arrays of loadings, as computed by :func:`bound_arrays`.
+    """A bound over a grid of loadings, as computed by :func:`bound_grid`.
 
-    Every field has the broadcast shape of the loadings (from
-    :func:`bound_grid`, a list over the grid's rows), and element ``i``
-    holds what the scalar functions give at loading ``i``:
+    Every field is a list over the grid's rows, and element ``i`` holds
+    what the scalar functions give at loading ``i``:
 
     * ``value``, ``argmin``: ``BoundResult.value``/``argmin_compliance``;
     * ``endpoint``: index into :data:`ENDPOINT_CODES` (``at_endpoint``);
@@ -499,89 +470,16 @@ class BoundArrays(NamedTuple):
     * ``branch``: index into :data:`BRANCH_IDS`, as :func:`classify_branch`.
     """
 
-    value: np.ndarray
-    argmin: np.ndarray
-    endpoint: np.ndarray
-    phase: np.ndarray
-    core: np.ndarray
-    branch: np.ndarray
-
-
-def _phase_arrays(ends: tuple, sigma0, D, crossing, flat):
-    """(value, argmin, interior, lower, v) of one phase's bound, as :func:`_bound_at`.
-
-    ``ends`` is the phase's tuple from :func:`_bounded_phases`.  ``lower``
-    tells which end attains the bound and ``v`` is that end's mean stress.
-    ``crossing`` is ``D/(D - sigma0)`` and ``flat`` where ``sigma0 == D``.
-    """
-    import numpy as np
-
-    _, t_lo, e_lo, _, t_hi, e_hi, _ = ends
-    v_lo = t_lo * sigma0 + e_lo
-    v_hi = t_hi * sigma0 + e_hi
-    a_lo, a_hi = np.abs(v_lo), np.abs(v_hi)
-    lower = a_lo <= a_hi
-    # the ends differ in sign, or one is 0 or nan
-    interior = ~((v_lo > 0.0) & (v_hi > 0.0) | (v_lo < 0.0) & (v_hi < 0.0))
-    value = SQRT3 * np.where(interior, 0.0, np.minimum(a_lo, a_hi))
-    clamped = np.where(t_lo > crossing, t_lo, crossing)  # Python's max and min, nan included
-    clamped = np.where(t_hi < clamped, t_hi, clamped)
-    argmin = np.where(interior, clamped, np.where(lower, t_lo, t_hi))
-    v = np.where(lower, v_lo, v_hi)
-    if flat.any():
-        lower, v, argmin = lower | flat, np.where(flat, v_lo, v), np.where(flat, t_lo, argmin)
-        interior = np.where(flat, D == 0.0, interior)
-        value = np.where(flat, SQRT3 * np.abs(D), value)
-    return value, argmin, interior, lower, v
-
-
-def bound_arrays(c: ValidatedComposite, target: str, sigma0, deltaT) -> BoundArrays:
-    """Evaluate a bound and its branch over broadcast arrays of loadings.
-
-    ``target`` is ``"phase1"``, ``"phase2"`` or ``"max"``.  Element by
-    element the result equals, bit for bit, :func:`phase_moment_lower_bound`
-    or :func:`max_field_lower_bound` together with :func:`classify_branch`
-    at ``Loading(sigma0, deltaT)``, including the max-field tie rule, but
-    each per-phase bound runs once over the whole array.
-    """
-    import numpy as np
-
-    sigma0, deltaT = np.broadcast_arrays(
-        np.asarray(sigma0, dtype=float), np.asarray(deltaT, dtype=float)
-    )
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        D = thermal_stress_scale(c, deltaT)  # inf where the moduli's product overflows
-        crossing = D / (D - sigma0)
-        bounded = _bounded_phases(c, target, deltaT)
-    r = [_phase_arrays(ends, sigma0, D, crossing, sigma0 == D) for ends in bounded]
-    if len(r) == 2:
-        r1, r2 = r
-        first = (r1[0] > r2[0]) | ((r1[0] >= r2[0]) & (np.abs(r1[1]) >= np.abs(r2[1])))
-        value, argmin, interior, lower, stress = (np.where(first, *r) for r in zip(r1, r2))
-        phase = np.where(first, 1, 2)
-    else:
-        value, argmin, interior, lower, stress = r[0]
-        phase = np.full(sigma0.shape, bounded[0][0])
-    # the lower end is L-family when well-ordered; an L endpoint's core is the bounded phase
-    family_l = lower if c.ordering is Ordering.WELL_ORDERED else ~lower
-    core = np.where(interior, 0, np.where(family_l, phase, 3 - phase))
-    branch = np.where(
-        stress < 0.0,
-        np.where(family_l, _BRANCH_CODE["L-branch-left"], _BRANCH_CODE["M-branch-left"]),
-        np.where(family_l, _BRANCH_CODE["L-branch-right"], _BRANCH_CODE["M-branch-right"]),
-    )
-    return BoundArrays(
-        value=value,
-        argmin=argmin,
-        endpoint=np.where(interior, _INTERIOR, np.where(lower, _LOWER, _UPPER)),
-        phase=phase,
-        core=core,
-        branch=np.where(interior, _BRANCH_CODE["Zero"], branch),
-    )
+    value: list
+    argmin: list
+    endpoint: list
+    phase: list
+    core: list
+    branch: list
 
 
 def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values) -> BoundArrays:
-    """:func:`bound_arrays` over the sigma0 x deltaT grid, sigma0-major, as lists.
+    """A bound and its branch over the sigma0 x deltaT grid, sigma0-major.
 
     Each row runs :func:`classify_branch`'s kernel, with D and every ``e
     deltaT`` hoisted per deltaT value, so it holds the scalar functions' bits.

@@ -15,7 +15,8 @@ import sys
 from .bounds import (
     SQRT3,
     Endpoint,
-    bound_arrays,
+    _bound_at,
+    _bounded_phases,
     characteristic_constants,
     phase_moment_lower_bound,
     regime_table,
@@ -245,8 +246,6 @@ def _verify_checks(
     numbering, whose phase 1 is ``comp``'s phase 2 when ``relabeled``.
     Notes write numbers with 17 significant digits, as the CLI does.
     """
-    import numpy as np
-
     internal = (2, 1) if relabeled else (1, 2)  # of the caller's phases 1 and 2
     rows = []
     moduli = {
@@ -355,7 +354,7 @@ def _verify_checks(
     D = characteristic_constants(comp, loading.deltaT).D
     span = max(1.0, 3.0 * abs(D), abs(loading.sigma0))
     finite, n = math.isfinite(2.0 * span), TABLE_AGREEMENT_SAMPLES
-    samples = -span + (2.0 * span) * (np.arange(n) + 0.5) / n if finite else None
+    samples = [-span + (2.0 * span) * (i + 0.5) / n for i in range(n)] if finite else None
     targets = (*(f"phase{phase}" for phase in internal), "max")
     for label, target in zip(("phase1", "phase2", "max"), targets):
         table = regime_table(comp, loading.deltaT, target)
@@ -365,10 +364,18 @@ def _verify_checks(
                     else f"D = {D:.17g}: the sampled sigma0 range is not finite")
             add("regime-table-agreement", label, math.inf, TOL_IDENTITY, note)
             continue
-        direct = bound_arrays(comp, target, samples, loading.deltaT).value
-        via_table = table.bound_at(samples)
-        scale = np.maximum(np.maximum(direct, np.abs(via_table)), span)
-        worst = float(np.max(np.abs(direct - via_table) / scale))
+        bounded = _bounded_phases(comp, target, loading.deltaT)
+        # the samples ascend, so each one's row, the first whose sigma_hi is
+        # at least it (RegimeTable.row_for), is found by walking on
+        regions, j, worst = table.rows, 0, 0.0
+        for s0 in samples:
+            direct = _bound_at(bounded, s0, D)[0]
+            while regions[j].sigma_hi < s0:
+                j += 1
+            via_table = regions[j].bound_at(s0)
+            residual = abs(direct - via_table) / max(direct, abs(via_table), span)
+            if residual > worst or residual != residual:  # a nan stays
+                worst = residual
         add("regime-table-agreement", label, worst, TOL_IDENTITY)
 
     names = ("check", "orientation", "residual", "tolerance", "status", "note")

@@ -18,9 +18,7 @@ from thermobounds.bounds import (
     BRANCH_IDS,
     ENDPOINT_CODES,
     SQRT3,
-    BoundArrays,
     MicrostructureKind,
-    bound_arrays,
     bound_grid,
     thermal_stress_scale,
 )
@@ -145,8 +143,8 @@ class TestBounds:
         assert row_a["coating_phase"] == "2" and row_b["coating_phase"] == "1"
 
     def test_scalar_row_equals_the_sweep_row(self, tmp_path, capsys):
-        # bounds and sweep build their rows with the scalar kernel; their
-        # reports must be the bytes of the bound_arrays reference
+        # bounds and sweep build their rows with one bound_grid call; their
+        # reports must be the bytes of the per-loading classify_branch reference
         docs = list(bounds_cases(np.random.default_rng(4040)))
         assert len(docs) >= 300
         cfg, out = str(tmp_path / "config.json"), tmp_path / "rows.out"
@@ -174,20 +172,28 @@ class TestBounds:
 
 
 def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
-    """The columns of a ``bounds`` or ``sweep`` report by one :func:`bound_arrays` pass.
+    """The columns of a ``bounds`` or ``sweep`` report by one :func:`classify_branch` per loading.
 
-    The reference the CLI's scalar-kernel reports must match byte for byte.
+    The reference the CLI's grid-kernel reports must match byte for byte.
     """
     comp, relabeled = cfg.composite, cfg.relabeled
     target = cli._internal_target(phase_flag, relabeled)
     sigma_values, delta_values = cli._axis_values(cfg.sigma0), cli._axis_values(cfg.deltaT)
     ns, nd = len(sigma_values), len(delta_values)
-    sigma_codes = np.repeat(np.arange(ns), nd)
-    delta_codes = np.tile(np.arange(nd), ns)
-    sigma0 = np.asarray(sigma_values, dtype=float)[sigma_codes]
-    deltaT = np.asarray(delta_values, dtype=float)[delta_codes]
-    b = bound_arrays(comp, target, sigma0, deltaT)
-    zeros = np.zeros(ns * nd, dtype=np.intp)  # the codes of a constant column
+    sigma_codes = [i for i in range(ns) for _ in range(nd)]
+    delta_codes = [j for _ in range(ns) for j in range(nd)]
+    value, argmin, endpoint, branch, core, phase = [], [], [], [], [], []
+    for i, j in zip(sigma_codes, delta_codes):
+        result, name = classify_branch(comp, delta_values[j], target, sigma_values[i])
+        m = result.microstructure
+        value.append(result.value)
+        argmin.append(result.argmin_compliance)
+        endpoint.append(ENDPOINT_CODES.index(result.at_endpoint))
+        branch.append(BRANCH_IDS.index(name))
+        core.append(m.core_phase or 0)
+        # the phase bounded: the winner of a max-field bound, where one is designated
+        phase.append(m.max_attaining_phase or 0 if target == "max" else int(target[-1]))
+    zeros = [0] * (ns * nd)  # the codes of a constant column
     # indexed by core phase; core 0: the bound is 0 and no assemblage is designated
     phases = (None, cli._swap_phase(1, relabeled), cli._swap_phase(2, relabeled))
     coated = MicrostructureKind.COATED_SPHERES.value
@@ -196,27 +202,28 @@ def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
         "deltaT": Coded(tuple(delta_values), delta_codes),
         "phase": Coded((phase_flag,), zeros),
         "p": Coded((p,), zeros),
-        "value": b.value,
-        "argmin": b.argmin,
-        "at_endpoint": Coded(tuple(e.value for e in ENDPOINT_CODES), b.endpoint),
-        "branch": Coded(BRANCH_IDS, b.branch),
-        "microstructure": Coded((MicrostructureKind.UNDETERMINED.value, coated, coated), b.core),
-        "core_phase": Coded(phases, b.core),
-        "coating_phase": Coded((None, phases[2], phases[1]), b.core),
+        "value": value,
+        "argmin": argmin,
+        "at_endpoint": Coded(tuple(e.value for e in ENDPOINT_CODES), endpoint),
+        "branch": Coded(BRANCH_IDS, branch),
+        "microstructure": Coded((MicrostructureKind.UNDETERMINED.value, coated, coated), core),
+        "core_phase": Coded(phases, core),
+        "coating_phase": Coded((None, phases[2], phases[1]), core),
         "max_attaining_phase": (
-            Coded(phases, np.where(b.core != 0, b.phase, 0))
+            Coded(phases, [w if c else 0 for w, c in zip(phase, core)])
             if target == "max" else Coded((None,), zeros)
         ),
         "relabeled": Coded((relabeled,), zeros),
     }
     if residuals:
-        per_sigma0, per_deltaT = np.asarray(verify._shell_trace_coefficients(comp))
-        trace = per_sigma0[b.core, b.phase] * sigma0 + per_deltaT[b.core, b.phase] * deltaT
-        scale = np.maximum(np.maximum(b.value, np.abs(sigma0) + np.abs(deltaT)), 1e-300)
-        residual = np.abs(np.abs(trace) / SQRT3 - b.value) / scale
-        columns["attainment_residual"] = [
-            r if core else None for r, core in zip(residual.tolist(), b.core.tolist())
-        ]
+        per_sigma0, per_deltaT = verify._shell_trace_coefficients(comp)
+        residual = []
+        for i, j, v, c, ph in zip(sigma_codes, delta_codes, value, core, phase):
+            s0, dT = sigma_values[i], delta_values[j]
+            trace = per_sigma0[c][ph] * s0 + per_deltaT[c][ph] * dT
+            scale = max(v, abs(s0) + abs(dT), 1e-300)
+            residual.append(abs(abs(trace) / SQRT3 - v) / scale if c else None)
+        columns["attainment_residual"] = residual
     return columns
 
 
@@ -458,7 +465,7 @@ class TestVerify:
     @pytest.mark.parametrize("h2", [1e10, 0.0])
     def test_overflowing_D_gives_a_complete_report(self, tmp_path, capsys, h2):
         # 3 k1 k2 (h2 - h1) overflows: D is -inf at h2 = 1e10, where verify
-        # stopped with a ValueError traceback from RegimeTable._row_index, and
+        # stopped with a ValueError traceback from the regime table's row lookup, and
         # 0 at h2 = 0, where it was nan
         phase1, phase2 = {"k": 1e300, "mu": 1e300, "h": 0.0}, {"k": 5e299, "mu": 5e299, "h": h2}
         loading = {"sigma0": 0.3, "deltaT": 1.0}
@@ -542,8 +549,9 @@ class TestVerify:
         ]
 
     def test_max_table_agrees_where_a_line_is_nan(self, tmp_path, capsys):
-        # the M1 line's t and the L2 line's e are nan: bound_arrays counted a
-        # nan end as not interior, and the row failed with residual nan
+        # the M1 line's t and the L2 line's e are nan: verify's former array
+        # kernel counted a nan end as not interior, and the row failed with
+        # residual nan
         phase2 = {"k": 5e-324, "mu": 5e-324, "h": 1e308}
         doc = dict(PSTAR, phase2=phase2, loading={"sigma0": 0.3, "deltaT": 1.0})
         with warnings.catch_warnings():
@@ -713,24 +721,26 @@ class TestSweep:
                                                   loading=loading), "one.json")
                 code, out, _ = run(capsys, "bounds", one, "--phase", flag)
                 assert (code, out.splitlines()) == (0, [header, row])
-        # bound_arrays, which verify samples the regime tables with, holds
-        # the same bits, nan included
+        # the grid kernel, which verify samples the regime tables with, holds
+        # classify_branch's bits at each loading, nan included
         comp, _ = build_composite(
             PhaseProperties(**phase1), PhaseProperties(**phase2), PSTAR["theta1"]
         )
-        sigma0_values, deltaT_values = [-1.0, 0.0, 1.0], [-1.5, 0.0, 1.5]
-        sigma0, deltaT = np.repeat(sigma0_values, 3), np.tile(deltaT_values, 3)
-
-        def bits(column):
-            return [float(x).hex() for x in column]
-
+        loadings = [(s, d) for s in (-1.0, 0.0, 1.0) for d in (-1.5, 0.0, 1.5)]
         for target in ("phase1", "phase2", "max"):
-            rows = bound_grid(comp, target, sigma0_values, deltaT_values)
-            arrays = bound_arrays(comp, target, sigma0, deltaT)
-            for name in BoundArrays._fields:
-                assert bits(getattr(arrays, name).tolist()) == bits(getattr(rows, name)), (
-                    target, name
-                )
+            rows = bound_grid(comp, target, [-1.0, 0.0, 1.0], [-1.5, 0.0, 1.5])
+            for i, (sigma0, deltaT) in enumerate(loadings):
+                result, branch = classify_branch(comp, deltaT, target, sigma0)
+                m = result.microstructure
+                assert (
+                    rows.value[i].hex(), rows.argmin[i].hex(), ENDPOINT_CODES[rows.endpoint[i]],
+                    BRANCH_IDS[rows.branch[i]], rows.core[i] or None,
+                ) == (
+                    result.value.hex(), result.argmin_compliance.hex(), result.at_endpoint,
+                    branch, m.core_phase,
+                ), (target, sigma0, deltaT)
+                if target == "max" and rows.core[i]:
+                    assert rows.phase[i] == m.max_attaining_phase
 
     def test_scalar_only_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
@@ -1025,20 +1035,50 @@ class TestEmitRows:
 
 
 def scalar_table_agreement(comp, sigma0, deltaT, target, samples=200):
-    """verify's regime-table-agreement residual, one classify_branch per sample."""
+    """verify's regime-table-agreement residual, one classify_branch per sample.
+
+    inf where verify samples nothing: the sigma0 range or a breakpoint is not
+    finite.  A nan residual of any sample makes the result nan.
+    """
     span = max(1.0, 3.0 * abs(characteristic_constants(comp, deltaT).D), abs(sigma0))
     table = regime_table(comp, deltaT, target)
-    worst = 0.0
+    if not math.isfinite(2.0 * span) or not all(map(math.isfinite, table.breakpoints)):
+        return math.inf
+    residuals = []
     for i in range(samples):
         s0 = -span + (2.0 * span) * (i + 0.5) / samples
         direct, _ = classify_branch(comp, deltaT, target, s0)
         via_table = table.bound_at(s0)
         scale = max(direct.value, abs(via_table), span)
-        worst = max(worst, abs(direct.value - via_table) / scale)
-    return worst
+        residuals.append(abs(direct.value - via_table) / scale)
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
+#: composites whose endpoint table has a nan entry, as in
+#: TestSweep::test_rows_are_the_bounds_rows_where_a_line_is_nan, and the thin
+#: coating of TestVerify::test_singular_fv_solve_fails_as_row
+EDGE_COMPOSITES = {
+    "D-overflow": ({"k": 1e300, "mu": 1e300, "h": 0.0}, {"k": 5e299, "mu": 5e299, "h": 1e10}, 0.5),
+    "subnormal": (PSTAR["phase1"], {"k": 5e-324, "mu": 5e-324, "h": 1.0}, 0.5),
+    "subnormal-huge-h": (PSTAR["phase1"], {"k": 5e-324, "mu": 5e-324, "h": -1e308}, 0.5),
+    "thin-coating": (
+        {"k": 0.0463359381764292, "mu": 159699.71756020925, "h": -1.225354603819703},
+        {"k": 1.4544765086278303e-08, "mu": 0.0006001194232230362, "h": 0.26403267491544513},
+        1.2050190118228602e-08,
+    ),
+}
 
 
 class TestVerifyTableAgreement:
+    @staticmethod
+    def assert_residuals_equal_scalar_loop(capsys, cfg, comp, sigma0, deltaT):
+        _, out, _ = run(capsys, "verify", cfg, "--grid-n", "64")
+        rows = [r for r in parse_csv(out) if r["check"] == "regime-table-agreement"]
+        assert [r["orientation"] for r in rows] == ["phase1", "phase2", "max"]
+        for row in rows:
+            expected = scalar_table_agreement(comp, sigma0, deltaT, row["orientation"])
+            assert float(row["residual"]).hex() == expected.hex(), row
+
     @pytest.mark.parametrize("ordering", list(Ordering))
     def test_residuals_equal_scalar_loop(self, tmp_path, capsys, rng, ordering):
         for j in range(3):
@@ -1051,12 +1091,39 @@ class TestVerifyTableAgreement:
                 "loading": {"sigma0": sigma0, "deltaT": deltaT},
             }
             cfg = write_config(tmp_path, doc, f"c{j}.json")
-            _, out, _ = run(capsys, "verify", cfg, "--grid-n", "64")
-            rows = [r for r in parse_csv(out) if r["check"] == "regime-table-agreement"]
-            assert [r["orientation"] for r in rows] == ["phase1", "phase2", "max"]
-            for row in rows:
-                expected = scalar_table_agreement(comp, sigma0, deltaT, row["orientation"])
-                assert float(row["residual"]) == expected
+            self.assert_residuals_equal_scalar_loop(capsys, cfg, comp, sigma0, deltaT)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_COMPOSITES))
+    def test_residuals_equal_scalar_loop_on_edge_composites(self, tmp_path, capsys, name):
+        phase1, phase2, theta1 = EDGE_COMPOSITES[name]
+        comp, _ = build_composite(PhaseProperties(**phase1), PhaseProperties(**phase2), theta1)
+        for j, (sigma0, deltaT) in enumerate([(0.3, 1.0), (-1.0, 0.0), (1.0, -1.5)]):
+            doc = {"phase1": phase1, "phase2": phase2, "theta1": theta1,
+                   "loading": {"sigma0": sigma0, "deltaT": deltaT}}
+            cfg = write_config(tmp_path, doc, f"c{j}.json")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.assert_residuals_equal_scalar_loop(capsys, cfg, comp, sigma0, deltaT)
+
+    def test_a_nan_sample_keeps_the_residual_nan(self, monkeypatch):
+        # one nan sample in each table's 200, with 0 residuals before and after it
+        comp, _ = build_composite(
+            PhaseProperties(**PSTAR["phase1"]), PhaseProperties(**PSTAR["phase2"]), 0.5
+        )
+        kernel, calls = verify._bound_at, []
+
+        def nan_at_sample_100(bounded, sigma0, D):
+            calls.append(sigma0)
+            value, *rest = kernel(bounded, sigma0, D)
+            return (math.nan if len(calls) % 200 == 100 else value, *rest)
+
+        monkeypatch.setattr(verify, "_bound_at", nan_at_sample_100)
+        checks = verify._verify_checks(comp, Loading(0.3, 1.0), 64)
+        rows = [(o, r.hex(), s) for c, o, r, s in zip(
+            checks["check"], checks["orientation"], checks["residual"], checks["status"]
+        ) if c == "regime-table-agreement"]
+        assert len(calls) == 600
+        assert rows == [(o, "nan", "fail") for o in ("phase1", "phase2", "max")]
 
 
 def _run_fresh(code, *args):

@@ -27,7 +27,7 @@ from thermobounds import (
     phase_moment,
     phase_moment_lower_bound,
 )
-from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_arrays
+from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_grid
 
 SQRT3 = math.sqrt(3.0)
 TOL_ATTAINMENT = 1e-10
@@ -206,22 +206,24 @@ def test_wide_domain_probe():
     assert worst <= TOL_ATTAINMENT
 
 
-def test_wide_domain_array_kernel_matches_scalar_path():
+def test_wide_domain_grid_kernel_matches_scalar_path():
+    # every loading of the grid the three loadings' sigma0 and deltaT span
     for comp, loadings in wide_domain_samples(100, seed=9):
         sigma0 = [x.sigma0 for x in loadings]
         deltaT = [x.deltaT for x in loadings]
+        grid = [(s0, dT) for s0 in sigma0 for dT in deltaT]
         for target in ("phase1", "phase2", "max"):
-            b = bound_arrays(comp, target, sigma0, deltaT)
-            for i, loading in enumerate(loadings):
-                result, branch = classify_branch(comp, loading.deltaT, target, loading.sigma0)
+            b = bound_grid(comp, target, sigma0, deltaT)
+            for i, (s0, dT) in enumerate(grid):
+                result, branch = classify_branch(comp, dT, target, s0)
                 micro = result.microstructure
-                core = int(b.core[i])
+                core = b.core[i]
                 assert (
-                    float(b.value[i]).hex(), float(b.argmin[i]).hex(),
+                    b.value[i].hex(), b.argmin[i].hex(),
                     ENDPOINT_CODES[b.endpoint[i]], BRANCH_IDS[b.branch[i]], core or None,
                 ) == (
                     result.value.hex(), result.argmin_compliance.hex(),
                     result.at_endpoint, branch, micro.core_phase,
                 )
                 if target == "max" and core:
-                    assert int(b.phase[i]) == micro.max_attaining_phase
+                    assert b.phase[i] == micro.max_attaining_phase
