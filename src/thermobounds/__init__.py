@@ -20,7 +20,6 @@ from .bounds import (
     ComplianceInterval,
     Endpoint,
     MicrostructureKind,
-    affine_abs_min,
     characteristic_constants,
     classify_branch,
     compliance_interval,
@@ -37,7 +36,6 @@ from .coated_sphere import (
     effective_bulk_modulus,
     effective_properties,
     effective_thermal_stress,
-    evaluate_fields,
     local_field_constants,
     mechanical_coefficients,
     phase_moment,

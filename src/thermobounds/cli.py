@@ -76,7 +76,7 @@ from .materials import (
 from .verify import (
     ORACLE_REFERENCE_N,
     _attainment_residual,
-    _shell_trace_coefficients,
+    _unit_solves,
     _verify_checks,
 )
 
@@ -120,9 +120,7 @@ def fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return "%.17g" % x
 
 
 def _json_text(x) -> str:
@@ -361,10 +359,10 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
         ),
     }
     if residuals:
-        coefficients = _shell_trace_coefficients(comp)
+        solves = _unit_solves(comp)
         loadings = [(s, d) for s in sigma_values for d in delta_values]
         columns["attainment_residual"] = [
-            _attainment_residual(coefficients, s, d, value, phase, core) if core else None
+            _attainment_residual(solves, s, d, value, phase, core) if core else None
             for (s, d), value, phase, core in zip(loadings, b.value, b.phase, b.core)
         ]
     return columns

@@ -31,7 +31,9 @@ endpoint table (``ValidatedComposite.endpoints``), L1 in the core and M2 in
 the coating of the sphere with a phase-1 core, L2 and M1 in those of the
 sphere with a phase-2 core.  :func:`local_field_constants` and
 :func:`phase_moment` read their traces ``3 (t sigma0 + e deltaT)`` from
-that table, as the bounds do, and so does :func:`evaluate_fields`.
+that table, as the bounds do, and so does the oracle's sampler of the
+analytic fields (:func:`~thermobounds.radial_oracle.sample_analytic_fields`),
+which takes u(r) from :func:`superposed_shell_coefficients`.
 
 Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
 :func:`mechanical_coefficients`), which give the displacement.  Each
@@ -340,27 +342,3 @@ def effective_properties(config: CoatedSphereConfig) -> EffectiveProperties:
     K = effective_bulk_modulus(config)
     return EffectiveProperties(K, effective_thermal_stress(config), 1.0 / K)
 
-
-def evaluate_fields(
-    config: CoatedSphereConfig,
-    loading: Loading,
-    r: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic displacement u(r) and stress trace tr sigma(r) at given radii.
-
-    The trace is that of :func:`local_field_constants`.  Radii at the
-    interface are assigned to the core side (both sides give the same
-    displacement there; the stress trace jumps).
-    """
-    import numpy as np
-
-    r = np.asarray(r, dtype=float)
-    total = superposed_shell_coefficients(config, loading)
-    in_core = r <= config.core_radius()
-    u = np.where(
-        in_core,
-        total.core_linear * r,
-        total.coat_linear * r + total.coat_inverse_square / np.where(in_core, 1.0, r) ** 2,
-    )
-    fields = local_field_constants(config, loading)
-    return u, np.where(in_core, fields.tr_sigma_core, fields.tr_sigma_coating)

@@ -49,4 +49,8 @@ class SingularSystem(RuntimeError):
 
 
 class NonConvergent(RuntimeError):
-    """Reserved for direct-solver failure in the radial solver."""
+    """The radial solver's direct solve returned non-finite displacements.
+
+    Raised by :func:`~thermobounds.radial_oracle.solve_radial_bvp`, for
+    example on a zero pivot.
+    """

@@ -12,10 +12,13 @@ Three independent verification tools live here:
 None of them reuse the closed-form shell solution, so agreement with the
 analytic constructions is a genuine cross-check.  The finite-volume scheme
 is second-order accurate in the grid spacing; linear-in-r displacement
-fields (uniform hydrostatic states) are reproduced exactly.
+fields (uniform hydrostatic states) are reproduced exactly.  The other side
+of that comparison, the closed-form fields sampled on the same grid, is
+:func:`sample_analytic_fields`.
 
-Every function imports numpy where it builds arrays, so importing this
-module, as ``import thermobounds`` does, does not load it.
+No other module of the package computes with arrays.  Every function here
+imports numpy where it builds them, so importing this module, as ``import
+thermobounds`` does, does not load it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .bounds import SQRT3
-from .coated_sphere import CoatedSphereConfig, evaluate_fields
+from .coated_sphere import CoatedSphereConfig, local_field_constants, superposed_shell_coefficients
 from .errors import NonConvergent, SingularSystem
 from .materials import Loading, check_exponent
 
@@ -279,18 +282,33 @@ def sample_analytic_fields(
     """Evaluate the closed-form shell solution on a grid's nodes and cells.
 
     Produces the same structure as :func:`solve_radial_bvp` so the two can
-    be compared directly or fed to :func:`sampled_moment`.  The stress trace
-    is constant in each region; cell i takes the value at its outer node,
-    which lies in the same region (the interface node belongs to the core).
+    be compared directly or fed to :func:`sampled_moment`.  The displacement
+    at each node is that of
+    :func:`~thermobounds.coated_sphere.superposed_shell_coefficients`, the
+    interface node taking the core's (both sides agree there).  The stress
+    trace is constant in each region, that of
+    :func:`~thermobounds.coated_sphere.local_field_constants`.
     """
-    u, tr = evaluate_fields(config, loading, grid.nodes)
+    import numpy as np
+
+    total = superposed_shell_coefficients(config, loading)
+    fields = local_field_constants(config, loading)
+    r, core = grid.nodes, grid.core_cells  # node i is cell i's outer end
+    # at extreme modulus ratios the coating coefficients overflow, and the
+    # non-finite u is for compare_fields to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.where(
+            core,
+            total.core_linear * r,
+            total.coat_linear * r + total.coat_inverse_square / np.where(core, 1.0, r) ** 2,
+        )
     return RadialSolution(
         grid=grid,
         u=u,
-        cell_tr_sigma=tr,
+        cell_tr_sigma=np.where(core, fields.tr_sigma_core, fields.tr_sigma_coating),
         cell_phase=_cell_phase(config, grid),
-        tr_sigma_core=float(tr[grid.interface_index]),
-        tr_sigma_coating=float(tr[-1]),
+        tr_sigma_core=fields.tr_sigma_core,
+        tr_sigma_coating=fields.tr_sigma_coating,
         sigma_rr_jump=0.0,
     )
 

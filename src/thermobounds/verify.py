@@ -185,27 +185,28 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
     return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
 
 
-def _shell_trace_coefficients(comp: ValidatedComposite) -> list:
-    """Region stress traces per unit sigma0 and per unit deltaT, by [unit][core][phase].
+def _unit_solves(comp: ValidatedComposite) -> dict:
+    """The exact shell solutions per unit load, by core phase.
 
-    ``_solve_shell`` gives them exactly, rounded once, and independent of
-    the endpoint table the bounds read.  Core 0 (no designated assemblage)
-    stays 0.
+    ``solves[core]`` is the pair of ``_solve_shell`` solutions of the sphere
+    with that core: at unit outer traction, then at unit deltaT with a
+    traction-free surface.  Their region traces are exact, rounded once, and
+    independent of the endpoint table the bounds read.
     """
-    coefficients = [[[0.0] * 3 for _ in range(3)] for _ in range(2)]
+    solves = {}
     for core in (1, 2):
         sphere = CoatedSphereConfig(composite=comp, core_phase=core)
-        # unit outer traction, then unit deltaT at a traction-free surface
-        for (eigen_on, traction), per_unit in zip(((False, 1.0), (True, 0.0)), coefficients):
-            solved = _solve_shell(sphere, eigen_on, "traction", traction)
-            per_unit[core][core], per_unit[core][3 - core] = solved.tr_core, solved.tr_coating
-    return coefficients
+        solves[core] = (
+            _solve_shell(sphere, False, "traction", 1.0),
+            _solve_shell(sphere, True, "traction", 0.0),
+        )
+    return solves
 
 
-def _attainment_residual(coefficients, sigma0, deltaT, value, phase, core) -> float:
-    """Relative gap between a bound and the moment, by ``coefficients``, of its assemblage."""
-    per_sigma0, per_deltaT = coefficients
-    trace = per_sigma0[core][phase] * sigma0 + per_deltaT[core][phase] * deltaT
+def _attainment_residual(solves, sigma0, deltaT, value, phase, core) -> float:
+    """Relative gap between a bound and the moment, by :func:`_unit_solves`, of its assemblage."""
+    per_sigma0, per_deltaT = (s.tr_core if phase == core else s.tr_coating for s in solves[core])
+    trace = per_sigma0 * sigma0 + per_deltaT * deltaT
     scale = max(value, abs(sigma0) + abs(deltaT), 1e-300)
     return abs(abs(trace) / SQRT3 - value) / scale
 
@@ -264,6 +265,7 @@ def _verify_checks(
                 note = "the residual is not finite: a compared value overflowed"
         rows.append((name, orientation, residual, tol, status, note))
 
+    solves = _unit_solves(comp)
     for label, core in zip((1, 2), internal):
         sphere = CoatedSphereConfig(composite=comp, core_phase=core)
         tag = f"core{label}"
@@ -300,7 +302,7 @@ def _verify_checks(
         disc = abs(h1 - h2) / max(abs(h1), abs(h2), 1e-300)
         add("effective-thermal-stress-dual-route", tag, disc, TOL_IDENTITY)
         # K by the mean strain f g + c A of the exactly solved unit-traction shell
-        m = _solve_shell(sphere, eigen_on=False, outer="traction", traction=1.0)
+        m = solves[core][0]
         mean_strain = sphere.core_fraction * m.core_linear + sphere.coating_fraction * m.coat_linear
         k1, k2 = effective_bulk_modulus(sphere), 1.0 / (3.0 * mean_strain)
         disc = abs(k1 - k2) / max(abs(k1), abs(k2))
@@ -337,13 +339,12 @@ def _verify_checks(
     inputs = moduli
 
     # attainment of the bounds by the designated assemblages, whose fields
-    # come from the exact shell solve rather than the endpoint table
-    coefficients = _shell_trace_coefficients(comp)
+    # come from the exact shell solves rather than the endpoint table
     for label, phase in zip((1, 2), internal):
         result = phase_moment_lower_bound(comp, loading, phase)
         if result.at_endpoint is not Endpoint.INTERIOR:
             residual = _attainment_residual(
-                coefficients, loading.sigma0, loading.deltaT, result.value, phase,
+                solves, loading.sigma0, loading.deltaT, result.value, phase,
                 result.microstructure.core_phase,
             )
             add("bound-attainment", f"phase{label}", residual, TOL_ATTAINMENT)

@@ -27,7 +27,6 @@ from thermobounds import (
     MicrostructureKind,
     Ordering,
     PhaseProperties,
-    affine_abs_min,
     characteristic_constants,
     classify_branch,
     compliance_interval,
@@ -39,7 +38,13 @@ from thermobounds import (
     phase_moment_lower_bound,
     regime_table,
 )
-from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_grid, thermal_stress_scale
+from thermobounds.bounds import (
+    BRANCH_IDS,
+    ENDPOINT_CODES,
+    affine_abs_min,
+    bound_grid,
+    thermal_stress_scale,
+)
 
 SQRT3 = math.sqrt(3.0)
 

@@ -216,13 +216,20 @@ def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
         "relabeled": Coded((relabeled,), zeros),
     }
     if residuals:
-        per_sigma0, per_deltaT = verify._shell_trace_coefficients(comp)
+        solves = verify._unit_solves(comp)
         residual = []
         for i, j, v, c, ph in zip(sigma_codes, delta_codes, value, core, phase):
+            if not c:
+                residual.append(None)
+                continue
             s0, dT = sigma_values[i], delta_values[j]
-            trace = per_sigma0[c][ph] * s0 + per_deltaT[c][ph] * dT
+            by_sigma0, by_deltaT = solves[c]
+            if ph == c:
+                trace = by_sigma0.tr_core * s0 + by_deltaT.tr_core * dT
+            else:
+                trace = by_sigma0.tr_coating * s0 + by_deltaT.tr_coating * dT
             scale = max(v, abs(s0) + abs(dT), 1e-300)
-            residual.append(abs(abs(trace) / SQRT3 - v) / scale if c else None)
+            residual.append(abs(abs(trace) / SQRT3 - v) / scale)
         columns["attainment_residual"] = residual
     return columns
 
@@ -360,6 +367,17 @@ class TestVerify:
         oracle_rows = [r for r in rows if r["check"] == "oracle-field-agreement"]
         assert len(oracle_rows) == 2
         assert all("discretization-limited" in r["note"] for r in oracle_rows)
+
+    def test_one_exact_solve_per_unit_load(self, tmp_path, capsys, monkeypatch):
+        # per core, the clamped thermal solve and the unit-traction and
+        # unit-deltaT solves that the bulk-modulus and attainment rows share
+        calls = []
+        solve = verify._solve_shell
+        monkeypatch.setattr(
+            verify, "_solve_shell", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs)
+        )
+        assert run(capsys, "verify", write_config(tmp_path, PSTAR))[0] == 0
+        assert len(calls) == 6
 
     def test_verify_grid_too_small_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
@@ -986,8 +1004,13 @@ class TestEmitRows:
         quoted = []
         csv_text = cli._csv_text
         monkeypatch.setattr(cli, "_csv_text", lambda x: quoted.append(x) or csv_text(x))
-        columns = {"v": Coded(("x, y", "plain"), np.array([0, 1, 0, 1, 0])), "w": [1.0] * 5}
-        assert _emit(columns, "csv") == 'v,w\r\n' + '"x, y",1\r\nplain,1\r\n' * 2 + '"x, y",1\r\n'
+        # numpy scalars take fmt's '%.17g' fallback, infinities included
+        w = [1.0, np.float64(np.inf), np.float64(-np.inf), np.int64(7), np.float64(0.1)]
+        columns = {"v": Coded(("x, y", "plain"), np.array([0, 1, 0, 1, 0])), "w": w}
+        assert _emit(columns, "csv") == (
+            'v,w\r\n"x, y",1\r\nplain,inf\r\n"x, y",-inf\r\nplain,7\r\n'
+            '"x, y",0.10000000000000001\r\n'
+        )
         assert quoted.count("x, y") == 1 and quoted.count("plain") == 1
 
     @pytest.mark.parametrize("case", sorted(STDLIB_CSV_CASES))

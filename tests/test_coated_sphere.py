@@ -33,11 +33,12 @@ from thermobounds import (
     effective_bulk_modulus,
     effective_properties,
     effective_thermal_stress,
-    evaluate_fields,
     local_field_constants,
+    make_radial_grid,
     mechanical_coefficients,
     phase_moment,
     phase_moment_lower_bound,
+    sample_analytic_fields,
     superposed_shell_coefficients,
     thermal_coefficients,
     verify_average_identity,
@@ -333,17 +334,15 @@ class TestLocalFields:
             assert avg == pytest.approx(3 * s0, rel=1e-11, abs=1e-11 * max(1, abs(dT)))
 
     def test_tr_sigma_constant_per_phase(self, rng):
-        # full constitutive evaluation at random radii stays on the constants
+        # the sampled fields stay on the constants in every cell of a grid
         for _ in range(20):
             comp = random_composite(rng)
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
             loading = random_loading(rng)
             f = local_field_constants(cfg, loading)
-            a = cfg.core_radius()
-            r_core = rng.uniform(1e-3, a, 100)
-            r_coat = rng.uniform(a, 1.0, 100)
-            _, tr_core = evaluate_fields(cfg, loading, r_core)
-            _, tr_coat = evaluate_fields(cfg, loading, r_coat)
+            sampled = sample_analytic_fields(cfg, loading, make_radial_grid(cfg, 200))
+            core = sampled.grid.core_cells
+            tr_core, tr_coat = sampled.cell_tr_sigma[core], sampled.cell_tr_sigma[~core]
             scale = max(abs(f.tr_sigma_core), abs(f.tr_sigma_coating), 1e-300)
             assert np.max(np.abs(tr_core - f.tr_sigma_core)) <= 1e-12 * scale
             assert np.max(np.abs(tr_coat - f.tr_sigma_coating)) <= 1e-12 * scale
@@ -485,13 +484,12 @@ class TestClosedFormPath:
             raise AssertionError("library path called the 3x3 interface solve")
 
         monkeypatch.setattr(coated_sphere, "_solve_shell", refuse)
-        r = np.linspace(0.05, 1.0, 9)
         for cfg in (CORE1, CORE2):
             effective_properties(cfg)
             local_field_constants(cfg, Loading(0.3, 1.0))
             for phase in (1, 2):
                 phase_moment(cfg, Loading(0.3, 1.0), phase, math.inf)
-            evaluate_fields(cfg, Loading(0.3, 1.0), r)
+            sample_analytic_fields(cfg, Loading(0.3, 1.0), make_radial_grid(cfg, 16))
 
     def test_high_contrast_bulk_modulus_exact(self):
         # moduli 1e6 against 1 and 1e-6: kbar - num/den cancelled here and
@@ -603,13 +601,13 @@ class TestAttainment:
         # verify's attainment residual, by the exact shell solve's traces; the
         # superposition route it replaced cancelled on 192 of these phases
         for comp, loading in wide_domain_probe(1000):
-            coefficients = verify._shell_trace_coefficients(comp)
+            solves = verify._unit_solves(comp)
             for phase in (1, 2):
                 result = phase_moment_lower_bound(comp, loading, phase)
                 if result.at_endpoint is Endpoint.INTERIOR:
                     continue
                 residual = verify._attainment_residual(
-                    coefficients, loading.sigma0, loading.deltaT, result.value, phase,
+                    solves, loading.sigma0, loading.deltaT, result.value, phase,
                     result.microstructure.core_phase,
                 )
                 assert residual <= 1e-10, (comp, loading, phase)

@@ -1,10 +1,16 @@
-"""Byte-exact golden files for the CLI's bounds, table and sweep output.
+"""Byte-exact golden files for the CLI's bounds, table, sweep and verify output.
 
 Each case runs one command on a config in ``tests/golden/`` and compares
 the bytes it writes (stdout, or the ``--out`` file for sweep) with
 ``tests/golden/<case>``.  The configs cover the canonical composite, one
 that is relabeled and non-well-ordered, a loading with ``sigma0 == D``, one
 with ``deltaT = 0``, and sweep grids that pass through both exactly.
+``verify`` runs on the four single-loading configs at ``--grid-n 256`` and
+on the canonical one at the default grid size.
+
+verify's residuals go through numpy reductions (the finite-volume oracle and
+its field comparison), so a different numpy build may move a last digit of
+them.  Its golden files are then regenerated, with the column report below.
 
 To rewrite the golden files from the current code, after a change that is
 meant to alter the output::
@@ -52,6 +58,11 @@ def _cases():
         for phase in ("1", "2"):
             yield (f"sweep-{config}-phase{phase}-residuals.csv",
                    ["sweep", config, "--phase", phase, "--residuals"])
+    for config in ("canonical", "relabeled", "flat", "zero-deltaT"):
+        for fmt, ext in FORMATS.items():
+            yield (f"verify-{config}-n256.{ext}",
+                   ["verify", config, "--grid-n", "256", "--format", fmt])
+    yield "verify-canonical.csv", ["verify", "canonical"]
 
 
 CASES = dict(_cases())

@@ -11,7 +11,6 @@ from thermobounds import (
     Loading,
     NonConvergent,
     PhaseProperties,
-    affine_abs_min,
     build_composite,
     compare_fields,
     interval_scan_min,
@@ -22,6 +21,7 @@ from thermobounds import (
     solve_radial_bvp,
     thermal_coefficients,
 )
+from thermobounds.bounds import affine_abs_min
 from thermobounds.radial_oracle import _solve_tridiagonal
 from test_coated_sphere import homogeneous_config
 
@@ -320,3 +320,17 @@ class TestCompareFields:
         a2 = sample_analytic_fields(CORE1, CANONICAL_LOADING, g2)
         with pytest.raises(ValueError):
             compare_fields(a1, a2)
+
+
+class TestAnalyticFields:
+    def test_overflowing_coefficients_give_nan_without_warning(self):
+        # phase 2 at k = mu = 5e-324: the closed-form coating coefficients of
+        # core 1 are +-inf, and the coating's u is nan, under the suite's
+        # error::RuntimeWarning filter
+        comp, _ = build_composite(
+            PhaseProperties(2.0, 1.0, 0.0), PhaseProperties(5e-324, 5e-324, 1.0), 0.5
+        )
+        cfg = CoatedSphereConfig(comp, 1)
+        sampled = sample_analytic_fields(cfg, Loading(0.3, 1.0), make_radial_grid(cfg, 64))
+        core = sampled.grid.core_cells
+        assert np.all(np.isfinite(sampled.u[core])) and np.all(np.isnan(sampled.u[~core]))
