@@ -35,10 +35,11 @@ Because the attaining local field is constant per phase, the bound value is
 the same for every moment exponent p in (1, inf]; p enters the API only for
 interface symmetry with the moment evaluators and is validated when given.
 
-:func:`bound_grid` evaluates a bound, its attaining microstructure and its
-regime-table branch row by row over a grid of loadings; the CLI's
-``bounds`` and ``sweep`` rows and ``verify``'s regime-table samples all run
-its one scalar kernel, and this module builds no arrays.
+One kernel, :func:`_phase_rows`, evaluates a phase's bound, attaining sphere
+and regime-table branch over a column of sigma0 values; :func:`_max_rows`
+merges two phases' rows.  The scalar functions run it on one row, and
+:func:`bound_grid` and ``verify``'s regime-table samples (for all three of its
+tables) on a column per phase.  This module builds no arrays.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -51,7 +52,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .materials import Loading, Ordering, ValidatedComposite, check_exponent
+from .materials import EndpointTable, Loading, Ordering, ValidatedComposite, check_exponent
 
 SQRT3 = math.sqrt(3.0)
 
@@ -309,24 +310,92 @@ def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval
 #: Endpoint tags by their codes, which the kernel and BoundArrays.endpoint hold.
 ENDPOINT_CODES = (Endpoint.LOWER, Endpoint.UPPER, Endpoint.INTERIOR)
 _LOWER, _UPPER, _INTERIOR = range(3)
+_ZERO = BRANCH_IDS.index("Zero")
+
+#: By endpoint: its sphere's core phase (Li is the core of the phase-i-core sphere, Mi
+#: the coating of the other), and its branch in BRANCH_IDS right and left of where v = 0.
+_END_CODES = {
+    symbol: (core, *(BRANCH_IDS.index(f"{symbol[0]}-branch-{side}") for side in ("right", "left")))
+    for symbol, core in {"L1": 1, "M2": 1, "L2": 2, "M1": 2}.items()
+}
+#: Attaining assemblage by core phase (0 for none) and max-field winner (None for a phase).
+_ATTAINING = {
+    (core, winner): Microstructure(MicrostructureKind.COATED_SPHERES, core, 3 - core, winner)
+    if core else UNDETERMINED
+    for core in (0, 1, 2) for winner in (None, 1, 2)
+}
+#: Per bounded phase: (phase, then each end's index in the endpoint table and its codes).
+_PHASE_ENDS = {
+    (ordering, target): [
+        (phase, *(x for s in _INTERVAL_SYMBOLS[ordering, phase]
+                  for x in (EndpointTable._fields.index(s), _END_CODES[s])))
+        for phase in phases
+    ]
+    for ordering in Ordering
+    for target, phases in {"phase1": (1,), "phase2": (2,), "max": (1, 2)}.items()
+}
 
 
-def _endpoint_min(lo, hi, v_lo, v_hi, sigma0, D):
-    """(value, argmin, code) of min sqrt(3)|v| over [lo, hi], v affine in t, v_lo/v_hi at the ends.
+def _bounded_phases(c: ValidatedComposite, target: str, deltaT) -> list:
+    """Per bounded phase: (phase, then each end's t, e deltaT and codes, lower end first)."""
+    ends = _PHASE_ENDS.get((c.ordering, target))
+    if ends is None:
+        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
+    lines, bounded = c.endpoints, []
+    for phase, lo, lo_codes, hi, hi_codes in ends:
+        lo, hi = lines[lo], lines[hi]
+        bounded.append((phase, lo.t, lo.e * deltaT, lo_codes, hi.t, hi.e * deltaT, hi_codes))
+    return bounded
 
-    0 and INTERIOR when the end values differ in sign or either is 0, with
-    the zero crossing ``D/(D - sigma0)``, held in the interval, as argmin;
-    else the smaller end (LOWER on a tie).  At ``sigma0 == D`` the objective
-    is the constant sqrt(3)|D|: LOWER, or INTERIOR when D is 0.  ``code``
-    indexes :data:`ENDPOINT_CODES`.
+
+def _phase_rows(entry, sigma0_values, D: float) -> list:
+    """The rows (value, argmin, code, phase, core, branch) of one bounded phase at each sigma0.
+
+    The bound is min sqrt(3)|v| over the phase's interval, v = t sigma0 + e deltaT: 0 and
+    INTERIOR where v's ends differ in sign or either is 0, with the zero crossing
+    ``D/(D - sigma0)``, held in the interval, as argmin; else the smaller end (LOWER on a
+    tie).  At ``sigma0 == D`` v is the constant D: LOWER, or INTERIOR when D is 0.  The
+    codes index ENDPOINT_CODES and BRANCH_IDS; ``core`` is 0 where no sphere attains.
     """
-    if sigma0 == D:
-        return SQRT3 * abs(D), lo, _INTERIOR if D == 0.0 else _LOWER
-    if (v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0):
-        if abs(v_lo) <= abs(v_hi):
-            return SQRT3 * abs(v_lo), lo, _LOWER
-        return SQRT3 * abs(v_hi), hi, _UPPER
-    return 0.0, min(max(D / (D - sigma0), lo), hi), _INTERIOR
+    phase, t_lo, e_lo, lo_codes, t_hi, e_hi, hi_codes = entry
+    (core_lo, right_lo, left_lo), (core_hi, right_hi, left_hi) = lo_codes, hi_codes
+    rows = []
+    for sigma0 in sigma0_values:
+        v_lo = t_lo * sigma0 + e_lo
+        v_hi = t_hi * sigma0 + e_hi
+        if sigma0 == D:
+            if D == 0.0:
+                rows.append((0.0, t_lo, _INTERIOR, phase, 0, _ZERO))
+            else:
+                branch = left_lo if v_lo < 0.0 else right_lo
+                rows.append((SQRT3 * abs(D), t_lo, _LOWER, phase, core_lo, branch))
+        elif (v_lo > 0.0 and v_hi > 0.0) or (v_lo < 0.0 and v_hi < 0.0):
+            if abs(v_lo) <= abs(v_hi):
+                branch = left_lo if v_lo < 0.0 else right_lo
+                rows.append((SQRT3 * abs(v_lo), t_lo, _LOWER, phase, core_lo, branch))
+            else:
+                branch = left_hi if v_hi < 0.0 else right_hi
+                rows.append((SQRT3 * abs(v_hi), t_hi, _UPPER, phase, core_hi, branch))
+        else:
+            rows.append((0.0, min(max(D / (D - sigma0), t_lo), t_hi), _INTERIOR, phase, 0, _ZERO))
+    return rows
+
+
+def _max_rows(first: list, second: list) -> list:
+    """Max-field rows: per row, the larger bound of two phases' :func:`_phase_rows`.
+
+    On a tie the larger |argmin| wins, else ``first``; a nan gives ``second``'s row.
+    """
+    rows = []
+    for a, b in zip(first, second):
+        rows.append(a if a[0] > b[0] or (a[0] >= b[0] and abs(a[1]) >= abs(b[1])) else b)
+    return rows
+
+
+def _rows(bounded: list, sigma0_values, D: float) -> list:
+    """A target's rows over :func:`_bounded_phases`: its one phase's, or the max of two."""
+    rows = _phase_rows(bounded[0], sigma0_values, D)
+    return _max_rows(rows, _phase_rows(bounded[1], sigma0_values, D)) if len(bounded) == 2 else rows
 
 
 def affine_abs_min(
@@ -334,74 +403,23 @@ def affine_abs_min(
 ) -> tuple[float, float, Endpoint]:
     """Minimize sqrt(3)*|(sigma0 - D) t + D| over t in [interval.lo, interval.hi].
 
-    The paper's form on a bare interval, by the bounds' sign test.  Returns
-    (value, argmin, endpoint tag).  The bounds evaluate the objective as
-    ``t sigma0 + e deltaT`` from the endpoint table instead, which does not
-    cancel near the bulk-modulus gate.
+    The paper's form on a bare interval: one row of :func:`_phase_rows` with the ends
+    ``(lo, D (1 - lo))`` and ``(hi, D (1 - hi))``.  Returns (value, argmin, endpoint tag).
+    The bounds read the endpoint table's lines, which do not cancel near the bulk-modulus gate.
     """
-    lo, hi = interval.lo, interval.hi
-    value, argmin, code = _endpoint_min(
-        lo, hi, (sigma0 - D) * lo + D, (sigma0 - D) * hi + D, sigma0, D
-    )
+    lo, hi, codes = interval.lo, interval.hi, (0, _ZERO, _ZERO)
+    entry = (interval.phase, lo, D * (1.0 - lo), codes, hi, D * (1.0 - hi), codes)
+    value, argmin, code, *_ = _phase_rows(entry, (sigma0,), D)[0]
     return value, argmin, ENDPOINT_CODES[code]
 
 
-#: Attaining assemblage by endpoint and max-field winner (None for a phase
-#: bound): Li is the core of the sphere with a phase-i core, Mi the coating
-#: (phase i) of the opposite-core sphere.
-_CORES = {"L1": 1, "M2": 1, "L2": 2, "M1": 2}
-_ATTAINING = {
-    (symbol, winner): Microstructure(MicrostructureKind.COATED_SPHERES, core, 3 - core, winner)
-    for symbol, core in _CORES.items()
-    for winner in (None, 1, 2)
-}
-#: By attaining endpoint (None for a zero bound): its sphere's core phase (0
-#: for none), and its branch's index in BRANCH_IDS right and left of where v = 0.
-_ROW_CODES = {None: (0, 2, 2)} | {
-    symbol: (core, *(BRANCH_IDS.index(f"{symbol[0]}-branch-{side}") for side in ("right", "left")))
-    for symbol, core in _CORES.items()
-}
-_TARGET_PHASES = {"phase1": (1,), "phase2": (2,), "max": (1, 2)}
-
-
-def _bounded_phases(c: ValidatedComposite, target: str, deltaT) -> list:
-    """Per bounded phase: (phase, t, e deltaT, symbol of the lower end, then of the upper end)."""
-    if target not in _TARGET_PHASES:
-        raise ValueError(f"target must be phase1|phase2|max, got {target!r}")
-    bounded = []
-    for phase in _TARGET_PHASES[target]:
-        s_lo, s_hi = _INTERVAL_SYMBOLS[c.ordering, phase]
-        lo, hi = getattr(c.endpoints, s_lo), getattr(c.endpoints, s_hi)
-        bounded.append((phase, lo.t, lo.e * deltaT, s_lo, hi.t, hi.e * deltaT, s_hi))
-    return bounded
-
-
-def _bound_at(bounded: list, sigma0: float, D: float):
-    """(value, argmin, code, symbol, v, phase) of the bound over :func:`_bounded_phases` at sigma0.
-
-    ``symbol`` names the attaining endpoint (None when INTERIOR), ``v`` its
-    mean stress ``t sigma0 + e deltaT``.  Of two phases the larger bound
-    wins; on a tie, the one whose argmin has the larger magnitude, else phase 1.
-    """
-    best = None
-    for phase, t_lo, e_lo, s_lo, t_hi, e_hi, s_hi in bounded:
-        v_lo = t_lo * sigma0 + e_lo
-        v_hi = t_hi * sigma0 + e_hi
-        value, argmin, code = _endpoint_min(t_lo, t_hi, v_lo, v_hi, sigma0, D)
-        if best is None or not (
-            best[0] > value or (best[0] >= value and abs(best[1]) >= abs(argmin))
-        ):
-            best = value, argmin, code, (s_lo, s_hi, None)[code], (v_lo, v_hi, 0.0)[code], phase
-    return best
-
-
 def _bound(c: ValidatedComposite, target: str, sigma0: float, deltaT: float):
-    """(BoundResult, attaining symbol or None, its mean stress) for a target."""
-    D = thermal_stress_scale(c, deltaT)
-    value, argmin, code, symbol, v, phase = _bound_at(_bounded_phases(c, target, deltaT), sigma0, D)
-    winner = phase if target == "max" else None
-    micro = UNDETERMINED if symbol is None else _ATTAINING[symbol, winner]
-    return BoundResult(value, argmin, ENDPOINT_CODES[code], micro), symbol, v
+    """(BoundResult, :func:`bound_grid`'s row) of a target at one loading."""
+    D, bounded = thermal_stress_scale(c, deltaT), _bounded_phases(c, target, deltaT)
+    value, argmin, code, phase, core, _ = row = _rows(bounded, (sigma0,), D)[0]
+    micro = _ATTAINING[core, phase if target == "max" else None]
+    # the fields need no checks, so tuple.__new__ skips the generated __new__
+    return tuple.__new__(BoundResult, (value, argmin, ENDPOINT_CODES[code], micro)), row
 
 
 def phase_moment_lower_bound(
@@ -446,13 +464,8 @@ def classify_branch(
     stress sigma0 falls on: the sign of the endpoint's mean stress, as every
     t is positive.  A zero bound is the "Zero" branch.
     """
-    result, symbol, v = _bound(c, target, sigma0, deltaT)
-    return result, _branch_name(symbol, v)
-
-
-def _branch_name(symbol: str | None, v: float) -> str:
-    _, right, left = _ROW_CODES[symbol]
-    return BRANCH_IDS[left if v < 0.0 else right]
+    result, row = _bound(c, target, sigma0, deltaT)
+    return result, BRANCH_IDS[row[5]]
 
 
 class BoundArrays(NamedTuple):
@@ -481,16 +494,15 @@ class BoundArrays(NamedTuple):
 def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values) -> BoundArrays:
     """A bound and its branch over the sigma0 x deltaT grid, sigma0-major.
 
-    Each row runs :func:`classify_branch`'s kernel, with D and every ``e
-    deltaT`` hoisted per deltaT value, so it holds the scalar functions' bits.
+    Per deltaT value, D and every ``e deltaT`` are hoisted and the kernel runs
+    once per phase over the sequence ``sigma0_values``; the scalar functions
+    run it on one row, so the rows hold their bits.
     """
-    columns = [(thermal_stress_scale(c, d), _bounded_phases(c, target, d)) for d in deltaT_values]
-    rows = []
-    for sigma0 in sigma0_values:
-        for D, bounded in columns:
-            value, argmin, code, symbol, v, phase = _bound_at(bounded, sigma0, D)
-            core, right, left = _ROW_CODES[symbol]
-            rows.append((value, argmin, code, phase, core, left if v < 0.0 else right))
+    columns = [
+        _rows(_bounded_phases(c, target, d), sigma0_values, thermal_stress_scale(c, d))
+        for d in deltaT_values
+    ]
+    rows = [row for at in zip(*columns) for row in at]
     return BoundArrays(*map(list, zip(*rows)))
 
 
@@ -517,7 +529,8 @@ def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTab
     """
     consts = characteristic_constants(c, deltaT)
     D = consts.D
-    _, t_lo, e_lo, _, t_hi, e_hi, _ = _bounded_phases(c, target, deltaT)[0]
+    bounded = _bounded_phases(c, target, deltaT)
+    _, t_lo, e_lo, _, t_hi, e_hi, _ = bounded[0]
     if D == 0.0:
         bps = [0.0]
     elif target == "max":
@@ -526,18 +539,18 @@ def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTab
         bps = sorted((D, *(-e / t if t else math.nan for t, e in ((t_lo, e_lo), (t_hi, e_hi)))))
 
     edges = [-math.inf, *bps, math.inf]
-    rows = []
-    for rep, lo, hi in zip(_representatives(bps), edges[:-1], edges[1:]):
-        result, symbol, v = _bound(c, target, rep, deltaT)
-        line = getattr(c.endpoints, symbol) if symbol else None
+    found, rows = _rows(bounded, _representatives(bps), D), []
+    for (_, _, _, phase, core, branch), lo, hi in zip(found, edges[:-1], edges[1:]):
+        # the attaining line is Li on the phase-i core, Mi on its coating
+        line = getattr(c.endpoints, f"{'L' if phase == core else 'M'}{phase}") if core else None
         t, offset = (line.t, line.e * deltaT) if line else (None, None)
         rows.append(
             RegimeRow(
                 sigma_lo=lo,
                 sigma_hi=hi,
-                branch=_branch_name(symbol, v),
+                branch=BRANCH_IDS[branch],
                 endpoint_value=t,
-                microstructure=result.microstructure,
+                microstructure=_ATTAINING[core, phase if target == "max" else None],
                 endpoint_offset=offset,
             )
         )

@@ -12,8 +12,8 @@ Four subcommands, each reading a JSON config file:
 * ``sweep``   -- evaluate bounds over a grid of loadings and write them to
   a file.  ``bounds`` and ``sweep`` build their rows with one call of
   :func:`~thermobounds.bounds.bound_grid` (a 1 x 1 grid for ``bounds``),
-  the scalar kernel of :func:`~thermobounds.bounds.classify_branch`.  Only
-  ``verify`` loads numpy.
+  which runs the bound kernel of :func:`~thermobounds.bounds.classify_branch`
+  over each deltaT value's column of sigma0 values.  Only ``verify`` loads numpy.
 
 Config schema::
 

@@ -101,9 +101,12 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     core_nodes = np.linspace(0.0, a, n_core + 1)[1:]
     coat_nodes = np.linspace(a, 1.0, n_coat + 1)[1:]
     nodes = np.concatenate([core_nodes, coat_nodes])
-    if not np.all(np.diff(np.concatenate([[0.0], nodes]) ** 3) > 0.0):
+    weights = np.diff(np.concatenate([[0.0], nodes]) ** 3)
+    if not np.all(weights > 0.0):
         raise SingularSystem(f"core radius {a!r} leaves {n}-node grid cells of zero volume")
-    return RadialGrid(nodes=nodes, interface_index=n_core - 1)
+    grid = RadialGrid(nodes=nodes, interface_index=n_core - 1)
+    vars(grid)["volume_weights"] = weights  # the checked array, as the cached property
+    return grid
 
 
 class RadialSolution(NamedTuple):
@@ -345,11 +348,13 @@ def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[floa
     """:func:`sampled_moment` at each of ``exponents``, from one pass over the phase's cells."""
     import numpy as np
 
-    mask = solution.cell_phase == phase
-    if not np.any(mask):
+    # a phase's cells are one run: the core's up to the interface node, or the coating's
+    cell_phase, nc = solution.cell_phase, solution.grid.interface_index + 1
+    if phase not in (cell_phase[0], cell_phase[-1]):
         raise ValueError(f"no cells of phase {phase} in solution")
-    w = solution.grid.volume_weights[mask]
-    vals = np.abs(solution.cell_tr_sigma[mask]) / SQRT3
+    run = slice(nc) if phase == cell_phase[0] else slice(nc, None)
+    w = solution.grid.volume_weights[run]
+    vals = np.abs(solution.cell_tr_sigma[run]) / SQRT3
     total = np.sum(w)
     return [float((np.sum(vals**p * w) / total) ** (1.0 / p)) for p in exponents]
 

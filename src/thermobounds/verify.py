@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 
 from .bounds import (
     SQRT3,
     Endpoint,
-    _bound_at,
     _bounded_phases,
+    _max_rows,
+    _phase_rows,
     characteristic_constants,
     phase_moment_lower_bound,
     regime_table,
@@ -351,12 +353,17 @@ def _verify_checks(
 
     # regime tables agree with the direct minimization; a D that overflowed
     # leaves no finite sigma0 range to sample, and a table whose breakpoint is
-    # not finite (a line with t = 0) none to compare
+    # not finite (a line with t = 0) none to compare.  The tables share the
+    # kernel's rows of each phase over the samples.
     D = characteristic_constants(comp, loading.deltaT).D
     span = max(1.0, 3.0 * abs(D), abs(loading.sigma0))
     finite, n = math.isfinite(2.0 * span), TABLE_AGREEMENT_SAMPLES
-    samples = [-span + (2.0 * span) * (i + 0.5) / n for i in range(n)] if finite else None
     targets = (*(f"phase{phase}" for phase in internal), "max")
+    if finite:
+        samples = [-span + (2.0 * span) * (i + 0.5) / n for i in range(n)]
+        bounded = _bounded_phases(comp, "max", loading.deltaT)
+        first, second = (_phase_rows(entry, samples, D) for entry in bounded)
+        rows_of = {"phase1": first, "phase2": second, "max": _max_rows(first, second)}
     for label, target in zip(("phase1", "phase2", "max"), targets):
         table = regime_table(comp, loading.deltaT, target)
         bad = [bp for bp in table.breakpoints if not math.isfinite(bp)]
@@ -365,18 +372,16 @@ def _verify_checks(
                     else f"D = {D:.17g}: the sampled sigma0 range is not finite")
             add("regime-table-agreement", label, math.inf, TOL_IDENTITY, note)
             continue
-        bounded = _bounded_phases(comp, target, loading.deltaT)
-        # the samples ascend, so each one's row, the first whose sigma_hi is
-        # at least it (RegimeTable.row_for), is found by walking on
-        regions, j, worst = table.rows, 0, 0.0
-        for s0 in samples:
-            direct = _bound_at(bounded, s0, D)[0]
-            while regions[j].sigma_hi < s0:
-                j += 1
-            via_table = regions[j].bound_at(s0)
-            residual = abs(direct - via_table) / max(direct, abs(via_table), span)
-            if residual > worst or residual != residual:  # a nan stays
-                worst = residual
+        # the samples ascend: each row's run of them (as RegimeTable.row_for picks) follows the last
+        start, worst = 0, 0.0
+        for region in table.rows:
+            stop = bisect_right(samples, region.sigma_hi, start)
+            for s0, row in zip(samples[start:stop], rows_of[target][start:stop]):
+                direct, via_table = row[0], region.bound_at(s0)
+                residual = abs(direct - via_table) / max(direct, abs(via_table), span)
+                if residual > worst or residual != residual:  # a nan stays
+                    worst = residual
+            start = stop
         add("regime-table-agreement", label, worst, TOL_IDENTITY)
 
     names = ("check", "orientation", "residual", "tolerance", "status", "note")

@@ -24,7 +24,7 @@ from thermobounds.bounds import (
 )
 from thermobounds import Loading, PhaseProperties, build_composite
 from thermobounds.materials import EndpointLine
-from thermobounds import cli, radial_oracle, verify
+from thermobounds import bounds, cli, radial_oracle, verify
 from thermobounds.cli import Coded, emit_rows, main
 from test_endpoint_table import wide_domain_samples
 from test_radial_oracle import zero_pivot_solve
@@ -378,6 +378,19 @@ class TestVerify:
         )
         assert run(capsys, "verify", write_config(tmp_path, PSTAR))[0] == 0
         assert len(calls) == 6
+
+    def test_one_kernel_pass_per_phase_over_the_table_samples(self, tmp_path, capsys, monkeypatch):
+        # the three regime tables share each phase's rows over the 200
+        # samples; every other pass is one row, or one per table region
+        passes = []
+        for module in (bounds, verify):
+            kernel = module._phase_rows
+            monkeypatch.setattr(
+                module, "_phase_rows",
+                lambda entry, s, D, kernel=kernel: passes.append(len(s)) or kernel(entry, s, D),
+            )
+        assert run(capsys, "verify", write_config(tmp_path, PSTAR))[0] == 0
+        assert [n for n in passes if n > 5] == [verify.TABLE_AGREEMENT_SAMPLES] * 2
 
     def test_verify_grid_too_small_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
@@ -1129,23 +1142,25 @@ class TestVerifyTableAgreement:
                 self.assert_residuals_equal_scalar_loop(capsys, cfg, comp, sigma0, deltaT)
 
     def test_a_nan_sample_keeps_the_residual_nan(self, monkeypatch):
-        # one nan sample in each table's 200, with 0 residuals before and after it
+        # one nan sample in each phase's pass over the 200, with 0 residuals
+        # before and after it; the max-field rows take phase 2's nan row
         comp, _ = build_composite(
             PhaseProperties(**PSTAR["phase1"]), PhaseProperties(**PSTAR["phase2"]), 0.5
         )
-        kernel, calls = verify._bound_at, []
+        kernel, passes = verify._phase_rows, []
 
-        def nan_at_sample_100(bounded, sigma0, D):
-            calls.append(sigma0)
-            value, *rest = kernel(bounded, sigma0, D)
-            return (math.nan if len(calls) % 200 == 100 else value, *rest)
+        def nan_at_sample_100(entry, sigma0_values, D):
+            passes.append(len(sigma0_values))
+            rows = kernel(entry, sigma0_values, D)
+            rows[100] = (math.nan, *rows[100][1:])
+            return rows
 
-        monkeypatch.setattr(verify, "_bound_at", nan_at_sample_100)
+        monkeypatch.setattr(verify, "_phase_rows", nan_at_sample_100)
         checks = verify._verify_checks(comp, Loading(0.3, 1.0), 64)
         rows = [(o, r.hex(), s) for c, o, r, s in zip(
             checks["check"], checks["orientation"], checks["residual"], checks["status"]
         ) if c == "regime-table-agreement"]
-        assert len(calls) == 600
+        assert passes == [200, 200]
         assert rows == [(o, "nan", "fail") for o in ("phase1", "phase2", "max")]
 
 

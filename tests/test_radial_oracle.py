@@ -84,6 +84,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_radial_grid(CORE1, 8)
 
+    def test_volume_weights_are_the_cell_differences_of_r_cubed(self):
+        for core in (1, 2):
+            for n in (16, 257, 4096):
+                grid = make_radial_grid(CoatedSphereConfig(CANONICAL, core), n)
+                expected = np.diff(np.concatenate(([0.0], grid.nodes)) ** 3)
+                assert grid.volume_weights.tobytes() == expected.tobytes()
+
     def test_extreme_fractions_keep_cells_on_both_sides(self, rng):
         for theta1 in (0.05, 0.95):
             comp = random_composite(rng)
@@ -284,6 +291,21 @@ class TestSampledMoment:
         grid = make_radial_grid(CORE1, 64)
         sol = solve_radial_bvp(CORE1, Loading(0.0, 0.0), grid)
         assert sampled_moment(sol, 1, 2.0) == 0.0
+
+    def test_moments_over_the_phase_cells(self):
+        # each phase's moment is the masked quadrature, bit for bit; a phase
+        # with no cells raises
+        grid = make_radial_grid(CORE1, 64)
+        sol = sample_analytic_fields(CORE1, CANONICAL_LOADING, grid)
+        for phase in (1, 2):
+            mask = sol.cell_phase == phase
+            w = grid.volume_weights[mask]
+            vals = np.abs(sol.cell_tr_sigma[mask]) / SQRT3
+            for p in (2.0, 3.0):
+                expected = float((np.sum(vals**p * w) / np.sum(w)) ** (1.0 / p))
+                assert sampled_moment(sol, phase, p).hex() == expected.hex()
+        with pytest.raises(ValueError):
+            sampled_moment(sol, 3, 2.0)
 
     def test_exponent_validation(self):
         grid = make_radial_grid(CORE1, 64)
