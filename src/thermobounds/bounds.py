@@ -39,7 +39,8 @@ One kernel, :func:`_phase_rows`, evaluates a phase's bound, attaining sphere
 and regime-table branch over a column of sigma0 values; :func:`_max_rows`
 merges two phases' rows.  The scalar functions run it on one row, and
 :func:`bound_grid` and ``verify``'s regime-table samples (for all three of its
-tables) on a column per phase.  This module builds no arrays.
+tables) on a column per phase.  This module builds no arrays;
+:meth:`RegimeRow.bound_at` also evaluates an array that a caller passes in.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -172,8 +173,8 @@ class RegimeRow(NamedTuple):
     microstructure: Microstructure
     endpoint_offset: float | None
 
-    def bound_at(self, sigma0: float) -> float:
-        """This row's bound ``sqrt(3) |t sigma0 + e deltaT|`` at sigma0."""
+    def bound_at(self, sigma0: float | np.ndarray) -> float | np.ndarray:
+        """This row's bound ``sqrt(3) |t sigma0 + e deltaT|`` at a float or float array sigma0."""
         if self.branch == "Zero":
             return 0.0
         return SQRT3 * abs(self.endpoint_value * sigma0 + self.endpoint_offset)

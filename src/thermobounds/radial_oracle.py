@@ -104,7 +104,8 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     weights = np.diff(np.concatenate([[0.0], nodes]) ** 3)
     if not np.all(weights > 0.0):
         raise SingularSystem(f"core radius {a!r} leaves {n}-node grid cells of zero volume")
-    grid = RadialGrid(nodes=nodes, interface_index=n_core - 1)
+    # the constructor's checks hold: positive volumes, linspace ends on 1.0, 4 <= n_core <= n - 4
+    grid = tuple.__new__(RadialGrid, (nodes, n_core - 1))
     vars(grid)["volume_weights"] = weights  # the checked array, as the cached property
     return grid
 
@@ -168,7 +169,8 @@ def _solve_tridiagonal(lower, upper, row_sum, rhs) -> np.ndarray:
             d2 = d[1::2] + al * d[left]
             s2[:k] += ga * s[right]
             d2[:k] += ga * d[right]
-            c2 = ga * c[right] if k == h else np.append(ga * c[right], 0.0)
+            c2 = np.zeros(h)  # the last kept row has no right neighbour when k < h
+            c2[:k] = ga * c[right]
             a, c, s, d = al * a[left], c2, s2, d2
         x = d / s
         for a, c, d, nb in reversed(levels):
@@ -235,7 +237,8 @@ def solve_radial_bvp(
     i = grid.interface_index
     row_sum[i] += 2.0 * r[i + 1] * (lam[i + 1] - lam[i])
     rhs[i] = (s3[i + 1] - s3[i]) * r[i + 1] ** 2
-    upper = np.append(off[1:], 0.0)
+    upper = np.zeros(grid.n)
+    upper[:-1] = off[1:]
     if outer == "clamped":
         off[-1], row_sum[-1], rhs[-1] = 0.0, 1.0, 0.0
     else:
@@ -254,8 +257,8 @@ def solve_radial_bvp(
 
     w = grid.volume_weights
     nc = grid.interface_index + 1
-    tr_core = float(tr_sig[:nc] @ w[:nc] / np.sum(w[:nc]))
-    tr_coat = float(tr_sig[nc:] @ w[nc:] / np.sum(w[nc:]))
+    tr_core = float(tr_sig[:nc] @ w[:nc] / w[:nc].sum())
+    tr_coat = float(tr_sig[nc:] @ w[nc:] / w[nc:].sum())
 
     # one-sided (second-order) radial-traction estimates at the interface;
     # node spacing is uniform within each region by construction
@@ -355,8 +358,8 @@ def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[floa
     run = slice(nc) if phase == cell_phase[0] else slice(nc, None)
     w = solution.grid.volume_weights[run]
     vals = np.abs(solution.cell_tr_sigma[run]) / SQRT3
-    total = np.sum(w)
-    return [float((np.sum(vals**p * w) / total) ** (1.0 / p)) for p in exponents]
+    total = w.sum()  # a numpy float: a zero total gives nan or inf, not ZeroDivisionError
+    return [float(((vals**p * w).sum() / total) ** (1.0 / p)) for p in exponents]
 
 
 def compare_fields(analytic: RadialSolution, numeric: RadialSolution) -> float:
@@ -369,7 +372,8 @@ def compare_fields(analytic: RadialSolution, numeric: RadialSolution) -> float:
     """
     import numpy as np
 
-    if not np.array_equal(analytic.grid.nodes, numeric.grid.nodes):
+    grid = analytic.grid
+    if grid is not numeric.grid and not np.array_equal(grid.nodes, numeric.grid.nodes):
         raise ValueError("solutions live on different grids")
     err = 0.0
     for x, y in ((analytic.u, numeric.u), (analytic.cell_tr_sigma, numeric.cell_tr_sigma)):

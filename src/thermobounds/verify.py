@@ -249,6 +249,8 @@ def _verify_checks(
     numbering, whose phase 1 is ``comp``'s phase 2 when ``relabeled``.
     Notes write numbers with 17 significant digits, as the CLI does.
     """
+    import numpy as np
+
     internal = (2, 1) if relabeled else (1, 2)  # of the caller's phases 1 and 2
     rows = []
     moduli = {
@@ -360,7 +362,8 @@ def _verify_checks(
     finite, n = math.isfinite(2.0 * span), TABLE_AGREEMENT_SAMPLES
     targets = (*(f"phase{phase}" for phase in internal), "max")
     if finite:
-        samples = [-span + (2.0 * span) * (i + 0.5) / n for i in range(n)]
+        sample_array = -span + (2.0 * span) * (np.arange(n) + 0.5) / n
+        samples = sample_array.tolist()
         bounded = _bounded_phases(comp, "max", loading.deltaT)
         first, second = (_phase_rows(entry, samples, D) for entry in bounded)
         rows_of = {"phase1": first, "phase2": second, "max": _max_rows(first, second)}
@@ -372,17 +375,16 @@ def _verify_checks(
                     else f"D = {D:.17g}: the sampled sigma0 range is not finite")
             add("regime-table-agreement", label, math.inf, TOL_IDENTITY, note)
             continue
-        # the samples ascend: each row's run of them (as RegimeTable.row_for picks) follows the last
-        start, worst = 0, 0.0
-        for region in table.rows:
-            stop = bisect_right(samples, region.sigma_hi, start)
-            for s0, row in zip(samples[start:stop], rows_of[target][start:stop]):
-                direct, via_table = row[0], region.bound_at(s0)
-                residual = abs(direct - via_table) / max(direct, abs(via_table), span)
-                if residual > worst or residual != residual:  # a nan stays
-                    worst = residual
-            start = stop
-        add("regime-table-agreement", label, worst, TOL_IDENTITY)
+        # the samples ascend: each row evaluates its run of them (as RegimeTable.row_for
+        # picks) as one array; the residuals are the scalar formula's, and a nan stays
+        direct, via, start = np.array([row[0] for row in rows_of[target]]), np.empty(n), 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for region in table.rows:
+                stop = bisect_right(samples, region.sigma_hi, start)
+                via[start:stop] = region.bound_at(sample_array[start:stop])
+                start = stop
+            residual = np.abs(direct - via) / np.maximum(np.maximum(direct, np.abs(via)), span)
+        add("regime-table-agreement", label, float(np.max(residual)), TOL_IDENTITY)
 
     names = ("check", "orientation", "residual", "tolerance", "status", "note")
     return dict(zip(names, zip(*rows)))

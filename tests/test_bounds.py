@@ -573,6 +573,30 @@ class TestRegimeTable:
                         with pytest.raises(ValueError):
                             lookup(bad)
 
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_row_bound_at_on_an_array_equals_the_scalar_rows(self, rng, ordering):
+        # verify evaluates each row on its run of samples as one array: the
+        # same IEEE operations per element, including signed zeros,
+        # infinities, nan, the row's own breakpoints, overflow and Zero rows
+        branches = set()
+        for _ in range(5):
+            comp = random_composite(rng, ordering)
+            d = float(rng.uniform(0.5, 3.0))
+            for deltaT in (d, 0.0, -d):
+                for target in ("phase1", "phase2", "max"):
+                    table = regime_table(comp, deltaT, target)
+                    for row in table.rows:
+                        xs = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
+                              1.7e308, -1.7e308, 5e-324, row.sigma_lo, row.sigma_hi,
+                              *table.breakpoints, *rng.uniform(-20.0, 20.0, 20).tolist()]
+                        got = np.empty(len(xs))
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            got[:] = row.bound_at(np.array(xs))
+                        expected = [row.bound_at(x).hex() for x in xs]
+                        assert [float(v).hex() for v in got] == expected, (target, row)
+                        branches.add(row.branch)
+        assert "Zero" in branches and len(branches) > 1
+
 
 class TestBranchContinuityInLoading:
     def test_bound_continuous_in_sigma0_and_deltaT(self, rng):

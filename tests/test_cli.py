@@ -392,6 +392,21 @@ class TestVerify:
         assert run(capsys, "verify", write_config(tmp_path, PSTAR))[0] == 0
         assert [n for n in passes if n > 5] == [verify.TABLE_AGREEMENT_SAMPLES] * 2
 
+    def test_one_row_evaluation_per_table_row_over_its_samples(self, tmp_path, capsys, monkeypatch):
+        # each regime-table row evaluates its whole run of samples as one array
+        comp, _ = build_composite(
+            PhaseProperties(**PSTAR["phase1"]), PhaseProperties(**PSTAR["phase2"]), PSTAR["theta1"]
+        )
+        deltaT = PSTAR["loading"]["deltaT"]
+        expected = sum(len(regime_table(comp, deltaT, t).rows) for t in ("phase1", "phase2", "max"))
+        calls, bound_at = [], bounds.RegimeRow.bound_at
+        monkeypatch.setattr(
+            bounds.RegimeRow, "bound_at",
+            lambda row, sigma0: calls.append(type(sigma0)) or bound_at(row, sigma0),
+        )
+        assert run(capsys, "verify", write_config(tmp_path, PSTAR))[0] == 0
+        assert calls == [np.ndarray] * expected
+
     def test_verify_grid_too_small_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
         code, _, err = run(capsys, "verify", cfg, "--grid-n", "4")
@@ -1140,6 +1155,16 @@ class TestVerifyTableAgreement:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 self.assert_residuals_equal_scalar_loop(capsys, cfg, comp, sigma0, deltaT)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_COMPOSITES))
+    def test_checks_raise_no_warning_outside_the_cli(self, name):
+        # called directly, without the np.errstate that cmd_verify runs them under
+        phase1, phase2, theta1 = EDGE_COMPOSITES[name]
+        comp, relabeled = build_composite(PhaseProperties(**phase1), PhaseProperties(**phase2), theta1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma0, deltaT in [(0.3, 1.0), (-1.0, 0.0), (1.0, -1.5)]:
+                verify._verify_checks(comp, Loading(sigma0, deltaT), 64, relabeled)
 
     def test_a_nan_sample_keeps_the_residual_nan(self, monkeypatch):
         # one nan sample in each phase's pass over the 200, with 0 residuals

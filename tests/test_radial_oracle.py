@@ -22,7 +22,7 @@ from thermobounds import (
     thermal_coefficients,
 )
 from thermobounds.bounds import affine_abs_min
-from thermobounds.radial_oracle import _solve_tridiagonal
+from thermobounds.radial_oracle import RadialGrid, _solve_tridiagonal
 from test_coated_sphere import homogeneous_config
 
 SQRT3 = math.sqrt(3.0)
@@ -90,6 +90,19 @@ class TestGrid:
                 grid = make_radial_grid(CoatedSphereConfig(CANONICAL, core), n)
                 expected = np.diff(np.concatenate(([0.0], grid.nodes)) ** 3)
                 assert grid.volume_weights.tobytes() == expected.tobytes()
+
+    def test_the_constructor_accepts_each_built_grid(self):
+        # make_radial_grid skips the constructor's checks, which its own imply
+        for theta1 in (0.05, 0.5, 0.95):
+            comp, _ = build_composite(CANONICAL.phase1, CANONICAL.phase2, theta1)
+            for core in (1, 2):
+                for n in (16, 17, 255, 4096):
+                    grid = make_radial_grid(CoatedSphereConfig(comp, core), n)
+                    rebuilt = RadialGrid(grid.nodes, grid.interface_index)
+                    assert type(grid) is RadialGrid
+                    assert rebuilt.interface_index == grid.interface_index
+                    assert rebuilt.nodes.tobytes() == grid.nodes.tobytes()
+                    assert rebuilt.volume_weights.tobytes() == grid.volume_weights.tobytes()
 
     def test_extreme_fractions_keep_cells_on_both_sides(self, rng):
         for theta1 in (0.05, 0.95):
@@ -342,6 +355,18 @@ class TestCompareFields:
         a2 = sample_analytic_fields(CORE1, CANONICAL_LOADING, g2)
         with pytest.raises(ValueError):
             compare_fields(a1, a2)
+
+    def test_equal_grid_objects_compare_and_unequal_nodes_raise(self):
+        grid = make_radial_grid(CORE1, 64)
+        ana = sample_analytic_fields(CORE1, CANONICAL_LOADING, grid)
+        fv = solve_radial_bvp(CORE1, CANONICAL_LOADING, grid)
+        twin = make_radial_grid(CORE1, 64)
+        assert twin is not grid
+        assert compare_fields(ana, fv._replace(grid=twin)) == compare_fields(ana, fv) > 0.0
+        nodes = grid.nodes.copy()
+        nodes[0] *= 0.5
+        with pytest.raises(ValueError):
+            compare_fields(ana, fv._replace(grid=RadialGrid(nodes, grid.interface_index)))
 
 
 class TestAnalyticFields:
