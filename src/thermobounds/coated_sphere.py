@@ -40,10 +40,11 @@ Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
 effective constant is evaluated once, by its closed form: K* is Hashin's
 extremal modulus and H* the outer traction of the thermal solution.  The
 3x3 interface system the closed forms solve is kept in ``_solve_shell``,
-solved exactly over the integers and rounded once per coefficient and per
-region trace: the route to the region stresses that does not read the
-table.  Only :mod:`thermobounds.verify`, which holds every other
-independent route and check, calls it.
+solved exactly over the integers for all three unit loads of a sphere at
+once (unit outer traction; unit deltaT, traction-free and clamped) and
+rounded once per coefficient and per region trace: the route to the region
+stresses that does not read the table.  Only :mod:`thermobounds.verify`,
+which holds every other independent route and check, calls it.
 """
 
 from __future__ import annotations
@@ -147,54 +148,55 @@ _ShellSolution = namedtuple(
 )
 
 
-def _solve_shell(
-    config: CoatedSphereConfig,
-    eigen_on: bool,
-    outer: str,
-    traction: float = 0.0,
-) -> _ShellSolution:
-    """Solve the 3x3 interface/boundary system for (g, A, B) exactly.
+def _solve_shell(config: CoatedSphereConfig) -> tuple[_ShellSolution, ...]:
+    """Solve the 3x3 interface/boundary system for (g, A, B) exactly, per unit load.
 
-    Rows: displacement continuity at r=a times a^2, radial traction
-    continuity at r=a times a^3, and the outer condition (clamped
-    ``u(1) = A + B = 0`` or prescribed traction ``sigma_rr(1)``).  The
-    eigenstrain (at unit temperature change) enters only the traction rows.
-    Each entry is then a sum of products of float inputs, so one power of
-    two ``s`` that makes every input an integer makes every row integer, and
-    Cramer's rule gives each coefficient, and the region stress traces
-    ``9 kc (g - hc)`` and ``9 kt (A - ht)``, as one quotient of integers,
-    rounded once; one beyond the float range is an infinity of its sign.
+    Returns the solutions per unit outer traction with no eigenstrain, per
+    unit deltaT with a traction-free surface, and per unit deltaT clamped
+    (``u(1) = A + B = 0``), in that order.  Rows: displacement continuity at
+    r=a times a^2, radial traction continuity at r=a times a^3, and the
+    outer condition (prescribed traction ``sigma_rr(1)``, or clamped).  The
+    eigenstrain (at unit temperature change) enters only the right-hand
+    sides of the traction rows.  Each entry is a sum of products of float
+    inputs, so one power of two ``s`` that makes every input an integer
+    makes every row integer, and Cramer's rule gives each coefficient, and
+    the region stress traces ``9 kc (g - hc)`` and ``9 kt (A - ht)``, as one
+    quotient of integers, rounded once; one beyond the float range is an
+    infinity of its sign.
 
     This is the independent route to the closed forms of
     :func:`thermal_coefficients` and :func:`mechanical_coefficients` and to
     the endpoint table's region stresses; only :mod:`thermobounds.verify` calls it.
     """
     core, coat = config.core, config.coating
-    hc, ht = (core.h, coat.h) if eigen_on else (0.0, 0.0)
-    inputs = (config.core_radius(), core.k, coat.k, coat.mu, hc, ht, traction)
+    inputs = (config.core_radius(), core.k, coat.k, coat.mu, core.h, coat.h)
     ratios = [x.as_integer_ratio() for x in inputs]
     s = max(d for _, d in ratios)  # every denominator is a power of two
-    a, kc, kt, mut, hc, ht, traction = (n * (s // d) for n, d in ratios)
+    a, kc, kt, mut, hc, ht = (n * (s // d) for n, d in ratios)
     a3 = a**3
     # row i is (m_i1, m_i2, m_i3 | r_i), each scaled by a power of s; r_1 = m_31 = 0
     m11, m12, m13 = a3, -a3, -(s**3)
     m21, m22, m23 = 3 * kc * a3 * s, -3 * kt * a3 * s, 4 * mut * s**4
+    minor23 = m12 * m23 - m13 * m22  # rows 1 and 2, columns 2 and 3
+
+    def solve(m32, m33, r2, r3, hc, ht):
+        minor13 = m12 * m33 - m13 * m32  # rows 1 and 3, columns 2 and 3
+        det = m11 * (m22 * m33 - m23 * m32) - m21 * minor13
+        g = r3 * minor23 - r2 * minor13  # g, A and B times det
+        A = m11 * (r2 * m33 - m23 * r3) + m21 * m13 * r3
+        B = m11 * (m22 * r3 - r2 * m32) - m21 * m12 * r3
+        # 9 k (g - h) times s^2 det, as k and h are s times theirs
+        traces = 9 * kc * (g * s - hc * det), 9 * kt * (A * s - ht * det)
+        return _ShellSolution(
+            *(_quotient(x, det) for x in (g, A, B)), *(_quotient(x, s * s * det) for x in traces)
+        )
+
     r2 = 3 * a3 * (kc * hc - kt * ht)
-    if outer == "clamped":
-        m32, m33, r3 = 1, 1, 0
-    elif outer == "traction":
-        m32, m33, r3 = 3 * kt * s, -4 * mut * s, traction * s + 3 * kt * ht
-    else:
-        raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
-    minor13 = m12 * m33 - m13 * m32  # rows 1 and 3, columns 2 and 3
-    det = m11 * (m22 * m33 - m23 * m32) - m21 * minor13
-    g = r3 * (m12 * m23 - m13 * m22) - r2 * minor13  # g, A and B times det
-    A = m11 * (r2 * m33 - m23 * r3) + m21 * m13 * r3
-    B = m11 * (m22 * r3 - r2 * m32) - m21 * m12 * r3
-    # 9 k (g - h) times s^2 det, as k and h are s times theirs
-    traces = 9 * kc * (g * s - hc * det), 9 * kt * (A * s - ht * det)
-    return _ShellSolution(
-        *(_quotient(x, det) for x in (g, A, B)), *(_quotient(x, s * s * det) for x in traces)
+    m32, m33 = 3 * kt * s, -4 * mut * s  # the traction row, s^2 times its moduli terms
+    return (
+        solve(m32, m33, 0, s * s, 0, 0),
+        solve(m32, m33, r2, 3 * kt * ht, hc, ht),
+        solve(1, 1, r2, 0, hc, ht),
     )
 
 

@@ -2,9 +2,10 @@
 
 The library evaluates each quantity once, by its closed form.  This module
 recomputes them by other routes (the 3x3 interface system solved exactly by
-``coated_sphere._solve_shell``, also for the region stresses; the volume
-average of the stress; the finite-volume oracle), and :func:`_verify_checks`
-runs every check on one composite as report rows.
+``coated_sphere._solve_shell``, once per sphere for its three unit loads and
+also for the region stresses; the volume average of the stress; the
+finite-volume oracle), and :func:`_verify_checks` runs every check on one
+composite as report rows.
 """
 
 from __future__ import annotations
@@ -190,25 +191,19 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
 def _unit_solves(comp: ValidatedComposite) -> dict:
     """The exact shell solutions per unit load, by core phase.
 
-    ``solves[core]`` is the pair of ``_solve_shell`` solutions of the sphere
-    with that core: at unit outer traction, then at unit deltaT with a
-    traction-free surface.  Their region traces are exact, rounded once, and
-    independent of the endpoint table the bounds read.
+    ``solves[core]`` is the triple of ``_solve_shell`` solutions of the
+    sphere with that core: at unit outer traction, at unit deltaT with a
+    traction-free surface, and at unit deltaT clamped.  Their region traces
+    are exact, rounded once, and independent of the endpoint table the
+    bounds read.
     """
-    solves = {}
-    for core in (1, 2):
-        sphere = CoatedSphereConfig(composite=comp, core_phase=core)
-        solves[core] = (
-            _solve_shell(sphere, False, "traction", 1.0),
-            _solve_shell(sphere, True, "traction", 0.0),
-        )
-    return solves
+    return {core: _solve_shell(CoatedSphereConfig(comp, core)) for core in (1, 2)}
 
 
 def _attainment_residual(solves, sigma0, deltaT, value, phase, core) -> float:
     """Relative gap between a bound and the moment, by :func:`_unit_solves`, of its assemblage."""
-    per_sigma0, per_deltaT = (s.tr_core if phase == core else s.tr_coating for s in solves[core])
-    trace = per_sigma0 * sigma0 + per_deltaT * deltaT
+    by_sigma0, by_deltaT = (s.tr_core if phase == core else s.tr_coating for s in solves[core][:2])
+    trace = by_sigma0 * sigma0 + by_deltaT * deltaT
     scale = max(value, abs(sigma0) + abs(deltaT), 1e-300)
     return abs(abs(trace) / SQRT3 - value) / scale
 
@@ -216,12 +211,13 @@ def _attainment_residual(solves, sigma0, deltaT, value, phase, core) -> float:
 def _oracle_field_error(sphere, loading, grid, analytic, grid_n) -> tuple[float, str]:
     """Field error of the finite-volume oracle on ``grid`` (``grid_n`` nodes) and its note.
 
-    Below the reference node count a failing error is extrapolated to
+    Below the reference node count a failing finite error is extrapolated to
     ORACLE_REFERENCE_N with the convergence order measured against a grid of
-    half the size.  Raises SingularSystem or NonConvergent from the solves.
+    half the size; a non-finite one is returned as it is.  Raises
+    SingularSystem or NonConvergent from the solves.
     """
     err = compare_fields(analytic, solve_radial_bvp(sphere, loading, grid))
-    if grid_n >= ORACLE_REFERENCE_N or err <= TOL_ORACLE:
+    if grid_n >= ORACLE_REFERENCE_N or err <= TOL_ORACLE or not math.isfinite(err):
         return err, ""
     half = make_radial_grid(sphere, max(16, grid_n // 2))
     err_half = compare_fields(
@@ -285,7 +281,7 @@ def _verify_checks(
         add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY)
         add("thermal-outer-clamped", tag, r_o, TOL_IDENTITY)
 
-        solved = _solve_shell(sphere, eigen_on=True, outer="clamped")
+        solved = solves[core][2]
         scale = max(abs(solved.coat_linear), abs(th.coat_linear), 1e-300)
         disc = max(
             abs(solved.core_linear - th.core_linear),

@@ -223,7 +223,7 @@ def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
                 residual.append(None)
                 continue
             s0, dT = sigma_values[i], delta_values[j]
-            by_sigma0, by_deltaT = solves[c]
+            by_sigma0, by_deltaT, _ = solves[c]
             if ph == c:
                 trace = by_sigma0.tr_core * s0 + by_deltaT.tr_core * dT
             else:
@@ -368,16 +368,16 @@ class TestVerify:
         assert len(oracle_rows) == 2
         assert all("discretization-limited" in r["note"] for r in oracle_rows)
 
-    def test_one_exact_solve_per_unit_load(self, tmp_path, capsys, monkeypatch):
-        # per core, the clamped thermal solve and the unit-traction and
-        # unit-deltaT solves that the bulk-modulus and attainment rows share
+    def test_one_exact_solve_per_sphere(self, tmp_path, capsys, monkeypatch):
+        # per core, one solve gives the unit-traction, unit-deltaT and clamped
+        # thermal solutions that the attainment, bulk-modulus and closed-form rows share
         calls = []
         solve = verify._solve_shell
         monkeypatch.setattr(
             verify, "_solve_shell", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs)
         )
         assert run(capsys, "verify", write_config(tmp_path, PSTAR))[0] == 0
-        assert len(calls) == 6
+        assert len(calls) == 2
 
     def test_one_kernel_pass_per_phase_over_the_table_samples(self, tmp_path, capsys, monkeypatch):
         # the three regime tables share each phase's rows over the 200
@@ -470,6 +470,28 @@ class TestVerify:
         # a zero pivot in the FV solve fails the row instead of raising
         monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
         assert oracle_row("no FV solution: ") == math.inf
+
+    @pytest.mark.parametrize("grid_n", ["256", "4096"])
+    def test_non_finite_analytic_field_fails_the_oracle_row(self, tmp_path, capsys, grid_n):
+        # moduli 300 decades apart: the analytic fields overflow while the FV
+        # solution stays finite; on core 2 both field errors are nan, which a
+        # max() that drops a nan reads as 0
+        doc = {
+            "phase1": {"k": 2.1614644222756487e-124, "mu": 4.573142948893027e+223,
+                       "h": 0.4581301141272345},
+            "phase2": {"k": 1.88422328481602e+161, "mu": 3.266154148503649e-274,
+                       "h": -1.8202390260158552},
+            "theta1": 0.6965964297036646,
+            "loading": {"sigma0": -3.3809170796198496, "deltaT": 2.2854318434841483},
+        }
+        code, out, _ = run(capsys, "verify", write_config(tmp_path, doc), "--grid-n", grid_n)
+        assert code == 1
+        for core in ("core1", "core2"):
+            (row,) = [r for r in parse_csv(out)
+                      if r["check"] == "oracle-field-agreement" and r["orientation"] == core]
+            assert not math.isfinite(float(row["residual"])), row
+            assert row["status"] == "fail"
+            assert row["note"] == "the residual is not finite: a compared value overflowed"
 
 
     def test_huge_moduli_give_a_complete_report(self, tmp_path, capsys):
@@ -1277,6 +1299,27 @@ def test_cli_import_loads_every_layer_module():
         "sys.exit(missing)"
     )
     proc = _run_fresh(code, str(Path(__file__).resolve().parents[1] / "bench"))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_verify_makes_one_shell_solve_per_sphere():
+    # the benchmark's shell_solves_per_op counts the wrapped
+    # coated_sphere._solve_shell: two per canonical verify pass
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracer import Tracer\n"
+        "from thermobounds.cli import main\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.begin_op(0)\n"
+        "code = main(['verify', sys.argv[2]])\n"
+        "tracer.end_op()\n"
+        "calls = tracer.summary()['coated_sphere._solve_shell']['calls']\n"
+        "sys.exit(code or (f'{calls} shell solves' if calls != 2 else 0))"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = _run_fresh(code, str(root / "bench"), str(root / "tests" / "golden" / "canonical.json"))
     assert proc.returncode == 0, proc.stderr
 
 

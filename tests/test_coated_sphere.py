@@ -118,18 +118,13 @@ class TestThermalCoefficients:
             s0 = float(rng.uniform(-5.0, 5.0))
             for core in (1, 2):
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
+                per_sigma0, _, clamped = coated_sphere._solve_shell(cfg)
                 for solved, closed in (
-                    (coated_sphere._solve_shell(cfg, eigen_on=True, outer="clamped"),
-                     thermal_coefficients(cfg)),
-                    (coated_sphere._solve_shell(
-                        cfg, eigen_on=False, outer="traction", traction=s0),
-                     mechanical_coefficients(cfg, s0)),
+                    (clamped[:3], thermal_coefficients(cfg)),
+                    ([s0 * x for x in per_sigma0[:3]], mechanical_coefficients(cfg, s0)),
                 ):
                     scale = max(abs(closed.coat_linear), 1e-300)
-                    for x, y in zip(
-                        (solved.core_linear, solved.coat_linear, solved.coat_inverse_square),
-                        (closed.core_linear, closed.coat_linear, closed.coat_inverse_square),
-                    ):
+                    for x, y in zip(solved, closed):
                         assert abs(x - y) <= 1e-12 * scale
 
     def test_matches_printed_material_indexed_form_core2(self, rng):
@@ -419,9 +414,9 @@ def fraction_shell_solve(cfg, eigen_on, outer, traction=0.0):
     return tuple(map(rounded, (g, A, B, 9 * kc * (g - hc), 9 * kt * (A - ht))))
 
 
-#: (eigen_on, outer, traction) of the clamped thermal, unit-traction and
-#: traction-free thermal solves verify makes
-VERIFY_SOLVES = ((True, "clamped"), (False, "traction", 1.0), (True, "traction", 0.0))
+#: (eigen_on, outer, traction) of the unit-traction, traction-free thermal and
+#: clamped thermal solutions, in the order ``_solve_shell`` returns them
+VERIFY_SOLVES = ((False, "traction", 1.0), (True, "traction", 0.0), (True, "clamped"))
 
 
 class TestExactShellSolve:
@@ -433,7 +428,7 @@ class TestExactShellSolve:
         count = 0
         while count < 200:
             k1, k2, mu1, mu2 = (float(x) for x in 10.0 ** rng.uniform(-150.0, 150.0, 4))
-            h1, h2, s0 = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
+            h1, h2, _ = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
             theta1 = float(rng.uniform(1e-9, 1.0 - 1e-9))
             try:
                 comp, _ = build_composite(
@@ -444,8 +439,7 @@ class TestExactShellSolve:
             count += 1
             for core in (1, 2):
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
-                for args in (*VERIFY_SOLVES, (False, "traction", s0)):
-                    got = coated_sphere._solve_shell(cfg, *args)
+                for got, args in zip(coated_sphere._solve_shell(cfg), VERIFY_SOLVES):
                     assert tuple(got) == fraction_shell_solve(cfg, *args), (comp, core, args)
 
     def test_traces_equal_rounded_fraction_solve(self, rng):
@@ -455,8 +449,7 @@ class TestExactShellSolve:
         for comp in composites:
             for core in (1, 2):
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
-                for args in VERIFY_SOLVES:
-                    got = coated_sphere._solve_shell(cfg, *args)
+                for got, args in zip(coated_sphere._solve_shell(cfg), VERIFY_SOLVES):
                     assert tuple(got) == fraction_shell_solve(cfg, *args), (comp, core, args)
 
     def test_out_of_range_coefficient_is_an_infinity(self):
@@ -466,14 +459,10 @@ class TestExactShellSolve:
             PhaseProperties(k=2.0, mu=1.0, h=0.0), PhaseProperties(k=5e-324, mu=5e-324, h=1.0), 0.5
         )
         cfg = CoatedSphereConfig(composite=comp, core_phase=1)
-        got = coated_sphere._solve_shell(cfg, eigen_on=False, outer="traction", traction=1.0)
+        got = coated_sphere._solve_shell(cfg)[0]
         expected = fraction_shell_solve(cfg, False, "traction", 1.0)
         assert tuple(got) == expected
         assert expected[1] == math.inf
-
-    def test_outer_condition_is_checked(self):
-        with pytest.raises(ValueError, match="outer must be"):
-            coated_sphere._solve_shell(CORE1, eigen_on=True, outer="free")
 
 
 class TestClosedFormPath:

@@ -13,6 +13,7 @@ from thermobounds import (
     PhaseProperties,
     build_composite,
     compare_fields,
+    effective_thermal_stress,
     interval_scan_min,
     make_radial_grid,
     radial_oracle,
@@ -158,23 +159,19 @@ class TestSolver:
             assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
 
     def test_clamped_thermal_matches_shell_coefficients(self, rng):
+        # an outer traction of H* deltaT holds u(1) = 0: the clamped thermal field
         for _ in range(10):
             comp = random_composite(rng)
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
             dT = float(rng.uniform(-2, 2))
             grid = make_radial_grid(cfg, 2048)
-            sol = solve_radial_bvp(cfg, Loading(0.0, dT), grid, outer="clamped")
+            sol = solve_radial_bvp(cfg, Loading(effective_thermal_stress(cfg) * dT, dT), grid)
             th = thermal_coefficients(cfg)
             tr_core = 9 * cfg.core.k * (th.core_linear - cfg.core.h) * dT
             tr_coat = 9 * cfg.coating.k * (th.coat_linear - cfg.coating.h) * dT
             scale = max(abs(tr_core), abs(tr_coat), 1e-300)
             assert abs(sol.tr_sigma_core - tr_core) <= 1e-5 * scale
             assert abs(sol.tr_sigma_coating - tr_coat) <= 1e-5 * scale
-
-    def test_clamped_with_nonzero_sigma0_rejected(self):
-        grid = make_radial_grid(CORE1, 64)
-        with pytest.raises(ValueError):
-            solve_radial_bvp(CORE1, Loading(1.0, 1.0), grid, outer="clamped")
 
     def test_interface_traction_jump_shrinks(self):
         jumps = []
@@ -347,6 +344,20 @@ class TestCompareFields:
         )
         expected_ratio = (4096 / 64) ** 2
         assert err_c / err_f == pytest.approx(expected_ratio, rel=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["u", "cell_tr_sigma"])
+    def test_a_non_finite_value_in_either_field_is_not_finite(self, bad, field):
+        # max(err, nan) keeps err: a nan must not read as the finite part's error
+        grid = make_radial_grid(CORE1, 64)
+        ana = sample_analytic_fields(CORE1, CANONICAL_LOADING, grid)
+        for which in ("analytic", "numeric"):
+            values = getattr(ana, field).copy()
+            values[3] = bad
+            broken = ana._replace(**{field: values})
+            pair = (broken, ana) if which == "analytic" else (ana, broken)
+            err = compare_fields(*pair)
+            assert not math.isfinite(err), (which, err)
 
     def test_grid_mismatch_rejected(self):
         g1 = make_radial_grid(CORE1, 64)
