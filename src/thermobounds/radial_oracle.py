@@ -12,9 +12,10 @@ Three independent verification tools live here:
 None of them reuse the closed-form shell solution, so agreement with the
 analytic constructions is a genuine cross-check.  The finite-volume scheme
 is second-order accurate in the grid spacing; linear-in-r displacement
-fields (uniform hydrostatic states) are reproduced exactly.  The other side
-of that comparison, the closed-form fields sampled on the same grid, is
-:func:`sample_analytic_fields`.
+fields (uniform hydrostatic states) are reproduced exactly.  A solution
+holds only what is compared or averaged, none of it tied to uniform node
+spacing.  The other side of that comparison, the closed-form fields sampled
+on the same grid, is :func:`sample_analytic_fields`.
 
 No other module of the package computes with arrays.  Every function here
 imports numpy where it builds them, so importing this module, as ``import
@@ -115,26 +116,18 @@ class RadialSolution(NamedTuple):
 
     ``u`` holds nodal displacements aligned with ``grid.nodes`` (u(0) = 0 is
     implicit).  ``cell_tr_sigma`` samples the stress trace at cell midpoints,
-    where the material is unambiguous; ``cell_phase`` is the material index
-    (1 or 2) of each cell.  ``tr_sigma_core``/``tr_sigma_coating`` are
-    volume-weighted means of the stress trace over each region, and
-    ``sigma_rr_jump`` is the one-sided estimate of the radial traction
-    mismatch at the interface (zero up to discretization error).
+    where the material is unambiguous.  ``core_phase`` is the material index
+    (1 or 2) of the cells up to ``grid.interface_index``; the other phase
+    fills the rest.  ``tr_sigma_core``/``tr_sigma_coating`` are
+    volume-weighted means of the stress trace over each region.
     """
 
     grid: RadialGrid
     u: np.ndarray
     cell_tr_sigma: np.ndarray
-    cell_phase: np.ndarray
+    core_phase: int
     tr_sigma_core: float
     tr_sigma_coating: float
-    sigma_rr_jump: float
-
-
-def _cell_phase(config: CoatedSphereConfig, grid: RadialGrid) -> np.ndarray:
-    import numpy as np
-
-    return np.where(grid.core_cells, config.core_phase, config.coating_phase)
 
 
 def _solve_tridiagonal(lower, upper, row_sum, rhs) -> np.ndarray:
@@ -199,7 +192,8 @@ def solve_radial_bvp(
     2 r sigma_tt over the dual cell, evaluated per half-cell so material
     jumps at the interface node are respected.  With u(0) = 0 known, the
     ``grid.n`` nodal displacements solve a tridiagonal system by cyclic
-    reduction.
+    reduction.  The stress trace follows at the cell midpoints, with its
+    volume-weighted mean over each region; any node spacing will do.
     """
     import numpy as np
 
@@ -248,25 +242,13 @@ def solve_radial_bvp(
     tr_core = float(tr_sig[:nc] @ w[:nc] / w[:nc].sum())
     tr_coat = float(tr_sig[nc:] @ w[nc:] / w[nc:].sum())
 
-    # one-sided (second-order) radial-traction estimates at the interface;
-    # node spacing is uniform within each region by construction
-    j = nc  # index of the interface node in u0
-    a_r = r[j]
-    du_minus = (3.0 * u0[j] - 4.0 * u0[j - 1] + u0[j - 2]) / (2.0 * h[j - 1])
-    du_plus = (-3.0 * u0[j] + 4.0 * u0[j + 1] - u0[j + 2]) / (2.0 * h[j])
-    srr_minus, srr_plus = (
-        pwave[c] * du + 2.0 * lam[c] * u0[j] / a_r - s3[c]
-        for c, du in ((j - 1, du_minus), (j, du_plus))
-    )
-
     return RadialSolution(
         grid=grid,
         u=u,
         cell_tr_sigma=tr_sig,
-        cell_phase=_cell_phase(config, grid),
+        core_phase=config.core_phase,
         tr_sigma_core=tr_core,
         tr_sigma_coating=tr_coat,
-        sigma_rr_jump=float(abs(srr_plus - srr_minus)),
     )
 
 
@@ -300,10 +282,9 @@ def sample_analytic_fields(
         grid=grid,
         u=u,
         cell_tr_sigma=np.where(core, fields.tr_sigma_core, fields.tr_sigma_coating),
-        cell_phase=_cell_phase(config, grid),
+        core_phase=config.core_phase,
         tr_sigma_core=fields.tr_sigma_core,
         tr_sigma_coating=fields.tr_sigma_coating,
-        sigma_rr_jump=0.0,
     )
 
 
@@ -340,10 +321,10 @@ def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[floa
     import numpy as np
 
     # a phase's cells are one run: the core's up to the interface node, or the coating's
-    cell_phase, nc = solution.cell_phase, solution.grid.interface_index + 1
-    if phase not in (cell_phase[0], cell_phase[-1]):
+    if phase not in (1, 2):
         raise ValueError(f"no cells of phase {phase} in solution")
-    run = slice(nc) if phase == cell_phase[0] else slice(nc, None)
+    nc = solution.grid.interface_index + 1
+    run = slice(nc) if phase == solution.core_phase else slice(nc, None)
     w = solution.grid.volume_weights[run]
     vals = np.abs(solution.cell_tr_sigma[run]) / SQRT3
     total = w.sum()  # a numpy float: a zero total gives nan or inf, not ZeroDivisionError
