@@ -313,11 +313,11 @@ ENDPOINT_CODES = (Endpoint.LOWER, Endpoint.UPPER, Endpoint.INTERIOR)
 _LOWER, _UPPER, _INTERIOR = range(3)
 _ZERO = BRANCH_IDS.index("Zero")
 
-#: By endpoint: its sphere's core phase (Li is the core of the phase-i-core sphere, Mi
-#: the coating of the other), and its branch in BRANCH_IDS right and left of where v = 0.
+#: By endpoint: its sphere's core phase, by EndpointTable.regions on a table of the line
+#: names, and its branch in BRANCH_IDS right and left of where v = 0.
 _END_CODES = {
     symbol: (core, *(BRANCH_IDS.index(f"{symbol[0]}-branch-{side}") for side in ("right", "left")))
-    for symbol, core in {"L1": 1, "M2": 1, "L2": 2, "M1": 2}.items()
+    for core in (1, 2) for symbol in EndpointTable(*EndpointTable._fields).regions(core)
 }
 #: Attaining assemblage by core phase (0 for none) and max-field winner (None for a phase).
 _ATTAINING = {
@@ -542,8 +542,7 @@ def regime_table(c: ValidatedComposite, deltaT: float, target: str) -> RegimeTab
     edges = [-math.inf, *bps, math.inf]
     found, rows = _rows(bounded, _representatives(bps), D), []
     for (_, _, _, phase, core, branch), lo, hi in zip(found, edges[:-1], edges[1:]):
-        # the attaining line is Li on the phase-i core, Mi on its coating
-        line = getattr(c.endpoints, f"{'L' if phase == core else 'M'}{phase}") if core else None
+        line = c.endpoints.regions(core)[phase != core] if core else None
         t, offset = (line.t, line.e * deltaT) if line else (None, None)
         rows.append(
             RegimeRow(

@@ -61,7 +61,8 @@ from . import __version__
 from .bounds import (
     BRANCH_IDS,
     ENDPOINT_CODES,
-    MicrostructureKind,
+    _ATTAINING,
+    Microstructure,
     bound_grid,
     regime_table,
 )
@@ -70,9 +71,11 @@ from .materials import (
     Loading,
     PhaseProperties,
     ValidatedComposite,
+    _swap_phase,
     build_composite,
     check_exponent,
 )
+from .radial_oracle import MIN_NODES
 from .verify import (
     ORACLE_REFERENCE_N,
     _attainment_residual,
@@ -292,16 +295,6 @@ def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
     )
 
 
-def _swap_phase(phase: int | None, relabeled: bool) -> int | None:
-    """Map a phase number between the caller's and the internal numbering.
-
-    The relabeling map is an involution, so this serves both directions.
-    """
-    if phase is None:
-        return None
-    return 3 - phase if relabeled else phase
-
-
 def _internal_target(flag: str, relabeled: bool) -> str:
     """The bound target of a --phase or --target flag, in the internal numbering."""
     return "max" if flag == "max" else f"phase{_swap_phase(int(flag[-1]), relabeled)}"
@@ -319,6 +312,12 @@ def _axis_values(axis: float | SweepRange) -> list[float]:
     return axis.values() if isinstance(axis, SweepRange) else [axis]
 
 
+def _attaining(m: Microstructure, relabeled: bool) -> tuple:
+    """The columns microstructure to relabeled of an assemblage, in the caller's numbering."""
+    phases = (m.core_phase, m.coating_phase, m.max_attaining_phase)
+    return (m.kind.value, *(_swap_phase(phase, relabeled) for phase in phases), relabeled)
+
+
 def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = False) -> dict:
     """Bound report columns over the sigma0 x deltaT grid in sigma0-major order.
 
@@ -332,16 +331,12 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
     sigma_values, delta_values = _axis_values(cfg.sigma0), _axis_values(cfg.deltaT)
     ns, nd = len(sigma_values), len(delta_values)
     b = bound_grid(comp, target, sigma_values, delta_values)
-    # indexed by core phase; core 0: the bound is 0 and no assemblage is designated
-    phases = (None, _swap_phase(1, relabeled), _swap_phase(2, relabeled))
 
     def attainment(key) -> tuple:
         """The columns from at_endpoint to relabeled of a row with these codes."""
         endpoint, branch, core, phase = key
-        kind = MicrostructureKind.COATED_SPHERES if core else MicrostructureKind.UNDETERMINED
-        winner = phases[phase] if core and target == "max" else None
-        return (ENDPOINT_CODES[endpoint].value, BRANCH_IDS[branch], kind.value,
-                phases[core], phases[3 - core] if core else None, winner, relabeled)
+        micro = _ATTAINING[core, phase if target == "max" else None]
+        return (ENDPOINT_CODES[endpoint].value, BRANCH_IDS[branch], *_attaining(micro, relabeled))
 
     keys = list(zip(b.endpoint, b.branch, b.core, b.phase))
     attaining = _coded(keys, keys)
@@ -391,24 +386,17 @@ def cmd_table(args) -> int:
         note = f"D = {fmt(table.D)}: the regime table's breakpoints are not finite"
         print(note, file=sys.stderr)
         return 1
-    rows, n = table.rows, len(table.rows)
-    micros = [r.microstructure for r in rows]
+    rows = table.rows
     columns = {
-        "target": [args.target] * n,
-        "deltaT": [deltaT] * n,
-        "D": [table.D] * n,
+        ("target", "deltaT", "D"): Coded(((args.target, deltaT, table.D),), [0] * len(rows)),
         "sigma0_min": [r.sigma_lo for r in rows],
         "sigma0_max": [r.sigma_hi for r in rows],
         "branch": [r.branch for r in rows],
         "endpoint": [r.endpoint_value for r in rows],
         "formula": [_formula_text(r.branch, r.endpoint_value, table.D) for r in rows],
-        "microstructure": [m.kind.value for m in micros],
-        "core_phase": [_swap_phase(m.core_phase, cfg.relabeled) for m in micros],
-        "coating_phase": [_swap_phase(m.coating_phase, cfg.relabeled) for m in micros],
-        "max_attaining_phase": [
-            _swap_phase(m.max_attaining_phase, cfg.relabeled) for m in micros
+        ("microstructure", "core_phase", "coating_phase", "max_attaining_phase", "relabeled"): [
+            _attaining(r.microstructure, cfg.relabeled) for r in rows
         ],
-        "relabeled": [cfg.relabeled] * n,
     }
     emit_rows(columns, args.format, sys.stdout)
     return 0
@@ -418,8 +406,8 @@ def cmd_verify(args) -> int:
     import numpy as np
 
     cfg = load_run_config(args.config)
-    if args.grid_n < 16:
-        raise ConfigError(f"--grid-n must be >= 16, got {args.grid_n}")
+    if args.grid_n < MIN_NODES:
+        raise ConfigError(f"--grid-n must be >= {MIN_NODES}, got {args.grid_n}")
     # a value that overflows fails its rows with a note instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
         checks = _verify_checks(

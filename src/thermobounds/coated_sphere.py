@@ -27,9 +27,9 @@ The hydrostatic part of the stress is constant in each phase (the ``B/r^2``
 displacement term is trace-free in strain), which is what lets these
 configurations attain the moment bounds with equality: each region's
 constant mean stress is one line ``t sigma0 + e deltaT`` of the composite's
-endpoint table (``ValidatedComposite.endpoints``), L1 in the core and M2 in
-the coating of the sphere with a phase-1 core, L2 and M1 in those of the
-sphere with a phase-2 core.  :func:`local_field_constants` and
+endpoint table (``ValidatedComposite.endpoints``), the line that
+:meth:`~thermobounds.materials.EndpointTable.regions` assigns it.
+:func:`local_field_constants` and
 :func:`phase_moment` read their traces ``3 (t sigma0 + e deltaT)`` from
 that table, as the bounds do, and so does the oracle's sampler of the
 analytic fields (:func:`~thermobounds.radial_oracle.sample_analytic_fields`),
@@ -54,7 +54,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .bounds import SQRT3, hs_bulk_moduli
-from .materials import EndpointLine, Loading, PhaseProperties, ValidatedComposite, check_exponent
+from .materials import Loading, PhaseProperties, ValidatedComposite, check_exponent
 
 
 class _SphereFields(NamedTuple):
@@ -301,23 +301,17 @@ def superposed_shell_coefficients(
     )
 
 
-def _region_lines(config: CoatedSphereConfig) -> tuple[EndpointLine, EndpointLine]:
-    """The endpoint-table lines of the core and of the coating."""
-    table = config.composite.endpoints
-    return (table.L1, table.M2) if config.core_phase == 1 else (table.L2, table.M1)
-
-
 def local_field_constants(
     config: CoatedSphereConfig, loading: Loading
 ) -> LocalFieldConstants:
     """Per-phase trace of stress and hydrostatic magnitude under loading.
 
     The trace is constant in each region, ``3 (t sigma0 + e deltaT)`` with
-    the region's line of the endpoint table: L1 in the core and M2 in the
-    coating when phase 1 is the core, L2 and M1 when phase 2 is.
+    the region's line of the endpoint table
+    (:meth:`~thermobounds.materials.EndpointTable.regions`).
     """
     s0, dT = loading.sigma0, loading.deltaT
-    core, coat = _region_lines(config)
+    core, coat = config.composite.endpoints.regions(config.core_phase)
     tr_core = 3.0 * (core.t * s0 + core.e * dT)
     tr_coat = 3.0 * (coat.t * s0 + coat.e * dT)
     return LocalFieldConstants(tr_core, tr_coat, abs(tr_core) / SQRT3, abs(tr_coat) / SQRT3)
@@ -335,7 +329,7 @@ def phase_moment(
     check_exponent(p)
     if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
-    line = _region_lines(config)[phase != config.core_phase]
+    line = config.composite.endpoints.regions(config.core_phase)[phase != config.core_phase]
     return SQRT3 * abs(line.t * loading.sigma0 + line.e * loading.deltaT)
 
 

@@ -99,6 +99,13 @@ class EndpointTable(NamedTuple):
     M1: EndpointLine
     M2: EndpointLine
 
+    def regions(self, core_phase: int) -> tuple[EndpointLine, EndpointLine]:
+        """The core's and the coating's line of the sphere with this core phase.
+
+        Li is the region of phase i when it is the core, Mi when it is the coating.
+        """
+        return (self.L1, self.M2) if core_phase == 1 else (self.L2, self.M1)
+
 
 class _CompositeFields(NamedTuple):
     phase1: PhaseProperties
@@ -166,11 +173,10 @@ def _scaled_moduli(p1: PhaseProperties, p2: PhaseProperties) -> tuple:
 def _endpoint_table(scaled_moduli: tuple, th1: float, th2: float, h_jump: float) -> EndpointTable:
     """The endpoint table, one :class:`EndpointLine` per coated-sphere region.
 
-    From :func:`_scaled_moduli`'s tuple, the fractions and ``h_jump = h2 - h1``:
-    L1 is the core and M2 the coating of the coated sphere with a phase-1
-    core; L2 and M1 those of the sphere with a phase-2 core.  With kk = k1 k2,
-    c_i = 4 mu_i/3, kbar = th1 k1 + th2 k2, d_i = kk + kbar c_i and
-    dh = 3 kk (h2 - h1)::
+    From :func:`_scaled_moduli`'s tuple, the fractions and ``h_jump = h2 - h1``;
+    :meth:`EndpointTable.regions` says which line is which sphere's core or
+    coating.  With kk = k1 k2, c_i = 4 mu_i/3, kbar = th1 k1 + th2 k2,
+    d_i = kk + kbar c_i and dh = 3 kk (h2 - h1)::
 
         L1 = k1 (k2 + c2)/d2      e_L1 =  dh c2 th2/d2
         L2 = k2 (k1 + c1)/d1      e_L2 = -dh c1 th1/d1
@@ -265,3 +271,10 @@ def build_composite(
         )
     ordering = Ordering.WELL_ORDERED if k1 > k2 else Ordering.NON_WELL_ORDERED
     return ValidatedComposite(phase1, phase2, theta1, 1.0 - theta1, ordering), swapped
+
+
+def _swap_phase(phase: int | None, relabeled: bool) -> int | None:
+    """Map a phase number either way between the caller's and the internal numbering."""
+    if phase is None:
+        return None
+    return 3 - phase if relabeled else phase

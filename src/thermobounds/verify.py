@@ -37,8 +37,9 @@ from .coated_sphere import (
     thermal_coefficients,
 )
 from .errors import NonConvergent, SingularSystem
-from .materials import Loading, ValidatedComposite
+from .materials import Loading, ValidatedComposite, _swap_phase
 from .radial_oracle import (
+    MIN_NODES,
     _phase_moments,
     compare_fields,
     make_radial_grid,
@@ -55,20 +56,18 @@ TABLE_AGREEMENT_SAMPLES = 200
 
 
 def interface_residuals(
-    config: CoatedSphereConfig,
-    coeffs: ShellCoefficients,
-    deltaT: float,
-    outer: str,
-    traction: float = 0.0,
+    config: CoatedSphereConfig, coeffs: ShellCoefficients, traction: float | None = None
 ) -> tuple[float, float, float]:
     """Normalized residuals of the three shell conditions for given coefficients.
 
     Returns (displacement continuity at a, radial-traction continuity at a,
     outer condition), each scaled by the magnitude of the terms entering the
     condition so an exact solution gives residuals at roundoff level.
-    ``deltaT`` is the eigenstrain scale the coefficients were solved with
-    (1 for unit-temperature thermal coefficients, 0 for mechanical).
+    ``traction`` names the problem the coefficients solve: None for the
+    thermal one at unit deltaT with a clamped surface, ``u(1) = 0``; a number
+    for the eigenstrain-free one (deltaT = 0) with that outer traction.
     """
+    deltaT = 1.0 if traction is None else 0.0
     a = config.core_radius()
     core, coat = config.core, config.coating
     g, A, B = coeffs.core_linear, coeffs.coat_linear, coeffs.coat_inverse_square
@@ -90,13 +89,11 @@ def interface_residuals(
     )
     r_t = abs(srr_core - srr_coat) / s_t
 
-    if outer == "clamped":
+    if traction is None:
         r_o = abs(A + B) / s_u
-    elif outer == "traction":
+    else:
         srr_b = 3.0 * coat.k * (A - coat.h * deltaT) - 4.0 * coat.mu * B
         r_o = abs(srr_b - traction) / max(s_t, abs(traction))
-    else:
-        raise ValueError(f"outer must be 'clamped' or 'traction', got {outer!r}")
     return r_u, r_t, r_o
 
 
@@ -208,30 +205,30 @@ def _attainment_residual(solves, sigma0, deltaT, value, phase, core) -> float:
     return abs(abs(trace) / SQRT3 - value) / scale
 
 
-def _oracle_field_error(sphere, loading, grid, analytic, grid_n) -> tuple[float, str]:
-    """Field error of the finite-volume oracle on ``grid`` (``grid_n`` nodes) and its note.
+def _oracle_field_error(sphere, loading, grid, analytic) -> tuple[float, str]:
+    """Field error of the finite-volume oracle on ``grid``, of ``grid.n`` nodes, and its note.
 
     Below the reference node count a failing finite error is extrapolated to
     ORACLE_REFERENCE_N with the convergence order measured against a grid of
-    half the size; a non-finite one is returned as it is.  Raises
-    SingularSystem or NonConvergent from the solves.
+    half the size, or of MIN_NODES; a non-finite one is returned as it is.
+    Raises SingularSystem or NonConvergent from the solves.
     """
     err = compare_fields(analytic, solve_radial_bvp(sphere, loading, grid))
-    if grid_n >= ORACLE_REFERENCE_N or err <= TOL_ORACLE or not math.isfinite(err):
+    if grid.n >= ORACLE_REFERENCE_N or err <= TOL_ORACLE or not math.isfinite(err):
         return err, ""
-    half = make_radial_grid(sphere, max(16, grid_n // 2))
+    half = make_radial_grid(sphere, max(MIN_NODES, grid.n // 2))
     err_half = compare_fields(
         sample_analytic_fields(sphere, loading, half),
         solve_radial_bvp(sphere, loading, half),
     )
     if err > 0.0 and err_half > err:
         order = math.log(err_half / err) / math.log(2.0)
-        extrapolated = err * (grid_n / ORACLE_REFERENCE_N) ** order
+        extrapolated = err * (grid.n / ORACLE_REFERENCE_N) ** order
     else:
         order = float("nan")
         extrapolated = err
     return extrapolated, (
-        f"discretization-limited at n={grid_n} (raw {err:.17g}); "
+        f"discretization-limited at n={grid.n} (raw {err:.17g}); "
         f"order {order:.17g} extrapolation to n={ORACLE_REFERENCE_N}"
     )
 
@@ -247,7 +244,7 @@ def _verify_checks(
     """
     import numpy as np
 
-    internal = (2, 1) if relabeled else (1, 2)  # of the caller's phases 1 and 2
+    internal = (_swap_phase(1, relabeled), _swap_phase(2, relabeled))  # of the caller's 1 and 2
     rows = []
     moduli = {
         f"{name}{label}": getattr(comp.phase1 if phase == 1 else comp.phase2, name)
@@ -276,7 +273,7 @@ def _verify_checks(
         # the closed-form coefficients the library uses, against the shell
         # conditions and against the 3x3 interface solve
         th = thermal_coefficients(sphere)
-        r_u, r_t, r_o = interface_residuals(sphere, th, deltaT=1.0, outer="clamped")
+        r_u, r_t, r_o = interface_residuals(sphere, th)
         add("thermal-displacement-continuity", tag, r_u, TOL_IDENTITY)
         add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY)
         add("thermal-outer-clamped", tag, r_o, TOL_IDENTITY)
@@ -291,9 +288,7 @@ def _verify_checks(
         add("thermal-closed-form-agreement", tag, disc, TOL_IDENTITY)
 
         me = mechanical_coefficients(sphere, loading.sigma0)
-        r_u, r_t, r_o = interface_residuals(
-            sphere, me, deltaT=0.0, outer="traction", traction=loading.sigma0
-        )
+        r_u, r_t, r_o = interface_residuals(sphere, me, traction=loading.sigma0)
         add("mechanical-displacement-continuity", tag, r_u, TOL_IDENTITY)
         add("mechanical-traction-continuity", tag, r_t, TOL_IDENTITY)
         add("mechanical-outer-traction", tag, r_o, TOL_IDENTITY)
@@ -321,7 +316,7 @@ def _verify_checks(
             continue
         analytic = sample_analytic_fields(sphere, loading, grid)
         try:
-            err, note = _oracle_field_error(sphere, loading, grid, analytic, grid_n)
+            err, note = _oracle_field_error(sphere, loading, grid, analytic)
         except (SingularSystem, NonConvergent) as exc:
             err, note = math.inf, f"no FV solution: {exc}"
         add("oracle-field-agreement", tag, err, TOL_ORACLE, note)

@@ -23,7 +23,7 @@ from thermobounds.bounds import (
     thermal_stress_scale,
 )
 from thermobounds import Loading, PhaseProperties, build_composite
-from thermobounds.materials import EndpointLine
+from thermobounds.materials import EndpointLine, _swap_phase
 from thermobounds import bounds, cli, radial_oracle, verify
 from thermobounds.cli import Coded, emit_rows, main
 from test_endpoint_table import wide_domain_samples
@@ -195,7 +195,7 @@ def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
         phase.append(m.max_attaining_phase or 0 if target == "max" else int(target[-1]))
     zeros = [0] * (ns * nd)  # the codes of a constant column
     # indexed by core phase; core 0: the bound is 0 and no assemblage is designated
-    phases = (None, cli._swap_phase(1, relabeled), cli._swap_phase(2, relabeled))
+    phases = (None, _swap_phase(1, relabeled), _swap_phase(2, relabeled))
     coated = MicrostructureKind.COATED_SPHERES.value
     columns = {
         "sigma0": Coded(tuple(sigma_values), sigma_codes),
@@ -294,6 +294,41 @@ HUGE_PHASE = {"k": 1e300, "mu": 1e300, "h": 0.0}
 
 
 class TestTable:
+    def test_bounds_inside_each_row_names_its_assemblage(self, tmp_path, capsys, rng):
+        # table and bounds print the attaining assemblage through one helper; at a sigma0
+        # strictly inside a table row, bounds must name that row's
+        columns = ("branch", "microstructure", "core_phase", "coating_phase",
+                   "max_attaining_phase", "relabeled")
+        checked = 0
+        for i in range(60):
+            comp, loading = random_composite(rng), random_loading(rng)
+            p1, p2 = comp.phase1._asdict(), comp.phase2._asdict()
+            if i % 2:  # listed relabeled
+                p1, p2 = p2, p1
+            doc = {"phase1": p1, "phase2": p2, "theta1": comp.theta1, "loading": loading._asdict()}
+            cfg = write_config(tmp_path, doc)
+            for flag, target in (("1", "phase1"), ("2", "phase2"), ("max", "max")):
+                code, out, _ = run(capsys, "table", cfg, "--target", target)
+                assert code == 0
+                for row in parse_csv(out):
+                    lo, hi = float(row["sigma0_min"]), float(row["sigma0_max"])
+                    if math.isinf(lo):
+                        sigma0 = hi - (1.0 + abs(hi))
+                    elif math.isinf(hi):
+                        sigma0 = lo + (1.0 + abs(lo))
+                    else:
+                        sigma0 = 0.5 * (lo + hi)
+                    assert lo < sigma0 < hi
+                    point = dict(doc, loading={"sigma0": sigma0, "deltaT": loading.deltaT})
+                    point_cfg = write_config(tmp_path, point, "point.json")
+                    code, out, _ = run(capsys, "bounds", point_cfg, "--phase", flag)
+                    (bound,) = parse_csv(out)
+                    assert [bound[c] for c in columns] == [row[c] for c in columns], (
+                        i, target, sigma0
+                    )
+                    checked += 1
+        assert checked >= 60 * 3 * 2
+
     def test_canonical_phase2_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
         code, out, _ = run(capsys, "table", cfg, "--target", "phase2")
@@ -513,6 +548,22 @@ class TestVerify:
         failed = [r for r in rows if r["status"] == "fail"]
         assert all(r["note"] for r in failed)
         assert code == (1 if failed else 0) and (err.startswith("FAILED ") or not failed)
+
+    def test_non_finite_fv_coefficients_fail_the_oracle_rows(self, tmp_path, capsys):
+        # at k = mu = 1e308 the FV system's coefficients overflow: both oracle
+        # rows fail with the solver's note, in a complete report
+        cfg = write_config(tmp_path, dict(PSTAR, phase1={"k": 1e308, "mu": 1e308, "h": 0.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", cfg)
+        rows = parse_csv(out)
+        for core in ("core1", "core2"):
+            assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
+        oracle = [r for r in rows if r["check"] == "oracle-field-agreement"]
+        assert [(r["residual"], r["status"], r["note"]) for r in oracle] == [
+            ("inf", "fail", "no FV solution: non-finite coefficients in radial system")
+        ] * 2
+        assert code == 1 and err.startswith("FAILED ")
 
     @pytest.mark.parametrize("mu1", [1e200, 1e160])
     def test_extreme_shear_contrast_gives_a_complete_report(self, tmp_path, capsys, mu1):
@@ -877,6 +928,48 @@ def test_non_finite_loading_exit_2(tmp_path, capsys, command, loading):
     code, out, err = run(capsys, command, cfg, *extra)
     assert code == 2 and out == ""
     assert "ConfigError" in err
+    assert not out_path.exists()
+
+
+SWEEP_RANGE_BACKWARDS = {"start": 1.0, "stop": -1.0, "count": 3}
+# by case: command, config (a document, or the file's text), further arguments, stderr
+REJECTED_INPUTS = {
+    "not-json": ("bounds", "{", (), "ConfigError: config 'CONFIG' is not valid JSON: "
+                 "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "root-list": ("bounds", "[]", (), "ConfigError: config root must be a JSON object"),
+    "phase-number": ("bounds", dict(PSTAR, phase1=3), (),
+                     "ConfigError: 'phase1' must be an object with k, mu, h"),
+    "k-text": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], k="x")), (),
+               "ConfigError: 'phase1': could not convert string to float: 'x'"),
+    "h-nan": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], h=math.nan)), (),
+              "NonPositiveModulus: phase1.h must be finite, got nan"),
+    "theta1-text": ("bounds", dict(PSTAR, theta1="x"), (),
+                    "ConfigError: 'theta1': could not convert string to float: 'x'"),
+    "loading-list": ("bounds", dict(PSTAR, loading=[0.0, 1.0]), (),
+                     "ConfigError: 'loading' must be an object with sigma0 and deltaT"),
+    "sigma0-text": ("bounds", dict(PSTAR, loading={"sigma0": "x", "deltaT": 1.0}), (),
+                    "ConfigError: 'sigma0' must be a number or a range object"),
+    "range-to-bounds": ("bounds", dict(PSTAR, loading={"sigma0": GOOD_RANGE, "deltaT": 1.0}), (),
+                        "ConfigError: 'sigma0' is a sweep range, which only the sweep command "
+                        "accepts"),
+    "range-backwards": ("sweep", dict(PSTAR, loading={"sigma0": SWEEP_RANGE_BACKWARDS,
+                                                      "deltaT": 1.0}), ("--out", "OUT"),
+                        "ConfigError: 'sigma0': sweep needs start < stop"),
+    "p-text": ("bounds", PSTAR, ("--p", "abc"),
+               "InvalidExponent: moment exponent must be a number or 'inf', got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("command, config, extra, message", REJECTED_INPUTS.values(),
+                         ids=REJECTED_INPUTS)
+def test_rejected_input_names_its_fault(tmp_path, capsys, command, config, extra, message):
+    # json.dumps writes NaN, which Python's JSON parser reads back
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    out_path = tmp_path / "rows.csv"
+    extra = [str(out_path) if arg == "OUT" else arg for arg in extra]
+    code, out, err = run(capsys, command, str(cfg), *extra)
+    assert (code, out, err.replace(str(cfg), "CONFIG")) == (2, "", f"error: {message}\n")
     assert not out_path.exists()
 
 

@@ -151,7 +151,7 @@ class TestThermalCoefficients:
             comp = random_composite(rng)
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
             c = thermal_coefficients(cfg)
-            r_u, r_t, r_o = interface_residuals(cfg, c, deltaT=1.0, outer="clamped")
+            r_u, r_t, r_o = interface_residuals(cfg, c)
             assert r_u <= 1e-12 and r_t <= 1e-12 and r_o <= 1e-12
 
     def test_residuals_detect_corruption(self):
@@ -161,7 +161,7 @@ class TestThermalCoefficients:
             coat_linear=c.coat_linear,
             coat_inverse_square=c.coat_inverse_square,
         )
-        r_u, r_t, _ = interface_residuals(CORE1, bad, deltaT=1.0, outer="clamped")
+        r_u, r_t, _ = interface_residuals(CORE1, bad)
         assert max(r_u, r_t) > 1e-4
 
     def test_matched_stress_free_strain_gives_zero_field(self):
@@ -229,9 +229,7 @@ class TestMechanicalCoefficients:
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
             s0 = float(rng.uniform(-5, 5))
             m = mechanical_coefficients(cfg, s0)
-            r_u, r_t, r_o = interface_residuals(
-                cfg, m, deltaT=0.0, outer="traction", traction=s0
-            )
+            r_u, r_t, r_o = interface_residuals(cfg, m, traction=s0)
             assert r_u <= 1e-12 and r_t <= 1e-12 and r_o <= 1e-12
 
 

@@ -1,17 +1,23 @@
 import pytest
-from conftest import build_unswapped
+from conftest import CANONICAL, CANONICAL_LOADING, build_unswapped
 from hypothesis import given
 from hypothesis import strategies as st
 
 from thermobounds import (
+    CoatedSphereConfig,
     EqualBulkModuli,
     EqualShearModuli,
+    InvalidExponent,
     NonPositiveModulus,
     Ordering,
     PhaseProperties,
     VolumeFractionOutOfRange,
     build_composite,
+    compliance_interval,
+    max_field_lower_bound,
+    phase_moment,
 )
+from thermobounds.materials import check_exponent
 
 
 def spec(k1=2.0, mu1=1.0, h1=0.0, k2=1.0, mu2=0.5, h2=1.0, theta1=0.5):
@@ -117,3 +123,22 @@ class TestValidation:
                 else Ordering.NON_WELL_ORDERED
             )
             assert comp.ordering is expected
+
+
+CORE1 = CoatedSphereConfig(CANONICAL, 1)
+# by case: the error, and a call of the library with an argument out of its range
+LIBRARY_REJECTIONS = {
+    "composite-phase-3": (ValueError, lambda: CANONICAL.phase(3)),
+    "compliance-interval-phase-3": (ValueError, lambda: compliance_interval(CANONICAL, 3)),
+    "phase-moment-phase-3": (ValueError, lambda: phase_moment(CORE1, CANONICAL_LOADING, 3, 2.0)),
+    "max-field-p-1": (
+        InvalidExponent, lambda: max_field_lower_bound(CANONICAL, CANONICAL_LOADING, p=1.0)
+    ),
+    "exponent-text": (InvalidExponent, lambda: check_exponent("x")),
+}
+
+
+@pytest.mark.parametrize("error, call", LIBRARY_REJECTIONS.values(), ids=LIBRARY_REJECTIONS)
+def test_library_rejects_an_argument_out_of_range(error, call):
+    with pytest.raises(error):
+        call()

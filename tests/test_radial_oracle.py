@@ -385,6 +385,17 @@ class TestCompareFields:
             err = compare_fields(*pair)
             assert not math.isfinite(err), (which, err)
 
+    def test_zero_fields(self):
+        # at loading (0, 0) both fields vanish and compare as 0; against a zero
+        # analytic field the other field scales the error, which reads 1
+        grid = make_radial_grid(CORE1, 64)
+        unloaded = Loading(0.0, 0.0)
+        ana = sample_analytic_fields(CORE1, unloaded, grid)
+        fv = solve_radial_bvp(CORE1, unloaded, grid)
+        assert not (ana.u.any() or ana.cell_tr_sigma.any() or fv.u.any() or fv.cell_tr_sigma.any())
+        assert compare_fields(ana, fv) == 0.0
+        assert compare_fields(ana, sample_analytic_fields(CORE1, CANONICAL_LOADING, grid)) == 1.0
+
     def test_grid_mismatch_rejected(self):
         g1 = make_radial_grid(CORE1, 64)
         g2 = make_radial_grid(CORE1, 128)
