@@ -15,7 +15,8 @@ is second-order accurate in the grid spacing; linear-in-r displacement
 fields (uniform hydrostatic states) are reproduced exactly.  A solution
 holds only what is compared or averaged, none of it tied to uniform node
 spacing.  The other side of that comparison, the closed-form fields sampled
-on the same grid, is :func:`sample_analytic_fields`.
+on the same grid, is :func:`sample_analytic_fields`.  Spheres on grids of one
+size share one exact cyclic reduction: their systems couple by zeros only.
 
 No other module of the package computes with arrays.  Every function here
 imports numpy where it builds them, so importing this module, as ``import
@@ -131,7 +132,7 @@ class RadialSolution(NamedTuple):
 
 
 def _solve_tridiagonal(lower, upper, row_sum, rhs) -> np.ndarray:
-    """Solve a tridiagonal system given by its off-diagonals and row sums.
+    """Solve tridiagonal systems given by their off-diagonals and row sums.
 
     Row i reads ``lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]``
     with ``diag = row_sum - lower - upper``; ``lower[0]`` and ``upper[-1]``
@@ -145,37 +146,52 @@ def _solve_tridiagonal(lower, upper, row_sum, rhs) -> np.ndarray:
     discretization keep their accuracy.  There is no pivoting: a zero pivot
     yields a non-finite solution, without a floating-point warning, for the
     caller to reject.
+
+    Systems of one length n along the leading axes are reduced end to end in
+    one raveled array while n is even, then each alone, with no bit changed:
+    the terms across a system's end, products with its zero coupling (or nan
+    beside an inf), are put to -0.0, since x + -0.0 is x for every x.
     """
     import numpy as np
 
     levels = []
-    a, c, s, d = lower, upper, row_sum, rhs
+    n = np.shape(rhs)[-1]  # rows per system
+    a, c, s, d = (np.ravel(v) for v in (lower, upper, row_sum, rhs))
     with np.errstate(all="ignore"):
-        while len(d) > 1:
+        while n > 1 and (n % 2 == 0 or len(d) == n):
             h, k = len(d) // 2, (len(d) - 1) // 2  # rows kept; kept rows with a right neighbour
+            ends = slice(n // 2 - 1, h - 1, n // 2)  # kept rows that end a system, but the last
             nb = 1.0 / (a[0::2] + c[0::2] - s[0::2])  # minus the inverse pivots
             al = a[1::2] * nb[:h]
             ga = c[1 : 2 * k : 2] * nb[1:]
-            levels.append((a, c, d, nb))
+            levels.append((a, c, d, nb, ends))
             left, right = slice(0, 2 * h, 2), slice(2, 2 * k + 1, 2)
             s2 = s[1::2] + al * s[left]
             d2 = d[1::2] + al * d[left]
-            s2[:k] += ga * s[right]
-            d2[:k] += ga * d[right]
+            across_s, across_d = ga * s[right], ga * d[right]
+            across_s[ends] = across_d[ends] = -0.0
+            s2[:k] += across_s
+            d2[:k] += across_d
             c2 = np.zeros(h)  # the last kept row has no right neighbour when k < h
             c2[:k] = ga * c[right]
-            a, c, s, d = al * a[left], c2, s2, d2
-        x = d / s
-        for a, c, d, nb in reversed(levels):
+            c2[ends] = 0.0
+            a, c, s, d, n = al * a[left], c2, s2, d2, n // 2
+        if n > 1:  # several systems of odd length
+            x = np.hstack([*map(_solve_tridiagonal, *(v.reshape(-1, n) for v in (a, c, s, d)))])
+        else:
+            x = d / s
+        for a, c, d, nb, ends in reversed(levels):
             h, k = len(x), (len(d) - 1) // 2
             e = -d[0::2]
-            e[1:] += a[2::2] * x[:k]
+            across = a[2::2] * x[:k]
+            across[ends] = -0.0
+            e[1:] += across
             e[:h] += c[0 : 2 * h : 2] * x
             full = np.empty(len(d))
             full[0::2] = e * nb
             full[1::2] = x
             x = full
-    return x
+    return x.reshape(np.shape(rhs))
 
 
 def solve_radial_bvp(
@@ -195,37 +211,44 @@ def solve_radial_bvp(
     reduction.  The stress trace follows at the cell midpoints, with its
     volume-weighted mean over each region; any node spacing will do.
     """
+    return _solve_radial_bvps([config], loading, [grid])[0]
+
+
+def _solve_radial_bvps(configs, loading: Loading, grids) -> list[RadialSolution]:
+    """:func:`solve_radial_bvp` of each config on its grid, all of one size, by one solve."""
     import numpy as np
 
-    r = np.concatenate(([0.0], grid.nodes))
+    r = np.concatenate((np.zeros((len(grids), 1)), [g.nodes for g in grids]), axis=1)
     h = np.diff(r)
-    rm = 0.5 * (r[:-1] + r[1:])
+    rm = 0.5 * (r[:, :-1] + r[:, 1:])
 
-    # per region: P-wave modulus, Lame lambda, 3k and the thermal stress 3k h deltaT
+    # per region: P-wave modulus, 3k, the thermal stress 3k h deltaT and Lame lambda
     def moduli(p):
         k3 = 3.0 * p.k
-        return [p.k + 4.0 * p.mu / 3.0, p.k - 2.0 * p.mu / 3.0, k3, k3 * p.h * loading.deltaT]
+        return [p.k + 4.0 * p.mu / 3.0, k3, k3 * p.h * loading.deltaT, p.k - 2.0 * p.mu / 3.0]
 
-    core, coat = (np.array(moduli(p))[:, None] for p in (config.core, config.coating))
-    pwave, lam, k3, s3 = np.where(grid.core_cells, core, coat)
+    regions = zip(*((c.core, c.coating) for c in configs))  # the cores, then the coatings
+    core, coat = (np.array([moduli(p) for p in phases]).T[..., None] for phases in regions)
+    pwave, k3, s3 = np.where([g.core_cells for g in grids], core[:3], coat[:3])
+    lam_core, lam_coat = core[3, :, 0], coat[3, :, 0]  # needed only where lambda jumps
 
     # The flux and half-cell hoop terms of a cell [r0, r1] sum in closed
     # form: they couple its two nodes by M r0 r1 / h and add -h M to each
     # node's row sum.  Lambda and the eigenstrain enter only where they
     # jump, at the interface and the outer surface.  Assembling these sums,
     # not their O(1/h) parts, keeps the rows free of cancellation.
-    off = pwave * r[:-1] * r[1:] / h
+    off = pwave * r[:, :-1] * r[:, 1:] / h
     hm = h * pwave
     row_sum = -hm
-    row_sum[:-1] -= hm[1:]
-    rhs = np.zeros(grid.n)
-    i = grid.interface_index
-    row_sum[i] += 2.0 * r[i + 1] * (lam[i + 1] - lam[i])
-    rhs[i] = (s3[i + 1] - s3[i]) * r[i + 1] ** 2
-    upper = np.zeros(grid.n)
-    upper[:-1] = off[1:]
-    row_sum[-1] -= 2.0 * lam[-1]
-    rhs[-1] = -s3[-1] - loading.sigma0
+    row_sum[:, :-1] -= hm[:, 1:]
+    rhs = np.zeros(off.shape)
+    for j, i in enumerate(grid.interface_index for grid in grids):
+        row_sum[j, i] += 2.0 * r[j, i + 1] * (lam_coat[j] - lam_core[j])
+        rhs[j, i] = (s3[j, i + 1] - s3[j, i]) * r[j, i + 1] ** 2
+    upper = np.zeros(off.shape)
+    upper[:, :-1] = off[:, 1:]
+    row_sum[:, -1] -= 2.0 * lam_coat
+    rhs[:, -1] = -s3[:, -1] - loading.sigma0
 
     if not (np.all(np.isfinite(off)) and np.all(np.isfinite(row_sum))):
         raise SingularSystem("non-finite coefficients in radial system")
@@ -234,22 +257,15 @@ def solve_radial_bvp(
         raise NonConvergent("direct solve returned non-finite displacements")
 
     # cell-midpoint stress trace: 3k (du/dr + 2 u/r - 3 eigenstrain)
-    u0 = np.concatenate(([0.0], u))
-    tr_sig = k3 * (np.diff(u0) / h + (u0[:-1] + u0[1:]) / rm) - 3.0 * s3
+    u0 = np.concatenate((np.zeros((len(grids), 1)), u), axis=1)
+    tr_sig = k3 * (np.diff(u0) / h + (u0[:, :-1] + u0[:, 1:]) / rm) - 3.0 * s3
 
-    w = grid.volume_weights
-    nc = grid.interface_index + 1
-    tr_core = float(tr_sig[:nc] @ w[:nc] / w[:nc].sum())
-    tr_coat = float(tr_sig[nc:] @ w[nc:] / w[nc:].sum())
-
-    return RadialSolution(
-        grid=grid,
-        u=u,
-        cell_tr_sigma=tr_sig,
-        core_phase=config.core_phase,
-        tr_sigma_core=tr_core,
-        tr_sigma_coating=tr_coat,
-    )
+    solutions = []
+    for config, grid, u_j, tr in zip(configs, grids, u, tr_sig):
+        w, nc = grid.volume_weights, grid.interface_index + 1
+        means = (float(tr[run] @ w[run] / w[run].sum()) for run in (slice(nc), slice(nc, None)))
+        solutions.append(RadialSolution(grid, u_j, tr, config.core_phase, *means))
+    return solutions
 
 
 def sample_analytic_fields(

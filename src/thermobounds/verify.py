@@ -41,6 +41,7 @@ from .materials import Loading, ValidatedComposite, _swap_phase
 from .radial_oracle import (
     MIN_NODES,
     _phase_moments,
+    _solve_radial_bvps,
     compare_fields,
     make_radial_grid,
     sample_analytic_fields,
@@ -205,15 +206,16 @@ def _attainment_residual(solves, sigma0, deltaT, value, phase, core) -> float:
     return abs(abs(trace) / SQRT3 - value) / scale
 
 
-def _oracle_field_error(sphere, loading, grid, analytic) -> tuple[float, str]:
-    """Field error of the finite-volume oracle on ``grid``, of ``grid.n`` nodes, and its note.
+def _oracle_field_error(sphere, loading, numeric, analytic) -> tuple[float, str]:
+    """Field error of the finite-volume oracle's solution ``numeric``, and its note.
 
     Below the reference node count a failing finite error is extrapolated to
     ORACLE_REFERENCE_N with the convergence order measured against a grid of
     half the size, or of MIN_NODES; a non-finite one is returned as it is.
     Raises SingularSystem or NonConvergent from the solves.
     """
-    err = compare_fields(analytic, solve_radial_bvp(sphere, loading, grid))
+    grid = numeric.grid
+    err = compare_fields(analytic, numeric)
     if grid.n >= ORACLE_REFERENCE_N or err <= TOL_ORACLE or not math.isfinite(err):
         return err, ""
     half = make_radial_grid(sphere, max(MIN_NODES, grid.n // 2))
@@ -263,8 +265,14 @@ def _verify_checks(
         rows.append((name, orientation, residual, tol, status, note))
 
     solves = _unit_solves(comp)
-    for label, core in zip((1, 2), internal):
-        sphere = CoatedSphereConfig(composite=comp, core_phase=core)
+    spheres = [CoatedSphereConfig(composite=comp, core_phase=core) for core in internal]
+    # one FV solve of both spheres; if it fails, each alone, so its row names its failure
+    try:
+        grids = [make_radial_grid(sphere, grid_n) for sphere in spheres]
+        solutions = _solve_radial_bvps(spheres, loading, grids)
+    except (SingularSystem, NonConvergent):
+        solutions = [None, None]
+    for label, core, sphere, solution in zip((1, 2), internal, spheres, solutions):
         tag = f"core{label}"
         # the continuity residuals divide by a^2 and a^3, which carry too few
         # bits to resolve them when a^3 is subnormal
@@ -308,7 +316,7 @@ def _verify_checks(
 
         # independent finite-volume oracle
         try:
-            grid = make_radial_grid(sphere, grid_n)
+            grid = solution.grid if solution else make_radial_grid(sphere, grid_n)
         except SingularSystem as exc:
             note = f"no FV grid: {exc}"
             add("oracle-field-agreement", tag, math.inf, TOL_ORACLE, note)
@@ -316,7 +324,8 @@ def _verify_checks(
             continue
         analytic = sample_analytic_fields(sphere, loading, grid)
         try:
-            err, note = _oracle_field_error(sphere, loading, grid, analytic)
+            numeric = solution or solve_radial_bvp(sphere, loading, grid)
+            err, note = _oracle_field_error(sphere, loading, numeric, analytic)
         except (SingularSystem, NonConvergent) as exc:
             err, note = math.inf, f"no FV solution: {exc}"
         add("oracle-field-agreement", tag, err, TOL_ORACLE, note)

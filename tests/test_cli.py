@@ -22,10 +22,11 @@ from thermobounds.bounds import (
     bound_grid,
     thermal_stress_scale,
 )
-from thermobounds import Loading, PhaseProperties, build_composite
+from thermobounds import Loading, NonConvergent, PhaseProperties, build_composite
 from thermobounds.materials import EndpointLine, _swap_phase
 from thermobounds import bounds, cli, radial_oracle, verify
 from thermobounds.cli import Coded, emit_rows, main
+from thermobounds.radial_oracle import _solve_tridiagonal
 from test_endpoint_table import wide_domain_samples
 from test_radial_oracle import zero_pivot_solve
 
@@ -505,6 +506,37 @@ class TestVerify:
         # a zero pivot in the FV solve fails the row instead of raising
         monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
         assert oracle_row("no FV solution: ") == math.inf
+
+    @pytest.mark.parametrize("case", ["two grids", "5e-324", "1e-300", "joint solve not finite"])
+    def test_oracle_rows_are_those_of_each_sphere_solved_alone(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        # verify solves both spheres' FV systems at once, and each sphere alone
+        # where a sphere has no grid (core 2 at theta1 = 1e-300, both at
+        # 5e-324) or the joint solution is not finite
+        theta1 = {"5e-324": 5e-324, "1e-300": 1e-300}.get(case, 0.5)
+        doc = dict(PSTAR, theta1=theta1, loading={"sigma0": 0.3, "deltaT": 1.0})
+        cfg = write_config(tmp_path, doc)
+
+        def refuse(*args):
+            raise NonConvergent("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_solve_radial_bvps", refuse)
+            each_alone = run(capsys, "verify", cfg)
+
+        def poisoned(lower, upper, row_sum, rhs):
+            x = _solve_tridiagonal(lower, upper, row_sum, rhs)
+            if len(x) == 2:
+                x[1, -1] = math.nan
+            return x
+
+        alone, solve = [], verify.solve_radial_bvp
+        monkeypatch.setattr(verify, "solve_radial_bvp", lambda *a: alone.append(1) or solve(*a))
+        if case == "joint solve not finite":
+            monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", poisoned)
+        assert run(capsys, "verify", cfg) == each_alone
+        assert len(alone) == {"two grids": 0, "5e-324": 0, "1e-300": 1}.get(case, 2)
 
     @pytest.mark.parametrize("grid_n", ["256", "4096"])
     def test_non_finite_analytic_field_fails_the_oracle_row(self, tmp_path, capsys, grid_n):

@@ -33,6 +33,12 @@ CORE1 = CoatedSphereConfig(composite=CANONICAL, core_phase=1)
 HIGH_CONTRAST, _ = build_composite(
     PhaseProperties(k=1e6, mu=1e6, h=0.0), PhaseProperties(k=1.0, mu=1e-6, h=1.0), 0.5
 )
+# core 2's coating is 4e-9 thick: four FV cells at n = 4096
+THIN_COATING, _ = build_composite(
+    PhaseProperties(k=0.0463359381764292, mu=159699.71756020925, h=-1.225354603819703),
+    PhaseProperties(k=1.4544765086278303e-08, mu=0.0006001194232230362, h=0.26403267491544513),
+    1.2050190118228602e-08,
+)
 
 
 def thomas(lower, diag, upper, rhs):
@@ -52,17 +58,30 @@ def dense(lower, diag, upper):
     return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
 
 
+def same_bits(x, y) -> bool:
+    """Equal values, nans in the same places, and the same sign bit on each number.
+
+    A nan's sign bit is left out: numpy's loops give a nan made by, say,
+    inf - inf different signs at different array lengths.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    numbers = ~np.isnan(x)
+    return np.array_equal(x, y, equal_nan=True) and np.array_equal(
+        np.signbit(x[numbers]), np.signbit(y[numbers])
+    )
+
+
 def zero_pivot_solve(lower, upper, row_sum, rhs):
     """The cyclic-reduction solve of the same system with a zero diagonal."""
     return _solve_tridiagonal(lower, upper, lower + upper, rhs)
 
 
 def fv_systems(config, loading, n):
-    """The tridiagonal systems solve_radial_bvp hands to its solver, and its u."""
+    """The tridiagonal system solve_radial_bvp hands to its solver, as 1-D arrays, and its u."""
     systems = []
 
     def record(*args):
-        systems.append(args)
+        systems.append(tuple(np.ravel(v) for v in args))  # a stack of one system
         return _solve_tridiagonal(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -204,6 +223,19 @@ class TestSolver:
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.25)
 
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_stacked_solve_equals_each_sphere_alone(self, rng, n):
+        cases = [(comp, Loading(0.3, 1.0)) for comp in (CANONICAL, HIGH_CONTRAST, THIN_COATING)]
+        cases += [(random_composite(rng), random_loading(rng)) for _ in range(50)]
+        for comp, loading in cases:
+            spheres = [CoatedSphereConfig(comp, core) for core in (1, 2)]
+            grids = [make_radial_grid(sphere, n) for sphere in spheres]
+            stacked = radial_oracle._solve_radial_bvps(spheres, loading, grids)
+            for sphere, grid, solution in zip(spheres, grids, stacked):
+                alone = solve_radial_bvp(sphere, loading, grid)
+                assert solution.grid is grid
+                assert all(same_bits(x, y) for x, y in zip(solution[1:], alone[1:]))
+
     def test_random_agreement(self, rng):
         for _ in range(10):
             comp = random_composite(rng)
@@ -231,6 +263,26 @@ class TestTridiagonal:
                 np.testing.assert_allclose(
                     x, np.linalg.solve(dense(lower, diag, upper), rhs), rtol=1e-12, atol=1e-14
                 )
+
+    @pytest.mark.parametrize("n", [16, 17, 18, 100, 1000, 4096, 4097])
+    def test_stacked_systems_equal_lone_solves(self, rng, n):
+        # reducing the systems end to end changes no bit: not the sign of a
+        # zero, and not beside a system whose zero pivot leaves it non-finite
+        lower, upper, rhs = rng.normal(size=(3, 2, n))
+        lower[:, 0] = upper[:, -1] = 0.0
+        diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 1.5, (2, n))) * rng.choice(
+            [-1.0, 1.0], (2, n)
+        )
+        row_sum = lower + diag + upper
+        singular = row_sum.copy()
+        singular[1] = lower[1] + upper[1]
+        signed_zeros = np.where(rng.random((2, n)) < 0.5, 0.0, -0.0)
+        for s, d in ((row_sum, rhs), (row_sum, signed_zeros), (singular, rhs)):
+            x = _solve_tridiagonal(lower, upper, s, d)
+            assert x.shape == (2, n)
+            for j in range(2):
+                assert same_bits(x[j], _solve_tridiagonal(lower[j], upper[j], s[j], d[j]))
+        assert np.all(np.isfinite(x[0])) and not np.all(np.isfinite(x[1]))
 
     @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
     @pytest.mark.parametrize("composite", [CANONICAL, HIGH_CONTRAST])
