@@ -18,9 +18,10 @@ spacing.  The other side of that comparison, the closed-form fields sampled
 on the same grid, is :func:`sample_analytic_fields`.  Spheres on grids of one
 size share one exact cyclic reduction: their systems couple by zeros only.
 
-No other module of the package computes with arrays.  Every function here
-imports numpy where it builds them, so importing this module, as ``import
-thermobounds`` does, does not load it.
+Elsewhere only verify's regime-table check computes with arrays.  Every
+function here imports numpy where it builds them, so ``import thermobounds``
+does not load it.  Each array function turns an overflow into inf or nan
+under its own ``np.errstate``, never a warning, for its caller to report.
 """
 
 from __future__ import annotations
@@ -227,44 +228,45 @@ def _solve_radial_bvps(configs, loading: Loading, grids) -> list[RadialSolution]
         k3 = 3.0 * p.k
         return [p.k + 4.0 * p.mu / 3.0, k3, k3 * p.h * loading.deltaT, p.k - 2.0 * p.mu / 3.0]
 
-    regions = zip(*((c.core, c.coating) for c in configs))  # the cores, then the coatings
-    core, coat = (np.array([moduli(p) for p in phases]).T[..., None] for phases in regions)
-    pwave, k3, s3 = np.where([g.core_cells for g in grids], core[:3], coat[:3])
-    lam_core, lam_coat = core[3, :, 0], coat[3, :, 0]  # needed only where lambda jumps
+    with np.errstate(over="ignore", invalid="ignore"):
+        regions = zip(*((c.core, c.coating) for c in configs))  # the cores, then the coatings
+        core, coat = (np.array([moduli(p) for p in phases]).T[..., None] for phases in regions)
+        pwave, k3, s3 = np.where([g.core_cells for g in grids], core[:3], coat[:3])
+        lam_core, lam_coat = core[3, :, 0], coat[3, :, 0]  # needed only where lambda jumps
 
-    # The flux and half-cell hoop terms of a cell [r0, r1] sum in closed
-    # form: they couple its two nodes by M r0 r1 / h and add -h M to each
-    # node's row sum.  Lambda and the eigenstrain enter only where they
-    # jump, at the interface and the outer surface.  Assembling these sums,
-    # not their O(1/h) parts, keeps the rows free of cancellation.
-    off = pwave * r[:, :-1] * r[:, 1:] / h
-    hm = h * pwave
-    row_sum = -hm
-    row_sum[:, :-1] -= hm[:, 1:]
-    rhs = np.zeros(off.shape)
-    for j, i in enumerate(grid.interface_index for grid in grids):
-        row_sum[j, i] += 2.0 * r[j, i + 1] * (lam_coat[j] - lam_core[j])
-        rhs[j, i] = (s3[j, i + 1] - s3[j, i]) * r[j, i + 1] ** 2
-    upper = np.zeros(off.shape)
-    upper[:, :-1] = off[:, 1:]
-    row_sum[:, -1] -= 2.0 * lam_coat
-    rhs[:, -1] = -s3[:, -1] - loading.sigma0
+        # The flux and half-cell hoop terms of a cell [r0, r1] sum in closed
+        # form: they couple its two nodes by M r0 r1 / h and add -h M to each
+        # node's row sum.  Lambda and the eigenstrain enter only where they
+        # jump, at the interface and the outer surface.  Assembling these sums,
+        # not their O(1/h) parts, keeps the rows free of cancellation.
+        off = pwave * r[:, :-1] * r[:, 1:] / h
+        hm = h * pwave
+        row_sum = -hm
+        row_sum[:, :-1] -= hm[:, 1:]
+        rhs = np.zeros(off.shape)
+        for j, i in enumerate(grid.interface_index for grid in grids):
+            row_sum[j, i] += 2.0 * r[j, i + 1] * (lam_coat[j] - lam_core[j])
+            rhs[j, i] = (s3[j, i + 1] - s3[j, i]) * r[j, i + 1] ** 2
+        upper = np.zeros(off.shape)
+        upper[:, :-1] = off[:, 1:]
+        row_sum[:, -1] -= 2.0 * lam_coat
+        rhs[:, -1] = -s3[:, -1] - loading.sigma0
 
-    if not (np.all(np.isfinite(off)) and np.all(np.isfinite(row_sum))):
-        raise SingularSystem("non-finite coefficients in radial system")
-    u = _solve_tridiagonal(off, upper, row_sum, rhs)
-    if not np.all(np.isfinite(u)):
-        raise NonConvergent("direct solve returned non-finite displacements")
+        if not (np.all(np.isfinite(off)) and np.all(np.isfinite(row_sum))):
+            raise SingularSystem("non-finite coefficients in radial system")
+        u = _solve_tridiagonal(off, upper, row_sum, rhs)
+        if not np.all(np.isfinite(u)):
+            raise NonConvergent("direct solve returned non-finite displacements")
 
-    # cell-midpoint stress trace: 3k (du/dr + 2 u/r - 3 eigenstrain)
-    u0 = np.concatenate((np.zeros((len(grids), 1)), u), axis=1)
-    tr_sig = k3 * (np.diff(u0) / h + (u0[:, :-1] + u0[:, 1:]) / rm) - 3.0 * s3
+        # cell-midpoint stress trace: 3k (du/dr + 2 u/r - 3 eigenstrain)
+        u0 = np.concatenate((np.zeros((len(grids), 1)), u), axis=1)
+        tr_sig = k3 * (np.diff(u0) / h + (u0[:, :-1] + u0[:, 1:]) / rm) - 3.0 * s3
 
-    solutions = []
-    for config, grid, u_j, tr in zip(configs, grids, u, tr_sig):
-        w, nc = grid.volume_weights, grid.interface_index + 1
-        means = (float(tr[run] @ w[run] / w[run].sum()) for run in (slice(nc), slice(nc, None)))
-        solutions.append(RadialSolution(grid, u_j, tr, config.core_phase, *means))
+        solutions = []
+        for config, grid, u_j, tr in zip(configs, grids, u, tr_sig):
+            w, nc = grid.volume_weights, grid.interface_index + 1
+            means = (float(tr[run] @ w[run] / w[run].sum()) for run in (slice(nc), slice(nc, None)))
+            solutions.append(RadialSolution(grid, u_j, tr, config.core_phase, *means))
     return solutions
 
 
@@ -316,8 +318,9 @@ def interval_scan_min(lo: float, hi: float, sigma0: float, D: float, n: int) -> 
         raise ValueError(f"n must be >= 2, got {n}")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    t = np.linspace(lo, hi, n)
-    return float(np.min(SQRT3 * np.abs((sigma0 - D) * t + D)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(lo, hi, n)
+        return float(np.min(SQRT3 * np.abs((sigma0 - D) * t + D)))
 
 
 def sampled_moment(solution: RadialSolution, phase: int, p: float) -> float:
@@ -344,7 +347,8 @@ def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[floa
     w = solution.grid.volume_weights[run]
     vals = np.abs(solution.cell_tr_sigma[run]) / SQRT3
     total = w.sum()  # a numpy float: a zero total gives nan or inf, not ZeroDivisionError
-    return [float(((vals**p * w).sum() / total) ** (1.0 / p)) for p in exponents]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(((vals**p * w).sum() / total) ** (1.0 / p)) for p in exponents]
 
 
 def compare_fields(analytic: RadialSolution, numeric: RadialSolution) -> float:

@@ -20,7 +20,6 @@ from .bounds import (
     _bounded_phases,
     _max_rows,
     _phase_rows,
-    characteristic_constants,
     phase_moment_lower_bound,
     regime_table,
 )
@@ -142,7 +141,7 @@ def verify_exact_relation(config: CoatedSphereConfig) -> float:
     den = 1.0 / k1 - 1.0 / k2
     rhs = (t1 + t2) / den
     scale = max(abs(lhs), abs(rhs), (abs(t1) + abs(t2)) / abs(den), 1e-300)
-    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+    return abs(lhs - rhs) / scale
 
 
 def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> float:
@@ -183,7 +182,7 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
     )
     rhs = prefac * sum(terms)
     scale = max(abs(lhs), abs(rhs), abs(prefac) * sum(abs(t) for t in terms))
-    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+    return abs(lhs - rhs) / scale if scale != 0.0 else 0.0
 
 
 def _unit_solves(comp: ValidatedComposite) -> dict:
@@ -357,18 +356,18 @@ def _verify_checks(
     # leaves no finite sigma0 range to sample, and a table whose breakpoint is
     # not finite (a line with t = 0) none to compare.  The tables share the
     # kernel's rows of each phase over the samples.
-    D = characteristic_constants(comp, loading.deltaT).D
+    targets = (*(f"phase{phase}" for phase in internal), "max")
+    tables = [regime_table(comp, loading.deltaT, target) for target in targets]
+    D = tables[0].D
     span = max(1.0, 3.0 * abs(D), abs(loading.sigma0))
     finite, n = math.isfinite(2.0 * span), TABLE_AGREEMENT_SAMPLES
-    targets = (*(f"phase{phase}" for phase in internal), "max")
     if finite:
         sample_array = -span + (2.0 * span) * (np.arange(n) + 0.5) / n
         samples = sample_array.tolist()
         bounded = _bounded_phases(comp, "max", loading.deltaT)
         first, second = (_phase_rows(entry, samples, D) for entry in bounded)
         rows_of = {"phase1": first, "phase2": second, "max": _max_rows(first, second)}
-    for label, target in zip(("phase1", "phase2", "max"), targets):
-        table = regime_table(comp, loading.deltaT, target)
+    for label, target, table in zip(("phase1", "phase2", "max"), targets, tables):
         bad = [bp for bp in table.breakpoints if not math.isfinite(bp)]
         if not finite or bad:
             note = (f"the regime table's breakpoint {bad[0]:.17g} is not finite" if finite

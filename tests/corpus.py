@@ -1,4 +1,4 @@
-"""Byte-identity corpus: every CLI command on 172 configs, written for ``diff -r``.
+"""Byte-identity corpus: every CLI command on 174 configs, written for ``diff -r``.
 
 Usage::
 
@@ -11,7 +11,7 @@ was runs this script in the parent's checkout and in its own, into two
 directories, and ``diff -r`` of the two is the check; ``diff -rq A B | wc -l``
 counts the runs that differ.  pytest does not collect this file.
 
-The 172 configs:
+The 174 configs:
 
 * 160 ``random_composite`` draws from ``numpy.random.default_rng(17172)``,
   each followed by its loading, a ``random_loading`` draw from the same
@@ -19,11 +19,12 @@ The 172 configs:
   relabeled: phase 1 and phase 2 exchanged, so the library swaps them back,
   with theta1 kept as drawn.  The library then stores theta2 = 1 - (1 - t)
   for the listed t, which differs from t in its last bits on 17 of the 80.
-* 12 edge configs, each taken from the test that defines it: the
+* 14 edge configs, each taken from the test that defines it: the
   high-contrast composite (``test_radial_oracle.HIGH_CONTRAST``), the shear
   contrasts mu1 = 1e200 and 1e160, the D-overflow composite with h2 = 1e10
   and 0, the subnormal-moduli phase with h = 1, 1e308 and -1e308, theta1 =
-  5e-324 and 1 - 2**-53 on the canonical phases, the thin coating
+  5e-324 and 1 - 2**-53 on the canonical phases, the thin coating, the
+  huge moduli and the huge expansion coefficients
   (``test_cli.EDGE_COMPOSITES``) and the low-shear example.  Each is loaded
   at sigma0 = 0.3, deltaT = 1, except the low-shear example, which keeps
   its own loading.
@@ -39,7 +40,10 @@ read, and one ``<run>.txt`` per run: the exit code, stdout, stderr, each
 warning raised (category and message), an exception that escaped ``main``
 (type and message), and for ``sweep`` the ``--out`` file.  The temporary
 path in sweep's "wrote N rows to PATH" line is replaced by ``OUT``, and the
-config's path, where a message names it, by ``CONFIG``.
+config's path, where a message names it, by ``CONFIG``.  The last line
+printed counts the runs that recorded a warning or an escaped exception: the
+CLI hides neither, so a floating-point warning that an array function lets
+escape shows up there as well as in ``diff -r``.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ def _doc(phase1, phase2, theta1, loading=EDGE_LOADING):
 
 
 def configs():
-    """(name, config document) for each of the 172 configs, in a fixed order."""
+    """(name, config document) for each of the 174 configs, in a fixed order."""
     rng = np.random.default_rng(SEED)
     for i in range(RANDOM_DRAWS):
         comp = random_composite(rng)
@@ -108,7 +112,8 @@ def configs():
     # TestVerify's fractions at the ends of (0, 1)
     for theta1 in (5e-324, 1.0 - 2.0**-53):
         yield f"edge-theta1-{theta1!r}", _doc(*canonical, theta1)
-    yield "edge-thin-coating", _doc(*EDGE_COMPOSITES["thin-coating"])
+    for name in ("thin-coating", "huge-moduli", "huge-expansion"):
+        yield f"edge-{name}", _doc(*EDGE_COMPOSITES[name])
     # TestVerify::test_low_shear_example_attains_its_bounds
     yield "edge-low-shear", _doc(
         {"k": 6547231.655060104, "mu": 0.00022172697430455283, "h": 1.5123422653205516},
@@ -133,8 +138,9 @@ def runs():
                 yield name, ["sweep", "--phase", phase, "--format", fmt, *residuals]
 
 
-def run_one(config: Path, argv: list[str], scratch: Path) -> str:
-    """One run's record: exit code, stdout, stderr, warnings and sweep file."""
+def run_one(config: Path, argv: list[str], scratch: Path) -> tuple[str, bool]:
+    """One run's record (exit code, stdout, stderr, warnings and sweep file),
+    and whether it recorded a warning or an escaped exception."""
     command, *options = argv
     out = scratch / "sweep.out"
     out.unlink(missing_ok=True)
@@ -144,9 +150,9 @@ def run_one(config: Path, argv: list[str], scratch: Path) -> str:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = str(main(full))
+                code, escaped = str(main(full)), False
             except Exception as exc:  # noqa: BLE001 - a traceback is an output too
-                code = f"raised {type(exc).__name__}: {exc}"
+                code, escaped = f"raised {type(exc).__name__}: {exc}", True
 
     def normalised(text):
         return text.replace(str(out), "OUT").replace(str(config), "CONFIG")
@@ -156,11 +162,11 @@ def run_one(config: Path, argv: list[str], scratch: Path) -> str:
     parts += [f"warning: {w.category.__name__}: {w.message}" for w in caught]
     if command == "sweep":
         parts += ["--- sweep", out.read_text() if out.exists() else "(no file)"]
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts) + "\n", escaped or bool(caught)
 
 
 def main_corpus(outdir: Path) -> int:
-    count = 0
+    count = flagged = 0
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         for name, doc in configs():
@@ -171,9 +177,12 @@ def main_corpus(outdir: Path) -> int:
             sweep.write_text(json.dumps(dict(doc, loading=SWEEP_LOADING)))
             for run, argv in runs():
                 path = sweep if argv[0] == "sweep" else config
-                (folder / f"{run}.txt").write_text(run_one(path, argv, scratch))
+                record, raised_or_warned = run_one(path, argv, scratch)
+                (folder / f"{run}.txt").write_text(record)
                 count += 1
+                flagged += raised_or_warned
     print(f"wrote {count} runs to {outdir}")
+    print(f"{flagged} runs recorded a warning or an escaped exception")
     return 0
 
 

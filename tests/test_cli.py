@@ -682,6 +682,20 @@ class TestVerify:
         assert code == 1 and err.count("\n") == 1
         assert all(r["note"] for r in parse_csv(out) if r["status"] == "fail")
 
+    @pytest.mark.parametrize("phase1, phase2, check", [
+        ({"k": 1e308, "mu": 1e308, "h": 0.0}, PSTAR["phase2"], "exact-thermal-relation"),
+        (PSTAR["phase1"], {"k": 5e-324, "mu": 5e-324, "h": 1e308}, "average-stress-identity"),
+        (PSTAR["phase1"], {"k": 5e-324, "mu": 5e-324, "h": -1e308}, "average-stress-identity"),
+    ], ids=["huge-moduli", "subnormal-h-1e308", "subnormal-h--1e308"])
+    def test_a_nan_identity_residual_fails(self, tmp_path, capsys, phase1, phase2, check):
+        # H* or a field is nan in core 2: a nan scale made both identities
+        # return 0, and the row passed
+        doc = dict(PSTAR, phase1=phase1, phase2=phase2, loading={"sigma0": 0.3, "deltaT": 1.0})
+        _, out, _ = run(capsys, "verify", write_config(tmp_path, doc), "--grid-n", "64")
+        (row,) = [r for r in parse_csv(out) if (r["check"], r["orientation"]) == (check, "core2")]
+        assert (row["residual"], row["status"]) == ("nan", "fail")
+        assert row["note"]
+
     def test_low_shear_example_attains_its_bounds(self, tmp_path, capsys):
         # c mu << k: the superposition route verify compared the bounds with
         # cancelled, and both rows failed at 5.6e-9 and 2.05e-10
@@ -1264,6 +1278,8 @@ EDGE_COMPOSITES = {
         {"k": 1.4544765086278303e-08, "mu": 0.0006001194232230362, "h": 0.26403267491544513},
         1.2050190118228602e-08,
     ),
+    "huge-moduli": ({"k": 1e308, "mu": 1e308, "h": 0.0}, PSTAR["phase2"], 0.5),
+    "huge-expansion": ({"k": 2.0, "mu": 1.0, "h": 1e300}, {"k": 1.0, "mu": 0.5, "h": -1e300}, 0.5),
 }
 
 
@@ -1305,7 +1321,8 @@ class TestVerifyTableAgreement:
 
     @pytest.mark.parametrize("name", sorted(EDGE_COMPOSITES))
     def test_checks_raise_no_warning_outside_the_cli(self, name):
-        # called directly, without the np.errstate that cmd_verify runs them under
+        # called directly: each array function of the oracle turns an overflow
+        # into inf or nan itself, so no caller needs an np.errstate of its own
         phase1, phase2, theta1 = EDGE_COMPOSITES[name]
         comp, relabeled = build_composite(PhaseProperties(**phase1), PhaseProperties(**phase2), theta1)
         with warnings.catch_warnings():

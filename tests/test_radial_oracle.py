@@ -11,6 +11,7 @@ from thermobounds import (
     Loading,
     NonConvergent,
     PhaseProperties,
+    SingularSystem,
     build_composite,
     compare_fields,
     effective_thermal_stress,
@@ -236,6 +237,17 @@ class TestSolver:
                 assert solution.grid is grid
                 assert all(same_bits(x, y) for x, y in zip(solution[1:], alone[1:]))
 
+    def test_huge_moduli_raise_singular_system_without_warning(self):
+        # the coating's P-wave modulus overflows to inf, and inf * 0 at the centre is nan
+        comp, _ = build_composite(
+            PhaseProperties(k=1e308, mu=1e308, h=0.0), CANONICAL.phase2, 0.5
+        )
+        config = CoatedSphereConfig(comp, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem):
+                solve_radial_bvp(config, Loading(0.3, 1.0), make_radial_grid(config, 64))
+
     def test_random_agreement(self, rng):
         for _ in range(10):
             comp = random_composite(rng)
@@ -344,6 +356,13 @@ class TestScan:
             assert scan >= exact - 1e-12
             assert scan - exact <= SQRT3 * abs(s0 - D) * (hi - lo) / (n - 1) + 1e-12
 
+    def test_overflow_is_a_value_not_a_warning(self):
+        # (sigma0 - D) t overflows to inf away from t = 0, where the minimum is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interval_scan_min(0.0, 1e300, 1e300, -1e300, 11)
+        assert got == SQRT3 * 1e300
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             interval_scan_min(0.0, 1.0, 0.0, 0.0, 1)
@@ -394,6 +413,14 @@ class TestSampledMoment:
                         assert sampled_moment(sol, phase, p).hex() == expected.hex()
                 with pytest.raises(ValueError):
                     sampled_moment(sol, 3, 2.0)
+
+    def test_overflow_is_a_value_not_a_warning(self):
+        # |tr sigma| ~ 1e200: its square overflows, and the moment is inf
+        grid = make_radial_grid(CORE1, 64)
+        sol = sample_analytic_fields(CORE1, Loading(1e200, 0.0), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sampled_moment(sol, 1, 2.0) == math.inf
 
     def test_exponent_validation(self):
         grid = make_radial_grid(CORE1, 64)
