@@ -47,7 +47,6 @@ from .errors import (
     EqualShearModuli,
     InputError,
     InvalidExponent,
-    NonConvergent,
     NonPositiveModulus,
     SingularSystem,
     VolumeFractionOutOfRange,

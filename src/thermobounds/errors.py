@@ -41,16 +41,10 @@ class InvalidExponent(InputError):
 
 
 class SingularSystem(RuntimeError):
-    """The discretized radial boundary-value problem is singular.
+    """The finite-volume oracle cannot solve the discretized radial problem.
 
-    Also raised for a grid whose cells would have zero volume, when the core
-    fraction is too close to 0 or 1 for the requested node count.
-    """
-
-
-class NonConvergent(RuntimeError):
-    """The radial solver's direct solve returned non-finite displacements.
-
-    Raised by :func:`~thermobounds.radial_oracle.solve_radial_bvp`, for
-    example on a zero pivot.
+    Its one refusal: non-finite coefficients, a solve that returns non-finite
+    displacements (on a zero pivot, say), or a grid whose cells would have
+    zero volume, when the core fraction is too close to 0 or 1 for the
+    requested node count.
     """

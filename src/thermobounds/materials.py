@@ -120,11 +120,11 @@ class _CompositeFields(NamedTuple):
 class ValidatedComposite(_CompositeFields):
     """A composite that passed :func:`build_composite`.
 
-    Carries the ordering classification alongside the raw fields.  All
-    downstream operations take a ``ValidatedComposite`` and may assume
+    All downstream operations take a ``ValidatedComposite`` and may assume
     ``mu1 > mu2``, ``k1 != k2``, and ``0 < theta1 < 1``.
 
-    The constructor takes the first five fields and derives the last two.
+    The constructor takes the first four fields and derives the last three.
+    ``ordering`` is the elastic ordering class, well-ordered when ``k1 > k2``.
     ``endpoints`` is the endpoint table that the bounds and the
     coated-sphere fields read (:func:`_endpoint_table`).  ``scaled_moduli``
     is ``(s, k1/s, mu1/s, k2/s, mu2/s)`` with ``s`` a power of two; closed
@@ -136,13 +136,14 @@ class ValidatedComposite(_CompositeFields):
 
     __slots__ = ()
 
-    def __new__(cls, phase1, phase2, theta1, theta2, ordering):
+    def __new__(cls, phase1, phase2, theta1, theta2):
+        ordering = Ordering.WELL_ORDERED if phase1.k > phase2.k else Ordering.NON_WELL_ORDERED
         scaled = _scaled_moduli(phase1, phase2)
         endpoints = _endpoint_table(scaled, theta1, theta2, phase2.h - phase1.h)
         return tuple.__new__(cls, (phase1, phase2, theta1, theta2, ordering, scaled, endpoints))
 
     def __getnewargs__(self):
-        return self[:5]
+        return self[:4]
 
     def phase(self, index: int) -> PhaseProperties:
         """Return phase properties by material index (1 or 2)."""
@@ -269,8 +270,7 @@ def build_composite(
             f"bulk moduli coincide within {BULK_EQUALITY_RTOL:g} relative "
             f"(k1={k1}, k2={k2})"
         )
-    ordering = Ordering.WELL_ORDERED if k1 > k2 else Ordering.NON_WELL_ORDERED
-    return ValidatedComposite(phase1, phase2, theta1, 1.0 - theta1, ordering), swapped
+    return ValidatedComposite(phase1, phase2, theta1, 1.0 - theta1), swapped
 
 
 def _swap_phase(phase: int | None, relabeled: bool) -> int | None:

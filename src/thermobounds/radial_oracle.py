@@ -21,17 +21,17 @@ size share one exact cyclic reduction: their systems couple by zeros only.
 Elsewhere only verify's regime-table check computes with arrays.  Every
 function here imports numpy where it builds them, so ``import thermobounds``
 does not load it.  Each array function turns an overflow into inf or nan
-under its own ``np.errstate``, never a warning, for its caller to report.
+under its own ``np.errstate``, never a warning, for its caller to report;
+the finite-volume oracle refuses a sphere it cannot solve with ``SingularSystem``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .bounds import SQRT3
 from .coated_sphere import CoatedSphereConfig, local_field_constants, superposed_shell_coefficients
-from .errors import NonConvergent, SingularSystem
+from .errors import SingularSystem
 from .materials import Loading, check_exponent
 
 MIN_NODES = 16
@@ -40,6 +40,7 @@ MIN_NODES = 16
 class _GridFields(NamedTuple):
     nodes: np.ndarray
     interface_index: int
+    volume_weights: np.ndarray
 
 
 class RadialGrid(_GridFields):
@@ -48,8 +49,11 @@ class RadialGrid(_GridFields):
     The center r = 0 carries the regularity condition u(0) = 0; it is not
     part of ``nodes``.  ``nodes[interface_index]`` equals the core radius a.
     Cell 0 spans (0, nodes[0]] and cell i > 0 spans (nodes[i-1], nodes[i]].
-    Construction checks both fields.  Instances keep a dict for the cached properties.
+    The constructor checks both given fields and derives ``volume_weights``,
+    the differences of r^3 over the cells (proportional to their volumes).
     """
+
+    __slots__ = ()
 
     def __new__(cls, nodes, interface_index):
         import numpy as np
@@ -63,20 +67,17 @@ class RadialGrid(_GridFields):
             raise ValueError("last node must equal the outer radius 1")
         if not (0 <= interface_index < len(nodes) - 1):
             raise ValueError("interface node must be interior")
-        return tuple.__new__(cls, (nodes, interface_index))
+        weights = np.diff(np.concatenate(([0.0], nodes)) ** 3)
+        return tuple.__new__(cls, (nodes, interface_index, weights))
+
+    def __getnewargs__(self):
+        return self[:2]
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    @cached_property
-    def volume_weights(self) -> np.ndarray:
-        """Differences of r^3 over the cells, proportional to cell volumes."""
-        import numpy as np
-
-        return np.diff(np.concatenate(([0.0], self.nodes)) ** 3)
-
-    @cached_property
+    @property
     def core_cells(self) -> np.ndarray:
         """True for the cells inside the interface node."""
         import numpy as np
@@ -107,10 +108,8 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     weights = np.diff(np.concatenate([[0.0], nodes]) ** 3)
     if not np.all(weights > 0.0):
         raise SingularSystem(f"core radius {a!r} leaves {n}-node grid cells of zero volume")
-    # the constructor's checks hold: positive volumes, linspace ends on 1.0, 4 <= n_core <= n - 4
-    grid = tuple.__new__(RadialGrid, (nodes, n_core - 1))
-    vars(grid)["volume_weights"] = weights  # the checked array, as the cached property
-    return grid
+    # the constructor's checks hold: positive weights, linspace ends on 1.0, 4 <= n_core <= n - 4
+    return tuple.__new__(RadialGrid, (nodes, n_core - 1, weights))
 
 
 class RadialSolution(NamedTuple):
@@ -256,7 +255,7 @@ def _solve_radial_bvps(configs, loading: Loading, grids) -> list[RadialSolution]
             raise SingularSystem("non-finite coefficients in radial system")
         u = _solve_tridiagonal(off, upper, row_sum, rhs)
         if not np.all(np.isfinite(u)):
-            raise NonConvergent("direct solve returned non-finite displacements")
+            raise SingularSystem("direct solve returned non-finite displacements")
 
         # cell-midpoint stress trace: 3k (du/dr + 2 u/r - 3 eigenstrain)
         u0 = np.concatenate((np.zeros((len(grids), 1)), u), axis=1)

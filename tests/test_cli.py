@@ -22,7 +22,7 @@ from thermobounds.bounds import (
     bound_grid,
     thermal_stress_scale,
 )
-from thermobounds import Loading, NonConvergent, PhaseProperties, build_composite
+from thermobounds import Loading, PhaseProperties, SingularSystem, build_composite
 from thermobounds.materials import EndpointLine, _swap_phase
 from thermobounds import bounds, cli, radial_oracle, verify
 from thermobounds.cli import Coded, emit_rows, main
@@ -519,7 +519,7 @@ class TestVerify:
         cfg = write_config(tmp_path, doc)
 
         def refuse(*args):
-            raise NonConvergent("refused")
+            raise SingularSystem("refused")
 
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_solve_radial_bvps", refuse)

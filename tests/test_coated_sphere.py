@@ -25,7 +25,6 @@ from thermobounds import (
     InputError,
     InvalidExponent,
     Loading,
-    Ordering,
     PhaseProperties,
     ValidatedComposite,
     build_composite,
@@ -90,7 +89,6 @@ def homogeneous_config(k=2.0, mu=1.0, h=0.3, theta1=0.4):
     phase = PhaseProperties(k=k, mu=mu, h=h)
     comp = ValidatedComposite(
         phase1=phase, phase2=phase, theta1=theta1, theta2=1 - theta1,
-        ordering=Ordering.WELL_ORDERED,
     )
     return CoatedSphereConfig(composite=comp, core_phase=1)
 

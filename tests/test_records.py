@@ -31,8 +31,8 @@ class TestConstruction:
         assert composite.theta1 == 0.7 and composite.theta2 == 1.0 - 0.7
         assert composite.ordering is tb.Ordering.WELL_ORDERED
         assert composite.scaled_moduli == (2.0, 1.0, 0.5, 0.5, 0.25)  # s = 2
-        # the constructor takes the first five fields and derives the table
-        assert tb.ValidatedComposite(*composite[:5]) == composite
+        # the constructor takes the first four fields and derives the others
+        assert tb.ValidatedComposite(*composite[:4]) == composite
         assert len(composite.endpoints) == 4
         assert loading == (-1.5, 2.0)
         for core, sphere in zip((1, 2), spheres):
