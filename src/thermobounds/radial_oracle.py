@@ -27,6 +27,7 @@ the finite-volume oracle refuses a sphere it cannot solve with ``SingularSystem`
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .bounds import SQRT3
@@ -346,8 +347,14 @@ def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[floa
     w = solution.grid.volume_weights[run]
     vals = np.abs(solution.cell_tr_sigma[run]) / SQRT3
     total = w.sum()  # a numpy float: a zero total gives nan or inf, not ZeroDivisionError
+    # a phase whose largest value's power would leave the float range is taken
+    # in units of that value; elsewhere the unit is 1.0, which changes no bit
+    top = float(np.max(vals))
+    if not (0.0 < top < math.inf and max(exponents) * abs(math.log2(top)) > 1000):
+        top = 1.0
+    vals = vals / top
     with np.errstate(over="ignore", invalid="ignore"):
-        return [float(((vals**p * w).sum() / total) ** (1.0 / p)) for p in exponents]
+        return [float(((vals**p * w).sum() / total) ** (1.0 / p)) * top for p in exponents]
 
 
 def compare_fields(analytic: RadialSolution, numeric: RadialSolution) -> float:
