@@ -3,6 +3,7 @@
 Usage::
 
     python tests/corpus.py OUTDIR
+    python tests/corpus.py --digest FILE
 
 It runs the CLI of the checkout it sits in (its ``src/`` comes first on the
 path) through :func:`thermobounds.cli.main`, in this one process, and writes
@@ -10,6 +11,16 @@ what each run produced.  A change that is meant to leave every output as it
 was runs this script in the parent's checkout and in its own, into two
 directories, and ``diff -r`` of the two is the check; ``diff -rq A B | wc -l``
 counts the runs that differ.  pytest does not collect this file.
+
+With ``--digest`` it writes, instead of the records, one line per run: the
+run's path under OUTDIR and the first 16 hex digits of the sha256 of its
+record (of the bytes of its file).  ``tests/corpus.sha256`` is that file for
+the committed code, and ``tests/test_corpus.py`` runs the corpus in tier-1
+and names each run whose digest moved.  Like the golden files, the digests
+pin the bits of one Python and numpy build (3.11.7 and 2.4.6).  After a
+change that is meant to alter some outputs, regenerate it with::
+
+    python tests/corpus.py --digest tests/corpus.sha256
 
 The 174 configs:
 
@@ -49,6 +60,7 @@ escape shows up there as well as in ``diff -r``.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -165,8 +177,9 @@ def run_one(config: Path, argv: list[str], scratch: Path) -> tuple[str, bool]:
     return "\n".join(parts) + "\n", escaped or bool(caught)
 
 
-def main_corpus(outdir: Path) -> int:
-    count = flagged = 0
+def records(outdir: Path):
+    """Run the corpus with its config files under ``outdir``: (path, record,
+    whether it recorded a warning or an escaped exception) of each run."""
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         for name, doc in configs():
@@ -177,16 +190,43 @@ def main_corpus(outdir: Path) -> int:
             sweep.write_text(json.dumps(dict(doc, loading=SWEEP_LOADING)))
             for run, argv in runs():
                 path = sweep if argv[0] == "sweep" else config
-                record, raised_or_warned = run_one(path, argv, scratch)
-                (folder / f"{run}.txt").write_text(record)
-                count += 1
-                flagged += raised_or_warned
-    print(f"wrote {count} runs to {outdir}")
+                yield f"{name}/{run}.txt", *run_one(path, argv, scratch)
+
+
+def digest(record: str) -> str:
+    """The first 16 hex digits of the sha256 of a record's file."""
+    return hashlib.sha256(record.encode()).hexdigest()[:16]
+
+
+def read_digests(path: Path) -> dict[str, str]:
+    """{run path: digest} from a ``--digest`` file."""
+    return dict(line.split(" ") for line in path.read_text().splitlines())
+
+
+def main_corpus(outdir: Path, digest_file: Path | None = None) -> int:
+    """Write each run's record under ``outdir``, or only its digest line to ``digest_file``."""
+    count = flagged = 0
+    lines = []
+    for path, record, raised_or_warned in records(outdir):
+        if digest_file is None:
+            (outdir / path).write_text(record)
+        else:
+            lines.append(f"{path} {digest(record)}\n")
+        count += 1
+        flagged += raised_or_warned
+    if digest_file is None:
+        print(f"wrote {count} runs to {outdir}")
+    else:
+        digest_file.write_text("".join(lines))
+        print(f"wrote {count} run digests to {digest_file}")
     print(f"{flagged} runs recorded a warning or an escaped exception")
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/corpus.py OUTDIR")
-    sys.exit(main_corpus(Path(sys.argv[1])))
+    if len(sys.argv) == 2 and sys.argv[1] != "--digest":
+        sys.exit(main_corpus(Path(sys.argv[1])))
+    if len(sys.argv) == 3 and sys.argv[1] == "--digest":
+        with tempfile.TemporaryDirectory() as configs_dir:
+            sys.exit(main_corpus(Path(configs_dir), Path(sys.argv[2])))
+    sys.exit("usage: python tests/corpus.py OUTDIR | --digest FILE")

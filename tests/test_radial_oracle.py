@@ -319,7 +319,7 @@ class TestTridiagonal:
             x = _solve_tridiagonal(lower, upper, np.array([1.0, 3.0, 4.0]), np.ones(3))
         assert not np.all(np.isfinite(x))
 
-    def test_zero_pivot_in_fv_solve_raises_nonconvergent(self, monkeypatch):
+    def test_zero_pivot_in_fv_solve_raises_singular_system(self, monkeypatch):
         monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

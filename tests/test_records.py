@@ -105,6 +105,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             RadialGrid(nodes, interface_index)
 
+    def test_composite_derives_its_ordering_from_the_bulk_moduli(self):
+        stiff, soft = tb.PhaseProperties(2.0, 1.0, 0.0), tb.PhaseProperties(1.0, 0.5, 1.0)
+        theta1 = 0.3
+        well = tb.ValidatedComposite(stiff, soft, theta1, 1 - theta1)
+        non = tb.ValidatedComposite(stiff, soft._replace(k=3.0), theta1, 1 - theta1)
+        assert well.ordering is tb.Ordering.WELL_ORDERED
+        assert non.ordering is tb.Ordering.NON_WELL_ORDERED
+        # an ordering that could contradict the moduli is not an argument
+        with pytest.raises(TypeError):
+            tb.ValidatedComposite(stiff, soft, 0.5, 0.5, tb.Ordering.NON_WELL_ORDERED)
+        with pytest.raises(TypeError):
+            tb.ValidatedComposite(stiff, soft, 0.5, 0.5, ordering=tb.Ordering.WELL_ORDERED)
+
     def test_grid_takes_nodes_as_floats(self):
         grid = RadialGrid([i / MIN_NODES for i in range(1, MIN_NODES + 1)], interface_index=4)
         assert grid.nodes.dtype == float and grid.n == MIN_NODES
@@ -129,3 +142,16 @@ class TestRoundTrips:
         assert type(out) is type(record)
         assert out == record
         assert out._asdict() == record._asdict()
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=2)),
+        copy.deepcopy,
+    ])
+    def test_a_built_grid_round_trips_with_its_arrays(self, round_trip):
+        grid = make_radial_grid(tb.CoatedSphereConfig(CANONICAL, 2), 257)
+        out = round_trip(grid)
+        assert type(out) is RadialGrid
+        assert out.interface_index == grid.interface_index
+        assert out.nodes.tobytes() == grid.nodes.tobytes()
+        assert out.volume_weights.tobytes() == grid.volume_weights.tobytes()
