@@ -39,6 +39,7 @@ from thermobounds.cli import main
 DRAWS = 60
 VERIFY_DRAWS = 20
 PHASES = ("1", "2", "max")
+STRESS_COLUMNS = {"bounds": {"sigma0", "value"}, "table": {"D", "sigma0_min", "sigma0_max"}}
 SWEEP_LOADING = {
     "sigma0": {"start": -10.0, "stop": 10.0, "count": 9},
     "deltaT": {"start": -3.0, "stop": 3.0, "count": 3},
@@ -106,13 +107,13 @@ def _scaled(doc, j):
               for key in ("phase1", "phase2")}
     sigma0 = doc["loading"]["sigma0"]
     if isinstance(sigma0, dict):
-        sigma0 = dict(sigma0, start=math.ldexp(sigma0["start"], j), stop=math.ldexp(sigma0["stop"], j))
+        sigma0 = dict(sigma0, **{end: math.ldexp(sigma0[end], j) for end in ("start", "stop")})
     else:
         sigma0 = math.ldexp(sigma0, j)
     return dict(doc, **phases, loading=dict(doc["loading"], sigma0=sigma0))
 
 
-def _unit_violations(base, scaled, j, stress, formula=False):
+def _unit_violations(base, scaled, j, stress):
     """The cells of ``scaled`` rows that break R1 against the ``base`` rows."""
     if len(base) != len(scaled):
         return [f"{len(base)} rows became {len(scaled)}"]
@@ -122,7 +123,7 @@ def _unit_violations(base, scaled, j, stress, formula=False):
             if key in stress:
                 want = math.ldexp(_float(value), j)
                 ok = _same(_float(s[key]), want)
-            elif key == "formula" and formula:
+            elif key == "formula":
                 # the formula writes D with 17 significant digits
                 d_base, d_scaled = ("(%.17g)" % _float(row["D"]) for row in (b, s))
                 ok = s[key] == value.replace(d_base, d_scaled)
@@ -150,8 +151,8 @@ def test_r1_units_scale_the_stress_columns(run, j):
         for config, *argv in cases:
             base_code, base = run(config, *argv)
             code, scaled = run(_scaled(config, j), *argv)
-            stress = {"D", "sigma0_min", "sigma0_max"} if argv[0] == "table" else {"sigma0", "value"}
-            bad = _unit_violations(base, scaled, j, stress, formula=argv[0] == "table")
+            stress = STRESS_COLUMNS["table" if argv[0] == "table" else "bounds"]
+            bad = _unit_violations(base, scaled, j, stress)
             if code != base_code:
                 bad.append(f"exit {base_code} -> {code}")
             failures += [f"draw {n} {' '.join(argv)}: {b}" for b in bad]
