@@ -399,28 +399,12 @@ def _rows(bounded: list, sigma0_values, D: float) -> list:
     return _max_rows(rows, _phase_rows(bounded[1], sigma0_values, D)) if len(bounded) == 2 else rows
 
 
-def affine_abs_min(
-    interval: ComplianceInterval, sigma0: float, D: float
-) -> tuple[float, float, Endpoint]:
-    """Minimize sqrt(3)*|(sigma0 - D) t + D| over t in [interval.lo, interval.hi].
-
-    The paper's form on a bare interval: one row of :func:`_phase_rows` with the ends
-    ``(lo, D (1 - lo))`` and ``(hi, D (1 - hi))``.  Returns (value, argmin, endpoint tag).
-    The bounds read the endpoint table's lines, which do not cancel near the bulk-modulus gate.
-    """
-    lo, hi, codes = interval.lo, interval.hi, (0, _ZERO, _ZERO)
-    entry = (interval.phase, lo, D * (1.0 - lo), codes, hi, D * (1.0 - hi), codes)
-    value, argmin, code, *_ = _phase_rows(entry, (sigma0,), D)[0]
-    return value, argmin, ENDPOINT_CODES[code]
-
-
 def _bound(c: ValidatedComposite, target: str, sigma0: float, deltaT: float):
     """(BoundResult, :func:`bound_grid`'s row) of a target at one loading."""
     D, bounded = thermal_stress_scale(c, deltaT), _bounded_phases(c, target, deltaT)
     value, argmin, code, phase, core, _ = row = _rows(bounded, (sigma0,), D)[0]
     micro = _ATTAINING[core, phase if target == "max" else None]
-    # the fields need no checks, so tuple.__new__ skips the generated __new__
-    return tuple.__new__(BoundResult, (value, argmin, ENDPOINT_CODES[code], micro)), row
+    return BoundResult(value, argmin, ENDPOINT_CODES[code], micro), row
 
 
 def phase_moment_lower_bound(

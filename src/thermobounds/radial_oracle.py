@@ -50,8 +50,9 @@ class RadialGrid(_GridFields):
     The center r = 0 carries the regularity condition u(0) = 0; it is not
     part of ``nodes``.  ``nodes[interface_index]`` equals the core radius a.
     Cell 0 spans (0, nodes[0]] and cell i > 0 spans (nodes[i-1], nodes[i]].
-    The constructor checks both given fields and derives ``volume_weights``,
-    the differences of r^3 over the cells (proportional to their volumes).
+    The constructor derives ``volume_weights``, the differences of r^3 over the
+    cells (proportional to their volumes), and requires each to be positive: the
+    nodes then increase from above 0, and no cell's r^3 has underflowed.
     """
 
     __slots__ = ()
@@ -62,13 +63,13 @@ class RadialGrid(_GridFields):
         nodes = np.asarray(nodes, dtype=float)
         if len(nodes) < MIN_NODES:
             raise ValueError(f"grid needs at least {MIN_NODES} nodes, got {len(nodes)}")
-        if not np.all(np.diff(nodes) > 0.0) or nodes[0] <= 0.0:
-            raise ValueError("nodes must be strictly increasing and positive")
+        weights = np.diff(np.concatenate(([0.0], nodes)) ** 3)
+        if not np.all(weights > 0.0):
+            raise ValueError("every cell must have positive volume")
         if nodes[-1] != 1.0:
             raise ValueError("last node must equal the outer radius 1")
         if not (0 <= interface_index < len(nodes) - 1):
             raise ValueError("interface node must be interior")
-        weights = np.diff(np.concatenate(([0.0], nodes)) ** 3)
         return tuple.__new__(cls, (nodes, interface_index, weights))
 
     def __getnewargs__(self):
@@ -91,10 +92,9 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
 
     Node counts in core and coating are allocated proportionally to the
     radii so the spacing is nearly uniform across the interface.  Raises
-    SingularSystem when the core fraction is so close to 0 or 1 that some
-    cell's volume rounds to zero (the coating nodes collapse once a rounds
-    to 1; the core cells' r^3 underflows for a core fraction near the
-    smallest float).
+    SingularSystem when a cell's volume rounds to zero, the one grid rule these
+    nodes can break: the coating nodes collapse once a rounds to 1, and the core
+    cells' r^3 underflows for a core fraction near the smallest float.
     """
     import numpy as np
 
@@ -106,11 +106,10 @@ def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     core_nodes = np.linspace(0.0, a, n_core + 1)[1:]
     coat_nodes = np.linspace(a, 1.0, n_coat + 1)[1:]
     nodes = np.concatenate([core_nodes, coat_nodes])
-    weights = np.diff(np.concatenate([[0.0], nodes]) ** 3)
-    if not np.all(weights > 0.0):
-        raise SingularSystem(f"core radius {a!r} leaves {n}-node grid cells of zero volume")
-    # the constructor's checks hold: positive weights, linspace ends on 1.0, 4 <= n_core <= n - 4
-    return tuple.__new__(RadialGrid, (nodes, n_core - 1, weights))
+    try:
+        return RadialGrid(nodes, n_core - 1)
+    except ValueError:
+        raise SingularSystem(f"core radius {a!r} leaves {n}-node grid cells of zero volume") from None
 
 
 class RadialSolution(NamedTuple):

@@ -41,7 +41,6 @@ from thermobounds import (
 from thermobounds.bounds import (
     BRANCH_IDS,
     ENDPOINT_CODES,
-    affine_abs_min,
     bound_grid,
     thermal_stress_scale,
 )
@@ -214,75 +213,75 @@ class TestComplianceInterval:
 
 
 class TestAffineAbsMin:
+    """The public per-phase bound against the paper's definition at nonzero D.
+
+    The bound is the affine absolute-value minimum of sqrt(3)|(sigma0 - D) t + D|
+    over the phase's compliance interval; the dense scan evaluates that form.
+    """
+
     def test_canonical_phase2(self):
         iv = compliance_interval(CANONICAL, 2)
-        value, argmin, tag = affine_abs_min(iv, 0.0, -6.0)
-        assert value == pytest.approx(2 * SQRT3 / 3, rel=1e-14)
-        assert argmin == iv.hi and tag is Endpoint.UPPER
+        r = phase_moment_lower_bound(CANONICAL, Loading(0.0, 1.0), 2)
+        assert r.value == pytest.approx(2 * SQRT3 / 3, rel=1e-14)
+        assert r.argmin_compliance == iv.hi and r.at_endpoint is Endpoint.UPPER
         # dense-scan oracle
+        assert thermal_stress_scale(CANONICAL, 1.0) == -6.0
         scan = interval_scan_min(iv.lo, iv.hi, 0.0, -6.0, 1_000_001)
-        assert value <= scan <= value + SQRT3 * 6 * (iv.hi - iv.lo) / 1e6
+        assert r.value <= scan <= r.value + SQRT3 * 6 * (iv.hi - iv.lo) / 1e6
 
     def test_canonical_phase1(self):
         iv = compliance_interval(CANONICAL, 1)
-        value, argmin, tag = affine_abs_min(iv, 0.0, -6.0)
-        assert value == pytest.approx(2 * SQRT3 / 3, rel=1e-14)
-        assert argmin == iv.lo and tag is Endpoint.LOWER
+        r = phase_moment_lower_bound(CANONICAL, Loading(0.0, 1.0), 1)
+        assert r.value == pytest.approx(2 * SQRT3 / 3, rel=1e-14)
+        assert r.argmin_compliance == iv.lo and r.at_endpoint is Endpoint.LOWER
 
     def test_degenerate_zero_objective(self):
-        iv = compliance_interval(CANONICAL, 2)
-        value, argmin, tag = affine_abs_min(iv, 0.0, 0.0)
-        assert value == 0.0 and tag is Endpoint.INTERIOR
+        for phase in (1, 2):
+            r = phase_moment_lower_bound(CANONICAL, Loading(0.0, 0.0), phase)
+            assert r.value == 0.0 and r.at_endpoint is Endpoint.INTERIOR
 
     def test_constant_objective_at_sigma_equal_D(self):
         iv = compliance_interval(CANONICAL, 2)
-        value, argmin, tag = affine_abs_min(iv, -6.0, -6.0)
-        assert value == pytest.approx(SQRT3 * 6.0, rel=1e-15)
-        assert argmin == iv.lo and tag is Endpoint.LOWER
+        r = phase_moment_lower_bound(CANONICAL, Loading(-6.0, 1.0), 2)
+        assert r.value == pytest.approx(SQRT3 * 6.0, rel=1e-15)
+        assert r.argmin_compliance == iv.lo and r.at_endpoint is Endpoint.LOWER
 
     def test_interior_zero_crossing(self):
         iv = compliance_interval(CANONICAL, 2)
-        # crossing t* = D/(D - s0) inside [5/6, 8/9] for s0 = 1 (t* = 6/7)
-        value, argmin, tag = affine_abs_min(iv, 1.0, -6.0)
-        assert value == 0.0 and tag is Endpoint.INTERIOR
-        assert iv.lo <= argmin <= iv.hi
-        assert argmin == pytest.approx(6 / 7, rel=1e-14)
+        # crossing t* = D/(D - s0) inside [5/6, 8/9] for s0 = 1, D = -6 (t* = 6/7)
+        r = phase_moment_lower_bound(CANONICAL, Loading(1.0, 1.0), 2)
+        assert r.value == 0.0 and r.at_endpoint is Endpoint.INTERIOR
+        assert iv.lo <= r.argmin_compliance <= iv.hi
+        assert r.argmin_compliance == pytest.approx(6 / 7, rel=1e-14)
+
+    @staticmethod
+    def check_against_scan(comp, loading, phase, n):
+        iv = compliance_interval(comp, phase)
+        s0, D = loading.sigma0, thermal_stress_scale(comp, loading.deltaT)
+        r = phase_moment_lower_bound(comp, loading, phase)
+        scan = interval_scan_min(iv.lo, iv.hi, s0, D, n)
+        resolution = SQRT3 * abs(s0 - D) * (iv.hi - iv.lo) / (n - 1)
+        assert r.value >= 0.0
+        assert scan >= r.value - 1e-12 * max(1.0, r.value)
+        assert scan - r.value <= resolution + 1e-12 * max(1.0, scan)
+        assert iv.lo <= r.argmin_compliance <= iv.hi
+        assert (r.at_endpoint is Endpoint.INTERIOR) == (r.value == 0.0)
 
     def test_random_against_scan(self, rng):
         for _ in range(200):
-            lo = float(rng.uniform(0.1, 2.0))
-            hi = lo + float(rng.uniform(1e-3, 1.0))
-            iv = compliance_interval(CANONICAL, 2).__class__(
-                lo=lo, hi=hi, phase=2, lo_symbol="L2", hi_symbol="M2"
-            )
-            s0, D = float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8))
-            value, argmin, tag = affine_abs_min(iv, s0, D)
-            n = 40_001
-            scan = interval_scan_min(lo, hi, s0, D, n)
-            resolution = SQRT3 * abs(s0 - D) * (hi - lo) / (n - 1)
-            assert scan >= value - 1e-12 * max(1.0, value)
-            assert scan - value <= resolution + 1e-12
-            assert lo <= argmin <= hi
+            comp, loading = random_composite(rng), random_loading(rng)
+            self.check_against_scan(comp, loading, int(rng.integers(1, 3)), 40_001)
 
     @given(
-        lo=st.floats(0.05, 3.0),
-        width=st.floats(1e-4, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        phase=st.sampled_from((1, 2)),
         s0=st.floats(-20.0, 20.0),
-        D=st.floats(-20.0, 20.0),
+        dT=st.floats(-3.0, 3.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_hypothesis_against_scan(self, lo, width, s0, D):
-        from thermobounds import ComplianceInterval
-
-        iv = ComplianceInterval(lo=lo, hi=lo + width, phase=2, lo_symbol="L2", hi_symbol="M2")
-        value, argmin, tag = affine_abs_min(iv, s0, D)
-        n = 20_001
-        scan = interval_scan_min(iv.lo, iv.hi, s0, D, n)
-        resolution = SQRT3 * abs(s0 - D) * width / (n - 1)
-        assert value >= 0.0
-        assert scan >= value - 1e-9 * max(1.0, value)
-        assert scan - value <= resolution + 1e-9 * max(1.0, scan)
-        assert (tag is Endpoint.INTERIOR) == (value == 0.0)
+    def test_hypothesis_against_scan(self, seed, phase, s0, dT):
+        comp = random_composite(np.random.default_rng(seed))
+        self.check_against_scan(comp, Loading(s0, dT), phase, 20_001)
 
 
 class TestPhaseMomentLowerBound:

@@ -22,7 +22,6 @@ from thermobounds import (
     solve_radial_bvp,
     thermal_coefficients,
 )
-from thermobounds.bounds import affine_abs_min
 from thermobounds.radial_oracle import RadialGrid, _solve_tridiagonal
 from test_coated_sphere import homogeneous_config
 
@@ -138,6 +137,13 @@ class TestGrid:
                     assert rebuilt.interface_index == grid.interface_index
                     assert rebuilt.nodes.tobytes() == grid.nodes.tobytes()
                     assert rebuilt.volume_weights.tobytes() == grid.volume_weights.tobytes()
+
+    @pytest.mark.parametrize("theta1, core", [(1e-300, 2), (1.0 - 2.0**-53, 1)])
+    def test_a_sphere_whose_cells_collapse_is_refused(self, theta1, core):
+        comp, _ = build_composite(CANONICAL.phase1, CANONICAL.phase2, theta1)
+        message = "core radius 1.0 leaves 4096-node grid cells of zero volume"
+        with pytest.raises(SingularSystem, match=f"^{message}$"):
+            make_radial_grid(CoatedSphereConfig(comp, core), 4096)
 
     def test_extreme_fractions_keep_cells_on_both_sides(self, rng):
         for theta1 in (0.05, 0.95):
@@ -342,14 +348,14 @@ class TestScan:
         assert got <= SQRT3 * 4.0 * 0.6 / (n - 1)
 
     def test_never_below_exact_min(self, rng):
-        from thermobounds import ComplianceInterval
-
         for _ in range(100):
             lo = float(rng.uniform(0.1, 2.0))
             hi = lo + float(rng.uniform(0.01, 1.0))
             s0, D = float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))
-            iv = ComplianceInterval(lo=lo, hi=hi, phase=2, lo_symbol="L2", hi_symbol="M2")
-            exact, _, _ = affine_abs_min(iv, s0, D)
+            # the closed form: 0 where the objective changes sign on [lo, hi], else the smaller end
+            v_lo, v_hi = (s0 - D) * lo + D, (s0 - D) * hi + D
+            crosses = min(v_lo, v_hi) <= 0.0 <= max(v_lo, v_hi)
+            exact = 0.0 if crosses else SQRT3 * min(abs(v_lo), abs(v_hi))
             n = 10_001
             scan = interval_scan_min(lo, hi, s0, D, n)
             assert scan >= exact - 1e-12

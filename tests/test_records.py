@@ -100,6 +100,8 @@ class TestValidation:
         (np.linspace(0.1, 0.9, MIN_NODES), 3),       # outer radius not 1
         (np.linspace(0.1, 1.0, MIN_NODES), MIN_NODES - 1),  # interface on the surface
         (np.linspace(0.1, 1.0, MIN_NODES), -1),
+        # positive and increasing, but the first cells' r^3 underflows to zero volume
+        (np.concatenate([1e-120 * np.arange(1, 5), np.linspace(0.1, 1.0, MIN_NODES)]), 3),
     ])
     def test_bad_grid_raises(self, nodes, interface_index):
         with pytest.raises(ValueError):
