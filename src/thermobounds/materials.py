@@ -237,7 +237,7 @@ def build_composite(
     Returns the composite together with a flag telling whether the phases
     were swapped, so results computed in the internal convention can be
     reported in the caller's original numbering.  A swapped composite stores
-    ``theta1 = 1 - t`` for the caller's fraction ``t``.
+    ``theta1 = 1 - t`` and ``theta2 = t`` for the caller's fraction ``t``.
 
     Raises
     ------
@@ -258,8 +258,9 @@ def build_composite(
             f"shear moduli are equal (mu={phase1.mu}); relabeling undefined"
         )
     swapped = phase1.mu < phase2.mu
+    theta2 = 1.0 - theta1
     if swapped:
-        phase1, phase2, theta1 = phase2, phase1, 1.0 - theta1
+        phase1, phase2, theta1, theta2 = phase2, phase1, theta2, theta1
     if not (math.isfinite(theta1) and 0.0 < theta1 < 1.0):
         raise VolumeFractionOutOfRange(
             f"theta1 must lie strictly inside (0, 1), got {theta1}"
@@ -270,7 +271,7 @@ def build_composite(
             f"bulk moduli coincide within {BULK_EQUALITY_RTOL:g} relative "
             f"(k1={k1}, k2={k2})"
         )
-    return ValidatedComposite(phase1, phase2, theta1, 1.0 - theta1), swapped
+    return ValidatedComposite(phase1, phase2, theta1, theta2), swapped
 
 
 def _swap_phase(phase: int | None, relabeled: bool) -> int | None:

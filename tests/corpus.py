@@ -28,8 +28,8 @@ The 174 configs:
   each followed by its loading, a ``random_loading`` draw from the same
   generator (``tests/conftest.py``).  Every second one (odd index) is written
   relabeled: phase 1 and phase 2 exchanged, so the library swaps them back,
-  with theta1 kept as drawn.  The library then stores theta2 = 1 - (1 - t)
-  for the listed t, which differs from t in its last bits on 17 of the 80.
+  with theta1 kept as drawn.  The library then stores theta2 = t for the
+  listed t.
 * 14 edge configs, each taken from the test that defines it: the
   high-contrast composite (``test_radial_oracle.HIGH_CONTRAST``), the shear
   contrasts mu1 = 1e200 and 1e160, the D-overflow composite with h2 = 1e10

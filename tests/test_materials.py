@@ -41,8 +41,7 @@ class TestNormalization:
         )
         assert swapped
         assert out.phase1.mu == 1.0 and out.phase2.mu == 0.5
-        assert out.theta1 == 0.7 and out.theta2 == pytest.approx(0.3)
-        assert out.theta2 == 1.0 - (1.0 - 0.3)
+        assert out.theta1 == 0.7 and out.theta2 == 0.3
 
     def test_keeps_conforming_spec(self):
         out, swapped = build_composite(*spec())
@@ -61,9 +60,11 @@ class TestNormalization:
     def test_involution_on_conforming(self, mu1, mu2, theta1):
         if mu1 == mu2:
             return
-        once, _ = build_composite(*spec(mu1=mu1, mu2=mu2, theta1=theta1))
-        twice, swapped_again = build_composite(once.phase1, once.phase2, once.theta1)
-        assert not swapped_again
+        once, swapped = build_composite(*spec(mu1=mu1, mu2=mu2, theta1=theta1))
+        # the caller's own listing: a swapped composite stores the caller's fraction as theta2
+        listing = (once.phase2, once.phase1, once.theta2) if swapped else once[:3]
+        twice, swapped_again = build_composite(*listing)
+        assert swapped_again == swapped
         assert twice == once
 
 

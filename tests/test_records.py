@@ -28,7 +28,7 @@ class TestConstruction:
             (1.0, 0.5, 1.0), (2.0, 1.0, 0.0), 0.3, -1.5, 2.0)
         assert swapped
         assert composite.phase1 == tb.PhaseProperties(2.0, 1.0, 0.0)
-        assert composite.theta1 == 0.7 and composite.theta2 == 1.0 - 0.7
+        assert composite.theta1 == 0.7 and composite.theta2 == 0.3
         assert composite.ordering is tb.Ordering.WELL_ORDERED
         assert composite.scaled_moduli == (2.0, 1.0, 0.5, 0.5, 0.25)  # s = 2
         # the constructor takes the first four fields and derives the others
