@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--out", required=True, help="output file path")
     sp.add_argument("--phase", choices=("1", "2", "max"), default="max")
-    sp.add_argument("--p", default="2")
+    sp.add_argument("--p", default="2", help="moment exponent in (1, inf]; 'inf' allowed")
     sp.add_argument(
         "--residuals",
         action="store_true",

@@ -15,7 +15,8 @@ it never executed, as ``path:line: source``, then one count per file.  The
 Only this process's main thread is traced.  Lines that run only in a
 subprocess, such as those of ``__main__.py`` and the ``sys.exit(main())``
 under ``cli.py``'s ``if __name__ == "__main__":``, which the tests reach
-only through ``python -m thermobounds``, show as missed.
+only through ``python -m thermobounds``, show as missed.  The script exits
+1 when it reports any other missed statement, and 0 otherwise.
 
 A statement is one ``ast`` statement: for a compound statement (``if``,
 ``for``, ``def``, ...) its header lines, else all its lines.  It counts when
@@ -71,6 +72,11 @@ def _trace(executed: dict):
     return trace
 
 
+def _subprocess_only(name: str, text: str) -> bool:
+    """Whether a statement runs only in a ``python -m thermobounds`` subprocess."""
+    return name == "__main__.py" or (name, text) == ("cli.py", "sys.exit(main())")
+
+
 def main() -> int:
     import pytest
 
@@ -82,7 +88,7 @@ def main() -> int:
     finally:
         sys.settrace(None)
 
-    counts = []
+    counts, unexpected = [], 0
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
@@ -92,10 +98,13 @@ def main() -> int:
         missed = [line for line, span in statements if not ran.intersection(span)]
         name = path.relative_to(TESTS.parent)
         for line in missed:
-            print(f"{name}:{line}: {lines[line - 1].strip()}")
+            text = lines[line - 1].strip()
+            print(f"{name}:{line}: {text}")
+            unexpected += not _subprocess_only(path.name, text)
         counts.append(f"{name}: {len(missed)} of {len(statements)} statements missed")
     print("\n".join(counts))
-    return 0
+    print(f"{unexpected} missed statements outside the subprocess-only lines")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
