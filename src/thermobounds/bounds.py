@@ -38,8 +38,8 @@ interface symmetry with the moment evaluators and is validated when given.
 One kernel, :func:`_phase_rows`, evaluates a phase's bound, attaining sphere
 and regime-table branch over a column of sigma0 values; :func:`_max_rows`
 merges two phases' rows.  The scalar functions run it on one row, and
-:func:`bound_grid` and ``verify``'s regime-table samples (for all three of its
-tables) on a column per phase.  This module builds no arrays;
+:func:`bound_grid` (returning its rows as they are) and ``verify``'s regime-table
+samples (all three tables) on a column per phase.  This module builds no arrays;
 :meth:`RegimeRow.bound_at` also evaluates an array that a caller passes in.
 
 Everything here is a pure function of immutable inputs.
@@ -70,7 +70,7 @@ BRANCH_IDS = (
 
 
 class Endpoint(Enum):
-    """Where the affine absolute-value minimum is achieved."""
+    """Where on a phase's compliance interval its bound is attained."""
 
     LOWER = "lower"
     UPPER = "upper"
@@ -308,7 +308,7 @@ def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval
     )
 
 
-#: Endpoint tags by their codes, which the kernel and BoundArrays.endpoint hold.
+#: Endpoint tags by their codes, which the kernel's rows hold.
 ENDPOINT_CODES = (Endpoint.LOWER, Endpoint.UPPER, Endpoint.INTERIOR)
 _LOWER, _UPPER, _INTERIOR = range(3)
 _ZERO = BRANCH_IDS.index("Zero")
@@ -453,42 +453,27 @@ def classify_branch(
     return result, BRANCH_IDS[row[5]]
 
 
-class BoundArrays(NamedTuple):
-    """A bound over a grid of loadings, as computed by :func:`bound_grid`.
+def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values) -> list:
+    """A bound and its branch at each loading of the sigma0 x deltaT grid, sigma0-major.
 
-    Every field is a list over the grid's rows, and element ``i`` holds
-    what the scalar functions give at loading ``i``:
+    Row ``i`` is the kernel's ``(value, argmin, code, phase, core, branch)`` at loading ``i``,
+    with the bits the scalar functions give there, as they run the kernel on one row:
 
     * ``value``, ``argmin``: ``BoundResult.value``/``argmin_compliance``;
-    * ``endpoint``: index into :data:`ENDPOINT_CODES` (``at_endpoint``);
-    * ``phase``: the phase bounded, for the max-field target the winning
-      phase (``max_attaining_phase`` where the endpoint is not INTERIOR);
-    * ``core``: core phase of the attaining coated-sphere assemblage, 0
-      where the microstructure is undetermined;
+    * ``code``: index into :data:`ENDPOINT_CODES` (``at_endpoint``);
+    * ``phase``: the phase bounded; for the max-field target the winning
+      phase (``max_attaining_phase`` where the code is not INTERIOR);
+    * ``core``: core phase of the attaining coated-sphere assemblage, 0 where none attains;
     * ``branch``: index into :data:`BRANCH_IDS`, as :func:`classify_branch`.
-    """
-
-    value: list
-    argmin: list
-    endpoint: list
-    phase: list
-    core: list
-    branch: list
-
-
-def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values) -> BoundArrays:
-    """A bound and its branch over the sigma0 x deltaT grid, sigma0-major.
 
     Per deltaT value, D and every ``e deltaT`` are hoisted and the kernel runs
-    once per phase over the sequence ``sigma0_values``; the scalar functions
-    run it on one row, so the rows hold their bits.
+    once per phase over the sequence ``sigma0_values``.
     """
     columns = [
         _rows(_bounded_phases(c, target, d), sigma0_values, thermal_stress_scale(c, d))
         for d in deltaT_values
     ]
-    rows = [row for at in zip(*columns) for row in at]
-    return BoundArrays(*map(list, zip(*rows)))
+    return [row for at in zip(*columns) for row in at]
 
 
 def _representatives(breakpoints: list[float]) -> list[float]:

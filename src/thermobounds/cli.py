@@ -331,27 +331,27 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
     target = _internal_target(phase_flag, relabeled)
     sigma_values, delta_values = _axis_values(cfg.sigma0), _axis_values(cfg.deltaT)
     ns, nd = len(sigma_values), len(delta_values)
-    b = bound_grid(comp, target, sigma_values, delta_values)
+    rows = bound_grid(comp, target, sigma_values, delta_values)
 
-    def attainment(key) -> tuple:
+    def attainment(code, phase, core, branch) -> tuple:
         """The columns from at_endpoint to relabeled of a row with these codes."""
-        endpoint, branch, core, phase = key
         micro = _ATTAINING[core, phase if target == "max" else None]
-        return (ENDPOINT_CODES[endpoint].value, BRANCH_IDS[branch], *_attaining(micro, relabeled))
+        return (ENDPOINT_CODES[code].value, BRANCH_IDS[branch], *_attaining(micro, relabeled))
 
-    keys = list(zip(b.endpoint, b.branch, b.core, b.phase))
+    keys = [row[2:] for row in rows]
     attaining = _coded(keys, keys)
+    argmin = [row[1] for row in rows]
     columns = {
         "sigma0": Coded(tuple(sigma_values), [i for i in range(ns) for _ in range(nd)]),
         ("deltaT", "phase", "p"): Coded(
             tuple((d, phase_flag, p) for d in delta_values), [*range(nd)] * ns
         ),
-        "value": array("d", b.value),
+        "value": array("d", [row[0] for row in rows]),
         # an endpoint row's argmin is the endpoint's t, the same object in every such row
-        "argmin": _coded(b.argmin, [*map(id, b.argmin)]),
+        "argmin": _coded(argmin, [*map(id, argmin)]),
         ("at_endpoint", "branch", "microstructure", "core_phase", "coating_phase",
          "max_attaining_phase", "relabeled"): Coded(
-            tuple(map(attainment, attaining.values)), attaining.codes
+            tuple(attainment(*key) for key in attaining.values), attaining.codes
         ),
     }
     if residuals:
@@ -359,7 +359,7 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
         loadings = [(s, d) for s in sigma_values for d in delta_values]
         columns["attainment_residual"] = [
             _attainment_residual(solves, s, d, value, phase, core) if core else None
-            for (s, d), value, phase, core in zip(loadings, b.value, b.phase, b.core)
+            for (s, d), (value, _, _, phase, core, _) in zip(loadings, rows)
         ]
     return columns
 

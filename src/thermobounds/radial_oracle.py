@@ -79,13 +79,6 @@ class RadialGrid(_GridFields):
     def n(self) -> int:
         return len(self.nodes)
 
-    @property
-    def core_cells(self) -> np.ndarray:
-        """True for the cells inside the interface node."""
-        import numpy as np
-
-        return np.arange(self.n) <= self.interface_index
-
 
 def make_radial_grid(config: CoatedSphereConfig, n: int) -> RadialGrid:
     """Uniform grid with ~n nodes total and a node exactly at the interface.
@@ -230,7 +223,9 @@ def _solve_radial_bvps(configs, loading: Loading, grids) -> list[RadialSolution]
     with np.errstate(over="ignore", invalid="ignore"):
         regions = zip(*((c.core, c.coating) for c in configs))  # the cores, then the coatings
         core, coat = (np.array([moduli(p) for p in phases]).T[..., None] for phases in regions)
-        pwave, k3, s3 = np.where([g.core_cells for g in grids], core[:3], coat[:3])
+        pwave, k3, s3 = cells = np.empty((3, *h.shape))  # per grid: its core run, then its coating's
+        for j, nc in enumerate(grid.interface_index + 1 for grid in grids):
+            cells[:, j, :nc], cells[:, j, nc:] = core[:3, j], coat[:3, j]
         lam_core, lam_coat = core[3, :, 0], coat[3, :, 0]  # needed only where lambda jumps
 
         # The flux and half-cell hoop terms of a cell [r0, r1] sum in closed
@@ -286,19 +281,17 @@ def sample_analytic_fields(
 
     total = superposed_shell_coefficients(config, loading)
     fields = local_field_constants(config, loading)
-    r, core = grid.nodes, grid.core_cells  # node i is cell i's outer end
+    nc = grid.interface_index + 1  # node i is cell i's outer end
+    core, coat = grid.nodes[:nc], grid.nodes[nc:]
     # at extreme modulus ratios the coating coefficients overflow, and the
     # non-finite u is for compare_fields to report
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.where(
-            core,
-            total.core_linear * r,
-            total.coat_linear * r + total.coat_inverse_square / np.where(core, 1.0, r) ** 2,
-        )
+        coat_u = total.coat_linear * coat + total.coat_inverse_square / coat**2
+        u = np.concatenate((total.core_linear * core, coat_u))
     return RadialSolution(
         grid=grid,
         u=u,
-        cell_tr_sigma=np.where(core, fields.tr_sigma_core, fields.tr_sigma_coating),
+        cell_tr_sigma=np.repeat((fields.tr_sigma_core, fields.tr_sigma_coating), (nc, grid.n - nc)),
         core_phase=config.core_phase,
         tr_sigma_core=fields.tr_sigma_core,
         tr_sigma_coating=fields.tr_sigma_coating,

@@ -235,8 +235,11 @@ def test_criterion_07_regime_table_agreement():
                 sigmas = rng.uniform(-span, span, samples).tolist()
                 for target in ("phase1", "phase2", "max"):
                     table = regime_table(comp, deltaT, target)
-                    b = bound_grid(comp, target, sigmas, [deltaT])
-                    direct = list(zip(sigmas, b.value, b.branch, b.core, b.phase))
+                    rows = bound_grid(comp, target, sigmas, [deltaT])
+                    direct = [
+                        (s0, value, branch, core, phase)
+                        for s0, (value, _, _, phase, core, branch) in zip(sigmas, rows)
+                    ]
                     for s0, value, branch, core, phase in direct[::SCALAR_STRIDE]:
                         result, scalar_branch = classify_branch(comp, deltaT, target, s0)
                         m = result.microstructure

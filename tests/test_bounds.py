@@ -627,12 +627,12 @@ class TestBoundArrays:
         )
 
     @staticmethod
-    def kernel(b, target, i):
-        core = b.core[i]
-        max_phase = b.phase[i] if target == "max" and core else None
+    def kernel(row, target):
+        value, argmin, code, phase, core, branch = row
+        max_phase = phase if target == "max" and core else None
         return (
-            b.value[i].hex(), b.argmin[i].hex(),
-            ENDPOINT_CODES[b.endpoint[i]], BRANCH_IDS[b.branch[i]], core or None, max_phase,
+            value.hex(), argmin.hex(),
+            ENDPOINT_CODES[code], BRANCH_IDS[branch], core or None, max_phase,
         )
 
     @pytest.mark.parametrize("ordering", list(Ordering))
@@ -656,8 +656,8 @@ class TestBoundArrays:
                     deltaT += [dT] * len(points)
             for target in ("phase1", "phase2", "max"):
                 for s0, dT in zip(sigma0, deltaT):
-                    b = bound_grid(comp, target, [s0], [dT])
-                    assert self.kernel(b, target, 0) == self.scalar(comp, target, s0, dT), (
+                    [row] = bound_grid(comp, target, [s0], [dT])
+                    assert self.kernel(row, target) == self.scalar(comp, target, s0, dT), (
                         target, s0, dT
                     )
 

@@ -894,18 +894,19 @@ class TestSweep:
         loadings = [(s, d) for s in (-1.0, 0.0, 1.0) for d in (-1.5, 0.0, 1.5)]
         for target in ("phase1", "phase2", "max"):
             rows = bound_grid(comp, target, [-1.0, 0.0, 1.0], [-1.5, 0.0, 1.5])
-            for i, (sigma0, deltaT) in enumerate(loadings):
+            for (sigma0, deltaT), row in zip(loadings, rows):
+                value, argmin, code, phase, core, row_branch = row
                 result, branch = classify_branch(comp, deltaT, target, sigma0)
                 m = result.microstructure
                 assert (
-                    rows.value[i].hex(), rows.argmin[i].hex(), ENDPOINT_CODES[rows.endpoint[i]],
-                    BRANCH_IDS[rows.branch[i]], rows.core[i] or None,
+                    value.hex(), argmin.hex(), ENDPOINT_CODES[code],
+                    BRANCH_IDS[row_branch], core or None,
                 ) == (
                     result.value.hex(), result.argmin_compliance.hex(), result.at_endpoint,
                     branch, m.core_phase,
                 ), (target, sigma0, deltaT)
-                if target == "max" and rows.core[i]:
-                    assert rows.phase[i] == m.max_attaining_phase
+                if target == "max" and core:
+                    assert phase == m.max_attaining_phase
 
     def test_scalar_only_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)

@@ -332,8 +332,8 @@ class TestLocalFields:
             loading = random_loading(rng)
             f = local_field_constants(cfg, loading)
             sampled = sample_analytic_fields(cfg, loading, make_radial_grid(cfg, 200))
-            core = sampled.grid.core_cells
-            tr_core, tr_coat = sampled.cell_tr_sigma[core], sampled.cell_tr_sigma[~core]
+            nc = sampled.grid.interface_index + 1
+            tr_core, tr_coat = sampled.cell_tr_sigma[:nc], sampled.cell_tr_sigma[nc:]
             scale = max(abs(f.tr_sigma_core), abs(f.tr_sigma_coating), 1e-300)
             assert np.max(np.abs(tr_core - f.tr_sigma_core)) <= 1e-12 * scale
             assert np.max(np.abs(tr_coat - f.tr_sigma_coating)) <= 1e-12 * scale

@@ -213,17 +213,16 @@ def test_wide_domain_grid_kernel_matches_scalar_path():
         deltaT = [x.deltaT for x in loadings]
         grid = [(s0, dT) for s0 in sigma0 for dT in deltaT]
         for target in ("phase1", "phase2", "max"):
-            b = bound_grid(comp, target, sigma0, deltaT)
-            for i, (s0, dT) in enumerate(grid):
+            rows = bound_grid(comp, target, sigma0, deltaT)
+            for (s0, dT), (value, argmin, code, phase, core, row_branch) in zip(grid, rows):
                 result, branch = classify_branch(comp, dT, target, s0)
                 micro = result.microstructure
-                core = b.core[i]
                 assert (
-                    b.value[i].hex(), b.argmin[i].hex(),
-                    ENDPOINT_CODES[b.endpoint[i]], BRANCH_IDS[b.branch[i]], core or None,
+                    value.hex(), argmin.hex(),
+                    ENDPOINT_CODES[code], BRANCH_IDS[row_branch], core or None,
                 ) == (
                     result.value.hex(), result.argmin_compliance.hex(),
                     result.at_endpoint, branch, micro.core_phase,
                 )
                 if target == "max" and core:
-                    assert b.phase[i] == micro.max_attaining_phase
+                    assert phase == micro.max_attaining_phase

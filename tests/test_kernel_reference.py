@@ -100,8 +100,7 @@ def assert_kernel_is_reference(comp, sigma0_values, deltaT_values):
     loadings = [(s, d) for s in sigma0_values for d in deltaT_values]
     for target in ("phase1", "phase2", "max"):
         expected = reference_rows(comp, target, sigma0_values, deltaT_values)
-        b = bound_grid(comp, target, sigma0_values, deltaT_values)
-        got = list(zip(b.value, b.argmin, b.endpoint, b.phase, b.core, b.branch))
+        got = bound_grid(comp, target, sigma0_values, deltaT_values)
         assert list(map(hexed, got)) == list(map(hexed, expected)), target
         for (sigma0, deltaT), row in zip(loadings, expected):
             value, argmin, code, phase, core, branch = row

@@ -402,17 +402,18 @@ class TestSampledMoment:
         assert sampled_moment(sol, 1, 2.0) == 0.0
 
     def test_moments_over_the_phase_cells(self):
-        # each phase's moment is the masked quadrature, bit for bit, on the
+        # each phase's moment is the quadrature over its run, bit for bit, on the
         # sampled and the FV fields of either core; a phase with no cells raises
         for core in (1, 2):
             cfg = CoatedSphereConfig(CANONICAL, core)
             grid = make_radial_grid(cfg, 64)
+            nc = grid.interface_index + 1
             for sol in (sample_analytic_fields(cfg, CANONICAL_LOADING, grid),
                         solve_radial_bvp(cfg, CANONICAL_LOADING, grid)):
                 for phase in (1, 2):
-                    mask = grid.core_cells if phase == core else ~grid.core_cells
-                    w = grid.volume_weights[mask]
-                    vals = np.abs(sol.cell_tr_sigma[mask]) / SQRT3
+                    run = slice(nc) if phase == core else slice(nc, None)
+                    w = grid.volume_weights[run]
+                    vals = np.abs(sol.cell_tr_sigma[run]) / SQRT3
                     for p in (2.0, 3.0):
                         expected = float((np.sum(vals**p * w) / np.sum(w)) ** (1.0 / p))
                         assert sampled_moment(sol, phase, p).hex() == expected.hex()
@@ -512,5 +513,5 @@ class TestAnalyticFields:
         )
         cfg = CoatedSphereConfig(comp, 1)
         sampled = sample_analytic_fields(cfg, Loading(0.3, 1.0), make_radial_grid(cfg, 64))
-        core = sampled.grid.core_cells
-        assert np.all(np.isfinite(sampled.u[core])) and np.all(np.isnan(sampled.u[~core]))
+        nc = sampled.grid.interface_index + 1
+        assert np.all(np.isfinite(sampled.u[:nc])) and np.all(np.isnan(sampled.u[nc:]))
