@@ -34,7 +34,8 @@ when the internal shear-ordering convention required relabeling; the
 ``relabeled`` field records whether that happened.  CSV writes numbers
 with 17 significant digits; JSON lines write each float as its shortest
 round-trip ``repr``, as :func:`json.dumps` does.  Both are round-trip exact
-for doubles.  Infinite values appear as the strings "-inf"/"inf".  CSV quotes
+for doubles.  JSON writes a nan or infinity as the string "nan", "inf" or "-inf",
+the text CSV writes, since JSON has no such numbers.  CSV quotes
 a text only when it contains a comma, a double quote, CR or LF, doubling each
 embedded double quote, as ``csv.writer``'s default QUOTE_MINIMAL does.  Each
 report is joined into one string and written with one ``write`` call.  Output
@@ -128,9 +129,9 @@ def fmt(x) -> str:
 
 
 def _json_text(x) -> str:
-    """JSON text of one value; infinities as the strings "inf"/"-inf"."""
-    if isinstance(x, float) and math.isinf(x):
-        x = "inf" if x > 0 else "-inf"
+    """JSON text of one value; a nan or infinity as the string "nan", "inf" or "-inf"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        x = str(x)  # a float's repr; a numpy float's repr would name its type
     return json.dumps(x)
 
 
@@ -219,15 +220,23 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str):
+    """``doc[key]``, refusing a JSON boolean, which float() and int() read as 1 or 0."""
+    value = _require(doc, key)
+    if isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def _parse_phase(doc: dict, key: str) -> PhaseProperties:
     sub = _require(doc, key)
     if not isinstance(sub, dict):
         raise ConfigError(f"{key!r} must be an object with k, mu, h")
     try:
         return PhaseProperties(
-            k=float(_require(sub, "k")),
-            mu=float(_require(sub, "mu")),
-            h=float(_require(sub, "h")),
+            k=float(_number(sub, "k")),
+            mu=float(_number(sub, "mu")),
+            h=float(_number(sub, "h")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key!r}: {exc}") from exc
@@ -241,9 +250,9 @@ def _parse_axis(value, name: str, allow_sweep: bool):
             )
         try:
             rng = SweepRange(
-                start=float(_require(value, "start")),
-                stop=float(_require(value, "stop")),
-                count=int(_require(value, "count")),
+                start=float(_number(value, "start")),
+                stop=float(_number(value, "stop")),
+                count=int(_number(value, "count")),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name!r}: {exc}") from exc
@@ -280,15 +289,16 @@ def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
 
     phase1 = _parse_phase(doc, "phase1")
     phase2 = _parse_phase(doc, "phase2")
+    theta1 = _number(doc, "theta1")
     try:
-        theta1 = float(_require(doc, "theta1"))
+        theta1 = float(theta1)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'theta1': {exc}") from exc
     loading = _require(doc, "loading")
     if not isinstance(loading, dict):
         raise ConfigError("'loading' must be an object with sigma0 and deltaT")
-    sigma0 = _parse_axis(_require(loading, "sigma0"), "sigma0", allow_sweep)
-    deltaT = _parse_axis(_require(loading, "deltaT"), "deltaT", allow_sweep)
+    sigma0 = _parse_axis(_number(loading, "sigma0"), "sigma0", allow_sweep)
+    deltaT = _parse_axis(_number(loading, "deltaT"), "deltaT", allow_sweep)
 
     composite, swapped = build_composite(phase1, phase2, theta1)
     return RunConfig(
@@ -452,27 +462,38 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )
 
+    def bound_options(sp):
+        sp.add_argument(
+            "--phase", choices=("1", "2", "max"), default="max",
+            help="phase to bound, in the config's numbering, or max for the max-field bound",
+        )
+        sp.add_argument("--p", default="2", help="moment exponent in (1, inf]; 'inf' allowed")
+
     sp = sub.add_parser("bounds", help="optimal lower bound at the configured loading")
     common(sp)
-    sp.add_argument("--phase", choices=("1", "2", "max"), default="max")
-    sp.add_argument("--p", default="2", help="moment exponent in (1, inf]; 'inf' allowed")
+    bound_options(sp)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("table", help="sigma0 regime table for a bound target")
     common(sp)
-    sp.add_argument("--target", choices=("phase1", "phase2", "max"), default="max")
+    sp.add_argument(
+        "--target", choices=("phase1", "phase2", "max"), default="max",
+        help="bound to tabulate: phase1 or phase2 (the config's numbering), or max (max-field)",
+    )
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     common(sp)
-    sp.add_argument("--grid-n", type=int, default=ORACLE_REFERENCE_N)
+    sp.add_argument(
+        "--grid-n", type=int, default=ORACLE_REFERENCE_N,
+        help=f"nodes of the finite-volume oracle's grid (>= {MIN_NODES}, default %(default)s)",
+    )
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="evaluate bounds over a loading grid")
     common(sp)
     sp.add_argument("--out", required=True, help="output file path")
-    sp.add_argument("--phase", choices=("1", "2", "max"), default="max")
-    sp.add_argument("--p", default="2", help="moment exponent in (1, inf]; 'inf' allowed")
+    bound_options(sp)
     sp.add_argument(
         "--residuals",
         action="store_true",

@@ -1004,6 +1004,30 @@ REJECTED_INPUTS = {
                         "ConfigError: 'sigma0': sweep needs start < stop"),
     "p-text": ("bounds", PSTAR, ("--p", "abc"),
                "InvalidExponent: moment exponent must be a number or 'inf', got 'abc'"),
+    # float() and int() read a JSON boolean as 1 or 0; the schema wants a number
+    "k-bool": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], k=True)), (),
+               "ConfigError: 'phase1': 'k' must be a number, got true"),
+    "mu-bool": ("bounds", dict(PSTAR, phase2=dict(PSTAR["phase2"], mu=False)), (),
+                "ConfigError: 'phase2': 'mu' must be a number, got false"),
+    "h-bool": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], h=False)), (),
+               "ConfigError: 'phase1': 'h' must be a number, got false"),
+    "theta1-bool": ("bounds", dict(PSTAR, theta1=True), (),
+                    "ConfigError: 'theta1' must be a number, got true"),
+    "sigma0-bool": ("bounds", dict(PSTAR, loading={"sigma0": False, "deltaT": 1.0}), (),
+                    "ConfigError: 'sigma0' must be a number, got false"),
+    "deltaT-bool": ("bounds", dict(PSTAR, loading={"sigma0": 0.0, "deltaT": True}), (),
+                    "ConfigError: 'deltaT' must be a number, got true"),
+    "sweep-deltaT-bool": ("sweep", dict(PSTAR, loading={"sigma0": GOOD_RANGE, "deltaT": True}),
+                          ("--out", "OUT"), "ConfigError: 'deltaT' must be a number, got true"),
+    "start-bool": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, start=False),
+                                                 "deltaT": 1.0}), ("--out", "OUT"),
+                   "ConfigError: 'sigma0': 'start' must be a number, got false"),
+    "stop-bool": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, stop=True),
+                                                "deltaT": 1.0}), ("--out", "OUT"),
+                  "ConfigError: 'sigma0': 'stop' must be a number, got true"),
+    "count-bool": ("sweep", dict(PSTAR, loading={"sigma0": 0.0,
+                                                 "deltaT": dict(GOOD_RANGE, count=True)}),
+                   ("--out", "OUT"), "ConfigError: 'deltaT': 'count' must be a number, got true"),
 }
 
 
@@ -1077,6 +1101,13 @@ class TestDeterminism:
         assert cli._parser.cache_info().misses == 1
 
 
+def test_every_option_has_help():
+    subcommands = next(a for a in cli.build_parser()._actions if a.choices)
+    for name, sp in subcommands.choices.items():
+        for action in sp._actions:
+            assert action.help, (name, action.dest)
+
+
 def _emit(columns, fmt_name):
     stream = io.StringIO(newline="")
     emit_rows(columns, fmt_name, stream)
@@ -1087,6 +1118,8 @@ def _emit(columns, fmt_name):
 #: texts of format(x, ".17g") and json.dumps, infinities as "inf"/"-inf"
 EMIT_CASES = {
     "infinities": ([math.inf, -math.inf, 1.5], ["inf", "-inf", "1.5"], ['"inf"', '"-inf"', "1.5"]),
+    # JSON has no nan; a bare NaN is refused by strict parsers
+    "nan": ([math.nan, 1.5, -math.nan], ["nan", "1.5", "nan"], ['"nan"', "1.5", '"nan"']),
     "signed-zeros": ([-0.0, 0.0, -0.0], ["-0", "0", "-0"], ["-0.0", "0.0", "-0.0"]),
     "none-and-float": ([None, 0.1, None], ["", "0.10000000000000001", ""], ["null", "0.1", "null"]),
     "bool-and-int": ([True, 1, False, 0], ["true", "1", "false", "0"], ["true", "1", "false", "0"]),
