@@ -15,8 +15,7 @@ from thermobounds import (
     PhaseProperties,
     build_composite,
     characteristic_constants,
-    effective_bulk_modulus,
-    effective_thermal_stress,
+    effective_properties,
     local_field_constants,
     phase_moment,
     phase_moment_lower_bound,
@@ -37,8 +36,9 @@ for core in (1, 2):
     print(f"core phase {core} (coating phase {sphere.coating_phase}):")
     print(f"  tr sigma: core {fields.tr_sigma_core:+.6f}, "
           f"coating {fields.tr_sigma_coating:+.6f}")
-    print(f"  effective bulk modulus K = {effective_bulk_modulus(sphere):.6f}")
-    print(f"  effective thermal stress H* = {effective_thermal_stress(sphere):.6f}")
+    props = effective_properties(sphere)
+    print(f"  effective bulk modulus K = {props.K_effective:.6f}")
+    print(f"  effective thermal stress H* = {props.H_effective_scalar:.6f}")
     print(f"  exact thermal relation residual:  {verify_exact_relation(sphere):.2e}")
     print(f"  average-stress identity residual: "
           f"{verify_average_identity(sphere, loading):.2e}")

@@ -33,14 +33,11 @@ from .bounds import (
 )
 from .coated_sphere import (
     CoatedSphereConfig,
-    effective_bulk_modulus,
     effective_properties,
-    effective_thermal_stress,
     local_field_constants,
     mechanical_coefficients,
     phase_moment,
     superposed_shell_coefficients,
-    thermal_coefficients,
 )
 from .errors import (
     EqualBulkModuli,

@@ -240,30 +240,12 @@ def characteristic_constants(c: ValidatedComposite, deltaT: float) -> BoundConst
 
 
 def hs_bulk_moduli(c: ValidatedComposite) -> tuple[float, float]:
-    """The two extremal effective bulk moduli (K_minus, K_plus).
+    """The two extremal effective bulk moduli (K_minus, K_plus), ``c.spheres[0/1].K``.
 
     Every microstructure's effective compliance contraction lies between
-    1/K_plus and 1/K_minus; the two coated-sphere assemblages realize the
-    ends (core phase 2 gives K_plus, core phase 1 gives K_minus).  Hashin's
-    modulus of a core fraction f of modulus kc in a coating (kt, mut),
-    K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt + 4 mut)), is written here
-    over a common denominator,
-
-        K = (3 k1 k2 + 4 mut kbar) / (3 (k1 th2 + k2 th1) + 4 mut),
-
-    with kbar = th1 k1 + th2 k2 and mut the coating's shear modulus (mu2
-    for K_minus, mu1 for K_plus).  Every term is positive, so nothing
-    cancels at high modulus contrast, and nothing divides by k1 - k2.  The
-    moduli are scaled (``ValidatedComposite.scaled_moduli``), so no product
-    overflows.
+    1/K_plus and 1/K_minus; the spheres with core phase 1 and 2 realize the ends.
     """
-    s, k1, mu1, k2, mu2 = c.scaled_moduli
-    th1, th2 = c.theta1, c.theta2
-    kbar = th1 * k1 + th2 * k2
-    kdual = 3.0 * (k1 * th2 + k2 * th1)
-    K_minus = (3.0 * k1 * k2 + 4.0 * mu2 * kbar) / (kdual + 4.0 * mu2)
-    K_plus = (3.0 * k1 * k2 + 4.0 * mu1 * kbar) / (kdual + 4.0 * mu1)
-    return K_minus * s, K_plus * s
+    return c.spheres[0].K, c.spheres[1].K
 
 
 def compliance_to_X(compliance: float, c: ValidatedComposite) -> float:

@@ -13,7 +13,8 @@ prototype:
 * thermal: eigenstrain ``h_i * I`` per phase at unit temperature change,
   displacement clamped at the outer surface (``u(b) = 0``); the outer
   radial traction of this solution is the effective thermal stress scalar
-  ``H*`` per unit temperature change.
+  ``H*`` per unit temperature change.  Both are constants of the composite
+  (``CoatedSphereConfig.constants``).
 * mechanical: no eigenstrain, prescribed outer radial traction.
 
 The composite loaded by macroscopic stress ``sigma0 * I`` and temperature
@@ -35,10 +36,11 @@ that table, as the bounds do, and so does the oracle's sampler of the
 analytic fields (:func:`~thermobounds.radial_oracle.sample_analytic_fields`),
 which takes u(r) from :func:`superposed_shell_coefficients`.
 
-Both sub-problems are solved in closed form (:func:`thermal_coefficients`,
-:func:`mechanical_coefficients`), which give the displacement.  Each
-effective constant is evaluated once, by its closed form: K* is Hashin's
-extremal modulus and H* the outer traction of the thermal solution.  The
+Both sub-problems are solved in closed form, which gives the displacement:
+the thermal one once per composite with its effective constants
+(:func:`~thermobounds.materials._sphere_constants`, which forms K* as
+Hashin's extremal modulus and H* as the outer traction of the thermal
+solution), the mechanical one by :func:`mechanical_coefficients`.  The
 3x3 interface system the closed forms solve is kept in ``_solve_shell``,
 solved exactly over the integers for all three unit loads of a sphere at
 once (unit outer traction; unit deltaT, traction-free and clamped) and
@@ -53,8 +55,9 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .bounds import SQRT3, hs_bulk_moduli
-from .materials import Loading, PhaseProperties, ValidatedComposite, check_exponent
+from .bounds import SQRT3
+from .materials import Loading, PhaseProperties, ShellCoefficients, SphereConstants
+from .materials import ValidatedComposite, check_exponent
 
 
 class _SphereFields(NamedTuple):
@@ -63,7 +66,7 @@ class _SphereFields(NamedTuple):
     #: Derived on construction, as the closed forms read them often.  The
     #: fractions are the composite's own: ``core_fraction`` is a^3, and
     #: ``coating_fraction`` is not formed as 1 - a^3, so that the closed
-    #: forms use the same fractions as :func:`bounds.hs_bulk_moduli`.
+    #: forms use the same fractions as :func:`materials._sphere_constants`.
     coating_phase: int
     core: PhaseProperties
     coating: PhaseProperties
@@ -95,17 +98,10 @@ class CoatedSphereConfig(_SphereFields):
     def core_radius(self) -> float:
         return self.core_fraction ** (1.0 / 3.0)
 
-
-class ShellCoefficients(NamedTuple):
-    """Displacement coefficients of one shell solution.
-
-    ``u = core_linear * r`` in the core and
-    ``u = coat_linear * r + coat_inverse_square / r^2`` in the coating.
-    """
-
-    core_linear: float
-    coat_linear: float
-    coat_inverse_square: float
+    @property
+    def constants(self) -> SphereConstants:
+        """K*, H* and the clamped thermal solution of this sphere, from its composite."""
+        return self.composite.spheres[self.core_phase - 1]
 
 
 class LocalFieldConstants(NamedTuple):
@@ -164,9 +160,10 @@ def _solve_shell(config: CoatedSphereConfig) -> tuple[_ShellSolution, ...]:
     quotient of integers, rounded once; one beyond the float range is an
     infinity of its sign.
 
-    This is the independent route to the closed forms of
-    :func:`thermal_coefficients` and :func:`mechanical_coefficients` and to
-    the endpoint table's region stresses; only :mod:`thermobounds.verify` calls it.
+    This is the independent route to the closed forms of the clamped
+    thermal solution (``CoatedSphereConfig.constants.thermal``) and of
+    :func:`mechanical_coefficients` and to the endpoint table's region
+    stresses; only :mod:`thermobounds.verify` calls it.
     """
     core, coat = config.core, config.coating
     inputs = (config.core_radius(), core.k, coat.k, coat.mu, core.h, coat.h)
@@ -200,38 +197,6 @@ def _solve_shell(config: CoatedSphereConfig) -> tuple[_ShellSolution, ...]:
     )
 
 
-def _thermal_denominator(
-    core: PhaseProperties, coat: PhaseProperties, f: float, c: float
-) -> float:
-    """den = 3 kt f + 4 mut + 3 kc c of :func:`thermal_coefficients`, with c = 1 - f."""
-    return 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * c
-
-
-def thermal_coefficients(config: CoatedSphereConfig) -> ShellCoefficients:
-    """Shell coefficients of the clamped thermal problem at unit deltaT.
-
-    Scale linearly by deltaT for other temperature changes.  Writing
-    f = a^3 for the core fraction and (kc, ht, ...) for the core/coating
-    properties, the interface system has the closed-form solution
-
-        den = 3 kt f + 4 mut + 3 kc (1 - f)
-        A = 3 f (kt*ht - kc*hc) / den
-        B = -A
-        g = 3 (f - 1) (kt*ht - kc*hc) / den
-
-    ``den`` is a sum of positive terms, and g does not divide by f.  The
-    coating fraction 1 - f is the composite's own (``coating_fraction``).
-    """
-    core, coat = config.core, config.coating
-    f, c = config.core_fraction, config.coating_fraction
-    den = _thermal_denominator(core, coat, f, c)
-    mismatch = coat.k * coat.h - core.k * core.h
-    A = 3.0 * f * mismatch / den
-    return ShellCoefficients(
-        core_linear=-3.0 * c * mismatch / den, coat_linear=A, coat_inverse_square=-A
-    )
-
-
 def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellCoefficients:
     """Shell coefficients of the eigenstrain-free problem with outer traction sigma0.
 
@@ -257,31 +222,6 @@ def mechanical_coefficients(config: CoatedSphereConfig, sigma0: float) -> ShellC
     )
 
 
-def effective_thermal_stress(config: CoatedSphereConfig) -> float:
-    """Effective thermal stress scalar H* (per unit temperature change).
-
-    The outer radial traction ``3 kt (A - ht) - 4 mut B`` (at b = 1) of the
-    clamped thermal solution of :func:`thermal_coefficients`.
-    """
-    return _outer_thermal_traction(config, thermal_coefficients(config))
-
-
-def _outer_thermal_traction(config: CoatedSphereConfig, coeff: ShellCoefficients) -> float:
-    """H* from the clamped thermal solution's coefficients ``coeff``."""
-    coat = config.coating
-    return 3.0 * coat.k * (coeff.coat_linear - coat.h) - 4.0 * coat.mu * coeff.coat_inverse_square
-
-
-def effective_bulk_modulus(config: CoatedSphereConfig) -> float:
-    """Effective bulk modulus of the assemblage.
-
-    Core phase 1 realizes the lower extremal modulus K_minus of
-    :func:`~thermobounds.bounds.hs_bulk_moduli`, core phase 2 the upper one K_plus.
-    """
-    K_minus, K_plus = hs_bulk_moduli(config.composite)
-    return K_minus if config.core_phase == 1 else K_plus
-
-
 def superposed_shell_coefficients(
     config: CoatedSphereConfig, loading: Loading
 ) -> ShellCoefficients:
@@ -290,8 +230,7 @@ def superposed_shell_coefficients(
     The mechanical part is solved at outer traction sigma0 - H* deltaT so
     that the superposed field carries average stress sigma0 * I.
     """
-    th = thermal_coefficients(config)
-    h_star = _outer_thermal_traction(config, th)
+    _, h_star, th = config.constants
     me = mechanical_coefficients(config, loading.sigma0 - h_star * loading.deltaT)
     dT = loading.deltaT
     return ShellCoefficients(
@@ -335,6 +274,6 @@ def phase_moment(
 
 def effective_properties(config: CoatedSphereConfig) -> EffectiveProperties:
     """Bundle of effective constants (bulk modulus, thermal stress, compliance)."""
-    K = effective_bulk_modulus(config)
-    return EffectiveProperties(K, effective_thermal_stress(config), 1.0 / K)
+    K, H, _ = config.constants
+    return EffectiveProperties(K, H, 1.0 / K)
 

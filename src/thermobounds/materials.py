@@ -107,6 +107,26 @@ class EndpointTable(NamedTuple):
         return (self.L1, self.M2) if core_phase == 1 else (self.L2, self.M1)
 
 
+class ShellCoefficients(NamedTuple):
+    """Displacement coefficients of one shell solution.
+
+    ``u = core_linear * r`` in the core and
+    ``u = coat_linear * r + coat_inverse_square / r^2`` in the coating.
+    """
+
+    core_linear: float
+    coat_linear: float
+    coat_inverse_square: float
+
+
+class SphereConstants(NamedTuple):
+    """One coated sphere's K*, H* and clamped thermal solution, per unit deltaT."""
+
+    K: float
+    H: float
+    thermal: ShellCoefficients
+
+
 class _CompositeFields(NamedTuple):
     phase1: PhaseProperties
     phase2: PhaseProperties
@@ -115,6 +135,7 @@ class _CompositeFields(NamedTuple):
     ordering: Ordering
     scaled_moduli: tuple
     endpoints: EndpointTable
+    spheres: tuple
 
 
 class ValidatedComposite(_CompositeFields):
@@ -123,15 +144,16 @@ class ValidatedComposite(_CompositeFields):
     All downstream operations take a ``ValidatedComposite`` and may assume
     ``mu1 > mu2``, ``k1 != k2``, and ``0 < theta1 < 1``.
 
-    The constructor takes the first four fields and derives the last three.
+    The constructor takes the first four fields and derives the last four.
     ``ordering`` is the elastic ordering class, well-ordered when ``k1 > k2``.
     ``endpoints`` is the endpoint table that the bounds and the
-    coated-sphere fields read (:func:`_endpoint_table`).  ``scaled_moduli``
-    is ``(s, k1/s, mu1/s, k2/s, mu2/s)`` with ``s`` a power of two; closed
-    forms that multiply moduli take the scaled ones and scale back by ``s``.
-    Powers of two scale exactly, so ordinary inputs keep every bit, and a
-    product of two scaled moduli neither overflows nor underflows (see
-    :func:`_scaled_moduli`).
+    coated-sphere fields read (:func:`_endpoint_table`), and ``spheres`` the
+    constants of the spheres with core phase 1 and 2 (:func:`_sphere_constants`).
+    ``scaled_moduli`` is ``(s, k1/s, mu1/s, k2/s, mu2/s)`` with ``s`` a power
+    of two; closed forms that multiply moduli take the scaled ones and scale
+    back by ``s``.  Powers of two scale exactly, so ordinary inputs keep
+    every bit, and a product of two scaled moduli neither overflows nor
+    underflows (see :func:`_scaled_moduli`).
     """
 
     __slots__ = ()
@@ -140,7 +162,9 @@ class ValidatedComposite(_CompositeFields):
         ordering = Ordering.WELL_ORDERED if phase1.k > phase2.k else Ordering.NON_WELL_ORDERED
         scaled = _scaled_moduli(phase1, phase2)
         endpoints = _endpoint_table(scaled, theta1, theta2, phase2.h - phase1.h)
-        return tuple.__new__(cls, (phase1, phase2, theta1, theta2, ordering, scaled, endpoints))
+        spheres = _sphere_constants(phase1, phase2, theta1, theta2, scaled)
+        derived = (ordering, scaled, endpoints, spheres)
+        return tuple.__new__(cls, (phase1, phase2, theta1, theta2, *derived))
 
     def __getnewargs__(self):
         return self[:4]
@@ -203,6 +227,43 @@ def _endpoint_table(scaled_moduli: tuple, th1: float, th2: float, h_jump: float)
         M1=EndpointLine(k1 * (k2 + c1) / d1, dh1 * c1 * th2 * s),
         M2=EndpointLine(k2 * (k1 + c2) / d2, -dh2 * c2 * th1 * s),
     )
+
+
+def _thermal_denominator(core: PhaseProperties, coat: PhaseProperties, f: float, c: float) -> float:
+    """den = 3 kt f + 4 mut + 3 kc c of :func:`_sphere_constants`, with c = 1 - f."""
+    return 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * c
+
+
+def _sphere_constants(p1, p2, th1: float, th2: float, scaled_moduli: tuple) -> tuple:
+    """The :class:`SphereConstants` of the spheres with core phase 1 and core phase 2.
+
+    K is Hashin's modulus of a core fraction f of modulus kc in a coating
+    (kt, mut), K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt + 4 mut)), over a
+    common denominator: K = (3 k1 k2 + 4 mut kbar) / (3 (k1 th2 + k2 th1) + 4 mut)
+    with kbar = th1 k1 + th2 k2.  Every term is positive, so nothing cancels
+    at high modulus contrast, nothing divides by k1 - k2, and on the scaled
+    moduli (:func:`_scaled_moduli`) no product overflows.  With c = 1 - f
+    the coating's own fraction, the clamped thermal solution at unit deltaT is
+
+        den = 3 kt f + 4 mut + 3 kc c
+        A = -B = 3 f (kt*ht - kc*hc) / den,   g = -3 c (kt*ht - kc*hc) / den
+
+    (den is a sum of positive terms, and g does not divide by f), and H*
+    its outer radial traction 3 kt (A - ht) - 4 mut B, on the raw moduli.
+    """
+    s, k1, mu1, k2, mu2 = scaled_moduli
+    kbar, kdual = th1 * k1 + th2 * k2, 3.0 * (k1 * th2 + k2 * th1)
+
+    def sphere(mut, core, coat, f, c):
+        K = (3.0 * k1 * k2 + 4.0 * mut * kbar) / (kdual + 4.0 * mut)
+        den = _thermal_denominator(core, coat, f, c)
+        mismatch = coat.k * coat.h - core.k * core.h
+        A = 3.0 * f * mismatch / den
+        thermal = ShellCoefficients(-3.0 * c * mismatch / den, A, -A)
+        H = 3.0 * coat.k * (A - coat.h) - 4.0 * coat.mu * thermal.coat_inverse_square
+        return SphereConstants(K * s, H, thermal)
+
+    return sphere(mu2, p1, p2, th1, th2), sphere(mu1, p2, p1, th2, th1)
 
 
 def _check_phase(tag: str, p: PhaseProperties) -> None:

@@ -25,18 +25,14 @@ from .bounds import (
 )
 from .coated_sphere import (
     CoatedSphereConfig,
-    ShellCoefficients,
-    _outer_thermal_traction,
     _solve_shell,
-    _thermal_denominator,
-    effective_bulk_modulus,
     effective_properties,
     local_field_constants,
     mechanical_coefficients,
-    thermal_coefficients,
 )
 from .errors import SingularSystem
-from .materials import Loading, ValidatedComposite, _swap_phase
+from .materials import Loading, ShellCoefficients, ValidatedComposite
+from .materials import _swap_phase, _thermal_denominator
 from .radial_oracle import (
     MIN_NODES,
     _phase_moments,
@@ -100,9 +96,8 @@ def interface_residuals(
 def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, float]:
     """H* (per unit temperature change) by the library's route and by the volume average.
 
-    Route one is :func:`~thermobounds.coated_sphere.effective_thermal_stress`,
-    the outer radial traction of the thermal solution that route two reads
-    too.  Route two is the volume average of the stress (the trace-free part
+    Route one is the library's ``CoatedSphereConfig.constants.H``, the outer
+    radial traction of the thermal solution that route two reads too.  Route two is the volume average of the stress (the trace-free part
     of the coating strain integrates to zero over the shell, so only the
     linear coefficients enter).  The core's strain g - hc is taken in its
     cancellation-free form (-3 c kt ht - hc (3 kt f + 4 mut)) / den, with c
@@ -114,9 +109,9 @@ def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, 
     core_strain = (
         -3.0 * c * coat.k * coat.h - core.h * (3.0 * coat.k * f + 4.0 * coat.mu)
     ) / _thermal_denominator(core, coat, f, c)
-    th = thermal_coefficients(config)
+    _, H, th = config.constants
     via_average = 3.0 * (f * core.k * core_strain + c * coat.k * (th.coat_linear - coat.h))
-    return _outer_thermal_traction(config, th), via_average
+    return H, via_average
 
 
 def verify_exact_relation(config: CoatedSphereConfig) -> float:
@@ -279,7 +274,7 @@ def _verify_checks(
 
         # the closed-form coefficients the library uses, against the shell
         # conditions and against the 3x3 interface solve
-        th = thermal_coefficients(sphere)
+        th = sphere.constants.thermal
         r_u, r_t, r_o = interface_residuals(sphere, th)
         add("thermal-displacement-continuity", tag, r_u, TOL_IDENTITY)
         add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY)
@@ -306,7 +301,7 @@ def _verify_checks(
         # K by the mean strain f g + c A of the exactly solved unit-traction shell
         m = solves[core][0]
         mean_strain = sphere.core_fraction * m.core_linear + sphere.coating_fraction * m.coat_linear
-        k1, k2 = effective_bulk_modulus(sphere), 1.0 / (3.0 * mean_strain)
+        k1, k2 = sphere.constants.K, 1.0 / (3.0 * mean_strain)
         disc = abs(k1 - k2) / max(abs(k1), abs(k2))
         add("effective-bulk-modulus-dual-route", tag, disc, TOL_IDENTITY)
         add("exact-thermal-relation", tag, verify_exact_relation(sphere), TOL_IDENTITY)

@@ -29,9 +29,7 @@ from thermobounds import (
     ValidatedComposite,
     build_composite,
     characteristic_constants,
-    effective_bulk_modulus,
     effective_properties,
-    effective_thermal_stress,
     local_field_constants,
     make_radial_grid,
     mechanical_coefficients,
@@ -39,11 +37,10 @@ from thermobounds import (
     phase_moment_lower_bound,
     sample_analytic_fields,
     superposed_shell_coefficients,
-    thermal_coefficients,
     verify_average_identity,
     verify_exact_relation,
 )
-from thermobounds import verify
+from thermobounds import materials, verify
 from thermobounds.verify import effective_thermal_stress_routes, interface_residuals
 
 SQRT3 = math.sqrt(3.0)
@@ -81,7 +78,7 @@ def closed_form_bulk_modulus_routes(cfg):
     """K by the library, and by the mean strain of :func:`mechanical_coefficients` at unit traction."""
     m = mechanical_coefficients(cfg, 1.0)
     mean_strain = cfg.core_fraction * m.core_linear + cfg.coating_fraction * m.coat_linear
-    return effective_bulk_modulus(cfg), 1.0 / (3.0 * mean_strain)
+    return cfg.constants.K, 1.0 / (3.0 * mean_strain)
 
 
 def homogeneous_config(k=2.0, mu=1.0, h=0.3, theta1=0.4):
@@ -96,14 +93,14 @@ def homogeneous_config(k=2.0, mu=1.0, h=0.3, theta1=0.4):
 class TestThermalCoefficients:
     def test_canonical_core1_exact(self):
         # exact solve: (g, A, B) = (-3/13, 3/13, -3/13)
-        c = thermal_coefficients(CORE1)
+        c = CORE1.constants.thermal
         assert c.core_linear == pytest.approx(-3 / 13, rel=1e-13)
         assert c.coat_linear == pytest.approx(3 / 13, rel=1e-13)
         assert c.coat_inverse_square == pytest.approx(-3 / 13, rel=1e-13)
 
     def test_canonical_core2_exact(self):
         # exact solve: (g, A, B) = (3/17, -3/17, 3/17)
-        c = thermal_coefficients(CORE2)
+        c = CORE2.constants.thermal
         assert c.core_linear == pytest.approx(3 / 17, rel=1e-13)
         assert c.coat_linear == pytest.approx(-3 / 17, rel=1e-13)
         assert c.coat_inverse_square == pytest.approx(3 / 17, rel=1e-13)
@@ -118,7 +115,7 @@ class TestThermalCoefficients:
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
                 per_sigma0, _, clamped = coated_sphere._solve_shell(cfg)
                 for solved, closed in (
-                    (clamped[:3], thermal_coefficients(cfg)),
+                    (clamped[:3], cfg.constants.thermal),
                     ([s0 * x for x in per_sigma0[:3]], mechanical_coefficients(cfg, s0)),
                 ):
                     scale = max(abs(closed.coat_linear), 1e-300)
@@ -139,7 +136,7 @@ class TestThermalCoefficients:
             a3 = th2  # b = 1
             B = -3.0 * a3 * (k1 * h1 - k2 * h2) / den
             g = -3.0 * (1.0 - th2) * (k1 * h1 - k2 * h2) / den
-            got = thermal_coefficients(cfg)
+            got = cfg.constants.thermal
             assert got.coat_linear == pytest.approx(A, rel=1e-11, abs=1e-14)
             assert got.coat_inverse_square == pytest.approx(B, rel=1e-11, abs=1e-14)
             assert got.core_linear == pytest.approx(g, rel=1e-11, abs=1e-14)
@@ -148,12 +145,12 @@ class TestThermalCoefficients:
         for _ in range(100):
             comp = random_composite(rng)
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
-            c = thermal_coefficients(cfg)
+            c = cfg.constants.thermal
             r_u, r_t, r_o = interface_residuals(cfg, c)
             assert r_u <= 1e-12 and r_t <= 1e-12 and r_o <= 1e-12
 
     def test_residuals_detect_corruption(self):
-        c = thermal_coefficients(CORE1)
+        c = CORE1.constants.thermal
         bad = type(c)(
             core_linear=c.core_linear * 1.01,
             coat_linear=c.coat_linear,
@@ -170,21 +167,21 @@ class TestThermalCoefficients:
             theta1=0.5,
         )
         cfg = CoatedSphereConfig(composite=comp, core_phase=2)
-        c = thermal_coefficients(cfg)
+        c = cfg.constants.thermal
         assert c.core_linear == pytest.approx(0.0, abs=1e-15)
         assert c.coat_linear == pytest.approx(0.0, abs=1e-15)
         assert c.coat_inverse_square == pytest.approx(0.0, abs=1e-15)
         # coating is material 1: H* = -3 k1 h1
-        assert effective_thermal_stress(cfg) == pytest.approx(-3.0, rel=1e-14)
+        assert cfg.constants.H == pytest.approx(-3.0, rel=1e-14)
 
     def test_zero_eigenstrain(self):
         comp = build_unswapped(
             PhaseProperties(2.0, 1.0, 0.0), PhaseProperties(1.0, 0.5, 0.0), 0.5
         )
         cfg = CoatedSphereConfig(composite=comp, core_phase=1)
-        c = thermal_coefficients(cfg)
+        c = cfg.constants.thermal
         assert (c.core_linear, c.coat_linear, c.coat_inverse_square) == (0.0, 0.0, 0.0)
-        assert effective_thermal_stress(cfg) == 0.0
+        assert cfg.constants.H == 0.0
 
 
 class TestMechanicalCoefficients:
@@ -233,8 +230,8 @@ class TestMechanicalCoefficients:
 
 class TestEffectiveProperties:
     def test_thermal_stress_canonical(self):
-        assert effective_thermal_stress(CORE1) == pytest.approx(-24 / 13, rel=1e-13)
-        assert effective_thermal_stress(CORE2) == pytest.approx(-30 / 17, rel=1e-13)
+        assert CORE1.constants.H == pytest.approx(-24 / 13, rel=1e-13)
+        assert CORE2.constants.H == pytest.approx(-30 / 17, rel=1e-13)
 
     def test_dual_routes_agree_randomly(self, rng):
         for _ in range(100):
@@ -244,11 +241,11 @@ class TestEffectiveProperties:
             assert t == pytest.approx(v, rel=1e-12, abs=1e-14)
 
     def test_bulk_modulus_canonical(self):
-        assert effective_bulk_modulus(CORE1) == pytest.approx(18 / 13, rel=1e-14)
-        assert effective_bulk_modulus(CORE2) == pytest.approx(24 / 17, rel=1e-14)
+        assert CORE1.constants.K == pytest.approx(18 / 13, rel=1e-14)
+        assert CORE2.constants.K == pytest.approx(24 / 17, rel=1e-14)
 
     def test_bulk_modulus_homogeneous(self):
-        assert effective_bulk_modulus(homogeneous_config(k=3.0)) == pytest.approx(
+        assert homogeneous_config(k=3.0).constants.K == pytest.approx(
             3.0, rel=1e-13
         )
 
@@ -351,7 +348,8 @@ class TestLocalFields:
             assert abs(u_core - u_coat) <= 1e-11 * scale
 
     def test_superposed_coefficients_make_one_thermal_solve(self, rng, monkeypatch):
-        # H* is formed from the thermal coefficients already solved for
+        # the thermal solution and H* are the composite's, solved for once
+        # on its construction and not again here
         cases = [(CANONICAL, CANONICAL_LOADING)]
         cases += [(random_composite(rng), random_loading(rng)) for _ in range(20)]
         spheres = [(CoatedSphereConfig(comp, core), loading)
@@ -359,21 +357,27 @@ class TestLocalFields:
         # the bits of thermal + mechanical at outer traction sigma0 - H* deltaT
         expected = []
         for cfg, loading in spheres:
-            th = thermal_coefficients(cfg)
+            th = cfg.constants.thermal
             me = mechanical_coefficients(
-                cfg, loading.sigma0 - effective_thermal_stress(cfg) * loading.deltaT
+                cfg, loading.sigma0 - cfg.constants.H * loading.deltaT
             )
             expected.append([x * loading.deltaT + y for x, y in zip(th, me)])
         solves = []
-        solve = coated_sphere.thermal_coefficients
-        monkeypatch.setattr(
-            coated_sphere, "thermal_coefficients", lambda cfg: solves.append(cfg) or solve(cfg)
-        )
+        solve = materials._sphere_constants
+        monkeypatch.setattr(materials, "_sphere_constants", lambda *a: solves.append(a) or solve(*a))
         for (cfg, loading), bits in zip(spheres, expected):
-            solves.clear()
             total = superposed_shell_coefficients(cfg, loading)
-            assert solves == [cfg]
             assert [x.hex() for x in total] == [x.hex() for x in bits]
+        assert solves == []
+
+    def test_a_build_and_a_verify_pass_make_one_solve_per_composite(self, monkeypatch):
+        # K, H* and the thermal solution of both spheres come from one call
+        solves = []
+        solve = materials._sphere_constants
+        monkeypatch.setattr(materials, "_sphere_constants", lambda *a: solves.append(a) or solve(*a))
+        comp, relabeled = build_composite(*CANONICAL[:3])
+        verify._verify_checks(comp, CANONICAL_LOADING, verify.ORACLE_REFERENCE_N, relabeled)
+        assert len(solves) == 1
 
 
 def fraction_shell_solve(cfg, eigen_on, outer, traction=0.0):
@@ -506,7 +510,7 @@ class TestClosedFormPath:
         assert cfg.coating_fraction == comp.theta1 != 1.0 - cfg.core_fraction
         closed, via_mech = closed_form_bulk_modulus_routes(cfg)
         assert abs(closed - via_mech) <= 1e-12 * closed
-        assert effective_bulk_modulus(cfg) == closed
+        assert cfg.constants.K == closed
 
     def test_soft_core_thermal_routes_agree(self):
         # a core 1e10 times stiffer than its coating: g is close to hc, and
@@ -522,7 +526,7 @@ class TestClosedFormPath:
         cfg = CoatedSphereConfig(composite=comp, core_phase=1)
         via_traction, via_average = effective_thermal_stress_routes(cfg)
         assert abs(via_traction - via_average) <= 1e-12 * abs(via_traction)
-        assert effective_thermal_stress(cfg) == via_traction
+        assert cfg.constants.H == via_traction
 
     def test_wide_domain_probe_effective_constants_agree_with_their_second_routes(self):
         # H* and K against the second routes the library once compared them

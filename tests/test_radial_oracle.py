@@ -13,14 +13,12 @@ from thermobounds import (
     SingularSystem,
     build_composite,
     compare_fields,
-    effective_thermal_stress,
     interval_scan_min,
     make_radial_grid,
     radial_oracle,
     sample_analytic_fields,
     sampled_moment,
     solve_radial_bvp,
-    thermal_coefficients,
 )
 from thermobounds.radial_oracle import RadialGrid, _solve_tridiagonal
 from test_coated_sphere import homogeneous_config
@@ -204,8 +202,8 @@ class TestSolver:
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
             dT = float(rng.uniform(-2, 2))
             grid = make_radial_grid(cfg, 2048)
-            sol = solve_radial_bvp(cfg, Loading(effective_thermal_stress(cfg) * dT, dT), grid)
-            th = thermal_coefficients(cfg)
+            sol = solve_radial_bvp(cfg, Loading(cfg.constants.H * dT, dT), grid)
+            th = cfg.constants.thermal
             tr_core = 9 * cfg.core.k * (th.core_linear - cfg.core.h) * dT
             tr_coat = 9 * cfg.coating.k * (th.coat_linear - cfg.coating.h) * dT
             scale = max(abs(tr_core), abs(tr_coat), 1e-300)
