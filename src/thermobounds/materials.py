@@ -149,6 +149,8 @@ class ValidatedComposite(_CompositeFields):
     ``endpoints`` is the endpoint table that the bounds and the
     coated-sphere fields read (:func:`_endpoint_table`), and ``spheres`` the
     constants of the spheres with core phase 1 and 2 (:func:`_sphere_constants`).
+    ``==`` and the hash take the four inputs, of which the others are functions,
+    so that a nan among those leaves a composite equal to its copy.
     ``scaled_moduli`` is ``(s, k1/s, mu1/s, k2/s, mu2/s)`` with ``s`` a power
     of two; closed forms that multiply moduli take the scaled ones and scale
     back by ``s``.  Powers of two scale exactly, so ordinary inputs keep
@@ -168,6 +170,14 @@ class ValidatedComposite(_CompositeFields):
 
     def __getnewargs__(self):
         return self[:4]
+
+    def __eq__(self, other):
+        return self[:4] == other[:4] if isinstance(other, ValidatedComposite) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__; tuple's compares every field
+
+    def __hash__(self):
+        return hash(self[:4])
 
     def phase(self, index: int) -> PhaseProperties:
         """Return phase properties by material index (1 or 2)."""

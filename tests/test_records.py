@@ -145,6 +145,29 @@ class TestRoundTrips:
         assert out == record
         assert out._asdict() == record._asdict()
 
+    @pytest.mark.parametrize("phase1, phase2", [
+        # the endpoint line M1 is nan
+        (tb.PhaseProperties(2.0, 1.0, 0.0), tb.PhaseProperties(5e-324, 5e-324, 1.0)),
+        # H* of the core-2 sphere is inf * 0 = nan
+        (tb.PhaseProperties(1e308, 1e308, 0.0), tb.PhaseProperties(1.0, 0.5, 1.0)),
+    ])
+    @pytest.mark.parametrize("round_trip", [
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=2)),
+        copy.deepcopy,
+        copy.copy,
+    ])
+    def test_a_composite_with_a_nan_constant_equals_its_round_trip(
+        self, phase1, phase2, round_trip
+    ):
+        # a composite compares by the four fields it is constructed from
+        composite, _ = tb.build_composite(phase1, phase2, 0.5)
+        assert not all(map(math.isfinite, (*composite.endpoints.M1, *composite.spheres[1][:2])))
+        for record in (composite, *(tb.CoatedSphereConfig(composite, core) for core in (1, 2))):
+            out = round_trip(record)
+            assert out == record and not out != record
+            assert hash(out) == hash(record)
+
     @pytest.mark.parametrize("round_trip", [
         lambda x: pickle.loads(pickle.dumps(x)),
         lambda x: pickle.loads(pickle.dumps(x, protocol=2)),
