@@ -221,9 +221,9 @@ def _require(doc: dict, key: str):
 
 
 def _number(doc: dict, key: str):
-    """``doc[key]``, refusing a JSON boolean, which float() and int() read as 1 or 0."""
+    """``doc[key]``, refusing a JSON boolean or string, which float() and int() read as numbers."""
     value = _require(doc, key)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{key!r} must be a number, got {json.dumps(value)}")
     return value
 
@@ -242,7 +242,8 @@ def _parse_phase(doc: dict, key: str) -> PhaseProperties:
         raise ConfigError(f"{key!r}: {exc}") from exc
 
 
-def _parse_axis(value, name: str, allow_sweep: bool):
+def _parse_axis(doc: dict, name: str, allow_sweep: bool):
+    value = _require(doc, name)
     if isinstance(value, dict):
         if not allow_sweep:
             raise ConfigError(
@@ -267,10 +268,9 @@ def _parse_axis(value, name: str, allow_sweep: bool):
         if not math.isfinite(rng.step):
             raise ConfigError(f"{name!r}: sweep step overflows")
         return rng
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name!r} must be a number or a range object") from exc
+    if not isinstance(value, (int, float)):  # a string, a list or null
+        raise ConfigError(f"{name!r} must be a number or a range object")
+    x = float(_number(doc, name))
     if not math.isfinite(x):
         raise ConfigError(f"{name!r} must be finite, got {x}")
     return x
@@ -297,8 +297,8 @@ def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
     loading = _require(doc, "loading")
     if not isinstance(loading, dict):
         raise ConfigError("'loading' must be an object with sigma0 and deltaT")
-    sigma0 = _parse_axis(_number(loading, "sigma0"), "sigma0", allow_sweep)
-    deltaT = _parse_axis(_number(loading, "deltaT"), "deltaT", allow_sweep)
+    sigma0 = _parse_axis(loading, "sigma0", allow_sweep)
+    deltaT = _parse_axis(loading, "deltaT", allow_sweep)
 
     composite, swapped = build_composite(phase1, phase2, theta1)
     return RunConfig(

@@ -987,11 +987,14 @@ REJECTED_INPUTS = {
     "phase-number": ("bounds", dict(PSTAR, phase1=3), (),
                      "ConfigError: 'phase1' must be an object with k, mu, h"),
     "k-text": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], k="x")), (),
-               "ConfigError: 'phase1': could not convert string to float: 'x'"),
+               "ConfigError: 'phase1': 'k' must be a number, got \"x\""),
     "h-nan": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], h=math.nan)), (),
               "NonPositiveModulus: phase1.h must be finite, got nan"),
     "theta1-text": ("bounds", dict(PSTAR, theta1="x"), (),
-                    "ConfigError: 'theta1': could not convert string to float: 'x'"),
+                    "ConfigError: 'theta1' must be a number, got \"x\""),
+    "theta1-null": ("bounds", dict(PSTAR, theta1=None), (),
+                    "ConfigError: 'theta1': float() argument must be a string or a real number, "
+                    "not 'NoneType'"),
     "loading-list": ("bounds", dict(PSTAR, loading=[0.0, 1.0]), (),
                      "ConfigError: 'loading' must be an object with sigma0 and deltaT"),
     "sigma0-text": ("bounds", dict(PSTAR, loading={"sigma0": "x", "deltaT": 1.0}), (),
@@ -1028,6 +1031,16 @@ REJECTED_INPUTS = {
     "count-bool": ("sweep", dict(PSTAR, loading={"sigma0": 0.0,
                                                  "deltaT": dict(GOOD_RANGE, count=True)}),
                    ("--out", "OUT"), "ConfigError: 'deltaT': 'count' must be a number, got true"),
+    # float() and int() read a numeric JSON string as its number; the schema wants a number
+    "k-numeric-text": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], k="2.0")), (),
+                       "ConfigError: 'phase1': 'k' must be a number, got \"2.0\""),
+    "theta1-numeric-text": ("bounds", dict(PSTAR, theta1="0.5"), (),
+                            "ConfigError: 'theta1' must be a number, got \"0.5\""),
+    "sigma0-numeric-text": ("bounds", dict(PSTAR, loading={"sigma0": "0", "deltaT": 1.0}), (),
+                            "ConfigError: 'sigma0' must be a number or a range object"),
+    "count-numeric-text": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, count="5"),
+                                                         "deltaT": 1.0}), ("--out", "OUT"),
+                           "ConfigError: 'sigma0': 'count' must be a number, got \"5\""),
 }
 
 
