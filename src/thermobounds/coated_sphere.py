@@ -13,8 +13,7 @@ prototype:
 * thermal: eigenstrain ``h_i * I`` per phase at unit temperature change,
   displacement clamped at the outer surface (``u(b) = 0``); the outer
   radial traction of this solution is the effective thermal stress scalar
-  ``H*`` per unit temperature change.  Both are constants of the composite
-  (``CoatedSphereConfig.constants``).
+  ``H*`` per unit temperature change (both in ``CoatedSphereConfig.constants``).
 * mechanical: no eigenstrain, prescribed outer radial traction.
 
 The composite loaded by macroscopic stress ``sigma0 * I`` and temperature

@@ -97,9 +97,10 @@ def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, 
     """H* (per unit temperature change) by the library's route and by the volume average.
 
     Route one is the library's ``CoatedSphereConfig.constants.H``, the outer
-    radial traction of the thermal solution that route two reads too.  Route two is the volume average of the stress (the trace-free part
-    of the coating strain integrates to zero over the shell, so only the
-    linear coefficients enter).  The core's strain g - hc is taken in its
+    radial traction of the thermal solution that route two reads too.  Route
+    two is the volume average of the stress (the trace-free part of the
+    coating strain integrates to zero over the shell, so only the linear
+    coefficients enter).  The core's strain g - hc is taken in its
     cancellation-free form (-3 c kt ht - hc (3 kt f + 4 mut)) / den, with c
     the coating fraction: g is close to hc when the core is much stiffer than
     the coating, and their difference would cancel.
