@@ -10,21 +10,16 @@ under macroscopic hydrostatic stress and uniform temperature change:
 * the exact local fields inside the attaining coated-sphere assemblages,
   their effective constants, and verification identities;
 * independent numerical oracles (a finite-volume layered-sphere solver,
-  dense scans, quadrature moments) that cross-check every closed form.
+  quadrature moments) that cross-check the closed-form fields and moments.
 
 All quantities are unit-agnostic: supply moduli and stresses in one
 consistent unit system.
 """
 
 from .bounds import (
-    ComplianceInterval,
     Endpoint,
     MicrostructureKind,
     characteristic_constants,
-    classify_branch,
-    compliance_interval,
-    compliance_to_X,
-    compliance_to_Y,
     hs_bulk_moduli,
     max_field_lower_bound,
     phase_moment_lower_bound,
@@ -57,7 +52,6 @@ from .materials import (
 )
 from .radial_oracle import (
     compare_fields,
-    interval_scan_min,
     make_radial_grid,
     sample_analytic_fields,
     sampled_moment,

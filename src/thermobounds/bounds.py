@@ -9,8 +9,9 @@ of the local hydrostatic stress admit optimal lower bounds of the form
 where ``D`` is a thermal-mismatch stress scale and ``[lo_i, hi_i]`` is the
 interval of values the dimensionless compliance parameter of phase ``i``
 can take over all microstructures with the given volume fractions.  The
-interval endpoints are the four contrast factors ``L1, L2, M1, M2``; which
-pair applies, and in which order, depends on the elastic ordering class.
+interval endpoints are the four contrast factors ``L1, L2, M1, M2``:
+phase 1's interval is ``[L1, M1]`` and phase 2's ``[L2, M2]`` for a
+well-ordered composite, and each is reversed for a non-well-ordered one.
 The minimum is always achieved either at an interval endpoint, in which
 case a coated-sphere assemblage attains the bound exactly, or at an
 interior zero crossing, in which case the bound is 0.
@@ -37,9 +38,10 @@ interface symmetry with the moment evaluators and is validated when given.
 
 One kernel, :func:`_phase_rows`, evaluates a phase's bound, attaining sphere
 and regime-table branch over a column of sigma0 values; :func:`_max_rows`
-merges two phases' rows.  The scalar functions run it on one row, and
-:func:`bound_grid` (returning its rows as they are) and ``verify``'s regime-table
-samples (all three tables) on a column per phase.  This module builds no arrays;
+merges two phases' rows.  :func:`phase_moment_lower_bound` and
+:func:`max_field_lower_bound` run it on one row, and :func:`bound_grid` (returning
+its rows as they are) and ``verify``'s regime-table samples (all three tables)
+on a column per phase.  This module builds no arrays;
 :meth:`RegimeRow.bound_at` also evaluates an array that a caller passes in.
 
 Everything here is a pure function of immutable inputs.
@@ -124,21 +126,6 @@ class BoundConstants(NamedTuple):
     M2: float
     D: float
     F: float
-
-
-class ComplianceInterval(NamedTuple):
-    """Admissible range of one phase's dimensionless compliance parameter.
-
-    ``lo_symbol``/``hi_symbol`` name which contrast factor each endpoint is
-    ("L2", "M2" for phase 2; "L1", "M1" for phase 1); the order depends on
-    the elastic ordering class.
-    """
-
-    lo: float
-    hi: float
-    phase: int
-    lo_symbol: str
-    hi_symbol: str
 
 
 class BoundResult(NamedTuple):
@@ -248,46 +235,12 @@ def hs_bulk_moduli(c: ValidatedComposite) -> tuple[float, float]:
     return c.spheres[0].K, c.spheres[1].K
 
 
-def compliance_to_X(compliance: float, c: ValidatedComposite) -> float:
-    """Map the effective compliance contraction to phase 2's parameter X.
-
-    ``compliance`` is the scalar (C_eff)^{-1} I : I, i.e. 1/K_eff for
-    isotropic effective behavior.  Affine and monotone in the compliance.
-    """
-    k1, k2 = c.phase1.k, c.phase2.k
-    return (1.0 / c.theta2) * (1.0 / k1 - compliance) / (1.0 / k1 - 1.0 / k2)
-
-
-def compliance_to_Y(compliance: float, c: ValidatedComposite) -> float:
-    """Map the effective compliance contraction to phase 1's parameter Y."""
-    k1, k2 = c.phase1.k, c.phase2.k
-    return (1.0 / c.theta1) * (1.0 / k2 - compliance) / (1.0 / k2 - 1.0 / k1)
-
-
-#: The endpoint symbols (lower, upper) of a phase's compliance interval.
+#: The endpoint symbols (lower, upper) of a phase's compliance interval, by ordering
+#: class and phase; :data:`_PHASE_ENDS` gives the kernel their lines and codes.
 _INTERVAL_SYMBOLS = {
     (Ordering.WELL_ORDERED, 1): ("L1", "M1"), (Ordering.NON_WELL_ORDERED, 1): ("M1", "L1"),
     (Ordering.WELL_ORDERED, 2): ("L2", "M2"), (Ordering.NON_WELL_ORDERED, 2): ("M2", "L2"),
 }
-
-
-def compliance_interval(c: ValidatedComposite, phase: int) -> ComplianceInterval:
-    """The admissible interval of X (phase 2) or Y (phase 1).
-
-    Well-ordered: X in [L2, M2], Y in [L1, M1].  Non-well-ordered: X in
-    [M2, L2], Y in [M1, L1].  The endpoints correspond to the two extremal
-    effective bulk moduli via :func:`compliance_to_X`/``_Y``.
-    """
-    if phase not in (1, 2):
-        raise ValueError(f"phase must be 1 or 2, got {phase}")
-    lo, hi = _INTERVAL_SYMBOLS[c.ordering, phase]
-    return ComplianceInterval(
-        lo=getattr(c.endpoints, lo).t,
-        hi=getattr(c.endpoints, hi).t,
-        phase=phase,
-        lo_symbol=lo,
-        hi_symbol=hi,
-    )
 
 
 #: Endpoint tags by their codes, which the kernel's rows hold.
@@ -420,21 +373,6 @@ def max_field_lower_bound(
     return _bound(c, "max", loading.sigma0, loading.deltaT)[0]
 
 
-def classify_branch(
-    c: ValidatedComposite, deltaT: float, target: str, sigma0: float
-) -> tuple[BoundResult, str]:
-    """Evaluate a bound and name the closed-form branch it sits on.
-
-    ``target`` is one of ``"phase1"``, ``"phase2"``, ``"max"``.  The branch
-    id combines the minimizing endpoint family (L or M, for the winning
-    phase when target is "max") with the side of that branch's vanishing
-    stress sigma0 falls on: the sign of the endpoint's mean stress, as every
-    t is positive.  A zero bound is the "Zero" branch.
-    """
-    result, row = _bound(c, target, sigma0, deltaT)
-    return result, BRANCH_IDS[row[5]]
-
-
 def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values) -> list:
     """A bound and its branch at each loading of the sigma0 x deltaT grid, sigma0-major.
 
@@ -446,7 +384,9 @@ def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values)
     * ``phase``: the phase bounded; for the max-field target the winning
       phase (``max_attaining_phase`` where the code is not INTERIOR);
     * ``core``: core phase of the attaining coated-sphere assemblage, 0 where none attains;
-    * ``branch``: index into :data:`BRANCH_IDS`, as :func:`classify_branch`.
+    * ``branch``: index into :data:`BRANCH_IDS`: the minimizing endpoint's family
+      (L or M, of the winning phase for "max") and the sign of its mean stress,
+      left where it is negative; "Zero" for a zero bound.
 
     Per deltaT value, D and every ``e deltaT`` are hoisted and the kernel runs
     once per phase over the sequence ``sigma0_values``.

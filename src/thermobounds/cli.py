@@ -12,9 +12,11 @@ Four subcommands, each reading a JSON config file:
 * ``sweep``   -- evaluate bounds over a grid of loadings and write them to
   a file.  ``bounds`` and ``sweep`` build their rows with one call of
   :func:`~thermobounds.bounds.bound_grid` (a 1 x 1 grid for ``bounds``),
-  which runs the bound kernel of :func:`~thermobounds.bounds.classify_branch`
-  over each deltaT value's column of sigma0 values.  Only the ``verify``
-  command loads numpy, in the checks it runs; this module uses no arrays.
+  which runs the bound kernel of
+  :func:`~thermobounds.bounds.phase_moment_lower_bound` and
+  :func:`~thermobounds.bounds.max_field_lower_bound` over each deltaT value's
+  column of sigma0 values.  Only the ``verify`` command loads numpy, in the
+  checks it runs; this module uses no arrays.
 
 Config schema::
 

@@ -12,9 +12,10 @@ and ``h * deltaT`` must come out as dimensionless strain.
 
 Internally, phase labels always satisfy ``mu1 > mu2``.  Inputs ordered the
 other way are relabeled by :func:`build_composite`, which reports whether a
-swap happened so callers can translate results back to their own numbering.  Given that shear convention, the bulk moduli decide the elastic
-ordering class: ``k1 > k2`` is the well-ordered case (phase 1 stiffer in
-both moduli), ``k2 > k1`` the non-well-ordered case.
+swap happened so callers can translate results back to their own numbering.
+Given that shear convention, the bulk moduli decide the elastic ordering
+class: ``k1 > k2`` is the well-ordered case (phase 1 stiffer in both
+moduli), ``k2 > k1`` the non-well-ordered case.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """Brute-force numerical oracles backing the closed-form results.
 
-Three independent verification tools live here:
+Two independent verification tools live here:
 
 * a finite-volume solver for the radially symmetric elasticity problem on
   the layered sphere (piecewise-constant moduli, thermal eigenstrain),
   discretizing the conservative balance  d/dr (r^2 sigma_rr) = 2 r sigma_tt
   with cell-centered material coefficients and the interface on a node;
-* a dense grid scan minimizing the bound objective over an interval;
 * quadrature evaluation of per-phase L^p moments of sampled fields.
 
-None of them reuse the closed-form shell solution, so agreement with the
+Neither reuses the closed-form shell solution, so agreement with the
 analytic constructions is a genuine cross-check.  The finite-volume scheme
 is second-order accurate in the grid spacing; linear-in-r displacement
 fields (uniform hydrostatic states) are reproduced exactly.  A solution
@@ -296,23 +295,6 @@ def sample_analytic_fields(
         tr_sigma_core=fields.tr_sigma_core,
         tr_sigma_coating=fields.tr_sigma_coating,
     )
-
-
-def interval_scan_min(lo: float, hi: float, sigma0: float, D: float, n: int) -> float:
-    """Dense-scan minimum of sqrt(3)*|(sigma0 - D) t + D| over [lo, hi].
-
-    Evaluates at n equispaced points; the result overestimates the true
-    minimum by at most sqrt(3) |sigma0 - D| (hi - lo) / (n - 1).
-    """
-    import numpy as np
-
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if lo > hi:
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.linspace(lo, hi, n)
-        return float(np.min(SQRT3 * np.abs((sigma0 - D) * t + D)))
 
 
 def sampled_moment(solution: RadialSolution, phase: int, p: float) -> float:

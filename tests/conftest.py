@@ -1,9 +1,19 @@
-"""Shared helpers: canonical composite and seeded random generators."""
+"""Shared helpers: canonical composite, seeded random generators, and references.
+
+The references restate the paper's definitions independently of the library's
+bound kernel: the maps from effective compliance to X and Y, the compliance
+interval, and a dense scan of the bound objective over it.  ``classify_branch``
+names the branch the kernel finds at one loading.
+"""
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from thermobounds import Loading, Ordering, PhaseProperties, build_composite
+from thermobounds.bounds import BRANCH_IDS, _bound
 
 # Canonical test composite: k=2/1, mu=1/0.5, theta=0.5/0.5, h=0/1.
 # Exact constants (rational arithmetic): L1=10/9, L2=5/6, M1=7/6, M2=8/9,
@@ -69,3 +79,67 @@ def random_loading(rng, deltaT_sign=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def compliance_to_X(compliance, c):
+    """Phase 2's parameter X of the effective compliance contraction (C_eff)^{-1} I : I.
+
+    Affine and monotone in the compliance, 1/K_eff for isotropic effective behavior.
+    """
+    k1, k2 = c.phase1.k, c.phase2.k
+    return (1.0 / c.theta2) * (1.0 / k1 - compliance) / (1.0 / k1 - 1.0 / k2)
+
+
+def compliance_to_Y(compliance, c):
+    """Phase 1's parameter Y of the effective compliance contraction."""
+    k1, k2 = c.phase1.k, c.phase2.k
+    return (1.0 / c.theta1) * (1.0 / k2 - compliance) / (1.0 / k2 - 1.0 / k1)
+
+
+class ComplianceInterval(NamedTuple):
+    """The admissible range [lo, hi] of a phase's parameter and its endpoints' symbols."""
+
+    lo: float
+    hi: float
+    lo_symbol: str
+    hi_symbol: str
+
+
+def compliance_interval(c, phase):
+    """The interval of Y (phase 1) or X (phase 2), by the paper's rule.
+
+    Well-ordered: Y in [L1, M1] and X in [L2, M2]; non-well-ordered: each reversed.
+    """
+    if phase not in (1, 2):
+        raise ValueError(f"phase must be 1 or 2, got {phase}")
+    symbols = (f"L{phase}", f"M{phase}")
+    if c.ordering is Ordering.NON_WELL_ORDERED:
+        symbols = symbols[::-1]
+    lo, hi = (getattr(c.endpoints, s).t for s in symbols)
+    return ComplianceInterval(lo, hi, *symbols)
+
+
+def interval_scan_min(lo, hi, sigma0, D, n):
+    """Dense-scan minimum of sqrt(3)*|(sigma0 - D) t + D| over [lo, hi].
+
+    Evaluates at n equispaced points; the result overestimates the true
+    minimum by at most sqrt(3) |sigma0 - D| (hi - lo) / (n - 1).
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if lo > hi:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(lo, hi, n)
+        return float(np.min(math.sqrt(3.0) * np.abs((sigma0 - D) * t + D)))
+
+
+def classify_branch(c, deltaT, target, sigma0):
+    """(BoundResult, branch id) of a bound at one loading, ``target`` phase1, phase2 or max.
+
+    The branch id combines the minimizing endpoint family (L or M, of the
+    winning phase for "max") with the side of that branch's vanishing stress
+    sigma0 falls on; a zero bound is the "Zero" branch.
+    """
+    result, row = _bound(c, target, sigma0, deltaT)
+    return result, BRANCH_IDS[row[5]]

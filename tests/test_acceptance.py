@@ -10,7 +10,16 @@ import time
 
 import numpy as np
 
-from conftest import build_unswapped, random_composite, random_loading
+from conftest import (
+    build_unswapped,
+    classify_branch,
+    compliance_interval,
+    compliance_to_X,
+    compliance_to_Y,
+    interval_scan_min,
+    random_composite,
+    random_loading,
+)
 from thermobounds import (
     CoatedSphereConfig,
     Endpoint,
@@ -19,13 +28,8 @@ from thermobounds import (
     Ordering,
     PhaseProperties,
     characteristic_constants,
-    classify_branch,
     compare_fields,
-    compliance_interval,
-    compliance_to_X,
-    compliance_to_Y,
     hs_bulk_moduli,
-    interval_scan_min,
     local_field_constants,
     make_radial_grid,
     phase_moment,

@@ -17,6 +17,11 @@ from conftest import (
     CANONICAL,
     CANONICAL_LOADING,
     build_unswapped,
+    classify_branch,
+    compliance_interval,
+    compliance_to_X,
+    compliance_to_Y,
+    interval_scan_min,
     random_composite,
     random_loading,
 )
@@ -28,12 +33,7 @@ from thermobounds import (
     Ordering,
     PhaseProperties,
     characteristic_constants,
-    classify_branch,
-    compliance_interval,
-    compliance_to_X,
-    compliance_to_Y,
     hs_bulk_moduli,
-    interval_scan_min,
     max_field_lower_bound,
     phase_moment_lower_bound,
     regime_table,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import thermobounds
-from conftest import random_composite, random_loading
-from thermobounds import Ordering, characteristic_constants, classify_branch, regime_table
+from conftest import classify_branch, random_composite, random_loading
+from thermobounds import Ordering, characteristic_constants, regime_table
 from thermobounds.bounds import (
     BRANCH_IDS,
     ENDPOINT_CODES,

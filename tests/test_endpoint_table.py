@@ -14,13 +14,13 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from conftest import classify_branch
 from thermobounds import (
     CoatedSphereConfig,
     InputError,
     Loading,
     PhaseProperties,
     build_composite,
-    classify_branch,
     effective_properties,
     local_field_constants,
     max_field_lower_bound,

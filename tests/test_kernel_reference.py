@@ -1,12 +1,13 @@
 """The bound kernel against a frozen reference of its rule, bit for bit.
 
-``bound_grid``, ``classify_branch`` and verify's regime-table check share
-one kernel, so comparing them with each other compares the kernel with
-itself.  This module keeps a frozen copy of the scalar rule they once ran
-(``endpoint_min`` per bounded phase and loading, the max-field tie-break in
-``bound_at``, and the row assembly of ``reference_rows``) as the reference.
-It is built from the public API only, and every float is compared by
-``float.hex``, every code exactly.
+``bound_grid``, the scalar bound functions (whose branch ``conftest``'s
+``classify_branch`` names) and verify's regime-table check share one kernel,
+so comparing them with each other compares the kernel with itself.  This
+module keeps a frozen copy of the scalar rule they once ran (``endpoint_min``
+per bounded phase and loading, the max-field tie-break in ``bound_at``, and
+the row assembly of ``reference_rows``) as the reference.  It is built from
+the public API and ``conftest``'s paper-rule ``compliance_interval`` only, and
+every float is compared by ``float.hex``, every code exactly.
 """
 
 import math
@@ -14,15 +15,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_composite
+from conftest import classify_branch, compliance_interval, random_composite
 from test_cli import EDGE_COMPOSITES
 from thermobounds import (
     Ordering,
     PhaseProperties,
     build_composite,
     characteristic_constants,
-    classify_branch,
-    compliance_interval,
     regime_table,
 )
 from thermobounds.bounds import BRANCH_IDS, ENDPOINT_CODES, bound_grid, thermal_stress_scale

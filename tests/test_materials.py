@@ -1,5 +1,5 @@
 import pytest
-from conftest import CANONICAL, CANONICAL_LOADING, build_unswapped
+from conftest import CANONICAL, CANONICAL_LOADING, build_unswapped, compliance_interval
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from thermobounds import (
     PhaseProperties,
     VolumeFractionOutOfRange,
     build_composite,
-    compliance_interval,
     max_field_lower_bound,
     phase_moment,
 )

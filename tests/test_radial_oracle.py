@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CANONICAL, CANONICAL_LOADING, random_composite, random_loading
+from conftest import (
+    CANONICAL,
+    CANONICAL_LOADING,
+    interval_scan_min,
+    random_composite,
+    random_loading,
+)
 from thermobounds import (
     CoatedSphereConfig,
     InvalidExponent,
@@ -13,7 +19,6 @@ from thermobounds import (
     SingularSystem,
     build_composite,
     compare_fields,
-    interval_scan_min,
     make_radial_grid,
     radial_oracle,
     sample_analytic_fields,
