@@ -216,32 +216,36 @@ def emit_rows(columns: dict, fmt_name: str, stream) -> None:
         stream.write("\r\n".join([header, *map(",".join, zip(*texts)), ""]))
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, where: str = ""):
     if key not in doc:
-        raise ConfigError(f"config is missing required key {key!r}")
+        raise ConfigError(f"{where}config is missing required key {key!r}")
     return doc[key]
 
 
-def _number(doc: dict, key: str):
-    """``doc[key]``, refusing a JSON boolean or string, which float() and int() read as numbers."""
-    value = _require(doc, key)
+def _number(doc: dict, key: str, where: str = "", kind=float):
+    """``kind(doc[key])``, each message prefixed by ``where`` (``"'phase1': "`` in a phase).
+
+    A JSON boolean or string, which float() and int() read as numbers, is refused, and
+    so is a value that kind() or float() cannot take: an integer beyond the float range
+    raises OverflowError there.
+    """
+    value = _require(doc, key, where)
     if isinstance(value, (bool, str)):
-        raise ConfigError(f"{key!r} must be a number, got {json.dumps(value)}")
-    return value
+        raise ConfigError(f"{where}{key!r} must be a number, got {json.dumps(value)}")
+    try:
+        number = kind(value)
+        float(number)  # an int() result, such as a sweep count, that a float cannot hold
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}{key!r}: {exc}") from exc
+    return number
 
 
 def _parse_phase(doc: dict, key: str) -> PhaseProperties:
     sub = _require(doc, key)
     if not isinstance(sub, dict):
         raise ConfigError(f"{key!r} must be an object with k, mu, h")
-    try:
-        return PhaseProperties(
-            k=float(_number(sub, "k")),
-            mu=float(_number(sub, "mu")),
-            h=float(_number(sub, "h")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r}: {exc}") from exc
+    where = f"{key!r}: "
+    return PhaseProperties(*(_number(sub, name, where) for name in ("k", "mu", "h")))
 
 
 def _parse_axis(doc: dict, name: str, allow_sweep: bool):
@@ -251,14 +255,12 @@ def _parse_axis(doc: dict, name: str, allow_sweep: bool):
             raise ConfigError(
                 f"{name!r} is a sweep range, which only the sweep command accepts"
             )
-        try:
-            rng = SweepRange(
-                start=float(_number(value, "start")),
-                stop=float(_number(value, "stop")),
-                count=int(_number(value, "count")),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{name!r}: {exc}") from exc
+        where = f"{name!r}: "
+        rng = SweepRange(
+            start=_number(value, "start", where),
+            stop=_number(value, "stop", where),
+            count=_number(value, "count", where, int),
+        )
         if isinstance(value["count"], float) and value["count"] != rng.count:
             raise ConfigError(f"{name!r}: sweep count {value['count']!r} is not a whole number")
         if rng.count < 2:
@@ -272,7 +274,7 @@ def _parse_axis(doc: dict, name: str, allow_sweep: bool):
         return rng
     if not isinstance(value, (int, float)):  # a string, a list or null
         raise ConfigError(f"{name!r} must be a number or a range object")
-    x = float(_number(doc, name))
+    x = _number(doc, name)
     if not math.isfinite(x):
         raise ConfigError(f"{name!r} must be finite, got {x}")
     return x
@@ -292,10 +294,6 @@ def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
     phase1 = _parse_phase(doc, "phase1")
     phase2 = _parse_phase(doc, "phase2")
     theta1 = _number(doc, "theta1")
-    try:
-        theta1 = float(theta1)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'theta1': {exc}") from exc
     loading = _require(doc, "loading")
     if not isinstance(loading, dict):
         raise ConfigError("'loading' must be an object with sigma0 and deltaT")

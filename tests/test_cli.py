@@ -938,6 +938,8 @@ class TestSweep:
 
 
 GOOD_RANGE = {"start": -1.0, "stop": 1.0, "count": 5}
+HUGE_INT = 10**400
+TOO_LARGE = "int too large to convert to float"
 NON_FINITE_SCALARS = {
     "sigma0-nan": ({"sigma0": math.nan, "deltaT": 1.0}, "deltaT"),
     "deltaT-inf": ({"sigma0": 0.0, "deltaT": math.inf}, "sigma0"),
@@ -1041,6 +1043,23 @@ REJECTED_INPUTS = {
     "count-numeric-text": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, count="5"),
                                                          "deltaT": 1.0}), ("--out", "OUT"),
                            "ConfigError: 'sigma0': 'count' must be a number, got \"5\""),
+    # a JSON integer beyond the float range, which float() refuses with OverflowError
+    "k-huge-int": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], k=HUGE_INT)), (),
+                   f"ConfigError: 'phase1': 'k': {TOO_LARGE}"),
+    "mu-huge-int": ("bounds", dict(PSTAR, phase2=dict(PSTAR["phase2"], mu=HUGE_INT)), (),
+                    f"ConfigError: 'phase2': 'mu': {TOO_LARGE}"),
+    "h-huge-int": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], h=-HUGE_INT)), (),
+                   f"ConfigError: 'phase1': 'h': {TOO_LARGE}"),
+    "theta1-huge-int": ("bounds", dict(PSTAR, theta1=HUGE_INT), (),
+                        f"ConfigError: 'theta1': {TOO_LARGE}"),
+    "sigma0-huge-int": ("bounds", dict(PSTAR, loading={"sigma0": HUGE_INT, "deltaT": 1.0}), (),
+                        f"ConfigError: 'sigma0': {TOO_LARGE}"),
+    "deltaT-huge-int": ("table", dict(PSTAR, loading={"sigma0": 0.0, "deltaT": -HUGE_INT}), (),
+                        f"ConfigError: 'deltaT': {TOO_LARGE}"),
+    # int() takes it, but the sweep step divides by it as a float
+    "count-huge-int": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, count=HUGE_INT),
+                                                     "deltaT": 1.0}), ("--out", "OUT"),
+                       f"ConfigError: 'sigma0': 'count': {TOO_LARGE}"),
 }
 
 
