@@ -39,9 +39,9 @@ interface symmetry with the moment evaluators and is validated when given.
 One kernel, :func:`_phase_rows`, evaluates a phase's bound, attaining sphere
 and regime-table branch over a column of sigma0 values; :func:`_max_rows`
 merges two phases' rows.  :func:`phase_moment_lower_bound` and
-:func:`max_field_lower_bound` run it on one row, and :func:`bound_grid` (returning
-its rows as they are) and ``verify``'s regime-table samples (all three tables)
-on a column per phase.  This module builds no arrays;
+:func:`max_field_lower_bound` run it on one row, and :func:`bound_grid`
+(returning its rows as they are) and ``verify``'s regime-table samples (all
+three tables) on a column per phase.  This module builds no arrays;
 :meth:`RegimeRow.bound_at` also evaluates an array that a caller passes in.
 
 Everything here is a pure function of immutable inputs.
@@ -385,8 +385,8 @@ def bound_grid(c: ValidatedComposite, target: str, sigma0_values, deltaT_values)
       phase (``max_attaining_phase`` where the code is not INTERIOR);
     * ``core``: core phase of the attaining coated-sphere assemblage, 0 where none attains;
     * ``branch``: index into :data:`BRANCH_IDS`: the minimizing endpoint's family
-      (L or M, of the winning phase for "max") and the sign of its mean stress,
-      left where it is negative; "Zero" for a zero bound.
+      (L or M, of the winning phase for "max"), ``left`` where that endpoint's
+      mean stress is negative and ``right`` otherwise; "Zero" for a zero bound.
 
     Per deltaT value, D and every ``e deltaT`` are hoisted and the kernel runs
     once per phase over the sequence ``sigma0_values``.
