@@ -29,7 +29,8 @@ Config schema::
 
 For ``sweep``, ``sigma0`` and/or ``deltaT`` may instead be a range object
 ``{"start": -10, "stop": 10, "count": 81}`` (count >= 2, start < stop).
-Every loading value must be finite.
+Every loading value must be finite, and a sweep has at most
+``MAX_SWEEP_ROWS`` rows.
 
 Phases in the output are reported in the caller's original numbering even
 when the internal shear-ordering convention required relabeling; the
@@ -79,7 +80,7 @@ from .materials import (
     build_composite,
     check_exponent,
 )
-from .radial_oracle import MIN_NODES
+from .radial_oracle import MAX_NODES, MIN_NODES
 from .verify import (
     ORACLE_REFERENCE_N,
     _attainment_residual,
@@ -90,6 +91,9 @@ from .verify import (
 
 class ConfigError(InputError):
     """Malformed or incomplete run configuration."""
+
+
+MAX_SWEEP_ROWS = 250_000  # about 600 bytes of peak memory per row
 
 
 class SweepRange(NamedTuple):
@@ -265,6 +269,10 @@ def _parse_axis(doc: dict, name: str, allow_sweep: bool):
             raise ConfigError(f"{name!r}: sweep count {value['count']!r} is not a whole number")
         if rng.count < 2:
             raise ConfigError(f"{name!r}: sweep count must be >= 2, got {rng.count}")
+        if rng.count > MAX_SWEEP_ROWS:
+            raise ConfigError(
+                f"{name!r}: sweep count {value['count']!r} is more than the {MAX_SWEEP_ROWS} rows of a sweep"
+            )
         if not (math.isfinite(rng.start) and math.isfinite(rng.stop)):
             raise ConfigError(f"{name!r}: sweep start and stop must be finite")
         if not rng.start < rng.stop:
@@ -415,8 +423,8 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_run_config(args.config)
-    if args.grid_n < MIN_NODES:
-        raise ConfigError(f"--grid-n must be >= {MIN_NODES}, got {args.grid_n}")
+    if not MIN_NODES <= args.grid_n <= MAX_NODES:
+        raise ConfigError(f"--grid-n must be from {MIN_NODES} to {MAX_NODES}, got {args.grid_n}")
     loading = Loading(cfg.sigma0, cfg.deltaT)
     checks = _verify_checks(cfg.composite, loading, args.grid_n, cfg.relabeled)
     emit_rows(checks, args.format, sys.stdout)
@@ -435,6 +443,12 @@ def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config, allow_sweep=True)
     if not isinstance(cfg.sigma0, SweepRange) and not isinstance(cfg.deltaT, SweepRange):
         raise ConfigError("sweep needs at least one of sigma0/deltaT to be a range")
+    if isinstance(cfg.sigma0, SweepRange) and isinstance(cfg.deltaT, SweepRange):
+        rows = cfg.sigma0.count * cfg.deltaT.count
+        if rows > MAX_SWEEP_ROWS:
+            raise ConfigError(
+                f"'sigma0' and 'deltaT': sweep counts give {rows} rows, more than {MAX_SWEEP_ROWS}"
+            )
     columns = _bound_columns(cfg, args.phase, _parse_p(args.p), args.residuals)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -486,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument(
         "--grid-n", type=int, default=ORACLE_REFERENCE_N,
-        help=f"nodes of the finite-volume oracle's grid (>= {MIN_NODES}, default %(default)s)",
+        help=f"nodes of the finite-volume oracle's grid ({MIN_NODES} to {MAX_NODES}, default %(default)s)",
     )
     sp.set_defaults(func=cmd_verify)
 

@@ -11,11 +11,12 @@ Two independent verification tools live here:
 Neither reuses the closed-form shell solution, so agreement with the
 analytic constructions is a genuine cross-check.  The finite-volume scheme
 is second-order accurate in the grid spacing; linear-in-r displacement
-fields (uniform hydrostatic states) are reproduced exactly.  A solution
-holds only what is compared or averaged, none of it tied to uniform node
-spacing.  The other side of that comparison, the closed-form fields sampled
-on the same grid, is :func:`sample_analytic_fields`.  Spheres on grids of one
-size share one exact cyclic reduction: their systems couple by zeros only.
+fields (uniform hydrostatic states) are reproduced exactly, which is what
+lets its tridiagonal system be solved in closed form up to one cumulative
+sum, by reduction of order (:func:`solve_radial_bvp`).  A solution holds
+only what is compared or averaged, none of it tied to uniform node spacing.
+The other side of that comparison, the closed-form fields sampled on the
+same grid, is :func:`sample_analytic_fields`.
 
 Elsewhere only verify's regime-table check computes with arrays.  Every
 function here imports numpy where it builds them, so ``import thermobounds``
@@ -35,6 +36,7 @@ from .errors import SingularSystem
 from .materials import Loading, check_exponent
 
 MIN_NODES = 16
+MAX_NODES = 2**20  # verify's ceiling on --grid-n: about 130 bytes of peak memory per node
 
 
 class _GridFields(NamedTuple):
@@ -123,69 +125,6 @@ class RadialSolution(NamedTuple):
     tr_sigma_coating: float
 
 
-def _solve_tridiagonal(lower, upper, row_sum, rhs) -> np.ndarray:
-    """Solve tridiagonal systems given by their off-diagonals and row sums.
-
-    Row i reads ``lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]``
-    with ``diag = row_sum - lower - upper``; ``lower[0]`` and ``upper[-1]``
-    must be zero.  Odd-even cyclic reduction (Hockney 1965; Buzbee, Golub
-    and Nielson 1970): each level eliminates the even-indexed unknowns from
-    the odd-indexed rows, halving the system whatever its length, and the
-    way back up recovers them.  The row sums are the matrix applied to a
-    vector of ones, so they are reduced like the right-hand side, and the
-    pivots are formed from them.  On rows with positive off-diagonals and
-    negative row sums no step cancels, so the small row sums of a fine
-    discretization keep their accuracy.  There is no pivoting: a zero pivot
-    yields a non-finite solution, without a floating-point warning, for the
-    caller to reject.
-
-    Systems of one length n along the leading axes are reduced end to end in
-    one raveled array while n is even, then each alone, with no bit changed:
-    the terms across a system's end, products with its zero coupling (or nan
-    beside an inf), are put to -0.0, since x + -0.0 is x for every x.
-    """
-    import numpy as np
-
-    levels = []
-    n = np.shape(rhs)[-1]  # rows per system
-    a, c, s, d = (np.ravel(v) for v in (lower, upper, row_sum, rhs))
-    with np.errstate(all="ignore"):
-        while n > 1 and (n % 2 == 0 or len(d) == n):
-            h, k = len(d) // 2, (len(d) - 1) // 2  # rows kept; kept rows with a right neighbour
-            ends = slice(n // 2 - 1, h - 1, n // 2)  # kept rows that end a system, but the last
-            nb = 1.0 / (a[0::2] + c[0::2] - s[0::2])  # minus the inverse pivots
-            al = a[1::2] * nb[:h]
-            ga = c[1 : 2 * k : 2] * nb[1:]
-            levels.append((a, c, d, nb, ends))
-            left, right = slice(0, 2 * h, 2), slice(2, 2 * k + 1, 2)
-            s2 = s[1::2] + al * s[left]
-            d2 = d[1::2] + al * d[left]
-            across_s, across_d = ga * s[right], ga * d[right]
-            across_s[ends] = across_d[ends] = -0.0
-            s2[:k] += across_s
-            d2[:k] += across_d
-            c2 = np.zeros(h)  # the last kept row has no right neighbour when k < h
-            c2[:k] = ga * c[right]
-            c2[ends] = 0.0
-            a, c, s, d, n = al * a[left], c2, s2, d2, n // 2
-        if n > 1:  # several systems of odd length
-            x = np.hstack([*map(_solve_tridiagonal, *(v.reshape(-1, n) for v in (a, c, s, d)))])
-        else:
-            x = d / s
-        for a, c, d, nb, ends in reversed(levels):
-            h, k = len(x), (len(d) - 1) // 2
-            e = -d[0::2]
-            across = a[2::2] * x[:k]
-            across[ends] = -0.0
-            e[1:] += across
-            e[:h] += c[0 : 2 * h : 2] * x
-            full = np.empty(len(d))
-            full[0::2] = e * nb
-            full[1::2] = x
-            x = full
-    return x.reshape(np.shape(rhs))
-
-
 def solve_radial_bvp(
     config: CoatedSphereConfig, loading: Loading, grid: RadialGrid
 ) -> RadialSolution:
@@ -198,69 +137,103 @@ def solve_radial_bvp(
     The finite-volume balance at node i equates the flux difference of
     r^2 sigma_rr across the two adjacent cell midpoints with the integral of
     2 r sigma_tt over the dual cell, evaluated per half-cell so material
-    jumps at the interface node are respected.  With u(0) = 0 known, the
-    ``grid.n`` nodal displacements solve a tridiagonal system by cyclic
-    reduction.  The stress trace follows at the cell midpoints, with its
-    volume-weighted mean over each region; any node spacing will do.
+    jumps at the interface node are respected.  With u(0) = 0 known, this is
+    a tridiagonal system for the ``grid.n`` nodal displacements.  A cell
+    [r0, r1] of P-wave modulus M = k + 4 mu/3 couples its two nodes by
+    M r0 r1 / h and adds -h M to each node's row sum; Lame's lambda and the
+    thermal stress s = 3 k h deltaT enter only where they jump.  Applied to
+    u = r, row i is then r_i^2 (M_right - M_left): 0 inside each region,
+    3 a^2 (kt - kc) at the interface node f (r_f = a), and -3 kt at the outer
+    node, since M + 2 lambda = 3k (core kc, coating kt and mut).
+
+    So the system is solved in closed form by reduction of order (the
+    discrete Abel, or Casoratian, identity of a three-term recurrence;
+    Elaydi, *An Introduction to Difference Equations*, 3rd ed., 2005, ch. 2).
+    Put u = r z.  Row i times r_i is z_i r_i (A r)_i plus the difference
+    across node i of the discrete flux (M r_{j-1} r_j / h_j) r_{j-1} r_j
+    (z_j - z_{j-1}) of cell j.  The flux is 0 at the centre, so it is 0
+    across the core, where z = alpha, and one constant Phi across the
+    coating, where z_i = alpha + (Phi / Mt) V_i with
+    V_i = sum_{j=f+1..i} h_j / (r_{j-1}^2 r_j^2), a sum of positive terms.
+    Rows f and n-1 leave two equations,
+
+        Phi + 3 a^3 (kt - kc) alpha = a^3 (st - sc),
+        -3 kt alpha - (3 kt V / Mt + 1) Phi = -st - sigma0,
+
+    with V the whole sum.  Telescoping, 3 V = 1/a^3 - 1 - E with
+    E = sum h_j^3 / (r_{j-1}^3 r_j^3), since the nodes end at 1.  With
+    x = kt / Mt, H = a^3 + x 3 a^3 V and G = 1 - H = (1 - a^3) 4 mut / (3 Mt)
+    + x a^3 E, their solution is, with pt = st + sigma0 and pc = sc + sigma0,
+
+        alpha = (G pt + H pc) / (3 (kt G + kc H)),
+        beta = z_{n-1} = ((G + 3 a^3 V kc / Mt) pt + a^3 pc) / (3 (kt G + kc H)),
+        beta - alpha = 3 a^3 V (kc pt - kt pc) / (3 Mt (kt G + kc H)),
+
+    and Phi = a^3 (kc pt - kt pc) / (kt G + kc H).  Every weight is a sum of
+    positive terms, so only the loads can cancel, and each product pairs a
+    modulus with a ratio of moduli or with geometry, so nothing overflows
+    that the solution does not.  The coating's z runs from its end of the
+    smaller magnitude, and each coating u is that end's u plus a change, so
+    that the differences across thin cells, which the trace reads, carry no
+    rounding of the larger end.  A P-wave modulus or 3k that is not finite
+    raises ``SingularSystem``, and so does a solution that is not finite.  The stress trace follows at the cell
+    midpoints, with its volume-weighted mean over each region; any node
+    spacing will do.
     """
-    return _solve_radial_bvps([config], loading, [grid])[0]
-
-
-def _solve_radial_bvps(configs, loading: Loading, grids) -> list[RadialSolution]:
-    """:func:`solve_radial_bvp` of each config on its grid, all of one size, by one solve."""
     import numpy as np
 
-    r = np.concatenate((np.zeros((len(grids), 1)), [g.nodes for g in grids]), axis=1)
+    f, nodes, dT = grid.interface_index, grid.nodes, loading.deltaT
+    core, coat = config.core, config.coating
+    kc, kt, m4 = core.k, coat.k, 4.0 * coat.mu / 3.0
+    mc, mt = kc + 4.0 * core.mu / 3.0, kt + m4  # the P-wave moduli
+    sc, st = 3.0 * kc * core.h * dT, 3.0 * kt * coat.h * dT
+    if not all(map(math.isfinite, (mc, mt, 3.0 * kc, 3.0 * kt))):
+        raise SingularSystem("non-finite coefficients in radial system")
+
+    r = np.concatenate(([0.0], nodes))
     h = np.diff(r)
-    rm = 0.5 * (r[:, :-1] + r[:, 1:])
-
-    # per region: P-wave modulus, 3k, the thermal stress 3k h deltaT and Lame lambda
-    def moduli(p):
-        k3 = 3.0 * p.k
-        return [p.k + 4.0 * p.mu / 3.0, k3, k3 * p.h * loading.deltaT, p.k - 2.0 * p.mu / 3.0]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        regions = zip(*((c.core, c.coating) for c in configs))  # the cores, then the coatings
-        core, coat = (np.array([moduli(p) for p in phases]).T[..., None] for phases in regions)
-        pwave, k3, s3 = cells = np.empty((3, *h.shape))  # per grid: its core run, then its coating's
-        for j, nc in enumerate(grid.interface_index + 1 for grid in grids):
-            cells[:, j, :nc], cells[:, j, nc:] = core[:3, j], coat[:3, j]
-        lam_core, lam_coat = core[3, :, 0], coat[3, :, 0]  # needed only where lambda jumps
-
-        # The flux and half-cell hoop terms of a cell [r0, r1] sum in closed
-        # form: they couple its two nodes by M r0 r1 / h and add -h M to each
-        # node's row sum.  Lambda and the eigenstrain enter only where they
-        # jump, at the interface and the outer surface.  Assembling these sums,
-        # not their O(1/h) parts, keeps the rows free of cancellation.
-        off = pwave * r[:, :-1] * r[:, 1:] / h
-        hm = h * pwave
-        row_sum = -hm
-        row_sum[:, :-1] -= hm[:, 1:]
-        rhs = np.zeros(off.shape)
-        for j, i in enumerate(grid.interface_index for grid in grids):
-            row_sum[j, i] += 2.0 * r[j, i + 1] * (lam_coat[j] - lam_core[j])
-            rhs[j, i] = (s3[j, i + 1] - s3[j, i]) * r[j, i + 1] ** 2
-        upper = np.zeros(off.shape)
-        upper[:, :-1] = off[:, 1:]
-        row_sum[:, -1] -= 2.0 * lam_coat
-        rhs[:, -1] = -s3[:, -1] - loading.sigma0
-
-        if not (np.all(np.isfinite(off)) and np.all(np.isfinite(row_sum))):
-            raise SingularSystem("non-finite coefficients in radial system")
-        u = _solve_tridiagonal(off, upper, row_sum, rhs)
+    with np.errstate(all="ignore"):
+        # the coating's cells [p, rho]; 3 a^3 V_i is the first cell's term,
+        # then the rest telescoped, since that cell may reach far beyond a tiny core
+        a, p, rho, hc = nodes[f], nodes[f:-1], nodes[f + 1 :], h[f + 1 :]
+        a3, c3 = a**3, (1.0 - a) * (1.0 + a + a * a)  # a^3 and 1 - a^3
+        e3 = ((a / p) * (hc / rho)) ** 3  # a^3 E, cell by cell
+        rest = np.concatenate(([0.0], np.cumsum(e3[1:])))
+        b = rho[0]
+        inner = 3.0 * (a / b) * (hc[0] / b) - rest + (a / b) ** 3 * (
+            (rho - b) * (rho * rho + rho * b + b * b) / rho**3
+        )
+        whole = inner[-1]  # 3 a^3 V
+        x, y = kt / mt, m4 / mt
+        G, H = c3 * y + x * (e3[0] + rest[-1]), a3 + x * whole
+        det = kt * G + kc * H  # at most kt + kc: G and H lie in [0, 1]
+        pt, pc = st + loading.sigma0, sc + loading.sigma0
+        alpha = ((G / det) * pt + (H / det) * pc) / 3.0
+        beta = ((G / det + (kc / det) * (whole / mt)) * pt + (a3 / det) * pc) / 3.0
+        # beta - alpha as their difference, or by its closed form where that rounds less
+        scale, wc, wt = whole / (3.0 * mt), (kc / det) * pt, (kt / det) * pc
+        step = beta - alpha
+        if (abs(wc) + abs(wt)) * scale < abs(alpha) + abs(beta):
+            step = (wc - wt) * scale
+        u = nodes * alpha
+        if abs(alpha) <= abs(beta):
+            u[f + 1 :] = u[f] + ((rho - a) * alpha + rho * (step * (inner / whole)))
+        else:
+            outer = (a / rho) ** 3 * ((1.0 - rho) * (1.0 + rho + rho * rho)) - (rest[-1] - rest)
+            rho = nodes[f:]
+            u[f:] = beta - ((1.0 - rho) * beta + rho * (step * (np.append(whole, outer) / whole)))
         if not np.all(np.isfinite(u)):
             raise SingularSystem("direct solve returned non-finite displacements")
 
         # cell-midpoint stress trace: 3k (du/dr + 2 u/r - 3 eigenstrain)
-        u0 = np.concatenate((np.zeros((len(grids), 1)), u), axis=1)
-        tr_sig = k3 * (np.diff(u0) / h + (u0[:, :-1] + u0[:, 1:]) / rm) - 3.0 * s3
-
-        solutions = []
-        for config, grid, u_j, tr in zip(configs, grids, u, tr_sig):
-            w, nc = grid.volume_weights, grid.interface_index + 1
-            means = (float(tr[run] @ w[run] / w[run].sum()) for run in (slice(nc), slice(nc, None)))
-            solutions.append(RadialSolution(grid, u_j, tr, config.core_phase, *means))
-    return solutions
+        nc = f + 1
+        u0 = np.concatenate(([0.0], u))
+        tr = np.diff(u0) / h + (u0[:-1] + u0[1:]) / (0.5 * (r[:-1] + r[1:]))
+        tr[:nc] = 3.0 * kc * tr[:nc] - 3.0 * sc
+        tr[nc:] = 3.0 * kt * tr[nc:] - 3.0 * st
+        w = grid.volume_weights
+        means = (float(tr[run] @ w[run] / w[run].sum()) for run in (slice(nc), slice(nc, None)))
+        return RadialSolution(grid, u, tr, config.core_phase, *means)
 
 
 def sample_analytic_fields(

@@ -23,12 +23,11 @@ from thermobounds.bounds import (
     thermal_stress_scale,
 )
 from thermobounds import Loading, PhaseProperties, SingularSystem, build_composite
+from thermobounds import compare_fields, sample_analytic_fields
 from thermobounds.materials import EndpointLine, _swap_phase
-from thermobounds import bounds, cli, radial_oracle, verify
+from thermobounds import bounds, cli, verify
 from thermobounds.cli import Coded, emit_rows, main
-from thermobounds.radial_oracle import _solve_tridiagonal
 from test_endpoint_table import wide_domain_samples
-from test_radial_oracle import zero_pivot_solve
 
 PSTAR = {
     "phase1": {"k": 2.0, "mu": 1.0, "h": 0.0},
@@ -477,9 +476,12 @@ class TestVerify:
                 assert "core fraction a^3 = 4.9406564584124654e-324 is subnormal" in row["note"]
                 assert rows[f"{kind}-{quantity}-continuity", "core2"]["note"] == ""
 
-    def test_singular_fv_solve_fails_as_row(self, tmp_path, capsys, monkeypatch):
-        # a coating of relative thickness 4e-9 for core 2: its four FV cells
-        # cannot resolve the field, and the finite residual fails the row
+    def test_singular_fv_solve_fails_as_row(self, tmp_path, capsys):
+        # a coating of relative thickness 4e-9 for core 2: four FV cells at
+        # n = 4096.  Its row passes at 7.3e-10, the residual of the exact
+        # discrete solution (a 60-digit decimal solve) rounded to floats; the
+        # cyclic-reduction solve read 2.9e-3 there.  Core 1's core is as thin,
+        # and its finite residual fails the row
         doc = {
             "phase1": {"k": 0.0463359381764292, "mu": 159699.71756020925, "h": -1.225354603819703},
             "phase2": {"k": 1.4544765086278303e-08, "mu": 0.0006001194232230362,
@@ -487,56 +489,51 @@ class TestVerify:
             "theta1": 1.2050190118228602e-08,
             "loading": {"sigma0": 0.3, "deltaT": 1.0},
         }
-        cfg = write_config(tmp_path, doc)
 
-        def oracle_row(expect_note):
-            code, out, err = run(capsys, "verify", cfg)
+        def oracle_rows(doc):
+            code, out, err = run(capsys, "verify", write_config(tmp_path, doc))
             assert code == 1 and err.startswith("FAILED ")
             rows = parse_csv(out)
             for core in ("core1", "core2"):
                 assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
-            (oracle,) = [
-                r for r in rows
-                if r["check"] == "oracle-field-agreement" and r["orientation"] == "core2"
+            return [
+                (float(r["residual"]), r["status"], r["note"])
+                for r in rows if r["check"] == "oracle-field-agreement"
             ]
-            assert oracle["status"] == "fail" and oracle["note"].startswith(expect_note)
-            return float(oracle["residual"])
 
-        assert 1e-3 < oracle_row("") < 1e-2
-        # a zero pivot in the FV solve fails the row instead of raising
-        monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
-        assert oracle_row("no FV solution: ") == math.inf
+        (core1, status1, note1), (core2, status2, note2) = oracle_rows(doc)
+        assert 1e-3 < core1 < 1e-2 and (status1, note1) == ("fail", "")
+        assert 7e-10 < core2 < 8e-10 and (status2, note2) == ("pass", "")
+        # a solution beyond the float range (moduli of 1e-10 under sigma0 = 1e300)
+        # fails the row instead of raising
+        tiny = dict(
+            PSTAR,
+            phase1={"k": 2e-10, "mu": 1e-10, "h": 0.0},
+            phase2={"k": 1e-10, "mu": 5e-11, "h": 1.0},
+            loading={"sigma0": 1e300, "deltaT": 0.0},
+        )
+        assert oracle_rows(tiny) == [
+            (math.inf, "fail", "no FV solution: direct solve returned non-finite displacements")
+        ] * 2
 
-    @pytest.mark.parametrize("case", ["two grids", "5e-324", "1e-300", "joint solve not finite"])
+    @pytest.mark.parametrize("case", ["two grids", "5e-324", "1e-300"])
     def test_oracle_rows_are_those_of_each_sphere_solved_alone(
         self, tmp_path, capsys, monkeypatch, case
     ):
-        # verify solves both spheres' FV systems at once, and each sphere alone
-        # where a sphere has no grid (core 2 at theta1 = 1e-300, both at
-        # 5e-324) or the joint solution is not finite
+        # verify solves the FV system of each sphere that has a grid (core 2
+        # has none at theta1 = 1e-300, neither core at 5e-324) once, and the
+        # sphere's oracle row is that solution's field error
         theta1 = {"5e-324": 5e-324, "1e-300": 1e-300}.get(case, 0.5)
         doc = dict(PSTAR, theta1=theta1, loading={"sigma0": 0.3, "deltaT": 1.0})
-        cfg = write_config(tmp_path, doc)
-
-        def refuse(*args):
-            raise SingularSystem("refused")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(verify, "_solve_radial_bvps", refuse)
-            each_alone = run(capsys, "verify", cfg)
-
-        def poisoned(lower, upper, row_sum, rhs):
-            x = _solve_tridiagonal(lower, upper, row_sum, rhs)
-            if len(x) == 2:
-                x[1, -1] = math.nan
-            return x
-
-        alone, solve = [], verify.solve_radial_bvp
-        monkeypatch.setattr(verify, "solve_radial_bvp", lambda *a: alone.append(1) or solve(*a))
-        if case == "joint solve not finite":
-            monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", poisoned)
-        assert run(capsys, "verify", cfg) == each_alone
-        assert len(alone) == {"two grids": 0, "5e-324": 0, "1e-300": 1}.get(case, 2)
+        solved, solve = [], verify.solve_radial_bvp
+        monkeypatch.setattr(verify, "solve_radial_bvp", lambda *a: solved.append(a) or solve(*a))
+        _, out, _ = run(capsys, "verify", write_config(tmp_path, doc))
+        cores = [sphere.core_phase for sphere, _, _ in solved]
+        assert cores == {"two grids": [1, 2], "5e-324": [], "1e-300": [1]}[case]
+        rows = {r["orientation"]: r for r in parse_csv(out) if r["check"] == "oracle-field-agreement"}
+        for sphere, loading, grid in solved:
+            alone = compare_fields(sample_analytic_fields(sphere, loading, grid), solve(sphere, loading, grid))
+            assert rows[f"core{sphere.core_phase}"]["residual"] == cli.fmt(alone)
 
     @pytest.mark.parametrize("grid_n", ["256", "4096"])
     def test_non_finite_analytic_field_fails_the_oracle_row(self, tmp_path, capsys, grid_n):
@@ -600,7 +597,7 @@ class TestVerify:
     @pytest.mark.parametrize("mu1", [1e200, 1e160])
     def test_extreme_shear_contrast_gives_a_complete_report(self, tmp_path, capsys, mu1):
         # with the moduli scaled by the largest one, bounds stopped with a
-        # ZeroDivisionError traceback at mu1 = 1e200
+        # ZeroDivisionError traceback at mu1 = 1e200; every verify row passes
         phase1, phase2 = {"k": 1.0, "mu": mu1, "h": 0.0}, {"k": 2.0, "mu": 1.0, "h": 1.0}
         cfg = write_config(tmp_path, dict(PSTAR, phase1=phase1, phase2=phase2))
         with warnings.catch_warnings():
@@ -611,7 +608,10 @@ class TestVerify:
         for core in ("core1", "core2"):
             assert [r["check"] for r in rows if r["orientation"] == core] == list(CORE_CHECKS)
         passing = [r for r in rows if r["check"] in ("bound-attainment", "regime-table-agreement")]
-        assert len(passing) == 5 and all(r["status"] == "pass" for r in passing)
+        assert len(passing) == 5
+        # the oracle rows pass too, at 9.6e-8 and 3.0e-13 (a 500-digit decimal
+        # solve gives the same); the cyclic-reduction solve read 1 and 2
+        assert code == 0 and all(r["status"] == "pass" for r in rows) and not err
 
     @pytest.mark.parametrize("h2", [1e10, 0.0])
     def test_overflowing_D_gives_a_complete_report(self, tmp_path, capsys, h2):
@@ -1060,6 +1060,17 @@ REJECTED_INPUTS = {
     "count-huge-int": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, count=HUGE_INT),
                                                      "deltaT": 1.0}), ("--out", "OUT"),
                        f"ConfigError: 'sigma0': 'count': {TOO_LARGE}"),
+    # work and memory grow with these two inputs; each has a ceiling
+    "count-above-ceiling": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, count=1e300),
+                                                          "deltaT": 1.0}), ("--out", "OUT"),
+                            "ConfigError: 'sigma0': sweep count 1e+300 is more than the "
+                            "250000 rows of a sweep"),
+    "rows-above-ceiling": ("sweep", dict(PSTAR, loading={"sigma0": dict(GOOD_RANGE, count=1000),
+                                                         "deltaT": dict(GOOD_RANGE, count=251)}),
+                           ("--out", "OUT"), "ConfigError: 'sigma0' and 'deltaT': sweep counts "
+                           "give 251000 rows, more than 250000"),
+    "grid-n-above-ceiling": ("verify", PSTAR, ("--grid-n", "1000000000"),
+                             "ConfigError: --grid-n must be from 16 to 1048576, got 1000000000"),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,12 +21,11 @@ from thermobounds import (
     build_composite,
     compare_fields,
     make_radial_grid,
-    radial_oracle,
     sample_analytic_fields,
     sampled_moment,
     solve_radial_bvp,
 )
-from thermobounds.radial_oracle import RadialGrid, _solve_tridiagonal
+from thermobounds.radial_oracle import RadialGrid
 from test_coated_sphere import homogeneous_config
 
 SQRT3 = math.sqrt(3.0)
@@ -41,55 +41,88 @@ THIN_COATING, _ = build_composite(
     PhaseProperties(k=1.4544765086278303e-08, mu=0.0006001194232230362, h=0.26403267491544513),
     1.2050190118228602e-08,
 )
+# k = 3,300 mu in phase 1: the cyclic reduction that the closed form replaced
+# was 1.1e-11 from the decimal solve here
+K_OVER_MU, _ = build_composite(
+    PhaseProperties(k=5366.677205874445, mu=1.6124694975392813, h=-1.5833745578744658),
+    PhaseProperties(k=0.9683160328275743, mu=2.2462753955748993, h=-0.09239139572936628),
+    0.4188686428732334,
+)
+# shear moduli 1e200 and 1e160 times the other phase's: floats round the
+# assembled system's rows away, and the cyclic reduction read 1 and 2
+SHEAR_CONTRAST = {
+    mu1: build_composite(PhaseProperties(1.0, mu1, 0.0), PhaseProperties(2.0, 1.0, 1.0), 0.5)[0]
+    for mu1 in (1e200, 1e160)
+}
+# composite, and the decimal digits that resolve its rows
+REFERENCE_CASES = {
+    "canonical": (CANONICAL, 60),
+    "high-contrast": (HIGH_CONTRAST, 60),
+    "thin-coating": (THIN_COATING, 60),
+    "k-over-mu": (K_OVER_MU, 60),
+    "shear-1e200": (SHEAR_CONTRAST[1e200], 500),
+    "shear-1e160": (SHEAR_CONTRAST[1e160], 300),
+}
 
 
-def thomas(lower, diag, upper, rhs):
-    """Reference tridiagonal solve: Gaussian elimination one row at a time."""
-    diag, rhs = list(diag), list(rhs)
-    for i in range(1, len(diag)):
-        m = lower[i] / diag[i - 1]
-        diag[i] -= m * upper[i - 1]
-        rhs[i] -= m * rhs[i - 1]
-    x = [0.0] * len(diag)
-    for i in reversed(range(len(diag))):
-        x[i] = (rhs[i] - (upper[i] * x[i + 1] if i + 1 < len(diag) else 0.0)) / diag[i]
-    return np.array(x)
+def fv_system(config, loading, grid, num=float):
+    """The finite-volume system that solve_radial_bvp solves, assembled row by row.
 
-
-def dense(lower, diag, upper):
-    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-
-
-def same_bits(x, y) -> bool:
-    """Equal values, nans in the same places, and the same sign bit on each number.
-
-    A nan's sign bit is left out: numpy's loops give a nan made by, say,
-    inf - inf different signs at different array lengths.
+    Returns lists (lower, upper, row_sum, rhs): row i reads
+    ``lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1] = rhs[i]`` with
+    ``diag = row_sum - lower - upper``.  A cell [r0, r1] of P-wave modulus M
+    couples its two nodes by M r0 r1 / h and adds -h M to each node's row
+    sum; Lame's lambda and the thermal stress 3 k h deltaT enter only where
+    they jump, at the interface node and the outer surface.  The moduli and
+    the geometry are combined in the arithmetic of ``num``: float, as the
+    oracle assembled the system before it solved it in closed form, or
+    Decimal in the current context, which keeps the identity M + 2 lambda = 3k
+    that floats round away at a shear contrast of 1e200.  The thermal stresses
+    and sigma0 are the floats that the oracle reads.
     """
-    x, y = np.asarray(x), np.asarray(y)
-    numbers = ~np.isnan(x)
-    return np.array_equal(x, y, equal_nan=True) and np.array_equal(
-        np.signbit(x[numbers]), np.signbit(y[numbers])
-    )
+    core, coat = config.core, config.coating
+    n, i = grid.n, grid.interface_index
+    r = [num(0.0)] + [num(x) for x in grid.nodes.tolist()]
+    h = [r[j + 1] - r[j] for j in range(n)]
+    (mc, lc), (mt, lt) = ((num(p.k) + 4 * num(p.mu) / 3, num(p.k) - 2 * num(p.mu) / 3)
+                          for p in (core, coat))
+    sc, st = (num(3.0 * p.k * p.h * loading.deltaT) for p in (core, coat))
+    pwave = [mc] * (i + 1) + [mt] * (n - i - 1)
+    hm = [hj * m for hj, m in zip(h, pwave)]
+    lower = [m * r0 * r1 / hj for m, r0, r1, hj in zip(pwave, r, r[1:], h)]
+    upper = lower[1:] + [num(0.0)]
+    row_sum = [-x - y for x, y in zip(hm, hm[1:])] + [-hm[-1] - 2 * lt]
+    row_sum[i] += 2 * r[i + 1] * (lt - lc)
+    rhs = [num(0.0)] * n
+    rhs[i] = (st - sc) * r[i + 1] ** 2
+    rhs[-1] = -st - num(loading.sigma0)
+    return lower, upper, row_sum, rhs
 
 
-def zero_pivot_solve(lower, upper, row_sum, rhs):
-    """The cyclic-reduction solve of the same system with a zero diagonal."""
-    return _solve_tridiagonal(lower, upper, lower + upper, rhs)
+def decimal_solve(config, loading, grid, digits):
+    """The system of :func:`fv_system`, assembled and solved by elimination row
+    by row in decimal arithmetic of ``digits`` digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        lower, upper, row_sum, rhs = fv_system(config, loading, grid, Decimal)
+        diag = [s - lo - up for s, lo, up in zip(row_sum, lower, upper)]
+        for i in range(1, len(diag)):
+            m = lower[i] / diag[i - 1]
+            diag[i] -= m * upper[i - 1]
+            rhs[i] -= m * rhs[i - 1]
+        x = rhs
+        x[-1] /= diag[-1]
+        for i in reversed(range(len(diag) - 1)):
+            x[i] = (rhs[i] - upper[i] * x[i + 1]) / diag[i]
+    return x
 
 
-def fv_systems(config, loading, n):
-    """The tridiagonal system solve_radial_bvp hands to its solver, as 1-D arrays, and its u."""
-    systems = []
-
-    def record(*args):
-        systems.append(tuple(np.ravel(v) for v in args))  # a stack of one system
-        return _solve_tridiagonal(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radial_oracle, "_solve_tridiagonal", record)
-        sol = solve_radial_bvp(config, loading, make_radial_grid(config, n))
-    return systems, sol.u
+def relative_error(u, exact) -> float:
+    """max |u - exact| / max |exact|, the difference taken in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(max(abs(Decimal(x) - y) for x, y in zip(u.tolist(), exact))
+                     / max(abs(y) for y in exact))
 
 
 def geometric_coating_grid(config, n):
@@ -232,19 +265,6 @@ class TestSolver:
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.25)
 
-    @pytest.mark.parametrize("n", [64, 4096])
-    def test_stacked_solve_equals_each_sphere_alone(self, rng, n):
-        cases = [(comp, Loading(0.3, 1.0)) for comp in (CANONICAL, HIGH_CONTRAST, THIN_COATING)]
-        cases += [(random_composite(rng), random_loading(rng)) for _ in range(50)]
-        for comp, loading in cases:
-            spheres = [CoatedSphereConfig(comp, core) for core in (1, 2)]
-            grids = [make_radial_grid(sphere, n) for sphere in spheres]
-            stacked = radial_oracle._solve_radial_bvps(spheres, loading, grids)
-            for sphere, grid, solution in zip(spheres, grids, stacked):
-                alone = solve_radial_bvp(sphere, loading, grid)
-                assert solution.grid is grid
-                assert all(same_bits(x, y) for x, y in zip(solution[1:], alone[1:]))
-
     def test_huge_moduli_raise_singular_system_without_warning(self):
         # the coating's P-wave modulus overflows to inf, and inf * 0 at the centre is nan
         comp, _ = build_composite(
@@ -267,73 +287,60 @@ class TestSolver:
             assert compare_fields(ana, sol) <= 5e-6
 
 
-class TestTridiagonal:
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 4096, 4097])
-    def test_random_dominant_systems_match_references(self, rng, n):
-        for _ in range(3):
-            lower, upper, rhs = rng.normal(size=(3, n))
-            lower[0] = upper[-1] = 0.0
-            diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 1.5, n)
-            diag *= rng.choice([-1.0, 1.0], n)
-            x = _solve_tridiagonal(lower, upper, lower + diag + upper, rhs)
-            ref = thomas(lower, diag, upper, rhs)
-            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-            if n <= 17:
-                np.testing.assert_allclose(dense(lower, diag, upper) @ x, rhs, rtol=0, atol=1e-13)
-                np.testing.assert_allclose(
-                    x, np.linalg.solve(dense(lower, diag, upper), rhs), rtol=1e-12, atol=1e-14
-                )
+class TestReferenceSystem:
+    """The closed-form solve against the finite-volume system it solves, assembled row by row."""
 
-    @pytest.mark.parametrize("n", [16, 17, 18, 100, 1000, 4096, 4097])
-    def test_stacked_systems_equal_lone_solves(self, rng, n):
-        # reducing the systems end to end changes no bit: not the sign of a
-        # zero, and not beside a system whose zero pivot leaves it non-finite
-        lower, upper, rhs = rng.normal(size=(3, 2, n))
-        lower[:, 0] = upper[:, -1] = 0.0
-        diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 1.5, (2, n))) * rng.choice(
-            [-1.0, 1.0], (2, n)
-        )
-        row_sum = lower + diag + upper
-        singular = row_sum.copy()
-        singular[1] = lower[1] + upper[1]
-        signed_zeros = np.where(rng.random((2, n)) < 0.5, 0.0, -0.0)
-        for s, d in ((row_sum, rhs), (row_sum, signed_zeros), (singular, rhs)):
-            x = _solve_tridiagonal(lower, upper, s, d)
-            assert x.shape == (2, n)
-            for j in range(2):
-                assert same_bits(x[j], _solve_tridiagonal(lower[j], upper[j], s[j], d[j]))
-        assert np.all(np.isfinite(x[0])) and not np.all(np.isfinite(x[1]))
-
-    @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
-    @pytest.mark.parametrize("composite", [CANONICAL, HIGH_CONTRAST])
-    def test_fv_systems_match_references(self, composite, n):
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    @pytest.mark.parametrize("n", [16, 17, 4096])
+    def test_u_solves_the_assembled_system_to_roundoff(self, name, n):
+        # each row's residual is roundoff in the row's largest term
+        composite, _ = REFERENCE_CASES[name]
+        loading = Loading(0.3, 1.0)
         for core in (1, 2):
-            config = CoatedSphereConfig(composite=composite, core_phase=core)
-            (system,), u = fv_systems(config, Loading(0.3, 1.0), n)
-            lower, upper, row_sum, rhs = system
-            diag = row_sum - lower - upper
-            # the FV matrix is ill-conditioned (cond ~ n^2), which bounds
-            # how closely two elimination orders can agree
-            ref = thomas(lower, diag, upper, rhs)
-            assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
-            if n <= 17:
-                np.testing.assert_allclose(
-                    u, np.linalg.solve(dense(lower, diag, upper), rhs), rtol=1e-10
-                )
+            config = CoatedSphereConfig(composite, core)
+            grid = make_radial_grid(config, n)
+            u = solve_radial_bvp(config, loading, grid).u
+            lower, upper, row_sum, rhs = map(np.array, fv_system(config, loading, grid))
+            left, right = np.append(0.0, u[:-1]), np.append(u[1:], 0.0)
+            terms = (lower * left, (row_sum - lower - upper) * u, upper * right, -rhs)
+            scale = np.sum(np.abs(terms), axis=0)
+            assert np.max(np.abs(np.sum(terms, axis=0)) / scale) <= 1e-14, core
 
-    def test_zero_pivot_gives_nonfinite_solution_without_warning(self):
-        lower, upper = np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0])
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("composite", [CANONICAL, HIGH_CONTRAST, K_OVER_MU])
+    def test_u_matches_a_dense_solve(self, composite, n):
+        loading = Loading(0.3, 1.0)
+        for core in (1, 2):
+            config = CoatedSphereConfig(composite, core)
+            grid = make_radial_grid(config, n)
+            lower, upper, row_sum, rhs = map(np.array, fv_system(config, loading, grid))
+            dense = np.diag(row_sum - lower - upper) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+            u = solve_radial_bvp(config, loading, grid).u
+            assert np.max(np.abs(u - np.linalg.solve(dense, rhs))) <= 1e-12 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_u_matches_the_decimal_solve(self, name):
+        # the assembled rows cancel (cond ~ n^2); the closed form does not,
+        # and it is within a few ulps of the exact discrete solution
+        composite, digits = REFERENCE_CASES[name]
+        loading = Loading(0.3, 1.0)
+        for core in (1, 2):
+            config = CoatedSphereConfig(composite, core)
+            grid = make_radial_grid(config, 4096)
+            u = solve_radial_bvp(config, loading, grid).u
+            assert relative_error(u, decimal_solve(config, loading, grid, digits)) <= 1e-14, core
+
+    def test_overflowing_displacements_raise_singular_system_without_warning(self):
+        # moduli of 1e-10 under sigma0 = 1e300: u ~ 3e309 is beyond the float range
+        comp, _ = build_composite(
+            PhaseProperties(2e-10, 1e-10, 0.0), PhaseProperties(1e-10, 5e-11, 1.0), 0.5
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = _solve_tridiagonal(lower, upper, np.array([1.0, 3.0, 4.0]), np.ones(3))
-        assert not np.all(np.isfinite(x))
-
-    def test_zero_pivot_in_fv_solve_raises_singular_system(self, monkeypatch):
-        monkeypatch.setattr(radial_oracle, "_solve_tridiagonal", zero_pivot_solve)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularSystem):
-                solve_radial_bvp(CORE1, CANONICAL_LOADING, make_radial_grid(CORE1, 64))
+            for core in (1, 2):
+                config = CoatedSphereConfig(comp, core)
+                with pytest.raises(SingularSystem, match="^direct solve returned non-finite displacements$"):
+                    solve_radial_bvp(config, Loading(1e300, 0.0), make_radial_grid(config, 64))
 
 
 class TestScan:
