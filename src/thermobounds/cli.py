@@ -270,9 +270,8 @@ def _parse_axis(doc: dict, name: str, allow_sweep: bool):
         if rng.count < 2:
             raise ConfigError(f"{name!r}: sweep count must be >= 2, got {rng.count}")
         if rng.count > MAX_SWEEP_ROWS:
-            raise ConfigError(
-                f"{name!r}: sweep count {value['count']!r} is more than the {MAX_SWEEP_ROWS} rows of a sweep"
-            )
+            raise ConfigError(f"{name!r}: sweep count {value['count']!r} is more than "
+                              f"the {MAX_SWEEP_ROWS} rows of a sweep")
         if not (math.isfinite(rng.start) and math.isfinite(rng.stop)):
             raise ConfigError(f"{name!r}: sweep start and stop must be finite")
         if not rng.start < rng.stop:
@@ -500,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument(
         "--grid-n", type=int, default=ORACLE_REFERENCE_N,
-        help=f"nodes of the finite-volume oracle's grid ({MIN_NODES} to {MAX_NODES}, default %(default)s)",
+        help=f"nodes of the finite-volume oracle's grid ({MIN_NODES} to {MAX_NODES}, "
+        "default %(default)s)",
     )
     sp.set_defaults(func=cmd_verify)
 

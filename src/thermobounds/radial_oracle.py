@@ -176,9 +176,9 @@ def solve_radial_bvp(
     smaller magnitude, and each coating u is that end's u plus a change, so
     that the differences across thin cells, which the trace reads, carry no
     rounding of the larger end.  A P-wave modulus or 3k that is not finite
-    raises ``SingularSystem``, and so does a solution that is not finite.  The stress trace follows at the cell
-    midpoints, with its volume-weighted mean over each region; any node
-    spacing will do.
+    raises ``SingularSystem``, and so does a solution that is not finite.
+    The stress trace follows at the cell midpoints, with its volume-weighted
+    mean over each region; any node spacing will do.
     """
     import numpy as np
 

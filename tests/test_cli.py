@@ -532,7 +532,8 @@ class TestVerify:
         assert cores == {"two grids": [1, 2], "5e-324": [], "1e-300": [1]}[case]
         rows = {r["orientation"]: r for r in parse_csv(out) if r["check"] == "oracle-field-agreement"}
         for sphere, loading, grid in solved:
-            alone = compare_fields(sample_analytic_fields(sphere, loading, grid), solve(sphere, loading, grid))
+            analytic = sample_analytic_fields(sphere, loading, grid)
+            alone = compare_fields(analytic, solve(sphere, loading, grid))
             assert rows[f"core{sphere.core_phase}"]["residual"] == cli.fmt(alone)
 
     @pytest.mark.parametrize("grid_n", ["256", "4096"])

@@ -335,11 +335,12 @@ class TestReferenceSystem:
         comp, _ = build_composite(
             PhaseProperties(2e-10, 1e-10, 0.0), PhaseProperties(1e-10, 5e-11, 1.0), 0.5
         )
+        message = "^direct solve returned non-finite displacements$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for core in (1, 2):
                 config = CoatedSphereConfig(comp, core)
-                with pytest.raises(SingularSystem, match="^direct solve returned non-finite displacements$"):
+                with pytest.raises(SingularSystem, match=message):
                     solve_radial_bvp(config, Loading(1e300, 0.0), make_radial_grid(config, 64))
 
 
