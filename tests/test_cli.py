@@ -22,7 +22,7 @@ from thermobounds.bounds import (
     bound_grid,
     thermal_stress_scale,
 )
-from thermobounds import Loading, PhaseProperties, SingularSystem, build_composite
+from thermobounds import Loading, PhaseProperties, build_composite
 from thermobounds import compare_fields, sample_analytic_fields
 from thermobounds.materials import EndpointLine, _swap_phase
 from thermobounds import bounds, cli, verify
