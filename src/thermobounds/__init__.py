@@ -20,7 +20,6 @@ from .bounds import (
     Endpoint,
     MicrostructureKind,
     characteristic_constants,
-    hs_bulk_moduli,
     max_field_lower_bound,
     phase_moment_lower_bound,
     regime_table,
@@ -29,6 +28,7 @@ from .bounds import (
 from .coated_sphere import (
     CoatedSphereConfig,
     effective_properties,
+    hs_bulk_moduli,
     local_field_constants,
     mechanical_coefficients,
     phase_moment,

@@ -226,15 +226,6 @@ def characteristic_constants(c: ValidatedComposite, deltaT: float) -> BoundConst
     return BoundConstants(L1=L1, L2=L2, M1=M1, M2=M2, D=D, F=F)
 
 
-def hs_bulk_moduli(c: ValidatedComposite) -> tuple[float, float]:
-    """The two extremal effective bulk moduli (K_minus, K_plus), ``c.spheres[0/1].K``.
-
-    Every microstructure's effective compliance contraction lies between
-    1/K_plus and 1/K_minus; the spheres with core phase 1 and 2 realize the ends.
-    """
-    return c.spheres[0].K, c.spheres[1].K
-
-
 #: The endpoint symbols (lower, upper) of a phase's compliance interval, by ordering
 #: class and phase; :data:`_PHASE_ENDS` gives the kernel their lines and codes.
 _INTERVAL_SYMBOLS = {

@@ -71,6 +71,7 @@ from .bounds import (
     bound_grid,
     regime_table,
 )
+from .coated_sphere import CoatedSphereConfig
 from .errors import InputError, InvalidExponent
 from .materials import (
     Loading,
@@ -293,7 +294,11 @@ def load_run_config(path: str, allow_sweep: bool = False) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path!r} nests values too deeply to parse") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -372,7 +377,7 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
         ),
     }
     if residuals:
-        solves = _unit_solves(comp)
+        solves = _unit_solves(CoatedSphereConfig(comp, core) for core in (1, 2))
         loadings = [(s, d) for s in sigma_values for d in delta_values]
         columns["attainment_residual"] = [
             _attainment_residual(solves, s, d, value, phase, core) if core else None

@@ -13,7 +13,8 @@ prototype:
 * thermal: eigenstrain ``h_i * I`` per phase at unit temperature change,
   displacement clamped at the outer surface (``u(b) = 0``); the outer
   radial traction of this solution is the effective thermal stress scalar
-  ``H*`` per unit temperature change (both in ``CoatedSphereConfig.constants``).
+  ``H*`` per unit temperature change (``CoatedSphereConfig.thermal`` and
+  ``CoatedSphereConfig.H``).
 * mechanical: no eigenstrain, prescribed outer radial traction.
 
 The composite loaded by macroscopic stress ``sigma0 * I`` and temperature
@@ -36,10 +37,10 @@ analytic fields (:func:`~thermobounds.radial_oracle.sample_analytic_fields`),
 which takes u(r) from :func:`superposed_shell_coefficients`.
 
 Both sub-problems are solved in closed form, which gives the displacement:
-the thermal one once per composite with its effective constants
-(:func:`~thermobounds.materials._sphere_constants`, which forms K* as
-Hashin's extremal modulus and H* as the outer traction of the thermal
-solution), the mechanical one by :func:`mechanical_coefficients`.  The
+the thermal one once per sphere, when a :class:`CoatedSphereConfig` is
+built, with its effective constants (K* as Hashin's extremal modulus and H*
+as the outer traction of the thermal solution), the mechanical one by
+:func:`mechanical_coefficients`.  The bounds read none of them.  The
 3x3 interface system the closed forms solve is kept in ``_solve_shell``,
 solved exactly over the integers for all three unit loads of a sphere at
 once (unit outer traction; unit deltaT, traction-free and clamped) and
@@ -55,52 +56,101 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .bounds import SQRT3
-from .materials import Loading, PhaseProperties, ShellCoefficients, SphereConstants
-from .materials import ValidatedComposite, check_exponent
+from .materials import Loading, PhaseProperties, ValidatedComposite, _Derived, check_exponent
+
+
+class ShellCoefficients(NamedTuple):
+    """Displacement coefficients of one shell solution.
+
+    ``u = core_linear * r`` in the core and
+    ``u = coat_linear * r + coat_inverse_square / r^2`` in the coating.
+    """
+
+    core_linear: float
+    coat_linear: float
+    coat_inverse_square: float
 
 
 class _SphereFields(NamedTuple):
     composite: ValidatedComposite
     core_phase: int
-    #: Derived on construction, as the closed forms read them often.  The
-    #: fractions are the composite's own: ``core_fraction`` is a^3, and
-    #: ``coating_fraction`` is not formed as 1 - a^3, so that the closed
-    #: forms use the same fractions as :func:`materials._sphere_constants`.
+    #: Derived on construction.  The fractions are the composite's own:
+    #: ``core_fraction`` is a^3, and ``coating_fraction`` is not formed as 1 - a^3.
     coating_phase: int
     core: PhaseProperties
     coating: PhaseProperties
     core_fraction: float
     coating_fraction: float
+    K: float
+    H: float
+    thermal: ShellCoefficients
 
 
-class CoatedSphereConfig(_SphereFields):
+class CoatedSphereConfig(_Derived, _SphereFields):
     """A coated-sphere assemblage built from a validated composite.
 
     ``core_phase`` selects which material fills the core; the coating is the
     other phase.  The outer radius is 1, so the cube of the core radius
     equals the core phase's volume fraction.  The constructor takes
-    ``composite`` and ``core_phase`` and derives the other fields.
+    ``composite`` and ``core_phase`` and derives the other fields, and the
+    record compares, hashes and pickles by those two, as a derived field may
+    be nan.
+
+    ``K`` is Hashin's modulus of a core fraction f of modulus kc in a coating
+    (kt, mut), K = kt + f / (1/(kc - kt) + 3 (1 - f)/(3 kt + 4 mut)), over a
+    common denominator: K = (3 k1 k2 + 4 mut kbar) / (3 (k1 th2 + k2 th1) + 4 mut)
+    with kbar = th1 k1 + th2 k2.  Every term is positive, so nothing cancels
+    at high modulus contrast, nothing divides by k1 - k2, and on the scaled
+    moduli (``ValidatedComposite.scaled_moduli``) no product overflows.  With
+    c = 1 - f the coating's own fraction, ``thermal`` is the clamped thermal
+    solution at unit deltaT::
+
+        den = 3 kt f + 4 mut + 3 kc c
+        A = -B = 3 f (kt*ht - kc*hc) / den,   g = -3 c (kt*ht - kc*hc) / den
+
+    (den is a sum of positive terms, and g does not divide by f), and ``H``
+    (H*) its outer radial traction 3 kt (A - ht) - 4 mut B, on the raw moduli.
     """
 
     __slots__ = ()
+    _INPUTS = 2
 
     def __new__(cls, composite, core_phase):
         if core_phase not in (1, 2):
             raise ValueError(f"core_phase must be 1 or 2, got {core_phase}")
         p1, p2, th1, th2 = composite[:4]
-        derived = (2, p1, p2, th1, th2) if core_phase == 1 else (1, p2, p1, th2, th1)
+        s, k1, mu1, k2, mu2 = composite.scaled_moduli
+        if core_phase == 1:
+            core, coat, f, c, mut = p1, p2, th1, th2, mu2
+        else:
+            core, coat, f, c, mut = p2, p1, th2, th1, mu1
+        kbar, kdual = th1 * k1 + th2 * k2, 3.0 * (k1 * th2 + k2 * th1)
+        K = (3.0 * k1 * k2 + 4.0 * mut * kbar) / (kdual + 4.0 * mut)
+        mismatch = coat.k * coat.h - core.k * core.h
+        den = _thermal_denominator(core, coat, f, c)
+        A = 3.0 * f * mismatch / den
+        B = -A
+        thermal = ShellCoefficients(-3.0 * c * mismatch / den, A, B)
+        H = 3.0 * coat.k * (A - coat.h) - 4.0 * coat.mu * B
+        derived = (3 - core_phase, core, coat, f, c, K * s, H, thermal)
         return tuple.__new__(cls, (composite, core_phase, *derived))
-
-    def __getnewargs__(self):
-        return self[:2]
 
     def core_radius(self) -> float:
         return self.core_fraction ** (1.0 / 3.0)
 
-    @property
-    def constants(self) -> SphereConstants:
-        """K*, H* and the clamped thermal solution of this sphere, from its composite."""
-        return self.composite.spheres[self.core_phase - 1]
+
+def _thermal_denominator(core: PhaseProperties, coat: PhaseProperties, f: float, c: float) -> float:
+    """den = 3 kt f + 4 mut + 3 kc c of :class:`CoatedSphereConfig`, with c = 1 - f."""
+    return 3.0 * coat.k * f + 4.0 * coat.mu + 3.0 * core.k * c
+
+
+def hs_bulk_moduli(c: ValidatedComposite) -> tuple[float, float]:
+    """The two extremal effective bulk moduli (K_minus, K_plus): the spheres' ``K``.
+
+    Every microstructure's effective compliance contraction lies between
+    1/K_plus and 1/K_minus; the spheres with core phase 1 and 2 realize the ends.
+    """
+    return CoatedSphereConfig(c, 1).K, CoatedSphereConfig(c, 2).K
 
 
 class LocalFieldConstants(NamedTuple):
@@ -160,7 +210,7 @@ def _solve_shell(config: CoatedSphereConfig) -> tuple[_ShellSolution, ...]:
     infinity of its sign.
 
     This is the independent route to the closed forms of the clamped
-    thermal solution (``CoatedSphereConfig.constants.thermal``) and of
+    thermal solution (``CoatedSphereConfig.thermal``) and of
     :func:`mechanical_coefficients` and to the endpoint table's region
     stresses; only :mod:`thermobounds.verify` calls it.
     """
@@ -229,8 +279,8 @@ def superposed_shell_coefficients(
     The mechanical part is solved at outer traction sigma0 - H* deltaT so
     that the superposed field carries average stress sigma0 * I.
     """
-    _, h_star, th = config.constants
-    me = mechanical_coefficients(config, loading.sigma0 - h_star * loading.deltaT)
+    th = config.thermal
+    me = mechanical_coefficients(config, loading.sigma0 - config.H * loading.deltaT)
     dT = loading.deltaT
     return ShellCoefficients(
         core_linear=th.core_linear * dT + me.core_linear,
@@ -273,6 +323,5 @@ def phase_moment(
 
 def effective_properties(config: CoatedSphereConfig) -> EffectiveProperties:
     """Bundle of effective constants (bulk modulus, thermal stress, compliance)."""
-    K, H, _ = config.constants
-    return EffectiveProperties(K, H, 1.0 / K)
+    return EffectiveProperties(config.K, config.H, 1.0 / config.K)
 

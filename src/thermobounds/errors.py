@@ -43,8 +43,8 @@ class InvalidExponent(InputError):
 class SingularSystem(RuntimeError):
     """The finite-volume oracle cannot solve the discretized radial problem.
 
-    Its one refusal: non-finite coefficients, a solve that returns non-finite
-    displacements (on a zero pivot, say), or a grid whose cells would have
-    zero volume, when the core fraction is too close to 0 or 1 for the
-    requested node count.
+    Its one refusal: non-finite coefficients, a closed-form solve that returns
+    non-finite displacements (where they overflow, say), or a grid whose cells
+    would have zero volume, when the core fraction is too close to 0 or 1 for
+    the requested node count.
     """

@@ -25,14 +25,15 @@ from .bounds import (
 )
 from .coated_sphere import (
     CoatedSphereConfig,
+    ShellCoefficients,
     _solve_shell,
+    _thermal_denominator,
     effective_properties,
     local_field_constants,
     mechanical_coefficients,
 )
 from .errors import SingularSystem
-from .materials import Loading, ShellCoefficients, ValidatedComposite
-from .materials import _swap_phase, _thermal_denominator
+from .materials import Loading, ValidatedComposite, _swap_phase
 from .radial_oracle import (
     MIN_NODES,
     _phase_moments,
@@ -95,7 +96,7 @@ def interface_residuals(
 def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, float]:
     """H* (per unit temperature change) by the library's route and by the volume average.
 
-    Route one is the library's ``CoatedSphereConfig.constants.H``, the outer
+    Route one is the library's ``CoatedSphereConfig.H``, the outer
     radial traction of the thermal solution that route two reads too.  Route
     two is the volume average of the stress (the trace-free part of the
     coating strain integrates to zero over the shell, so only the linear
@@ -109,9 +110,8 @@ def effective_thermal_stress_routes(config: CoatedSphereConfig) -> tuple[float, 
     core_strain = (
         -3.0 * c * coat.k * coat.h - core.h * (3.0 * coat.k * f + 4.0 * coat.mu)
     ) / _thermal_denominator(core, coat, f, c)
-    _, H, th = config.constants
-    via_average = 3.0 * (f * core.k * core_strain + c * coat.k * (th.coat_linear - coat.h))
-    return H, via_average
+    coat_strain = config.thermal.coat_linear - coat.h
+    return config.H, 3.0 * (f * core.k * core_strain + c * coat.k * coat_strain)
 
 
 def verify_exact_relation(config: CoatedSphereConfig) -> float:
@@ -180,8 +180,8 @@ def verify_average_identity(config: CoatedSphereConfig, loading: Loading) -> flo
     return abs(lhs - rhs) / scale if scale != 0.0 else 0.0
 
 
-def _unit_solves(comp: ValidatedComposite) -> dict:
-    """The exact shell solutions per unit load, by core phase.
+def _unit_solves(spheres) -> dict:
+    """The exact shell solutions per unit load of each of ``spheres``, by core phase.
 
     ``solves[core]`` is the triple of ``_solve_shell`` solutions of the
     sphere with that core: at unit outer traction, at unit deltaT with a
@@ -189,7 +189,7 @@ def _unit_solves(comp: ValidatedComposite) -> dict:
     are exact, rounded once, and independent of the endpoint table the
     bounds read.
     """
-    return {core: _solve_shell(CoatedSphereConfig(comp, core)) for core in (1, 2)}
+    return {sphere.core_phase: _solve_shell(sphere) for sphere in spheres}
 
 
 def _attainment_residual(solves, sigma0, deltaT, value, phase, core) -> float:
@@ -258,17 +258,18 @@ def _verify_checks(
                 note = "the residual is not finite: a compared value overflowed"
         rows.append((name, orientation, residual, tol, status, note))
 
-    solves = _unit_solves(comp)
+    spheres = CoatedSphereConfig(comp, 1), CoatedSphereConfig(comp, 2)
+    solves = _unit_solves(spheres)
     for label, core in zip((1, 2), internal):
         tag = f"core{label}"
-        sphere = CoatedSphereConfig(composite=comp, core_phase=core)
+        sphere = spheres[core - 1]
         # the continuity residuals divide by a^2 and a^3, which carry too few
         # bits to resolve them when a^3 is subnormal
         inputs = {"the core fraction a^3": sphere.core_fraction, **moduli}
 
         # the closed-form coefficients the library uses, against the shell
         # conditions and against the 3x3 interface solve
-        th = sphere.constants.thermal
+        th = sphere.thermal
         r_u, r_t, r_o = interface_residuals(sphere, th)
         add("thermal-displacement-continuity", tag, r_u, TOL_IDENTITY)
         add("thermal-traction-continuity", tag, r_t, TOL_IDENTITY)
@@ -295,7 +296,7 @@ def _verify_checks(
         # K by the mean strain f g + c A of the exactly solved unit-traction shell
         m = solves[core][0]
         mean_strain = sphere.core_fraction * m.core_linear + sphere.coating_fraction * m.coat_linear
-        k1, k2 = sphere.constants.K, 1.0 / (3.0 * mean_strain)
+        k1, k2 = sphere.K, 1.0 / (3.0 * mean_strain)
         disc = abs(k1 - k2) / max(abs(k1), abs(k2))
         add("effective-bulk-modulus-dual-route", tag, disc, TOL_IDENTITY)
         add("exact-thermal-relation", tag, verify_exact_relation(sphere), TOL_IDENTITY)

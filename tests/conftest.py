@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from thermobounds import Loading, Ordering, PhaseProperties, build_composite
+from thermobounds import CoatedSphereConfig, Loading, Ordering, PhaseProperties, build_composite
 from thermobounds.bounds import BRANCH_IDS, _bound
 
 # Canonical test composite: k=2/1, mu=1/0.5, theta=0.5/0.5, h=0/1.
@@ -79,6 +79,22 @@ def random_loading(rng, deltaT_sign=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def sphere_builds(monkeypatch):
+    """The ``(composite, core_phase)`` of each CoatedSphereConfig built in the test.
+
+    Each build derives that sphere's K, H* and clamped thermal solution once.
+    """
+    builds, new = [], CoatedSphereConfig.__new__
+
+    def counted(cls, composite, core_phase):
+        builds.append((composite, core_phase))
+        return new(cls, composite, core_phase)
+
+    monkeypatch.setattr(CoatedSphereConfig, "__new__", staticmethod(counted))
+    return builds
 
 
 def compliance_to_X(compliance, c):

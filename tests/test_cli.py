@@ -22,7 +22,7 @@ from thermobounds.bounds import (
     bound_grid,
     thermal_stress_scale,
 )
-from thermobounds import Loading, PhaseProperties, build_composite
+from thermobounds import CoatedSphereConfig, Loading, PhaseProperties, build_composite
 from thermobounds import compare_fields, sample_analytic_fields
 from thermobounds.materials import EndpointLine, _swap_phase
 from thermobounds import bounds, cli, verify
@@ -216,7 +216,7 @@ def reference_bound_columns(cfg, phase_flag, p, residuals=False) -> dict:
         "relabeled": Coded((relabeled,), zeros),
     }
     if residuals:
-        solves = verify._unit_solves(comp)
+        solves = verify._unit_solves(CoatedSphereConfig(comp, core) for core in (1, 2))
         residual = []
         for i, j, v, c, ph in zip(sigma_codes, delta_codes, value, core, phase):
             if not c:
@@ -982,11 +982,19 @@ def test_non_finite_loading_exit_2(tmp_path, capsys, command, loading):
 
 
 SWEEP_RANGE_BACKWARDS = {"start": 1.0, "stop": -1.0, "count": 3}
-# by case: command, config (a document, or the file's text), further arguments, stderr
+# by case: command, config (a document, or the file's text or bytes), further arguments, stderr
 REJECTED_INPUTS = {
     "not-json": ("bounds", "{", (), "ConfigError: config 'CONFIG' is not valid JSON: "
                  "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     "root-list": ("bounds", "[]", (), "ConfigError: config root must be a JSON object"),
+    "not-utf8": ("bounds", b"\xff\xfe{}", (), "ConfigError: config 'CONFIG' is not UTF-8 text: "
+                 "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "nested-too-deep": ("bounds", '{"phase1": ' + "[" * 5000, (),
+                        "ConfigError: config 'CONFIG' nests values too deeply to parse"),
+    "int-too-many-digits": ("bounds", '{"theta1": ' + "1" * 5000 + "}", (),
+                            "ConfigError: config 'CONFIG' is not valid JSON: Exceeds the limit "
+                            "(4300 digits) for integer string conversion: value has 5000 digits; "
+                            "use sys.set_int_max_str_digits() to increase the limit"),
     "phase-number": ("bounds", dict(PSTAR, phase1=3), (),
                      "ConfigError: 'phase1' must be an object with k, mu, h"),
     "k-text": ("bounds", dict(PSTAR, phase1=dict(PSTAR["phase1"], k="x")), (),
@@ -1080,7 +1088,10 @@ REJECTED_INPUTS = {
 def test_rejected_input_names_its_fault(tmp_path, capsys, command, config, extra, message):
     # json.dumps writes NaN, which Python's JSON parser reads back
     cfg = tmp_path / "config.json"
-    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    else:
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     out_path = tmp_path / "rows.csv"
     extra = [str(out_path) if arg == "OUT" else arg for arg in extra]
     code, out, err = run(capsys, command, str(cfg), *extra)

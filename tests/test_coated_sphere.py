@@ -40,7 +40,7 @@ from thermobounds import (
     verify_average_identity,
     verify_exact_relation,
 )
-from thermobounds import materials, verify
+from thermobounds import verify
 from thermobounds.verify import effective_thermal_stress_routes, interface_residuals
 
 SQRT3 = math.sqrt(3.0)
@@ -78,7 +78,7 @@ def closed_form_bulk_modulus_routes(cfg):
     """K by the library, and by the mean strain of :func:`mechanical_coefficients` at unit traction."""
     m = mechanical_coefficients(cfg, 1.0)
     mean_strain = cfg.core_fraction * m.core_linear + cfg.coating_fraction * m.coat_linear
-    return cfg.constants.K, 1.0 / (3.0 * mean_strain)
+    return cfg.K, 1.0 / (3.0 * mean_strain)
 
 
 def homogeneous_config(k=2.0, mu=1.0, h=0.3, theta1=0.4):
@@ -93,14 +93,14 @@ def homogeneous_config(k=2.0, mu=1.0, h=0.3, theta1=0.4):
 class TestThermalCoefficients:
     def test_canonical_core1_exact(self):
         # exact solve: (g, A, B) = (-3/13, 3/13, -3/13)
-        c = CORE1.constants.thermal
+        c = CORE1.thermal
         assert c.core_linear == pytest.approx(-3 / 13, rel=1e-13)
         assert c.coat_linear == pytest.approx(3 / 13, rel=1e-13)
         assert c.coat_inverse_square == pytest.approx(-3 / 13, rel=1e-13)
 
     def test_canonical_core2_exact(self):
         # exact solve: (g, A, B) = (3/17, -3/17, 3/17)
-        c = CORE2.constants.thermal
+        c = CORE2.thermal
         assert c.core_linear == pytest.approx(3 / 17, rel=1e-13)
         assert c.coat_linear == pytest.approx(-3 / 17, rel=1e-13)
         assert c.coat_inverse_square == pytest.approx(3 / 17, rel=1e-13)
@@ -115,7 +115,7 @@ class TestThermalCoefficients:
                 cfg = CoatedSphereConfig(composite=comp, core_phase=core)
                 per_sigma0, _, clamped = coated_sphere._solve_shell(cfg)
                 for solved, closed in (
-                    (clamped[:3], cfg.constants.thermal),
+                    (clamped[:3], cfg.thermal),
                     ([s0 * x for x in per_sigma0[:3]], mechanical_coefficients(cfg, s0)),
                 ):
                     scale = max(abs(closed.coat_linear), 1e-300)
@@ -136,7 +136,7 @@ class TestThermalCoefficients:
             a3 = th2  # b = 1
             B = -3.0 * a3 * (k1 * h1 - k2 * h2) / den
             g = -3.0 * (1.0 - th2) * (k1 * h1 - k2 * h2) / den
-            got = cfg.constants.thermal
+            got = cfg.thermal
             assert got.coat_linear == pytest.approx(A, rel=1e-11, abs=1e-14)
             assert got.coat_inverse_square == pytest.approx(B, rel=1e-11, abs=1e-14)
             assert got.core_linear == pytest.approx(g, rel=1e-11, abs=1e-14)
@@ -145,12 +145,12 @@ class TestThermalCoefficients:
         for _ in range(100):
             comp = random_composite(rng)
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
-            c = cfg.constants.thermal
+            c = cfg.thermal
             r_u, r_t, r_o = interface_residuals(cfg, c)
             assert r_u <= 1e-12 and r_t <= 1e-12 and r_o <= 1e-12
 
     def test_residuals_detect_corruption(self):
-        c = CORE1.constants.thermal
+        c = CORE1.thermal
         bad = type(c)(
             core_linear=c.core_linear * 1.01,
             coat_linear=c.coat_linear,
@@ -167,21 +167,21 @@ class TestThermalCoefficients:
             theta1=0.5,
         )
         cfg = CoatedSphereConfig(composite=comp, core_phase=2)
-        c = cfg.constants.thermal
+        c = cfg.thermal
         assert c.core_linear == pytest.approx(0.0, abs=1e-15)
         assert c.coat_linear == pytest.approx(0.0, abs=1e-15)
         assert c.coat_inverse_square == pytest.approx(0.0, abs=1e-15)
         # coating is material 1: H* = -3 k1 h1
-        assert cfg.constants.H == pytest.approx(-3.0, rel=1e-14)
+        assert cfg.H == pytest.approx(-3.0, rel=1e-14)
 
     def test_zero_eigenstrain(self):
         comp = build_unswapped(
             PhaseProperties(2.0, 1.0, 0.0), PhaseProperties(1.0, 0.5, 0.0), 0.5
         )
         cfg = CoatedSphereConfig(composite=comp, core_phase=1)
-        c = cfg.constants.thermal
+        c = cfg.thermal
         assert (c.core_linear, c.coat_linear, c.coat_inverse_square) == (0.0, 0.0, 0.0)
-        assert cfg.constants.H == 0.0
+        assert cfg.H == 0.0
 
 
 class TestMechanicalCoefficients:
@@ -230,8 +230,8 @@ class TestMechanicalCoefficients:
 
 class TestEffectiveProperties:
     def test_thermal_stress_canonical(self):
-        assert CORE1.constants.H == pytest.approx(-24 / 13, rel=1e-13)
-        assert CORE2.constants.H == pytest.approx(-30 / 17, rel=1e-13)
+        assert CORE1.H == pytest.approx(-24 / 13, rel=1e-13)
+        assert CORE2.H == pytest.approx(-30 / 17, rel=1e-13)
 
     def test_dual_routes_agree_randomly(self, rng):
         for _ in range(100):
@@ -241,11 +241,11 @@ class TestEffectiveProperties:
             assert t == pytest.approx(v, rel=1e-12, abs=1e-14)
 
     def test_bulk_modulus_canonical(self):
-        assert CORE1.constants.K == pytest.approx(18 / 13, rel=1e-14)
-        assert CORE2.constants.K == pytest.approx(24 / 17, rel=1e-14)
+        assert CORE1.K == pytest.approx(18 / 13, rel=1e-14)
+        assert CORE2.K == pytest.approx(24 / 17, rel=1e-14)
 
     def test_bulk_modulus_homogeneous(self):
-        assert homogeneous_config(k=3.0).constants.K == pytest.approx(
+        assert homogeneous_config(k=3.0).K == pytest.approx(
             3.0, rel=1e-13
         )
 
@@ -347,37 +347,35 @@ class TestLocalFields:
             scale = max(abs(u_core), abs(u_coat), 1e-300)
             assert abs(u_core - u_coat) <= 1e-11 * scale
 
-    def test_superposed_coefficients_make_one_thermal_solve(self, rng, monkeypatch):
-        # the thermal solution and H* are the composite's, solved for once
-        # on its construction and not again here
+    def test_superposed_coefficients_make_one_thermal_solve(self, rng, sphere_builds):
+        # the thermal solution and H* are the sphere's, derived once when it
+        # is built and not again here
         cases = [(CANONICAL, CANONICAL_LOADING)]
         cases += [(random_composite(rng), random_loading(rng)) for _ in range(20)]
         spheres = [(CoatedSphereConfig(comp, core), loading)
                    for comp, loading in cases for core in (1, 2)]
+        assert len(sphere_builds) == len(spheres)
         # the bits of thermal + mechanical at outer traction sigma0 - H* deltaT
         expected = []
         for cfg, loading in spheres:
-            th = cfg.constants.thermal
+            th = cfg.thermal
             me = mechanical_coefficients(
-                cfg, loading.sigma0 - cfg.constants.H * loading.deltaT
+                cfg, loading.sigma0 - cfg.H * loading.deltaT
             )
             expected.append([x * loading.deltaT + y for x, y in zip(th, me)])
-        solves = []
-        solve = materials._sphere_constants
-        monkeypatch.setattr(materials, "_sphere_constants", lambda *a: solves.append(a) or solve(*a))
+        sphere_builds.clear()
         for (cfg, loading), bits in zip(spheres, expected):
             total = superposed_shell_coefficients(cfg, loading)
             assert [x.hex() for x in total] == [x.hex() for x in bits]
-        assert solves == []
+        assert sphere_builds == []
 
-    def test_a_build_and_a_verify_pass_make_one_solve_per_composite(self, monkeypatch):
-        # K, H* and the thermal solution of both spheres come from one call
-        solves = []
-        solve = materials._sphere_constants
-        monkeypatch.setattr(materials, "_sphere_constants", lambda *a: solves.append(a) or solve(*a))
+    def test_a_build_and_a_verify_pass_make_one_solve_per_sphere(self, sphere_builds):
+        # K, H* and the thermal solution of each sphere are derived once, when
+        # verify builds it; building the composite derives none
         comp, relabeled = build_composite(*CANONICAL[:3])
+        assert sphere_builds == []
         verify._verify_checks(comp, CANONICAL_LOADING, verify.ORACLE_REFERENCE_N, relabeled)
-        assert len(solves) == 1
+        assert sphere_builds == [(comp, 1), (comp, 2)]
 
 
 def fraction_shell_solve(cfg, eigen_on, outer, traction=0.0):
@@ -510,7 +508,7 @@ class TestClosedFormPath:
         assert cfg.coating_fraction == comp.theta1 != 1.0 - cfg.core_fraction
         closed, via_mech = closed_form_bulk_modulus_routes(cfg)
         assert abs(closed - via_mech) <= 1e-12 * closed
-        assert cfg.constants.K == closed
+        assert cfg.K == closed
 
     def test_soft_core_thermal_routes_agree(self):
         # a core 1e10 times stiffer than its coating: g is close to hc, and
@@ -526,7 +524,7 @@ class TestClosedFormPath:
         cfg = CoatedSphereConfig(composite=comp, core_phase=1)
         via_traction, via_average = effective_thermal_stress_routes(cfg)
         assert abs(via_traction - via_average) <= 1e-12 * abs(via_traction)
-        assert cfg.constants.H == via_traction
+        assert cfg.H == via_traction
 
     def test_wide_domain_probe_effective_constants_agree_with_their_second_routes(self):
         # H* and K against the second routes the library once compared them
@@ -590,7 +588,7 @@ class TestAttainment:
         # verify's attainment residual, by the exact shell solve's traces; the
         # superposition route it replaced cancelled on 192 of these phases
         for comp, loading in wide_domain_probe(1000):
-            solves = verify._unit_solves(comp)
+            solves = verify._unit_solves(CoatedSphereConfig(comp, core) for core in (1, 2))
             for phase in (1, 2):
                 result = phase_moment_lower_bound(comp, loading, phase)
                 if result.at_endpoint is Endpoint.INTERIOR:

@@ -240,8 +240,8 @@ class TestSolver:
             cfg = CoatedSphereConfig(composite=comp, core_phase=int(rng.integers(1, 3)))
             dT = float(rng.uniform(-2, 2))
             grid = make_radial_grid(cfg, 2048)
-            sol = solve_radial_bvp(cfg, Loading(cfg.constants.H * dT, dT), grid)
-            th = cfg.constants.thermal
+            sol = solve_radial_bvp(cfg, Loading(cfg.H * dT, dT), grid)
+            th = cfg.thermal
             tr_core = 9 * cfg.core.k * (th.core_linear - cfg.core.h) * dT
             tr_coat = 9 * cfg.coating.k * (th.coat_linear - cfg.coating.h) * dT
             scale = max(abs(tr_core), abs(tr_coat), 1e-300)

@@ -51,6 +51,13 @@ class TestConstruction:
         sphere = tb.CoatedSphereConfig(CANONICAL, 2)
         assert sphere[:2] == (CANONICAL, 2)
 
+    def test_records_compared_by_their_inputs_equal_only_their_own_type(self):
+        # a composite and a sphere each compare by their inputs, never with each other
+        sphere = tb.CoatedSphereConfig(CANONICAL, 1)
+        assert CANONICAL != sphere and sphere != CANONICAL
+        assert sphere == tb.CoatedSphereConfig(*sphere[:2])
+        assert CANONICAL._replace(theta1=0.25) != CANONICAL  # by its new inputs
+
 
 class TestImmutability:
     @pytest.mark.parametrize("record, field", [
@@ -162,11 +169,33 @@ class TestRoundTrips:
     ):
         # a composite compares by the four fields it is constructed from
         composite, _ = tb.build_composite(phase1, phase2, 0.5)
-        assert not all(map(math.isfinite, (*composite.endpoints.M1, *composite.spheres[1][:2])))
+        sphere = tb.CoatedSphereConfig(composite, 2)
+        assert not all(map(math.isfinite, (*composite.endpoints.M1, sphere.K, sphere.H)))
         for record in (composite, *(tb.CoatedSphereConfig(composite, core) for core in (1, 2))):
             out = round_trip(record)
             assert out == record and not out != record
             assert hash(out) == hash(record)
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=2)),
+        copy.deepcopy,
+        copy.copy,
+    ])
+    def test_a_sphere_with_a_nan_derived_field_equals_its_round_trip(self, round_trip):
+        # a sphere compares and hashes by its composite and core phase, the
+        # inputs its K, H* and thermal solution are derived from
+        composite, _ = tb.build_composite(
+            tb.PhaseProperties(1e308, 1e308, 0.0), tb.PhaseProperties(1.0, 0.5, 1.0), 0.5)
+        sphere = tb.CoatedSphereConfig(composite, 2)
+        assert math.isnan(sphere.H)
+        out = round_trip(sphere)
+        assert type(out) is tb.CoatedSphereConfig
+        assert out == sphere and not out != sphere and hash(out) == hash(sphere)
+        assert out == tb.CoatedSphereConfig(composite, 2) != tb.CoatedSphereConfig(composite, 1)
+        assert {out, sphere} == {sphere}
+        bits = [[x.hex() for x in (*s.thermal, s.K)] for s in (out, sphere)]
+        assert bits[0] == bits[1]
 
     @pytest.mark.parametrize("round_trip", [
         lambda x: pickle.loads(pickle.dumps(x)),
