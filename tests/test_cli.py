@@ -1099,6 +1099,22 @@ def test_rejected_input_names_its_fault(tmp_path, capsys, command, config, extra
     assert not out_path.exists()
 
 
+def test_only_verify_and_residuals_derive_sphere_constants(tmp_path, capsys, sphere_builds):
+    # the bounds read the endpoint table alone; a sphere's K, H* and thermal
+    # solution are derived only where verify or --residuals builds the sphere
+    doc = dict(PSTAR, loading={"sigma0": {"start": -1.0, "stop": 1.0, "count": 5}, "deltaT": 1.0})
+    cfg, swept = write_config(tmp_path, PSTAR), write_config(tmp_path, doc, "swept.json")
+    sweep = ["sweep", swept, "--out", str(tmp_path / "rows.csv")]
+    build_composite(PhaseProperties(2.0, 1.0, 0.0), PhaseProperties(1.0, 0.5, 1.0), 0.5)
+    for argv in (["bounds", cfg], ["table", cfg], sweep):
+        assert run(capsys, *argv)[0] == 0
+    assert sphere_builds == []
+    for argv in (["verify", cfg, "--grid-n", "64"], [*sweep, "--residuals"]):
+        assert run(capsys, *argv)[0] == 0
+        assert [core for _, core in sphere_builds] == [1, 2]
+        sphere_builds.clear()
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PSTAR)
