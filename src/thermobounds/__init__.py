@@ -14,6 +14,15 @@ under macroscopic hydrostatic stress and uniform temperature change:
 
 All quantities are unit-agnostic: supply moduli and stresses in one
 consistent unit system.
+
+``import thermobounds`` loads ``errors``, ``materials``, ``bounds`` and
+``coated_sphere``, none of which imports numpy.  The oracles of
+``radial_oracle`` and the routes of ``verify`` load on first access: their
+names here, and the two submodule attributes, resolve through the module's
+``__getattr__``, which binds each as a plain global.  Of the commands,
+``bounds``, ``table`` and ``sweep`` load ``radial_oracle`` (for the
+``--grid-n`` limits the parser prints) but not ``verify``; ``verify`` and
+``sweep --residuals`` load ``verify`` and, in its array checks, numpy.
 """
 
 from .bounds import (
@@ -50,13 +59,33 @@ from .materials import (
     ValidatedComposite,
     build_composite,
 )
-from .radial_oracle import (
-    compare_fields,
-    make_radial_grid,
-    sample_analytic_fields,
-    sampled_moment,
-    solve_radial_bvp,
-)
-from .verify import verify_average_identity, verify_exact_relation
-
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported on the name's first access
+_LAZY = {
+    "compare_fields": "radial_oracle",
+    "make_radial_grid": "radial_oracle",
+    "sample_analytic_fields": "radial_oracle",
+    "sampled_moment": "radial_oracle",
+    "solve_radial_bvp": "radial_oracle",
+    "radial_oracle": "radial_oracle",
+    "verify_average_identity": "verify",
+    "verify_exact_relation": "verify",
+    "verify": "verify",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f".{_LAZY[name]}", __name__)
+    if name != _LAZY[name]:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups find a plain global
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

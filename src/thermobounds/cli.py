@@ -15,8 +15,12 @@ Four subcommands, each reading a JSON config file:
   which runs the bound kernel of
   :func:`~thermobounds.bounds.phase_moment_lower_bound` and
   :func:`~thermobounds.bounds.max_field_lower_bound` over each deltaT value's
-  column of sigma0 values.  Only the ``verify`` command loads numpy, in the
-  checks it runs; this module uses no arrays.
+  column of sigma0 values.
+
+Importing this module loads the package's layers but not
+:mod:`thermobounds.verify`: ``verify`` and ``sweep --residuals`` import it
+when they run, and only the ``verify`` command loads numpy, in the checks it
+runs.  ``bounds`` and ``table`` load neither; this module uses no arrays.
 
 Config schema::
 
@@ -81,13 +85,7 @@ from .materials import (
     build_composite,
     check_exponent,
 )
-from .radial_oracle import MAX_NODES, MIN_NODES
-from .verify import (
-    ORACLE_REFERENCE_N,
-    _attainment_residual,
-    _unit_solves,
-    _verify_checks,
-)
+from .radial_oracle import MAX_NODES, MIN_NODES, ORACLE_REFERENCE_N
 
 
 class ConfigError(InputError):
@@ -377,6 +375,8 @@ def _bound_columns(cfg: RunConfig, phase_flag: str, p: float, residuals: bool = 
         ),
     }
     if residuals:
+        from .verify import _attainment_residual, _unit_solves
+
         solves = _unit_solves(CoatedSphereConfig(comp, core) for core in (1, 2))
         loadings = [(s, d) for s in sigma_values for d in delta_values]
         columns["attainment_residual"] = [
@@ -429,6 +429,8 @@ def cmd_verify(args) -> int:
     cfg = load_run_config(args.config)
     if not MIN_NODES <= args.grid_n <= MAX_NODES:
         raise ConfigError(f"--grid-n must be from {MIN_NODES} to {MAX_NODES}, got {args.grid_n}")
+    from .verify import _verify_checks
+
     loading = Loading(cfg.sigma0, cfg.deltaT)
     checks = _verify_checks(cfg.composite, loading, args.grid_n, cfg.relabeled)
     emit_rows(checks, args.format, sys.stdout)

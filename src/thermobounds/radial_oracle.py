@@ -19,8 +19,11 @@ The other side of that comparison, the closed-form fields sampled on the
 same grid, is :func:`sample_analytic_fields`.
 
 Elsewhere only verify's regime-table check computes with arrays.  Every
-function here imports numpy where it builds them, so ``import thermobounds``
-does not load it.  Each array function turns an overflow into inf or nan
+function here imports numpy where it builds them, so loading this module
+does not load numpy.  ``import thermobounds`` does not load this module: the
+package resolves its names here on first access.  The CLI loads it for the
+``--grid-n`` limits (:data:`MIN_NODES`, :data:`MAX_NODES` and the default
+:data:`ORACLE_REFERENCE_N`), and only ``verify`` runs it.  Each array function turns an overflow into inf or nan
 under its own ``np.errstate``, never a warning, for its caller to report;
 the finite-volume oracle refuses a sphere it cannot solve with ``SingularSystem``.
 """
@@ -37,6 +40,7 @@ from .materials import Loading, check_exponent
 
 MIN_NODES = 16
 MAX_NODES = 2**20  # verify's ceiling on --grid-n: about 130 bytes of peak memory per node
+ORACLE_REFERENCE_N = 4096  # --grid-n's default, the grid size verify's TOL_ORACLE is set at
 
 
 class _GridFields(NamedTuple):
@@ -297,9 +301,10 @@ def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[floa
     # a phase whose largest value's power would leave the float range is taken
     # in units of that value; elsewhere the unit is 1.0, which changes no bit
     top = float(np.max(vals))
-    if not (0.0 < top < math.inf and max(exponents) * abs(math.log2(top)) > 1000):
+    if 0.0 < top < math.inf and max(exponents) * abs(math.log2(top)) > 1000:
+        vals = vals / top
+    else:
         top = 1.0
-    vals = vals / top
     with np.errstate(over="ignore", invalid="ignore"):
         return [float(((vals**p * w).sum() / total) ** (1.0 / p)) * top for p in exponents]
 

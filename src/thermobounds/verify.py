@@ -36,6 +36,7 @@ from .errors import SingularSystem
 from .materials import Loading, ValidatedComposite, _swap_phase
 from .radial_oracle import (
     MIN_NODES,
+    ORACLE_REFERENCE_N,
     _phase_moments,
     compare_fields,
     make_radial_grid,
@@ -45,8 +46,7 @@ from .radial_oracle import (
 
 TOL_IDENTITY = 1e-12
 TOL_ATTAINMENT = 1e-10
-TOL_ORACLE = 1e-6       # at the reference grid size below
-ORACLE_REFERENCE_N = 4096
+TOL_ORACLE = 1e-6       # at radial_oracle.ORACLE_REFERENCE_N nodes
 TOL_P_INDEPENDENCE = 1e-8
 TABLE_AGREEMENT_SAMPLES = 200
 

@@ -1526,6 +1526,82 @@ def test_scalar_paths_leave_numpy_unloaded(path, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_SWEEP = (
+    "from thermobounds.cli import main\n"
+    "code = main(['sweep', sys.argv[2], '--out', sys.argv[3]%s])"
+)
+#: which of the two lazily loaded modules each path loads, with the argv of SCALAR_PATHS
+LAZY_MODULE_PATHS = {
+    "import": (SCALAR_PATHS["import"], []),
+    "bounds": (SCALAR_PATHS["bounds"], ["radial_oracle"]),
+    "table": (SCALAR_PATHS["table"], ["radial_oracle"]),
+    "sweep": (_SWEEP % "", ["radial_oracle"]),
+    "sweep --residuals": (_SWEEP % ", '--residuals'", ["radial_oracle", "verify"]),
+    "verify": (
+        "from thermobounds.cli import main\ncode = main(['verify', sys.argv[1]])",
+        ["radial_oracle", "verify"],
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(LAZY_MODULE_PATHS))
+def test_only_verify_paths_load_verify(path, tmp_path):
+    golden = Path(__file__).resolve().parent / "golden"
+    configs = [str(golden / "canonical.json"), str(golden / "canonical-grid.json")]
+    snippet, expected = LAZY_MODULE_PATHS[path]
+    code = (
+        f"import sys\n{snippet}\n"
+        "loaded = [m for m in ('radial_oracle', 'verify') if f'thermobounds.{m}' in sys.modules]\n"
+        f"sys.exit(code or (f'loaded {{loaded}}' if loaded != {expected!r} else 0))"
+    )
+    proc = _run_fresh(code, *configs, str(tmp_path / "rows.out"))
+    assert proc.returncode == 0, proc.stderr
+
+
+LAZY_NAMES = {
+    "compare_fields": "radial_oracle",
+    "make_radial_grid": "radial_oracle",
+    "sample_analytic_fields": "radial_oracle",
+    "sampled_moment": "radial_oracle",
+    "solve_radial_bvp": "radial_oracle",
+    "verify_average_identity": "verify",
+    "verify_exact_relation": "verify",
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(LAZY_NAMES), "radial_oracle", "verify"])
+def test_lazy_name_is_the_defining_modules_object(name, monkeypatch):
+    # unbound first, so that the lookup goes through the package's __getattr__
+    monkeypatch.delattr(thermobounds, name, raising=False)
+    value = getattr(thermobounds, name)
+    module = sys.modules[f"thermobounds.{LAZY_NAMES.get(name, name)}"]
+    assert value is (module if name in ("radial_oracle", "verify") else vars(module)[name])
+    assert vars(thermobounds)[name] is value
+
+
+def test_package_dir_lists_unloaded_names(monkeypatch):
+    for name in [*LAZY_NAMES, "radial_oracle", "verify"]:
+        monkeypatch.delattr(thermobounds, name, raising=False)
+    package = Path(thermobounds.__file__).parent
+    names = [
+        n for n in dir(thermobounds)
+        if not n.startswith("_") and not (package / f"{n}.py").exists()
+    ]
+    assert len(names) == 33
+    assert set(LAZY_NAMES) <= set(names)
+    assert {"radial_oracle", "verify"} <= set(dir(thermobounds))
+
+
+def test_package_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'ORACLE_REFERENCE_N'"):
+        thermobounds.ORACLE_REFERENCE_N
+    assert not hasattr(thermobounds, "no_such_name")
+    # the constant lives beside the grid limits, and verify still names it
+    from thermobounds import radial_oracle
+
+    assert verify.ORACLE_REFERENCE_N is radial_oracle.ORACLE_REFERENCE_N == 4096
+
+
 def test_cli_import_leaves_dataclasses_unloaded():
     # the records are NamedTuples, so importing generates no dataclass code
     code = "import sys, thermobounds.cli; sys.exit('dataclasses' in sys.modules)"
