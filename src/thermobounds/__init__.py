@@ -76,12 +76,13 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = import_module(f".{_LAZY[name]}", __name__)
-    if name != _LAZY[name]:
+    value = import_module(f".{module}", __name__)
+    if name != module:
         value = getattr(value, name)
     globals()[name] = value  # later lookups find a plain global
     return value

@@ -20,7 +20,8 @@ Four subcommands, each reading a JSON config file:
 Importing this module loads the package's layers but not
 :mod:`thermobounds.verify`: ``verify`` and ``sweep --residuals`` import it
 when they run, and only the ``verify`` command loads numpy, in the checks it
-runs.  ``bounds`` and ``table`` load neither; this module uses no arrays.
+runs.  ``bounds``, ``table`` and a plain ``sweep`` load neither; this
+module uses no arrays.
 
 Config schema::
 

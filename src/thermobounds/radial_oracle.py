@@ -23,9 +23,10 @@ function here imports numpy where it builds them, so loading this module
 does not load numpy.  ``import thermobounds`` does not load this module: the
 package resolves its names here on first access.  The CLI loads it for the
 ``--grid-n`` limits (:data:`MIN_NODES`, :data:`MAX_NODES` and the default
-:data:`ORACLE_REFERENCE_N`), and only ``verify`` runs it.  Each array function turns an overflow into inf or nan
-under its own ``np.errstate``, never a warning, for its caller to report;
-the finite-volume oracle refuses a sphere it cannot solve with ``SingularSystem``.
+:data:`ORACLE_REFERENCE_N`), and of the commands only ``verify`` runs it.
+Each array function turns an overflow into inf or nan under its own
+``np.errstate``, never a warning, for its caller to report; the
+finite-volume oracle refuses a sphere it cannot solve with ``SingularSystem``.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def _phase_moments(solution: RadialSolution, phase: int, exponents) -> list[floa
     vals = np.abs(solution.cell_tr_sigma[run]) / SQRT3
     total = w.sum()  # a numpy float: a zero total gives nan or inf, not ZeroDivisionError
     # a phase whose largest value's power would leave the float range is taken
-    # in units of that value; elsewhere the unit is 1.0, which changes no bit
+    # in units of that value; elsewhere the values are taken as they are
     top = float(np.max(vals))
     if 0.0 < top < math.inf and max(exponents) * abs(math.log2(top)) > 1000:
         vals = vals / top

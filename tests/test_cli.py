@@ -1596,10 +1596,13 @@ def test_package_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="has no attribute 'ORACLE_REFERENCE_N'"):
         thermobounds.ORACLE_REFERENCE_N
     assert not hasattr(thermobounds, "no_such_name")
-    # the constant lives beside the grid limits, and verify still names it
+
+
+def test_oracle_reference_n_lives_beside_the_grid_limits():
     from thermobounds import radial_oracle
 
     assert verify.ORACLE_REFERENCE_N is radial_oracle.ORACLE_REFERENCE_N == 4096
+    assert cli.build_parser().parse_args(["verify", "c.json"]).grid_n == 4096
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
